@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "algorithms/basic.h"
@@ -119,7 +118,9 @@ class IncBfsProgram {
 // ----------------------------------------------------------- host helpers
 
 // Host-side CSR over the forward arcs of a prepared graph. Iteration order
-// is edge-list order within each source — deterministic.
+// is edge-list order within each source — deterministic. The evolving
+// planner builds one per epoch (the post-batch graph) and carries it
+// forward as the next epoch's pre-batch adjacency.
 class HostAdjacency {
  public:
   struct Arc {
@@ -145,6 +146,8 @@ class HostAdjacency {
     }
   }
 
+  uint64_t num_vertices() const { return offsets_.size() - 1; }
+
   std::span<const Arc> Out(VertexId v) const {
     return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
   }
@@ -161,17 +164,19 @@ struct SeedStats {
 };
 
 // ------------------------------------------------------------- BFS seeder
+// `old_adj`/`new_adj` are the pre- and post-batch prepared graphs' arcs.
 // `deleted_arcs`/`inserted_arcs` are the batch in PREPARED per-arc form
 // (undirected preparation turns each raw edge into two forward arcs).
 // `states` holds the engine's converged pre-batch states in, seeds out.
-inline SeedStats SeedIncBfs(const InputGraph& old_prepared, const InputGraph& new_prepared,
+inline SeedStats SeedIncBfs(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
                             const std::vector<Edge>& deleted_arcs,
                             const std::vector<Edge>& inserted_arcs, VertexId source,
                             std::vector<IncBfsProgram::VertexState>* states) {
   constexpr int64_t kUnreached = IncBfsProgram::kUnreached;
   auto& st = *states;
-  const uint64_t n = old_prepared.num_vertices;
+  const uint64_t n = old_adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
+  CHAOS_CHECK_EQ(new_adj.num_vertices(), n);
   std::vector<uint8_t> suspect(n, 0);
   std::vector<VertexId> work;
   auto mark = [&](VertexId v) {
@@ -189,7 +194,6 @@ inline SeedStats SeedIncBfs(const InputGraph& old_prepared, const InputGraph& ne
   // Propagate over the OLD graph's tight arcs: anything whose depth may have
   // depended on a suspect becomes suspect. All reads are of the unmodified
   // converged depths; st is only rewritten in the final loop.
-  const HostAdjacency old_adj(old_prepared);
   while (!work.empty()) {
     const VertexId u = work.back();
     work.pop_back();
@@ -202,7 +206,6 @@ inline SeedStats SeedIncBfs(const InputGraph& old_prepared, const InputGraph& ne
   // Frontier: intact vertices bordering the reset region in the NEW graph
   // re-announce their still-valid depth; sources of inserted arcs may open
   // shortcuts anywhere.
-  const HostAdjacency new_adj(new_prepared);
   std::vector<uint8_t> frontier(n, 0);
   for (uint64_t u = 0; u < n; ++u) {
     if (suspect[u] != 0 || st[u].depth == kUnreached) {
@@ -237,14 +240,15 @@ inline SeedStats SeedIncBfs(const InputGraph& old_prepared, const InputGraph& ne
 // Same ANY-rule as BFS with float distances. Tightness is checked with the
 // exact float expression the engine's scatter evaluates (dist + weight), so
 // every arc that could have produced a distance is recognized.
-inline SeedStats SeedSssp(const InputGraph& old_prepared, const InputGraph& new_prepared,
+inline SeedStats SeedSssp(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
                           const std::vector<Edge>& deleted_arcs,
                           const std::vector<Edge>& inserted_arcs, VertexId source,
                           std::vector<SsspProgram::VertexState>* states) {
   constexpr float kInf = SsspProgram::kInf;
   auto& st = *states;
-  const uint64_t n = old_prepared.num_vertices;
+  const uint64_t n = old_adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
+  CHAOS_CHECK_EQ(new_adj.num_vertices(), n);
   std::vector<uint8_t> suspect(n, 0);
   std::vector<VertexId> work;
   auto mark = [&](VertexId v) {
@@ -258,7 +262,6 @@ inline SeedStats SeedSssp(const InputGraph& old_prepared, const InputGraph& new_
       mark(e.dst);
     }
   }
-  const HostAdjacency old_adj(old_prepared);
   while (!work.empty()) {
     const VertexId u = work.back();
     work.pop_back();
@@ -268,7 +271,6 @@ inline SeedStats SeedSssp(const InputGraph& old_prepared, const InputGraph& new_
       }
     }
   }
-  const HostAdjacency new_adj(new_prepared);
   std::vector<uint8_t> frontier(n, 0);
   for (uint64_t u = 0; u < n; ++u) {
     if (suspect[u] != 0 || st[u].dist == kInf) {
@@ -301,57 +303,76 @@ inline SeedStats SeedSssp(const InputGraph& old_prepared, const InputGraph& new_
 
 // ------------------------------------------------------------- WCC seeder
 
-// Bounded DFS reachability on the new graph: true iff `to` is reached from
-// `from` within `budget` arc traversals. Budget exhaustion reports false —
-// the caller treats "don't know" as "split" (a conservative full reset).
-inline bool HostConnected(const HostAdjacency& adj, VertexId from, VertexId to,
-                          uint64_t budget) {
-  if (from == to) {
-    return true;
-  }
-  std::vector<VertexId> stack{from};
-  std::unordered_set<VertexId> seen{from};
-  uint64_t traversed = 0;
-  while (!stack.empty()) {
-    const VertexId u = stack.back();
-    stack.pop_back();
-    for (const auto& arc : adj.Out(u)) {
-      if (++traversed > budget) {
-        return false;
-      }
-      if (arc.dst == to) {
-        return true;
-      }
-      if (seen.insert(arc.dst).second) {
-        stack.push_back(arc.dst);
+// Bounded DFS reachability probes on one graph. The visited set is a
+// stamp vector shared by every probe: each probe takes a fresh stamp
+// instead of allocating (and, under the exhaustive budget, filling) a set
+// of its own.
+class HostReachProbe {
+ public:
+  explicit HostReachProbe(const HostAdjacency& adj)
+      : adj_(adj), stamp_(adj.num_vertices(), 0) {}
+
+  // True iff `to` is reached from `from` within `budget` arc traversals.
+  // Budget exhaustion reports false — the caller treats "don't know" as
+  // "split" (a conservative full reset).
+  bool Connected(VertexId from, VertexId to, uint64_t budget) {
+    if (from == to) {
+      return true;
+    }
+    CHAOS_CHECK_LT(probe_, std::numeric_limits<uint32_t>::max());
+    ++probe_;
+    stack_.assign(1, from);
+    stamp_[from] = probe_;
+    uint64_t traversed = 0;
+    while (!stack_.empty()) {
+      const VertexId u = stack_.back();
+      stack_.pop_back();
+      for (const auto& arc : adj_.Out(u)) {
+        if (++traversed > budget) {
+          return false;
+        }
+        if (arc.dst == to) {
+          return true;
+        }
+        if (stamp_[arc.dst] != probe_) {
+          stamp_[arc.dst] = probe_;
+          stack_.push_back(arc.dst);
+        }
       }
     }
+    return false;  // component exhausted without reaching `to`
   }
-  return false;  // component exhausted without reaching `to`
-}
 
-// `deleted_edges` are the RAW batch deletions (one probe per edge, not per
-// prepared arc); `inserted_arcs` are prepared (both directions, so both
-// endpoints of every raw insert get their changed flag).
-inline SeedStats SeedWcc(const InputGraph& new_prepared, const std::vector<Edge>& deleted_edges,
+ private:
+  const HostAdjacency& adj_;
+  std::vector<uint32_t> stamp_;  // == probe_: visited by the current probe
+  uint32_t probe_ = 0;
+  std::vector<VertexId> stack_;
+};
+
+// `new_adj` is the post-batch prepared graph's arcs. `deleted_edges` are the
+// RAW batch deletions (one probe per edge, not per prepared arc);
+// `inserted_arcs` are prepared (both directions, so both endpoints of every
+// raw insert get their changed flag).
+inline SeedStats SeedWcc(const HostAdjacency& new_adj, const std::vector<Edge>& deleted_edges,
                          const std::vector<Edge>& inserted_arcs, uint64_t connectivity_budget,
                          std::vector<WccProgram::VertexState>* states) {
   auto& st = *states;
-  const uint64_t n = new_prepared.num_vertices;
+  const uint64_t n = new_adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
-  const HostAdjacency adj(new_prepared);
-  std::unordered_set<VertexId> reset_labels;
+  HostReachProbe probe(new_adj);
+  std::vector<uint8_t> reset_label(n, 0);  // labels are vertex ids
   for (const Edge& e : deleted_edges) {
     // At convergence both endpoints of an existing edge carry their
     // component's min label, so unequal labels mean nothing to check.
     if (st[e.src].label != st[e.dst].label) {
       continue;
     }
-    if (reset_labels.count(st[e.src].label) != 0) {
+    if (reset_label[st[e.src].label] != 0) {
       continue;  // this component already resets wholesale
     }
-    if (!HostConnected(adj, e.src, e.dst, connectivity_budget)) {
-      reset_labels.insert(st[e.src].label);
+    if (!probe.Connected(e.src, e.dst, connectivity_budget)) {
+      reset_label[st[e.src].label] = 1;
     }
   }
   std::vector<uint8_t> frontier(n, 0);
@@ -360,7 +381,7 @@ inline SeedStats SeedWcc(const InputGraph& new_prepared, const std::vector<Edge>
   }
   SeedStats stats;
   for (uint64_t u = 0; u < n; ++u) {
-    if (reset_labels.count(st[u].label) != 0) {
+    if (reset_label[st[u].label] != 0) {
       // The whole old component re-floods from self-labels; min-label
       // flooding re-derives each surviving sub-component's min id.
       st[u] = WccProgram::VertexState{static_cast<VertexId>(u), 1};

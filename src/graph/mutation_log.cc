@@ -1,9 +1,8 @@
 #include "graph/mutation_log.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <map>
-#include <tuple>
 #include <unordered_set>
 
 #include "util/common.h"
@@ -13,18 +12,95 @@ namespace chaos {
 namespace {
 
 // Exact-record key for delete matching: weight compared by bit pattern so
-// the multiset semantics are total (no NaN/-0.0 surprises). Must be a
-// lossless encoding, not a hash — a collision would make Apply remove an
-// edge the batch never named, and the incremental seeders' reseed math
-// relies on the graph diff being exactly the batch's records.
-using EdgeKey = std::tuple<VertexId, VertexId, uint32_t, uint8_t>;
+// the multiset semantics are total (no NaN/-0.0 surprises), and all 32 flag
+// bits. Matching always compares the whole key — the incremental seeders'
+// reseed math relies on the graph diff being exactly the batch's records.
+struct RecordKey {
+  VertexId src;
+  VertexId dst;
+  uint32_t wbits;
+  uint32_t flags;
 
-EdgeKey ExactKey(const Edge& e) {
+  bool operator==(const RecordKey&) const = default;
+};
+
+RecordKey KeyOf(const Edge& e) {
   uint32_t wbits = 0;
   static_assert(sizeof(wbits) == sizeof(e.weight));
   std::memcpy(&wbits, &e.weight, sizeof(wbits));
-  return EdgeKey{e.src, e.dst, wbits, e.flags};
+  return RecordKey{e.src, e.dst, wbits, e.flags};
 }
+
+// The pending deletes of one batch, as a multiset of exact records. An
+// open-addressing table indexes them; its hash only picks the probe start,
+// and a slot matches only on the full RecordKey, so a collision costs a
+// probe, never a wrong delete. A (src, dst) bit filter in front of the
+// table lets almost every surviving edge skip the probe.
+class PendingDeletes {
+ public:
+  explicit PendingDeletes(const std::vector<Edge>& deletes) {
+    const uint64_t cap = std::bit_ceil(std::max<uint64_t>(2 * deletes.size(), 16));
+    slots_.resize(cap);
+    slot_mask_ = cap - 1;
+    filter_.assign(cap / 4, 0);  // >= 32 filter bits per delete
+    filter_shift_ = 64 - std::countr_zero(cap * 16);
+    for (const Edge& e : deletes) {
+      const uint64_t h = EndpointHash(e);
+      const uint64_t bit = h >> filter_shift_;
+      filter_[bit >> 6] |= uint64_t{1} << (bit & 63);
+      const RecordKey key = KeyOf(e);
+      Slot& s = Find(key, h);
+      s.key = key;
+      s.used = true;
+      ++s.pending;
+    }
+  }
+
+  // Consumes one pending occurrence of `e`'s record; false if none is left.
+  bool Take(const Edge& e) {
+    const uint64_t h = EndpointHash(e);
+    const uint64_t bit = h >> filter_shift_;
+    if ((filter_[bit >> 6] & (uint64_t{1} << (bit & 63))) == 0) {
+      return false;
+    }
+    Slot& s = Find(KeyOf(e), h);
+    if (s.pending == 0) {
+      return false;
+    }
+    --s.pending;
+    return true;
+  }
+
+ private:
+  struct Slot {
+    RecordKey key{};
+    uint32_t pending = 0;
+    bool used = false;
+  };
+
+  // Multiplicative hash of (src, dst); the filter reads its top bits. It
+  // runs once per surviving edge, so it stays one multiply-add deep.
+  static uint64_t EndpointHash(const Edge& e) {
+    return (e.src * 0x9e3779b97f4a7c15ULL + e.dst) * 0xc2b2ae3d27d4eb4fULL;
+  }
+
+  // The slot holding `key`, or the empty slot where it would go.
+  Slot& Find(const RecordKey& key, uint64_t endpoint_hash) {
+    const uint64_t h =
+        HashCombine(endpoint_hash, (uint64_t{key.flags} << 32) | key.wbits);
+    for (uint64_t i = h & slot_mask_;; i = (i + 1) & slot_mask_) {
+      Slot& s = slots_[i];
+      if (!s.used || s.key == key) {
+        return s;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;  // at most half full, so probes terminate
+  uint64_t slot_mask_ = 0;
+  std::vector<uint64_t> filter_;
+  int filter_shift_ = 0;  // 64 - log2(filter bits)
+};
 
 Edge RandomInsert(Rng& rng, const InputGraph& g, VertexId hot_base, VertexId hot_span,
                   bool hotspot) {
@@ -147,34 +223,36 @@ MutationLog::MutationLog(const InputGraph& base, const MutationLogOptions& opt)
 }
 
 void MutationLog::Apply(InputGraph* g, const MutationBatch& b) {
+  std::vector<Edge>& edges = g->edges;
   if (!b.deletes.empty()) {
-    // Multiset subtraction: remove one occurrence per delete record, keeping
-    // the survivors' relative order (determinism of downstream binning).
-    std::map<EdgeKey, uint64_t> pending;
-    for (const Edge& e : b.deletes) {
-      ++pending[ExactKey(e)];
-    }
+    // Multiset subtraction in place: remove the first occurrence of each
+    // delete record, compacting survivors forward in their relative order
+    // (determinism of downstream binning).
+    PendingDeletes pending(b.deletes);
     uint64_t remaining = b.deletes.size();
-    std::vector<Edge> kept;
-    kept.reserve(g->edges.size() - std::min<uint64_t>(remaining, g->edges.size()));
-    for (const Edge& e : g->edges) {
-      if (remaining > 0) {
-        auto it = pending.find(ExactKey(e));
-        if (it != pending.end() && it->second > 0) {
-          --it->second;
-          --remaining;
-          continue;
-        }
+    const size_t n = edges.size();
+    size_t kept = 0;
+    size_t i = 0;
+    for (; i < n && remaining > 0; ++i) {
+      if (pending.Take(edges[i])) {
+        --remaining;
+        continue;
       }
-      kept.push_back(e);
+      if (kept != i) {
+        edges[kept] = edges[i];
+      }
+      ++kept;
     }
     CHAOS_CHECK_EQ(remaining, 0u);  // every delete must name a present edge
-    g->edges = std::move(kept);
+    // Every delete is matched: the rest of the list survives as is.
+    std::copy(edges.begin() + static_cast<ptrdiff_t>(i), edges.end(),
+              edges.begin() + static_cast<ptrdiff_t>(kept));
+    edges.resize(kept + (n - i));
   }
   for (const Edge& e : b.inserts) {
     CHAOS_CHECK(e.src < g->num_vertices && e.dst < g->num_vertices);
-    g->edges.push_back(e);
   }
+  edges.insert(edges.end(), b.inserts.begin(), b.inserts.end());
 }
 
 InputGraph MutationLog::GraphAfter(uint64_t k) const {

@@ -1,7 +1,10 @@
 // Evolving graphs (PR 8): the mutation differential battery.
 //
 //  * MutationLog: seeded determinism, GraphAfter == manual batch replay,
-//    preset/fraction behavior.
+//    preset/fraction behavior; Apply against a naive first-occurrence
+//    reference (multigraph duplicates, churn tails, exact record keys).
+//  * Carried-state epoch planning: every planned MutationDelta equals a
+//    stateless re-plan from GraphAfter, fresh and after a rewind.
 //  * Apply-then-rebin equivalence: an evolving run (mutations applied at
 //    convergence barriers, incremental re-convergence) must produce the
 //    same final values as building the fully mutated graph from scratch —
@@ -14,16 +17,25 @@
 //    vertices beyond the vertex-count bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "algorithms/evolving.h"
 #include "algorithms/incremental.h"
 #include "algorithms/runner.h"
+#include "core/partition.h"
 #include "graph/generators.h"
 #include "graph/mutation_log.h"
 #include "graph/ref/reference.h"
+#include "util/rng.h"
 
 namespace chaos {
 namespace {
@@ -180,6 +192,122 @@ TEST(MutationLogTest, PresetsProduceDistinctLogs) {
   EXPECT_TRUE(recycles);
 }
 
+// ----------------------------------------------------------------- apply
+
+// Bitwise record identity: weight by bit pattern, all 32 flag bits.
+bool SameRecord(const Edge& a, const Edge& b) {
+  return a.src == b.src && a.dst == b.dst &&
+         std::bit_cast<uint32_t>(a.weight) == std::bit_cast<uint32_t>(b.weight) &&
+         a.flags == b.flags;
+}
+
+// The obvious definition of Apply: each delete removes the first remaining
+// occurrence of its record, then the inserts are appended.
+void NaiveApply(InputGraph* g, const MutationBatch& b) {
+  for (const Edge& d : b.deletes) {
+    auto it = std::find_if(g->edges.begin(), g->edges.end(),
+                           [&](const Edge& e) { return SameRecord(e, d); });
+    ASSERT_NE(it, g->edges.end()) << "delete names no present edge";
+    g->edges.erase(it);
+  }
+  g->edges.insert(g->edges.end(), b.inserts.begin(), b.inserts.end());
+}
+
+void ExpectSameEdges(const InputGraph& got, const InputGraph& want, const std::string& what) {
+  ASSERT_EQ(got.edges.size(), want.edges.size()) << what;
+  for (size_t i = 0; i < got.edges.size(); ++i) {
+    ASSERT_TRUE(SameRecord(got.edges[i], want.edges[i])) << what << " edge " << i;
+  }
+}
+
+TEST(ApplyTest, FlagsAboveBitSevenAreDistinctRecords) {
+  InputGraph g;
+  g.num_vertices = 4;
+  g.edges = {Edge{1, 2, 1.0f, 0}, Edge{1, 2, 1.0f, 256}, Edge{1, 2, 1.0f, 0}};
+  MutationBatch b;
+  b.deletes = {Edge{1, 2, 1.0f, 256}};
+  MutationLog::Apply(&g, b);
+  ASSERT_EQ(g.edges.size(), 2u);
+  EXPECT_EQ(g.edges[0].flags, 0u);
+  EXPECT_EQ(g.edges[1].flags, 0u);
+
+  // And the other way round: deleting a flags-0 record keeps the flags-256 one.
+  g.edges = {Edge{1, 2, 1.0f, 256}, Edge{1, 2, 1.0f, 0}};
+  b.deletes = {Edge{1, 2, 1.0f, 0}};
+  MutationLog::Apply(&g, b);
+  ASSERT_EQ(g.edges.size(), 1u);
+  EXPECT_EQ(g.edges[0].flags, 256u);
+}
+
+// Seeded random batches against NaiveApply on a dense multigraph: a handful
+// of vertices, weights (NaN and -0.0 included, matched by bit pattern) and
+// flags, so most records occur several times and survivor order among
+// duplicates is exercised.
+TEST(ApplyTest, RandomBatchesMatchNaiveReference) {
+  const std::vector<float> weights = {1.0f, 2.0f, 0.0f, -0.0f,
+                                      std::numeric_limits<float>::quiet_NaN()};
+  const std::vector<uint32_t> flags = {0, 1, 256, 1u << 31};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(Mix64(seed, 0xa991));
+    auto random_edge = [&](uint64_t n) {
+      return Edge{rng.Below(n), rng.Below(n), weights[rng.Below(weights.size())],
+                  flags[rng.Below(flags.size())]};
+    };
+    InputGraph g;
+    g.num_vertices = 2 + rng.Below(6);
+    const uint64_t m = rng.Below(400);
+    for (uint64_t i = 0; i < m; ++i) {
+      g.edges.push_back(random_edge(g.num_vertices));
+    }
+    InputGraph want = g;
+    std::vector<Edge> last_inserts;
+    for (int round = 0; round < 12; ++round) {
+      MutationBatch b;
+      const uint64_t size = g.edges.size();
+      const uint64_t kind = rng.Below(5);
+      std::vector<uint64_t> idx(size);
+      std::iota(idx.begin(), idx.end(), 0);
+      rng.Shuffle(idx);
+      if (kind == 0) {
+        // All-delete batch, in shuffled order.
+        for (uint64_t i : idx) {
+          b.deletes.push_back(g.edges[i]);
+        }
+      } else if (kind == 1 && !last_inserts.empty()) {
+        // Churn: retire the previous batch's inserts (the appended tail).
+        b.deletes = last_inserts;
+      } else if (kind != 2) {
+        // Random distinct positions; kind 2 is a no-delete batch.
+        const uint64_t num_del = size == 0 ? 0 : rng.Below(size / 4 + 2);
+        for (uint64_t i = 0; i < num_del && i < size; ++i) {
+          b.deletes.push_back(g.edges[idx[i]]);
+        }
+      }
+      const uint64_t num_ins = rng.Below(40);
+      for (uint64_t i = 0; i < num_ins; ++i) {
+        b.inserts.push_back(random_edge(g.num_vertices));
+      }
+      MutationLog::Apply(&g, b);
+      NaiveApply(&want, b);
+      ExpectSameEdges(g, want,
+                      "seed " + std::to_string(seed) + " round " + std::to_string(round));
+      last_inserts = b.inserts;
+    }
+  }
+}
+
+TEST(ApplyDeathTest, DeleteOfAbsentRecordDies) {
+  InputGraph g;
+  g.num_vertices = 4;
+  g.edges = {Edge{0, 1, 1.0f, 0}, Edge{1, 2, 1.0f, 0}};
+  MutationBatch b;
+  b.deletes = {Edge{1, 2, 1.0f, 0}, Edge{2, 3, 1.0f, 0}};
+  EXPECT_DEATH(MutationLog::Apply(&g, b), "remaining == 0");
+  // A record deleted more often than it occurs is absent the second time.
+  b.deletes = {Edge{0, 1, 1.0f, 0}, Edge{0, 1, 1.0f, 0}};
+  EXPECT_DEATH(MutationLog::Apply(&g, b), "remaining == 0");
+}
+
 // ------------------------------------------- evolving == from scratch
 
 TEST(EvolvingTest, BfsMatchesFromScratchBitwise) {
@@ -280,7 +408,8 @@ TEST(SeederTest, BfsDeleteCutsTailUnreachable) {
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{2, 3, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  SeedStats s = SeedIncBfs(old_p, new_p, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p),
+                           Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[0].depth, 0);
@@ -306,7 +435,8 @@ TEST(SeederTest, BfsAlternatePathKeepsBoundaryFrontier) {
   st[1].depth = 1;
   st[3].depth = 1;
   st[2].depth = 2;
-  SeedStats s = SeedIncBfs(old_p, new_p, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p),
+                           Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 1u);
   EXPECT_EQ(st[2].depth, IncBfsProgram::kUnreached);
   EXPECT_EQ(st[3].changed, 1);  // still borders 2 in the new graph
@@ -327,7 +457,8 @@ TEST(SeederTest, BfsInsertMarksEndpointFrontier) {
   for (uint64_t v = 0; v < 5; ++v) {
     st[v].depth = static_cast<int64_t>(v);
   }
-  SeedStats s = SeedIncBfs(old_p, new_p, {}, Arcs({Edge{0, 4, 1.0f, kEdgeForward}}), 0, &st);
+  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p), {},
+                           Arcs({Edge{0, 4, 1.0f, kEdgeForward}}), 0, &st);
   EXPECT_EQ(s.resets, 0u);
   // Both endpoints of the inserted edge re-announce; depths are untouched.
   EXPECT_EQ(st[0].changed, 1);
@@ -348,7 +479,8 @@ TEST(SeederTest, SsspTightArcPropagation) {
   new_raw.edges.erase(new_raw.edges.begin());
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {2.0f, 0}, {5.0f, 0}};
-  SeedStats s = SeedSssp(old_p, new_p, Arcs({Edge{0, 1, 2.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedSssp(HostAdjacency(old_p), HostAdjacency(new_p),
+                         Arcs({Edge{0, 1, 2.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(st[1].dist, SsspProgram::kInf);
   EXPECT_EQ(st[2].dist, SsspProgram::kInf);
@@ -368,7 +500,8 @@ TEST(SeederTest, SsspNonTightDeleteKeepsState) {
   new_raw.edges.pop_back();
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {1.0f, 0}, {2.0f, 0}};
-  SeedStats s = SeedSssp(old_p, new_p, Arcs({Edge{0, 2, 5.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedSssp(HostAdjacency(old_p), HostAdjacency(new_p),
+                         Arcs({Edge{0, 2, 5.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[2].dist, 2.0f);
@@ -382,8 +515,8 @@ TEST(SeederTest, WccSplitResetsWholeComponent) {
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{3, 4, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}, {3, 0}, {3, 0}};
-  SeedStats s =
-      SeedWcc(new_p, {Edge{1, 2, 1.0f, kEdgeForward}}, {}, kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(HostAdjacency(new_p), {Edge{1, 2, 1.0f, kEdgeForward}}, {},
+                        kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 3u);
   EXPECT_EQ(st[0].label, 0u);
   EXPECT_EQ(st[1].label, 1u);
@@ -401,8 +534,8 @@ TEST(SeederTest, WccCycleSurvivesDeleteWithoutResets) {
   new_raw.edges = {Edge{1, 2, 1.0f, kEdgeForward}, Edge{2, 0, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}};
-  SeedStats s =
-      SeedWcc(new_p, {Edge{0, 1, 1.0f, kEdgeForward}}, {}, kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(HostAdjacency(new_p), {Edge{0, 1, 1.0f, kEdgeForward}}, {},
+                        kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[1].label, 0u);
@@ -415,13 +548,189 @@ TEST(SeederTest, WccInsertMarksBothEndpoints) {
                    Edge{1, 2, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {2, 0}, {2, 0}};
-  SeedStats s = SeedWcc(new_p, {}, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}),
+  SeedStats s = SeedWcc(HostAdjacency(new_p), {}, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}),
                         kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(st[1].changed, 1);
   EXPECT_EQ(st[2].changed, 1);
   EXPECT_EQ(st[0].changed, 0);
   EXPECT_EQ(s.frontier, 2u);
+}
+
+// --------------------------------------------- carried-state planning
+
+// The converged fixed point of `prepared` by host relaxation, with the same
+// expressions the engines' scatter evaluates: what the planner reads from a
+// cluster at a convergence barrier.
+template <typename P>
+std::vector<typename P::VertexState> HostFixpoint(const P& prog, const InputGraph& prepared) {
+  const auto global = prog.InitGlobal(prepared.num_vertices);
+  std::vector<typename P::VertexState> st;
+  for (VertexId v = 0; v < prepared.num_vertices; ++v) {
+    st.push_back(prog.InitVertex(global, v, 0));
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Edge& e : prepared.edges) {
+      auto& s = st[e.src];
+      auto& d = st[e.dst];
+      if constexpr (std::is_same_v<P, IncBfsProgram>) {
+        if (s.depth != IncBfsProgram::kUnreached && s.depth + 1 < d.depth) {
+          d.depth = s.depth + 1;
+          changed = true;
+        }
+      } else if constexpr (std::is_same_v<P, SsspProgram>) {
+        if (s.dist + e.weight < d.dist) {
+          d.dist = s.dist + e.weight;
+          changed = true;
+        }
+      } else {
+        if (s.label < d.label) {
+          d.label = s.label;
+          changed = true;
+        }
+      }
+    }
+  }
+  for (auto& s : st) {
+    s.changed = 0;
+  }
+  return st;
+}
+
+// Stateless reference planner: both graphs rebuilt from GraphAfter, fresh
+// adjacencies, bins grown one push at a time.
+template <typename P>
+MutationDelta StatelessPlan(const P& prog, const std::string& algo, const MutationLog& log,
+                            const MutationSchedule& sched, uint64_t epoch,
+                            const Partitioning& parts,
+                            std::vector<typename P::VertexState> seeds) {
+  using VState = typename P::VertexState;
+  const MutationBatch& batch = log.batch(epoch);
+  const InputGraph old_p = PrepareInput(algo, log.GraphAfter(epoch));
+  const InputGraph new_p = PrepareInput(algo, log.GraphAfter(epoch + 1));
+  MutationDelta delta;
+  delta.vertex_state_bytes = sizeof(VState);
+  delta.edges_inserted = batch.inserts.size();
+  delta.edges_deleted = batch.deletes.size();
+  SeedStats stats;
+  if (sched.incremental) {
+    const std::vector<Edge> del_arcs = Arcs(batch.deletes);
+    const std::vector<Edge> ins_arcs = Arcs(batch.inserts);
+    const HostAdjacency old_adj(old_p);
+    const HostAdjacency new_adj(new_p);
+    if constexpr (std::is_same_v<P, IncBfsProgram>) {
+      stats = SeedIncBfs(old_adj, new_adj, del_arcs, ins_arcs, prog.InitGlobal(0).source,
+                         &seeds);
+    } else if constexpr (std::is_same_v<P, SsspProgram>) {
+      stats = SeedSssp(old_adj, new_adj, del_arcs, ins_arcs, prog.InitGlobal(0).source,
+                       &seeds);
+    } else {
+      const uint64_t budget = sched.wcc_connectivity_budget != 0
+                                  ? sched.wcc_connectivity_budget
+                                  : new_p.edges.size() + 1;
+      stats = SeedWcc(new_adj, batch.deletes, ins_arcs, budget, &seeds);
+    }
+  } else {
+    const auto global = prog.InitGlobal(new_p.num_vertices);
+    seeds.clear();
+    for (VertexId v = 0; v < new_p.num_vertices; ++v) {
+      seeds.push_back(prog.InitVertex(global, v, 0));
+    }
+    stats.resets = new_p.num_vertices;
+    stats.frontier = new_p.num_vertices;
+  }
+  delta.seed_states.resize(seeds.size() * sizeof(VState));
+  std::memcpy(delta.seed_states.data(), seeds.data(), delta.seed_states.size());
+  delta.frontier = stats.frontier;
+  delta.resets = stats.resets;
+  delta.part_edges.assign(parts.num_partitions(), {});
+  for (const Edge& e : new_p.edges) {
+    delta.part_edges[parts.PartitionOf(e.src)].push_back(e);
+  }
+  return delta;
+}
+
+// Every field of a vertex state, floats by bit pattern (the serialized
+// image's struct padding carries no value).
+auto StateFields(const IncBfsProgram::VertexState& s) { return std::tuple(s.depth, s.changed); }
+auto StateFields(const SsspProgram::VertexState& s) {
+  return std::tuple(std::bit_cast<uint32_t>(s.dist), s.changed);
+}
+auto StateFields(const WccProgram::VertexState& s) { return std::tuple(s.label, s.changed); }
+
+template <typename P>
+void ExpectSameDelta(const MutationDelta& got, const MutationDelta& want, const std::string& what) {
+  using VState = typename P::VertexState;
+  EXPECT_EQ(got.vertex_state_bytes, want.vertex_state_bytes) << what;
+  EXPECT_EQ(got.edges_inserted, want.edges_inserted) << what;
+  EXPECT_EQ(got.edges_deleted, want.edges_deleted) << what;
+  EXPECT_EQ(got.frontier, want.frontier) << what;
+  EXPECT_EQ(got.resets, want.resets) << what;
+  ASSERT_EQ(got.seed_states.size(), want.seed_states.size()) << what;
+  const uint64_t n = got.seed_states.size() / sizeof(VState);
+  for (uint64_t v = 0; v < n; ++v) {
+    VState a;
+    VState b;
+    std::memcpy(&a, got.seed_states.data() + v * sizeof(VState), sizeof(VState));
+    std::memcpy(&b, want.seed_states.data() + v * sizeof(VState), sizeof(VState));
+    ASSERT_EQ(StateFields(a), StateFields(b)) << what << " vertex " << v;
+  }
+  ASSERT_EQ(got.part_edges.size(), want.part_edges.size()) << what;
+  for (size_t p = 0; p < got.part_edges.size(); ++p) {
+    ASSERT_EQ(got.part_edges[p].size(), want.part_edges[p].size()) << what << " part " << p;
+    for (size_t i = 0; i < got.part_edges[p].size(); ++i) {
+      ASSERT_TRUE(SameRecord(got.part_edges[p][i], want.part_edges[p][i]))
+          << what << " part " << p << " edge " << i;
+    }
+  }
+}
+
+// Plans every epoch of a fresh run, then rewinds the same planner to epoch 2
+// (what Attach does on recovery or a preemption slice) and plans the rest
+// again; each delta must equal the stateless re-plan of that epoch.
+template <typename P>
+void ExpectPlannerMatchesStateless(const P& prog, const std::string& algo, bool weighted,
+                                   MutatePreset preset, bool incremental = true) {
+  constexpr uint64_t kEpochs = 4;
+  const InputGraph raw = SmallRmat(71, weighted);
+  MutationSchedule sched;
+  sched.log = Schedule(kEpochs, 0.05, preset, 73);
+  sched.incremental = incremental;
+  EpochPlanner<P> planner(prog, algo, raw, sched);
+  const MutationLog& log = planner.log();
+  const Partitioning parts = Partitioning::WithPartitions(raw.num_vertices, 3, 6);
+  uint64_t resets = 0;
+  for (const uint64_t start : {uint64_t{0}, uint64_t{2}}) {
+    planner.Reset(start);
+    for (uint64_t k = start; k < kEpochs; ++k) {
+      const auto states = HostFixpoint(prog, PrepareInput(algo, log.GraphAfter(k)));
+      const MutationDelta got = planner.Plan(k, parts, states);
+      const MutationDelta want = StatelessPlan(prog, algo, log, sched, k, parts, states);
+      ExpectSameDelta<P>(got, want,
+                         algo + " " + MutatePresetName(preset) + " start " +
+                             std::to_string(start) + " epoch " + std::to_string(k));
+      resets += got.resets;
+    }
+  }
+  // The schedule reaches the seeders' reset paths, not only the frontier.
+  EXPECT_GT(resets, 0u) << algo << " " << MutatePresetName(preset);
+}
+
+TEST(EpochPlannerTest, CarriedStateMatchesStatelessPlan) {
+  for (const MutatePreset preset :
+       {MutatePreset::kUniform, MutatePreset::kHotspot, MutatePreset::kChurn}) {
+    ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, preset);
+    ExpectPlannerMatchesStateless(SsspProgram(0), "sssp", true, preset);
+    ExpectPlannerMatchesStateless(WccProgram{}, "wcc", false, preset);
+  }
+}
+
+TEST(EpochPlannerTest, FullRecomputeMatchesStatelessPlan) {
+  ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, MutatePreset::kChurn,
+                                /*incremental=*/false);
+  ExpectPlannerMatchesStateless(WccProgram{}, "wcc", false, MutatePreset::kUniform,
+                                /*incremental=*/false);
 }
 
 // ------------------------------------------------------- crash replay
