@@ -6,11 +6,13 @@
 // Self-contained timing harness (no google-benchmark dependency): each
 // benchmark body is run for an adaptive number of iterations until the
 // measured window exceeds --min-ms, then ns/op and items/s are reported.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "algorithms/basic.h"
 #include "baselines/grid_partitioner.h"
@@ -190,13 +192,38 @@ double NowMs() {
 // so the pinned BENCH json documents the measured speedups, but excluded
 // from the cross-host byte-compare.
 
+// Baseline for the hold pair: the textbook binary heap (std::push_heap /
+// std::pop_heap) over the same (time, seq, EventFn) events EventQueue
+// stores, in the same pop order.
+class StdHeapQueue {
+ public:
+  void Push(TimeNs time, EventFn fn) {
+    heap_.push_back({time, next_seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+  EventQueue::Event Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    EventQueue::Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    return ev;
+  }
+
+ private:
+  static bool Later(const EventQueue::Event& a, const EventQueue::Event& b) {
+    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+  }
+  std::vector<EventQueue::Event> heap_;
+  uint64_t next_seq_ = 0;
+};
+
 // Classic hold model: a large resident event population; every op pops the
 // minimum and schedules a replacement at a random future offset. This is
 // the simulator's steady-state shape, where a binary heap pays O(log n)
 // sifts per op and the calendar queue stays O(1).
+template <typename Queue>
 class HoldWorkload {
  public:
-  explicit HoldWorkload(EventQueueImpl impl) : q_(impl), rng_(42) {
+  HoldWorkload() : rng_(42) {
     for (int i = 0; i < kResident; ++i) {
       q_.Push(now_ + Jitter(), [] {});
     }
@@ -222,7 +249,7 @@ class HoldWorkload {
   // calendar's O(1) bucket ops.
   TimeNs Jitter() { return static_cast<TimeNs>(1 + rng_.Below(1 << 16)); }
   static constexpr int kBatch = 1 << 17;
-  EventQueue q_;
+  Queue q_;
   Rng rng_;
   TimeNs now_ = 0;
 };
@@ -252,8 +279,8 @@ uint64_t ScanEdgesAos(const Edge* e, uint32_t n) {
   return acc;
 }
 
-// SoA scan as GasEngine::ScatterChunk's fast path does it: contiguous
-// per-field arrays (see core/edge_chunk_view.h).
+// SoA scan as GasKernel::ScatterChunk does it: contiguous per-field arrays
+// (see core/edge_chunk_view.h).
 uint64_t ScanEdgesSoa(const EdgeChunkView& view) {
   const VertexId* __restrict dst = view.dst();
   const uint32_t* __restrict flags = view.flags();
@@ -372,8 +399,8 @@ uint64_t ScanUpdatesAos(const UpdateRecord<float>* r, uint32_t n) {
   return acc;
 }
 
-// SoA update scan as GasEngine::GatherChunk's fast path does it: contiguous
-// dst and value columns under __restrict (core/update_chunk_view.h).
+// SoA update scan as GasKernel::GatherChunk does it: contiguous dst and
+// value columns under __restrict (core/update_chunk_view.h).
 uint64_t ScanUpdatesSoa(const UpdateChunkView& view) {
   const VertexId* __restrict dst = view.dst();
   const float* __restrict value = view.values_as<float>();
@@ -584,11 +611,11 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
   const std::vector<Pair> pairs = {
       {"EventQueueHold1M", "micro.event_queue_hold",
        [](double ms) {
-         HoldWorkload w(EventQueueImpl::kBinaryHeap);
+         HoldWorkload<StdHeapQueue> w;
          return MeasureNsPerItem([&] { return w.RunBatch(); }, ms);
        },
        [](double ms) {
-         HoldWorkload w(EventQueueImpl::kCalendar);
+         HoldWorkload<EventQueue> w;
          return MeasureNsPerItem([&] { return w.RunBatch(); }, ms);
        }},
       {"EdgeBinParkScanCycle", "micro.binner_cycle",
@@ -601,8 +628,8 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
        [](double ms) {
          auto parts = Partitioning::WithPartitions(4096, 4, kBinnerPartitions);
          RecordArena arena;
-         RecordBinner binner(&parts, sizeof(Edge), kEdgeWireBytes, kBinnerChunkBytes,
-                             &arena, RecordBinner::Format::kEdgeSoA);
+         RecordBinner binner(&parts, RecordBinner::Format::kEdgeSoA, kEdgeWireBytes,
+                             kBinnerChunkBytes, &arena);
          return MeasureNsPerItem([&] { return RunArenaBinnerBatch(&binner); }, ms);
        }},
       // Update-plane pairs (metric keys keep the *_ns_per_op names so the CI
@@ -619,9 +646,8 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
        [](double ms) {
          auto parts = Partitioning::WithPartitions(4096, 4, kBinnerPartitions);
          RecordArena arena;
-         RecordBinner binner(&parts, sizeof(UpdateRecord<float>), kUpdateWireBytes,
-                             kUpdateChunkBytes, &arena,
-                             RecordBinner::Format::kUpdateSoA, sizeof(float));
+         RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, kUpdateWireBytes,
+                             kUpdateChunkBytes, &arena, sizeof(float));
          return MeasureNsPerItem([&] { return RunSoaUpdateBatch(&binner); }, ms);
        }},
       {"UpdateWirePack", "micro.wire_pack",

@@ -259,25 +259,6 @@ TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfi
   return out;
 }
 
-AlgoResult RunChaosAlgorithm(const std::string& name, const InputGraph& prepared,
-                             const ClusterConfig& config, const AlgoParams& params) {
-  return RunJob(MakeJob(name, prepared, config, params));
-}
-
-AlgoResult RunChaosAlgorithmWithRecovery(const std::string& name, const InputGraph& prepared,
-                                         const ClusterConfig& config, const AlgoParams& params,
-                                         const RecoveryOptions& recovery,
-                                         RecoveryReport* report) {
-  JobSpec spec = MakeJob(name, prepared, config, params);
-  spec.recover = true;
-  spec.recovery = recovery;
-  JobResult result = RunJob(spec);
-  if (report != nullptr) {
-    *report = result.recovery;
-  }
-  return std::move(static_cast<AlgoResult&>(result));
-}
-
 XStreamRunResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,
                                      const XStreamConfig& config, const AlgoParams& params) {
   return DispatchAlgorithm(name, params, [&](auto prog) {

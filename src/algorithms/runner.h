@@ -70,19 +70,6 @@ TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfi
 // drives (core/job_execution.h), binding the program type by name.
 std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec);
 
-// Deprecated single-algorithm entry points, kept as shims over RunJob. New
-// code must not call these outside runner.{h,cc} (CI greps for violations).
-[[deprecated("use RunJob(MakeJob(...))")]]
-AlgoResult RunChaosAlgorithm(const std::string& name, const InputGraph& prepared,
-                             const ClusterConfig& config, const AlgoParams& params = {});
-
-[[deprecated("use RunJob with JobSpec::recover")]]
-AlgoResult RunChaosAlgorithmWithRecovery(const std::string& name, const InputGraph& prepared,
-                                         const ClusterConfig& config,
-                                         const AlgoParams& params = {},
-                                         const RecoveryOptions& recovery = {},
-                                         RecoveryReport* report = nullptr);
-
 struct XStreamRunResult {
   std::vector<double> values;
   double scalar = 0.0;

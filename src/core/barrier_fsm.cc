@@ -181,9 +181,8 @@ Task<> EngineCore::ApplyMutationStage() {
     BucketTimer t(ctx_.sim, metrics_, Bucket::kMutate);
     const auto& cost = ctx_.cost();
     ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
-    RecordBinner binner(parts_, sizeof(Edge), meta_.edge_wire_bytes,
-                        ctx_.config->chunk_bytes, ctx_.arena,
-                        RecordBinner::Format::kEdgeSoA);
+    RecordBinner binner(parts_, RecordBinner::Format::kEdgeSoA, meta_.edge_wire_bytes,
+                        ctx_.config->chunk_bytes, ctx_.arena);
     for (const PartitionId p : own_partitions_) {
       // Stream the old edge side of the partition — the read cost of
       // retiring the pre-batch edge set. The payloads are discarded: the

@@ -239,10 +239,10 @@ uint64_t ChunkWriter::CombinedUpdateWire(const Chunk& chunk) const {
   CHAOS_DCHECK(record_wire * chunk.count == chunk.model_bytes);
   CHAOS_DCHECK(record_wire > vid_wire_);
   const uint64_t value_bytes = record_wire - vid_wire_;
-  const UpdateChunkView view(chunk, value_bytes);
+  const VertexId* dst = UpdateChunkView(chunk, value_bytes).dst();
   UpdateWireSizer sizer;
   for (uint32_t i = 0; i < chunk.count; ++i) {
-    sizer.Add(view.DstAt(i));
+    sizer.Add(dst[i]);
   }
   return sizer.PackedWireBytes(record_wire, value_bytes);
 }

@@ -48,7 +48,7 @@ class Cluster {
   using G = typename P::GlobalState;
 
   Cluster(ClusterConfig config, P prog)
-      : config_(std::move(config)), prog_(std::move(prog)), sim_(config_.event_queue) {
+      : config_(std::move(config)), prog_(std::move(prog)) {
     CHAOS_CHECK_GT(config_.machines, 0);
     net_ = std::make_unique<Network>(&sim_, config_.machines, config_.net);
     bus_ = std::make_unique<MessageBus>(&sim_, net_.get());
@@ -99,13 +99,6 @@ class Cluster {
     return Execute(meta, prog_.InitGlobal(input.num_vertices));
   }
 
-  // Streaming variant of Run() for graphs too large to materialize as one
-  // InputGraph: `next_batch` fills the (cleared) vector with the next run
-  // of edges and returns false when the stream is exhausted (a final
-  // partial batch with `true` then `false`-empty is also fine). Host
-  // memory holds one batch plus the simulated kInput chunks — never the
-  // full edge list. Chunk boundaries, placement and results are identical
-  // to Run() on the concatenated stream.
   // Streaming variant of Run(): the edge list arrives in generator-supplied
   // batches instead of a materialized InputGraph, so host memory is bounded
   // by one batch plus the simulated chunks. `feed` is called once with a
@@ -359,9 +352,11 @@ class Cluster {
         if (directory_ != nullptr) {
           directory_->HostRecord(set, unext[q], target);
         }
+        // Re-binned snapshot chunks keep the kUpdateSoA layout the gather
+        // loop reads (core/update_chunk_view.h).
         storage_[static_cast<size_t>(target)]->HostAddChunk(
-            set, MakeChunk<Rec>(unext[q]++, wire, std::move(ubins[q])));
-        ubins[q] = {};
+            set, MakeSoaUpdateChunk(unext[q]++, wire, ubins[q], /*arena=*/nullptr));
+        ubins[q].clear();
       };
       for (MachineId m = 0; m < from.config().machines; ++m) {
         StorageEngine* src = from.storage(m);
@@ -371,8 +366,6 @@ class Cluster {
           }
           for (const Chunk& c : *src->HostGetSet(id)) {
             const Chunk loaded = src->HostMaterialize(id, c);
-            // Snapshot chunks may be either layout (kUpdateSoA from the
-            // binner, kAoS from imports); the view spans both.
             const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
             for (uint32_t i = 0; i < view.size(); ++i) {
               const Rec r = view.template At<typename P::UpdateValue>(i);

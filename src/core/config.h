@@ -10,7 +10,6 @@
 
 #include "core/steal_policy.h"
 #include "net/network.h"
-#include "sim/event_queue.h"
 #include "sim/fault_injector.h"
 #include "sim/time.h"
 #include "storage/storage_engine.h"
@@ -114,15 +113,15 @@ struct ClusterConfig {
 
   // Checkpoint every N supersteps (0 = off, the default), 2-phase protocol
   // (§6.6). Units: supersteps. The checkpoint copy is written during gather
-  // (ComputeEngine::ProcessPartitionGatherMaster) and committed at the
-  // phase-1 barrier of ComputeEngine::CommitCheckpoint; the recovery driver
-  // (core/recovery.h) and bench fig13/fig_recovery consume the result.
+  // (GatherPhase::ProcessMaster) and committed at the phase-1 barrier of
+  // EngineCore::CommitCheckpoint; the recovery driver (core/recovery.h)
+  // and bench fig13/fig_recovery consume the result.
   uint32_t checkpoint_interval = 0;
 
   // Scripted whole-cluster crash: stop all compute engines after the gather
   // barrier of this superstep (units: absolute superstep index; -1 = never,
   // the default). Storage contents survive for recovery. Consumed by the
-  // barrier coordinator (ComputeEngine::BarrierService); for a *machine*
+  // barrier coordinator (EngineCore::BarrierService); for a *machine*
   // failure mid-run use FaultSchedule::MachineCrash in `faults` instead.
   int64_t crash_after_superstep = -1;
 
@@ -130,7 +129,7 @@ struct ClusterConfig {
   // edge sets must already be present in storage, imported from the
   // committed checkpoint side via Cluster::ImportSets (same machine count)
   // or Cluster::ImportRepartitioned (rescaled). Consumed by Cluster::Resume
-  // and ComputeEngine::Main; RunWithRecovery sets both fields up.
+  // and EngineCore::Main; RunWithRecovery sets both fields up.
   bool resume = false;
   // First superstep of the resumed run (units: absolute superstep index;
   // meaningful only with `resume`): RunResult::checkpoint_superstep of the
@@ -154,11 +153,6 @@ struct ClusterConfig {
   FaultSchedule faults;
 
   uint64_t seed = 1;
-
-  // Event-queue structure for the cluster's Simulator (sim/event_queue.h).
-  // The pop order is identical for every choice, so results are bitwise
-  // independent of it; kBinaryHeap is kept as the differential golden.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
 
   int fetch_window() const {
     const int w = static_cast<int>(std::floor(phi * batch_k));

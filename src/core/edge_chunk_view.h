@@ -1,4 +1,4 @@
-// SoA edge-chunk layout + a reader that spans both layouts.
+// SoA edge-chunk layout + its reader.
 //
 // Partitioned edge sets (kEdges/kEdgesB) are the hottest read path in the
 // system: every scatter superstep streams every edge chunk. Stored AoS, the
@@ -16,11 +16,11 @@
 // (8n, 16n, 20n are multiples of 8/4), given a max_align_t-or-better base —
 // which arena payloads guarantee at 64 bytes (core/record_arena.h).
 //
-// Producers either write records straight into the regions as they bin
-// (core/record_binner.h fills kEdgeSoA blocks in place — no transpose
-// pass) or convert a host-side vector (MakeSoaEdgeChunk). Readers go
-// through EdgeChunkView, which also accepts AoS chunks so mixed layouts
-// coexist (e.g. imported checkpoints next to freshly binned sets).
+// kEdgeSoA is the only layout of a partitioned edge set. Producers either
+// write records straight into the regions as they bin (core/record_binner.h
+// fills kEdgeSoA blocks in place — no transpose pass) or convert a
+// host-side vector (MakeSoaEdgeChunk). Raw kInput chunks stay AoS and are
+// read through ChunkSpan<Edge>.
 #ifndef CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 #define CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 
@@ -82,52 +82,34 @@ inline Chunk MakeSoaEdgeChunk(uint64_t index, uint64_t model_bytes,
   return c;
 }
 
-// Zero-copy reader over an edge chunk of either layout. Hot loops branch
-// once on soa() and then run a layout-specific inner loop over raw arrays.
+// Zero-copy reader over a kEdgeSoA chunk. A chunk of any other layout is a
+// producer bug and aborts here, once per chunk, rather than being misread.
 class EdgeChunkView {
  public:
   explicit EdgeChunkView(const Chunk& c) : count_(c.count) {
     if (count_ == 0) {
       return;
     }
+    CHAOS_CHECK(c.layout == ChunkLayout::kEdgeSoA);
     CHAOS_CHECK(c.data != nullptr);
+    CHAOS_DCHECK(c.payload_bytes == 24ull * count_);
     const auto* base = static_cast<const uint8_t*>(c.data.get());
-    if (c.layout == ChunkLayout::kEdgeSoA) {
-      CHAOS_DCHECK(c.payload_bytes == 24ull * count_);
-      src_ = reinterpret_cast<const VertexId*>(base);
-      dst_ = reinterpret_cast<const VertexId*>(base + 8ull * count_);
-      weight_ = reinterpret_cast<const float*>(base + 16ull * count_);
-      flags_ = reinterpret_cast<const uint32_t*>(base + 20ull * count_);
-    } else {
-      aos_ = reinterpret_cast<const Edge*>(base);
-      CHAOS_DCHECK(reinterpret_cast<uintptr_t>(aos_) % alignof(Edge) == 0);
-    }
+    src_ = reinterpret_cast<const VertexId*>(base);
+    dst_ = reinterpret_cast<const VertexId*>(base + 8ull * count_);
+    weight_ = reinterpret_cast<const float*>(base + 16ull * count_);
+    flags_ = reinterpret_cast<const uint32_t*>(base + 20ull * count_);
   }
 
   uint32_t size() const { return count_; }
-  bool soa() const { return src_ != nullptr; }
-
-  // SoA arrays (valid when soa()).
   const VertexId* src() const { return src_; }
   const VertexId* dst() const { return dst_; }
   const float* weight() const { return weight_; }
   const uint32_t* flags() const { return flags_; }
 
-  // AoS array (valid when !soa()).
-  const Edge* aos() const { return aos_; }
-
-  // Layout-independent materialization of one edge (cold paths / tests).
+  // Materializes one edge (cold paths / tests).
   Edge At(uint32_t i) const {
     CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      Edge e;
-      e.src = src_[i];
-      e.dst = dst_[i];
-      e.weight = weight_[i];
-      e.flags = flags_[i];
-      return e;
-    }
-    return aos_[i];
+    return Edge{src_[i], dst_[i], weight_[i], flags_[i]};
   }
 
  private:
@@ -136,7 +118,6 @@ class EdgeChunkView {
   const VertexId* dst_ = nullptr;
   const float* weight_ = nullptr;
   const uint32_t* flags_ = nullptr;
-  const Edge* aos_ = nullptr;
 };
 
 }  // namespace chaos

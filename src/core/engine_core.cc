@@ -5,7 +5,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/gas.h"  // UpdateRecord<uint32_t>: the fixed degree-count record
+#include "core/update_chunk_view.h"
 #include "core/gather_phase.h"
 #include "core/scatter_phase.h"
 #include "util/parallel.h"  // DeriveSeed: the sweep-wide seed-derivation rule
@@ -139,9 +139,8 @@ Task<> EngineCore::Preprocess() {
   {
     // Edge chunks are parked in the SoA layout so every later scatter
     // superstep runs the vectorized loop (core/edge_chunk_view.h).
-    RecordBinner edge_binner(parts_, sizeof(Edge), meta_.edge_wire_bytes,
-                             ctx_.config->chunk_bytes, ctx_.arena,
-                             RecordBinner::Format::kEdgeSoA);
+    RecordBinner edge_binner(parts_, RecordBinner::Format::kEdgeSoA, meta_.edge_wire_bytes,
+                             ctx_.config->chunk_bytes, ctx_.arena);
     ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
     std::unordered_map<VertexId, uint32_t> degree_counts;
     ChunkFetcher fetcher(&ctx_, &rng_, SetId{0, SetKind::kInput}, kInputEpoch,
@@ -171,12 +170,11 @@ Task<> EngineCore::Preprocess() {
     }
     co_await edge_binner.FlushAll(&writer, SetKind::kEdges);
     if (count_degrees) {
-      RecordBinner degree_binner(parts_, sizeof(UpdateRecord<uint32_t>),
+      RecordBinner degree_binner(parts_, RecordBinner::Format::kUpdateSoA,
                                  meta_.vertex_id_wire_bytes + 4, ctx_.config->chunk_bytes,
-                                 ctx_.arena);
+                                 ctx_.arena, sizeof(uint32_t));
       for (const auto& [vertex, count] : degree_counts) {
-        const UpdateRecord<uint32_t> record{vertex, count};
-        degree_binner.Add(parts_->PartitionOf(vertex), record);
+        degree_binner.AddUpdate(parts_->PartitionOf(vertex), vertex, count);
       }
       co_await degree_binner.FlushAll(&writer, SetKind::kDegrees);
     }
@@ -203,9 +201,12 @@ Task<> EngineCore::Preprocess() {
         if (!chunk.has_value()) {
           break;
         }
-        for (const auto& rec : ChunkSpan<UpdateRecord<uint32_t>>(*chunk)) {
-          CHAOS_DCHECK(parts_->PartitionOf(rec.dst) == p);
-          degrees[rec.dst - base] += rec.value;
+        const UpdateChunkView view(*chunk, sizeof(uint32_t));
+        const VertexId* dst = view.dst();
+        const uint32_t* value = view.values_as<uint32_t>();
+        for (uint32_t i = 0; i < view.size(); ++i) {
+          CHAOS_DCHECK(parts_->PartitionOf(dst[i]) == p);
+          degrees[dst[i] - base] += value[i];
         }
       }
       const SetId degrees_set{p, SetKind::kDegrees};

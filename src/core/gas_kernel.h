@@ -29,7 +29,9 @@ class GasKernel final : public ProgramKernel {
   using A = typename P::Accumulator;
   using G = typename P::GlobalState;
   using Out = typename P::OutputRecord;
-  using Rec = UpdateRecord<U>;
+  // Update sets have one layout, ChunkLayout::kUpdateSoA, whose packed value
+  // region is aligned for at most 8 (core/update_chunk_view.h).
+  static_assert(alignof(U) <= 8, "UpdateValue must have alignof <= 8 (kUpdateSoA)");
 
   GasKernel(const P* prog, const Partitioning* parts, uint64_t vertex_id_wire_bytes,
             const G& initial_global)
@@ -44,10 +46,8 @@ class GasKernel final : public ProgramKernel {
   bool needs_out_degrees() const override { return P::kNeedsOutDegrees; }
   uint64_t vertex_state_bytes() const override { return sizeof(VState); }
   uint64_t accum_bytes() const override { return sizeof(A); }
-  uint64_t update_stride_bytes() const override { return sizeof(Rec); }
   uint64_t update_wire_bytes() const override { return update_wire_; }
   uint64_t update_value_bytes() const override { return sizeof(U); }
-  bool update_soa_capable() const override { return alignof(U) <= 8; }
   uint64_t global_wire_bytes() const override { return sizeof(G); }
 
   // ---- Aggregator state.
@@ -112,26 +112,19 @@ class GasKernel final : public ProgramKernel {
     auto emit = [&](VertexId dst, const U& value) {
       binner->AddUpdate(parts_->PartitionOf(dst), dst, value);
     };
+    // The four packed SoA arrays (core/edge_chunk_view.h) stream
+    // sequentially — src scans and state indexing vectorize instead of
+    // striding over 24-byte structs.
     const EdgeChunkView view(edges);
-    if (view.soa()) {
-      // SoA fast path (core/edge_chunk_view.h): the four packed arrays
-      // stream sequentially — src scans and state indexing vectorize
-      // instead of striding over 24-byte structs.
-      const VertexId* __restrict src = view.src();
-      const VertexId* __restrict dst = view.dst();
-      const float* __restrict weight = view.weight();
-      const uint32_t* __restrict flags = view.flags();
-      const uint32_t n = view.size();
-      for (uint32_t i = 0; i < n; ++i) {
-        const Edge e{src[i], dst[i], weight[i], flags[i]};
-        CHAOS_DCHECK(e.src - base < states.size());
-        prog_->Scatter(global_, e.src, states[e.src - base], e, emit);
-      }
-    } else {
-      for (const Edge& e : ChunkSpan<Edge>(edges)) {
-        CHAOS_DCHECK(e.src - base < states.size());
-        prog_->Scatter(global_, e.src, states[e.src - base], e, emit);
-      }
+    const VertexId* __restrict src = view.src();
+    const VertexId* __restrict dst = view.dst();
+    const float* __restrict weight = view.weight();
+    const uint32_t* __restrict flags = view.flags();
+    const uint32_t n = view.size();
+    for (uint32_t i = 0; i < n; ++i) {
+      const Edge e{src[i], dst[i], weight[i], flags[i]};
+      CHAOS_DCHECK(e.src - base < states.size());
+      prog_->Scatter(global_, e.src, states[e.src - base], e, emit);
     }
   }
 
@@ -142,26 +135,17 @@ class GasKernel final : public ProgramKernel {
     auto emit = [&](VertexId dst, const U& value) {
       binner->AddUpdate(parts_->PartitionOf(dst), dst, value);
     };
+    // The dst and value arrays (core/update_chunk_view.h) stream
+    // sequentially — accumulator indexing and value loads vectorize instead
+    // of striding over padded UpdateRecord structs.
     const UpdateChunkView view(updates, sizeof(U));
-    if (view.soa()) {
-      if constexpr (alignof(U) <= 8) {
-        // SoA fast path (core/update_chunk_view.h): the dst and value
-        // arrays stream sequentially — accumulator indexing and value loads
-        // vectorize instead of striding over padded UpdateRecord structs.
-        const VertexId* __restrict dst = view.dst();
-        const U* __restrict value = view.template values_as<U>();
-        const uint32_t n = view.size();
-        for (uint32_t i = 0; i < n; ++i) {
-          CHAOS_DCHECK(dst[i] - base < acc.size());
-          prog_->Gather(global_, dst[i], states[dst[i] - base],
-                        acc[dst[i] - base], value[i], emit);
-        }
-        return;
-      }
-    }
-    for (const Rec& r : ChunkSpan<Rec>(updates)) {
-      CHAOS_DCHECK(r.dst - base < acc.size());
-      prog_->Gather(global_, r.dst, states[r.dst - base], acc[r.dst - base], r.value, emit);
+    const VertexId* __restrict dst = view.dst();
+    const U* __restrict value = view.template values_as<U>();
+    const uint32_t n = view.size();
+    for (uint32_t i = 0; i < n; ++i) {
+      CHAOS_DCHECK(dst[i] - base < acc.size());
+      prog_->Gather(global_, dst[i], states[dst[i] - base], acc[dst[i] - base], value[i],
+                    emit);
     }
   }
 

@@ -30,14 +30,9 @@ class ProgramKernel {
   virtual bool needs_out_degrees() const = 0;
   virtual uint64_t vertex_state_bytes() const = 0;   // sizeof(VertexState)
   virtual uint64_t accum_bytes() const = 0;          // sizeof(Accumulator)
-  virtual uint64_t update_stride_bytes() const = 0;  // sizeof(UpdateRecord<U>)
-  virtual uint64_t update_wire_bytes() const = 0;    // modeled wire width
-  virtual uint64_t update_value_bytes() const = 0;   // sizeof(UpdateValue)
-  // True when update sets may use ChunkLayout::kUpdateSoA (the packed value
-  // region needs alignof(UpdateValue) <= 8; see core/update_chunk_view.h).
-  // The phase drivers construct kUpdateSoA binners only when this holds.
-  virtual bool update_soa_capable() const = 0;
-  virtual uint64_t global_wire_bytes() const = 0;    // sizeof(GlobalState)
+  virtual uint64_t update_wire_bytes() const = 0;   // modeled wire width
+  virtual uint64_t update_value_bytes() const = 0;  // sizeof(UpdateValue)
+  virtual uint64_t global_wire_bytes() const = 0;   // sizeof(GlobalState)
 
   // ---- Engine-side aggregator state (the machine's global_/local_ pair).
   virtual bool WantScatter() const = 0;
@@ -59,10 +54,11 @@ class ProgramKernel {
   virtual void InitVertexBatch(RecordBatch* states, VertexId base,
                                const uint32_t* degrees) = 0;
   virtual void InitAccumBatch(RecordBatch* accums) = 0;
-  // Scatter over one edge chunk against the partition's vertex states.
+  // Scatter over one kEdgeSoA edge chunk against the partition's vertex
+  // states.
   virtual void ScatterChunk(const Chunk& edges, const RecordBatch& vstate, VertexId base,
                             RecordBinner* binner) = 0;
-  // Gather one update chunk into the partition's accumulators.
+  // Gather one kUpdateSoA update chunk into the partition's accumulators.
   virtual void GatherChunk(const Chunk& updates, const RecordBatch& vstate,
                            RecordBatch* accums, VertexId base, RecordBinner* binner) = 0;
   // Merges a stealer's replica accumulator chunk into `accums`.

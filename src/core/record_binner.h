@@ -1,25 +1,25 @@
 // RecordBinner: bins emitted records by destination partition into
 // chunk-sized buffers. Untemplated — buffer management, parking and chunk
-// flushing compile once in the untyped engine core — while Add<RecT>() is a
-// tiny inline template so the per-record hot path (called from the typed
-// kernels' per-edge loops) stays free of virtual dispatch.
+// flushing compile once in the untyped engine core — while Add()/AddUpdate()
+// are tiny inline functions so the per-record hot path (called from the
+// typed kernels' per-edge loops) stays free of virtual dispatch.
 //
 // Buffering is arena-backed (core/record_arena.h): each partition fills a
 // fixed-capacity 64-byte-aligned block, so the per-record path is one
-// bounds check plus a fixed-size copy — no std::vector regrowth, and
+// bounds check plus a few fixed-size stores — no std::vector regrowth, and
 // zero heap allocations (tests/hotpath_alloc_test.cc asserts this). A full
 // block is parked as a finished Chunk zero-copy: the fill block itself
-// becomes the payload. In kEdgeSoA mode records are written straight into
-// the SoA region layout (core/edge_chunk_view.h), so each record is stored
-// exactly once — there is no transpose pass re-reading a by-then-cold fill
-// block on park. kUpdateSoA does the same for update records
-// (core/update_chunk_view.h): AddUpdate<U>() splits each emission into the
-// dst and value regions in place, parameterized by the program's value
-// width at construction. Only tail chunks (FlushAll with a part-filled
-// block) pay a compaction copy, because SoA region offsets depend on the
-// record count.
+// becomes the payload. A binner has one of two formats, one per binned
+// record kind. kEdgeSoA writes edges straight into the SoA region layout
+// (core/edge_chunk_view.h), so each record is stored exactly once — there
+// is no transpose pass re-reading a by-then-cold fill block on park.
+// kUpdateSoA does the same for update records (core/update_chunk_view.h):
+// AddUpdate<U>() splits each emission into the dst and value regions in
+// place, parameterized by the program's value width at construction. Only
+// tail chunks (FlushAll with a part-filled block) pay a compaction copy,
+// because SoA region offsets depend on the record count.
 //
-// Both SoA paths additionally use software write-combining: records are
+// Both formats additionally use software write-combining: records are
 // staged 16-at-a-time in a small L1-resident per-partition buffer and
 // flushed to the fill block's SoA regions with non-temporal stores, as
 // whole cache lines per flush (six for edges; 128 B of dsts plus
@@ -59,64 +59,31 @@
 
 namespace chaos {
 
-// Builds a chunk whose payload is a copy of `bytes` in properly aligned
-// storage: leased from `arena` when given, else a direct 64-byte-aligned
-// allocation. (The previous implementation parked the bytes in a
-// std::vector<uint8_t>, whose allocator only guarantees alignment for
-// uint8_t — the arena block is aligned for any record type, asserted by
-// ChunkSpan<T>.)
-inline Chunk MakeChunkFromBytes(uint64_t index, uint64_t model_bytes, uint32_t count,
-                                const uint8_t* bytes, uint64_t nbytes,
-                                RecordArena* arena = nullptr) {
-  Chunk c;
-  c.index = index;
-  c.model_bytes = model_bytes;
-  c.count = count;
-  c.payload_bytes = nbytes;
-  if (nbytes > 0) {
-    std::shared_ptr<uint8_t> payload;
-    if (arena != nullptr) {
-      payload = arena->LeaseShared(nbytes);
-    } else {
-      payload = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(nbytes, std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
-    std::memcpy(payload.get(), bytes, nbytes);
-    c.data = std::shared_ptr<const void>(payload, payload.get());
-  }
-  return c;
-}
-
 class RecordBinner {
  public:
-  // How parked chunks are laid out. kRaw fills the block AoS; kEdgeSoA
-  // (edge sets only, stride == sizeof(Edge)) fills it in the
-  // ChunkLayout::kEdgeSoA region layout for the vectorized scatter loop;
-  // kUpdateSoA (update sets, stride == sizeof(UpdateRecord<U>)) fills the
-  // ChunkLayout::kUpdateSoA dst/value regions via AddUpdate<U>(). Either
-  // way the full block parks as the chunk payload without a copy.
-  enum class Format : uint8_t { kRaw = 0, kEdgeSoA = 1, kUpdateSoA = 2 };
+  // How parked chunks are laid out, one format per binned record kind:
+  // kEdgeSoA (edge sets, Add()) fills the ChunkLayout::kEdgeSoA regions for
+  // the vectorized scatter loop; kUpdateSoA (update-shaped sets,
+  // AddUpdate<U>()) fills the ChunkLayout::kUpdateSoA dst/value regions.
+  // Either way the full block parks as the chunk payload without a copy.
+  enum class Format : uint8_t { kEdgeSoA, kUpdateSoA };
 
-  // `record_stride_bytes` is the in-memory record width (sizeof(RecT));
-  // `record_wire_bytes` the modeled on-disk/wire width the paper charges.
-  // `arena` is the owning engine's arena; null falls back to a private one
-  // (host-side and test callers). `update_value_bytes` is sizeof(U) for
-  // Format::kUpdateSoA (the packed value-region stride) and ignored
-  // otherwise.
-  RecordBinner(const Partitioning* parts, uint64_t record_stride_bytes,
-               uint64_t record_wire_bytes, uint64_t chunk_bytes,
-               RecordArena* arena = nullptr, Format format = Format::kRaw,
+  // `record_wire_bytes` is the modeled on-disk/wire width the paper charges
+  // per record. `arena` is the owning engine's arena; null falls back to a
+  // private one (host-side and test callers). `update_value_bytes` is
+  // sizeof(U) for Format::kUpdateSoA (the packed value-region stride) and
+  // ignored for kEdgeSoA.
+  RecordBinner(const Partitioning* parts, Format format, uint64_t record_wire_bytes,
+               uint64_t chunk_bytes, RecordArena* arena = nullptr,
                uint64_t update_value_bytes = 0)
       : parts_(parts),
-        stride_(record_stride_bytes),
         record_wire_(record_wire_bytes),
-        value_bytes_(update_value_bytes),
+        value_bytes_(format == Format::kUpdateSoA ? update_value_bytes : 0),
+        record_bytes_(format == Format::kEdgeSoA ? sizeof(Edge)
+                                                 : sizeof(VertexId) + value_bytes_),
         records_per_chunk_(RecordsPerChunk(chunk_bytes, record_wire_bytes)),
-        fill_bytes_(records_per_chunk_ * record_stride_bytes),
+        fill_bytes_(records_per_chunk_ * record_bytes_),
         format_(format),
-        cursor_stride_(format == Format::kRaw ? record_stride_bytes
-                                              : sizeof(VertexId)),
         soa_dst_off_(8ull * records_per_chunk_),
         soa_weight_off_(16ull * records_per_chunk_),
         soa_flags_off_(20ull * records_per_chunk_),
@@ -127,16 +94,8 @@ class RecordBinner {
                      format == Format::kUpdateSoA &&
                      records_per_chunk_ % kWcStage == 0),
         bins_(parts->num_partitions()) {
-    CHAOS_CHECK_GT(stride_, 0u);
-    if (format_ == Format::kEdgeSoA) {
-      CHAOS_CHECK_EQ(stride_, sizeof(Edge));
-    }
     if (format_ == Format::kUpdateSoA) {
-      // The AoS record is at least as wide as the packed pair (alignment
-      // padding only grows it), so fill blocks sized for AoS hold the SoA
-      // regions too.
       CHAOS_CHECK_GT(value_bytes_, 0u);
-      CHAOS_CHECK_GE(stride_, sizeof(VertexId) + value_bytes_);
     }
     if (wc_enabled_) {
       stage_ = std::make_unique<WcStage[]>(bins_.size());
@@ -180,111 +139,89 @@ class RecordBinner {
     return per < 1 ? 1 : per;
   }
 
-  template <typename RecT>
-  void Add(PartitionId p, const RecT& record) {
-    static_assert(std::is_trivially_copyable_v<RecT>, "binned records must be POD");
-    CHAOS_DCHECK(sizeof(RecT) == stride_);
-    // The whole per-record hot path: a fixed-size copy plus a cursor bump
+  // Edge hot path (kEdgeSoA).
+  void Add(PartitionId p, const Edge& record) {
+    CHAOS_DCHECK(format_ == Format::kEdgeSoA);
+    // The whole per-record path: a few fixed-size stores plus a cursor bump
     // (or a staging-buffer append on the write-combining path). Nothing
     // else (record counts, fill thresholds) is read or written per record —
     // emitted() derives counts from the cursors and staging fills instead.
-    if constexpr (std::is_same_v<RecT, Edge>) {
-      if (wc_enabled_) {
-        // Write-combining path: stage into the partition's L1-resident
-        // buffer; every 16th record flushes six whole cache lines to the
-        // fill block with non-temporal stores (no read-for-ownership, no
-        // cache pollution from the partitions × chunk_bytes fill set). The
-        // bin itself — and its lease — is only touched at flush time.
-        WcStage& st = stage_[p];
-        const uint32_t s = st.count;
-        st.src[s] = record.src;
-        st.dst[s] = record.dst;
-        st.weight[s] = record.weight;
-        st.flags[s] = record.flags;
-        st.count = s + 1;
-        if (st.count == kWcStage) {
-          FlushStage(p);
-        }
-        return;
+    if (wc_enabled_) {
+      // Write-combining path: stage into the partition's L1-resident
+      // buffer; every 16th record flushes six whole cache lines to the
+      // fill block with non-temporal stores (no read-for-ownership, no
+      // cache pollution from the partitions × chunk_bytes fill set). The
+      // bin itself — and its lease — is only touched at flush time.
+      WcStage& st = stage_[p];
+      const uint32_t s = st.count;
+      st.src[s] = record.src;
+      st.dst[s] = record.dst;
+      st.weight[s] = record.weight;
+      st.flags[s] = record.flags;
+      st.count = s + 1;
+      if (st.count == kWcStage) {
+        FlushStage(p);
       }
+      return;
     }
     Bin& bin = bins_[p];
     if (bin.cursor == bin.end) {  // unleased bins have cursor == end == null
       LeaseBin(&bin);
     }
-    if constexpr (std::is_same_v<RecT, Edge>) {
-      if (format_ == Format::kEdgeSoA) {
-        // Store each field straight into its SoA region: the cursor walks
-        // the 8-byte src region, the dst slot sits at a constant offset
-        // from it, and the 4-byte weight/flags slots at half the cursor's
-        // progress past the region base.
-        uint8_t* const cur = bin.cursor;
-        uint8_t* const base = bin.end - soa_dst_off_;
-        const auto half = static_cast<uint64_t>(cur - base) >> 1;
-        *reinterpret_cast<VertexId*>(cur) = record.src;
-        *reinterpret_cast<VertexId*>(cur + soa_dst_off_) = record.dst;
-        *reinterpret_cast<float*>(base + soa_weight_off_ + half) = record.weight;
-        *reinterpret_cast<uint32_t*>(base + soa_flags_off_ + half) = record.flags;
-        bin.cursor = cur + sizeof(VertexId);
-        if (bin.cursor == bin.end) {
-          Park(p);
-        }
-        return;
-      }
-    }
-    CHAOS_DCHECK(format_ == Format::kRaw);
-    std::memcpy(bin.cursor, &record, sizeof(RecT));
-    bin.cursor += sizeof(RecT);
+    // Store each field straight into its SoA region: the cursor walks the
+    // 8-byte src region, the dst slot sits at a constant offset from it,
+    // and the 4-byte weight/flags slots at half the cursor's progress past
+    // the region base.
+    uint8_t* const cur = bin.cursor;
+    uint8_t* const base = bin.end - soa_dst_off_;
+    const auto half = static_cast<uint64_t>(cur - base) >> 1;
+    *reinterpret_cast<VertexId*>(cur) = record.src;
+    *reinterpret_cast<VertexId*>(cur + soa_dst_off_) = record.dst;
+    *reinterpret_cast<float*>(base + soa_weight_off_ + half) = record.weight;
+    *reinterpret_cast<uint32_t*>(base + soa_flags_off_ + half) = record.flags;
+    bin.cursor = cur + sizeof(VertexId);
     if (bin.cursor == bin.end) {
       Park(p);
     }
   }
 
-  // Update-record hot path: the kernels' emit lambdas call this instead of
-  // materializing an UpdateRecord<U>, so the kUpdateSoA fill stores dst and
-  // value straight into their regions (no padded AoS temp). Over-aligned
-  // values (alignof > 8) cannot use the packed layout — the engine
-  // constructs such binners as kRaw and this degrades to Add().
+  // Update-record hot path (kUpdateSoA): the kernels' emit lambdas call
+  // this instead of materializing an UpdateRecord<U>, so dst and value go
+  // straight into their regions (no padded AoS temp).
   template <typename U>
   void AddUpdate(PartitionId p, VertexId dst, const U& value) {
     static_assert(std::is_trivially_copyable_v<U>, "binned records must be POD");
-    if constexpr (alignof(U) <= 8) {
-      if (format_ == Format::kUpdateSoA) {
-        CHAOS_DCHECK(sizeof(U) == value_bytes_);
-        if (uwc_enabled_) {
-          // Write-combining path, mirroring the edge staging: per-record
-          // stores land in the partition's L1-resident slot; every 16th
-          // record streams whole lines into the fill block.
-          uint8_t* const slot = ustage_slot_[p];
-          const uint32_t s = ustage_count_[p];
-          reinterpret_cast<VertexId*>(slot)[s] = dst;
-          *reinterpret_cast<U*>(slot + kUwcDstBytes + s * sizeof(U)) = value;
-          ustage_count_[p] = static_cast<uint8_t>(s + 1);
-          if (s + 1 == kWcStage) {
-            FlushUpdateStage(p);
-          }
-          return;
-        }
-        Bin& bin = bins_[p];
-        if (bin.cursor == bin.end) {
-          LeaseBin(&bin);
-        }
-        // The cursor walks the 8-byte dst region; the value slot sits in
-        // the packed region at the same record index.
-        uint8_t* const cur = bin.cursor;
-        uint8_t* const base = bin.end - soa_value_off_;
-        const auto idx = static_cast<uint64_t>(cur - base) >> 3;
-        *reinterpret_cast<VertexId*>(cur) = dst;
-        *reinterpret_cast<U*>(base + soa_value_off_ + idx * sizeof(U)) = value;
-        bin.cursor = cur + sizeof(VertexId);
-        if (bin.cursor == bin.end) {
-          Park(p);
-        }
-        return;
+    static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
+    CHAOS_DCHECK(format_ == Format::kUpdateSoA && sizeof(U) == value_bytes_);
+    if (uwc_enabled_) {
+      // Write-combining path, mirroring the edge staging: per-record stores
+      // land in the partition's L1-resident slot; every 16th record streams
+      // whole lines into the fill block.
+      uint8_t* const slot = ustage_slot_[p];
+      const uint32_t s = ustage_count_[p];
+      reinterpret_cast<VertexId*>(slot)[s] = dst;
+      *reinterpret_cast<U*>(slot + kUwcDstBytes + s * sizeof(U)) = value;
+      ustage_count_[p] = static_cast<uint8_t>(s + 1);
+      if (s + 1 == kWcStage) {
+        FlushUpdateStage(p);
       }
+      return;
     }
-    const UpdateRecord<U> rec{dst, value};
-    Add(p, rec);
+    Bin& bin = bins_[p];
+    if (bin.cursor == bin.end) {
+      LeaseBin(&bin);
+    }
+    // The cursor walks the 8-byte dst region; the value slot sits in the
+    // packed region at the same record index.
+    uint8_t* const cur = bin.cursor;
+    uint8_t* const base = bin.end - soa_value_off_;
+    const auto idx = static_cast<uint64_t>(cur - base) >> 3;
+    *reinterpret_cast<VertexId*>(cur) = dst;
+    *reinterpret_cast<U*>(base + soa_value_off_ + idx * sizeof(U)) = value;
+    bin.cursor = cur + sizeof(VertexId);
+    if (bin.cursor == bin.end) {
+      Park(p);
+    }
   }
 
   bool HasPending() const { return pending_head_ < pending_.size(); }
@@ -308,7 +245,7 @@ class RecordBinner {
         staged += ustage_count_[p];
       }
     }
-    return parked_records_ + filling / cursor_stride_ + staged;
+    return parked_records_ + filling / sizeof(VertexId) + staged;
   }
   const RecordArena& arena() const { return *arena_; }
 
@@ -359,8 +296,8 @@ class RecordBinner {
     // Hot pair, first in the struct: Add() touches nothing else until the
     // block fills. An unleased bin has cursor == end == nullptr.
     uint8_t* cursor = nullptr;  // next write position in the fill block
-    uint8_t* end = nullptr;     // fill boundary (block start + fill_bytes_)
-    RecordArena::Block block;   // owns the fixed-capacity fill buffer (AoS)
+    uint8_t* end = nullptr;     // end of the block's 8-byte src/dst region
+    RecordArena::Block block;   // owns the fixed-capacity fill buffer
   };
 
   // Per-partition write-combining staging buffer (kEdgeSoA NT path): one
@@ -382,9 +319,9 @@ class RecordBinner {
     bin->cursor = bin->block.data();
     // The leased block may be a larger pow2 class; the chunk boundary is
     // still records_per_chunk_ so chunk record counts are
-    // capacity-independent. (For kEdgeSoA the cursor walks the 8-byte src
-    // region, so the boundary is the region's end, not fill_bytes_.)
-    bin->end = bin->cursor + records_per_chunk_ * cursor_stride_;
+    // capacity-independent. The cursor walks the 8-byte src (edges) or dst
+    // (updates) region, so the boundary is that region's end.
+    bin->end = bin->cursor + records_per_chunk_ * sizeof(VertexId);
   }
 
   void ParkPartialFills() {
@@ -546,63 +483,45 @@ class RecordBinner {
 #endif
     Bin& bin = bins_[p];
     const auto count = static_cast<uint32_t>(
-        static_cast<uint64_t>(bin.cursor - bin.block.data()) / cursor_stride_);
+        static_cast<uint64_t>(bin.cursor - bin.block.data()) / sizeof(VertexId));
     parked_records_ += count;
     Chunk chunk;
     chunk.index = next_index_++;
     chunk.model_bytes = count * record_wire_;
     chunk.count = count;
-    chunk.payload_bytes = count * stride_;
-    if (format_ == Format::kEdgeSoA) {
-      chunk.layout = ChunkLayout::kEdgeSoA;
-      if (count == records_per_chunk_) {
-        // Full block: the in-place SoA fill already is the payload.
-        chunk.data = std::move(bin.block).ToShared();
-      } else {
-        // Tail chunk: region offsets depend on the count, so compact the
-        // capacity-offset regions into an exact-count payload. Rare — only
-        // FlushAll parks part-filled blocks.
-        std::shared_ptr<uint8_t> payload = arena_->LeaseShared(chunk.payload_bytes);
-        CompactSoaTail(bin.block.data(), count, payload.get());
-        chunk.data = std::shared_ptr<const void>(payload, payload.get());
-      }
-    } else if (format_ == Format::kUpdateSoA) {
-      chunk.layout = ChunkLayout::kUpdateSoA;
-      // Packed payload: no AoS padding between dst and value, so the
-      // in-memory footprint is count * (8 + value_bytes), not count *
-      // sizeof(UpdateRecord<U>).
-      chunk.payload_bytes = count * (sizeof(VertexId) + value_bytes_);
-      if (count == records_per_chunk_) {
-        chunk.data = std::move(bin.block).ToShared();
-      } else {
-        std::shared_ptr<uint8_t> payload = arena_->LeaseShared(chunk.payload_bytes);
-        CompactUpdateSoaTail(bin.block.data(), count, payload.get());
-        chunk.data = std::shared_ptr<const void>(payload, payload.get());
-      }
-    } else {
-      // The fill block itself becomes the (immutable) chunk payload; a
-      // fresh block is leased on the partition's next Add.
+    // Packed payload: no AoS padding between an update's dst and value, so
+    // its in-memory footprint is count * (8 + value_bytes).
+    chunk.payload_bytes = count * record_bytes_;
+    chunk.layout = format_ == Format::kEdgeSoA ? ChunkLayout::kEdgeSoA
+                                               : ChunkLayout::kUpdateSoA;
+    if (count == records_per_chunk_) {
+      // Full block: the in-place SoA fill already is the payload; a fresh
+      // block is leased on the partition's next Add.
       chunk.data = std::move(bin.block).ToShared();
+    } else {
+      // Tail chunk: region offsets depend on the count, so compact the
+      // capacity-offset regions into an exact-count payload. Rare — only
+      // FlushAll parks part-filled blocks.
+      std::shared_ptr<uint8_t> payload = arena_->LeaseShared(chunk.payload_bytes);
+      CompactSoaTail(bin.block.data(), count, payload.get());
+      chunk.data = std::shared_ptr<const void>(payload, payload.get());
     }
     bin = Bin{};
     pending_.emplace_back(p, std::move(chunk));
   }
 
-  // Copies the four part-filled SoA regions (at capacity-based offsets in
-  // the fill block) into `out` at count-based offsets.
+  // Copies the part-filled SoA regions (at capacity-based offsets in the
+  // fill block) into `out` at count-based offsets: src, dst, weight and
+  // flags for edges; dsts then packed values for updates.
   void CompactSoaTail(const uint8_t* block, uint32_t count, uint8_t* out) const {
     std::memcpy(out, block, 8ull * count);
+    if (format_ == Format::kUpdateSoA) {
+      std::memcpy(out + 8ull * count, block + soa_value_off_, value_bytes_ * count);
+      return;
+    }
     std::memcpy(out + 8ull * count, block + soa_dst_off_, 8ull * count);
     std::memcpy(out + 16ull * count, block + soa_weight_off_, 4ull * count);
     std::memcpy(out + 20ull * count, block + soa_flags_off_, 4ull * count);
-  }
-
-  // kUpdateSoA analogue: two regions, dsts then packed values.
-  void CompactUpdateSoaTail(const uint8_t* block, uint32_t count,
-                            uint8_t* out) const {
-    std::memcpy(out, block, 8ull * count);
-    std::memcpy(out + 8ull * count, block + soa_value_off_,
-                value_bytes_ * count);
   }
 
   struct AlignedSlabDelete {
@@ -612,17 +531,14 @@ class RecordBinner {
   };
 
   const Partitioning* parts_;
-  uint64_t stride_;
   uint64_t record_wire_;
   // sizeof(U) for kUpdateSoA (packed value-region stride); 0 otherwise.
   uint64_t value_bytes_;
+  // Payload bytes per record: sizeof(Edge), or 8 + value_bytes_.
+  uint64_t record_bytes_;
   uint64_t records_per_chunk_;
   uint64_t fill_bytes_;
   Format format_;
-  // Bytes the bin cursor advances per record: stride_ for kRaw (AoS fill),
-  // sizeof(VertexId) for the SoA formats (the cursor walks the 8-byte
-  // src/dst region).
-  uint64_t cursor_stride_;
   // SoA region offsets within a full fill block (capacity-based).
   uint64_t soa_dst_off_;
   uint64_t soa_weight_off_;

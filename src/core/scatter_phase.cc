@@ -4,13 +4,9 @@ namespace chaos {
 
 ScatterPhase::ScatterPhase(EngineCore* core)
     : core_(core),
-      binner_(core->parts_, core->kernel_->update_stride_bytes(),
+      binner_(core->parts_, RecordBinner::Format::kUpdateSoA,
               core->kernel_->update_wire_bytes(), core->ctx_.config->chunk_bytes,
-              core->ctx_.arena,
-              core->kernel_->update_soa_capable()
-                  ? RecordBinner::Format::kUpdateSoA
-                  : RecordBinner::Format::kRaw,
-              core->kernel_->update_value_bytes()),
+              core->ctx_.arena, core->kernel_->update_value_bytes()),
       writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {
   if (core->ctx_.config->wire_combine) {
     writer_.EnableUpdateCombining(

@@ -1,6 +1,7 @@
-// SoA update-chunk layout + a reader that spans both layouts.
+// SoA update-chunk layout + its reader.
 //
-// Update sets (kUpdatesEven/kUpdatesOdd) are the other half of the hot
+// Update sets (kUpdatesEven/kUpdatesOdd, their checkpoint snapshots and the
+// pre-processing kDegrees sets) are the other half of the hot
 // streaming path: every gather superstep reads every update chunk, and the
 // scatter/gather emit loops write every record through RecordBinner. Stored
 // AoS, each UpdateRecord<U> strides sizeof(UpdateRecord<U>) — 16 bytes for
@@ -17,8 +18,8 @@
 // the vectorizable layout. The value region starts at a multiple of 8, so
 // it is naturally aligned for any U with alignof(U) <= 8 given an
 // 8-byte-or-better base (arena payloads guarantee 64; core/record_arena.h).
-// Programs whose update value is over-aligned (alignof > 8) stay on kAoS —
-// GasKernel gates the layout on update_soa_capable().
+// kUpdateSoA is the only layout of an update-shaped set, so GasKernel
+// static_asserts that bound on every program's update value.
 //
 // Unlike edges — whose record type the untyped engine core knows — update
 // values are program-defined, so the view is untemplated and parameterized
@@ -84,10 +85,11 @@ inline Chunk MakeSoaUpdateChunk(uint64_t index, uint64_t model_bytes,
   return c;
 }
 
-// Zero-copy reader over an update chunk of either layout. Hot loops branch
-// once on soa() and then run a layout-specific inner loop over raw arrays;
-// layout-agnostic readers (re-binning, wire packing) use DstAt/At.
-// `value_bytes` is sizeof(U) for the owning program's update value.
+// Zero-copy reader over a kUpdateSoA chunk. Hot loops read the raw dst()
+// and values_as<U>() arrays; untyped readers (wire packing) use dst() alone.
+// `value_bytes` is sizeof(U) for the owning program's update value. A chunk
+// of any other layout is a producer bug and aborts here, once per chunk,
+// rather than being misread.
 class UpdateChunkView {
  public:
   UpdateChunkView(const Chunk& c, uint64_t value_bytes)
@@ -95,26 +97,17 @@ class UpdateChunkView {
     if (count_ == 0) {
       return;
     }
+    CHAOS_CHECK(c.layout == ChunkLayout::kUpdateSoA);
     CHAOS_CHECK(c.data != nullptr);
-    base_ = static_cast<const uint8_t*>(c.data.get());
-    if (c.layout == ChunkLayout::kUpdateSoA) {
-      CHAOS_DCHECK(c.payload_bytes == count_ * (8ull + value_bytes_));
-      dst_ = reinterpret_cast<const VertexId*>(base_);
-      values_ = base_ + 8ull * count_;
-    } else {
-      CHAOS_DCHECK(c.layout == ChunkLayout::kAoS);
-      stride_ = c.payload_bytes / count_;
-      CHAOS_DCHECK(stride_ * count_ == c.payload_bytes);
-    }
+    CHAOS_DCHECK(c.payload_bytes == count_ * (8ull + value_bytes_));
+    const auto* base = static_cast<const uint8_t*>(c.data.get());
+    dst_ = reinterpret_cast<const VertexId*>(base);
+    values_ = base + 8ull * count_;
   }
 
   uint32_t size() const { return count_; }
-  bool soa() const { return dst_ != nullptr; }
-
-  // SoA arrays (valid when soa()). values() is the packed value region;
-  // typed readers cast it with values_as<U>().
   const VertexId* dst() const { return dst_; }
-  const uint8_t* values() const { return values_; }
+  // The packed value region, typed.
   template <typename U>
   const U* values_as() const {
     static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
@@ -122,43 +115,19 @@ class UpdateChunkView {
     return reinterpret_cast<const U*>(values_);
   }
 
-  // AoS array (valid when !soa()).
-  template <typename U>
-  const UpdateRecord<U>* aos() const {
-    CHAOS_DCHECK(!soa());
-    CHAOS_DCHECK(count_ == 0 || stride_ == sizeof(UpdateRecord<U>));
-    return reinterpret_cast<const UpdateRecord<U>*>(base_);
-  }
-
-  // Layout-independent destination id (wire packing, untyped audits).
-  VertexId DstAt(uint32_t i) const {
-    CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      return dst_[i];
-    }
-    VertexId d;
-    std::memcpy(&d, base_ + i * stride_, sizeof(VertexId));
-    return d;
-  }
-
-  // Layout-independent materialization of one record (cold paths / tests).
+  // Materializes one record (cold paths / tests).
   template <typename U>
   UpdateRecord<U> At(uint32_t i) const {
     CHAOS_DCHECK(i < count_);
-    if (soa()) {
-      UpdateRecord<U> r;
-      r.dst = dst_[i];
-      std::memcpy(&r.value, values_ + i * sizeof(U), sizeof(U));
-      return r;
-    }
-    return aos<U>()[i];
+    UpdateRecord<U> r;
+    r.dst = dst_[i];
+    std::memcpy(&r.value, values_ + i * sizeof(U), sizeof(U));
+    return r;
   }
 
  private:
   uint32_t count_ = 0;
   uint64_t value_bytes_ = 0;
-  uint64_t stride_ = 0;  // AoS record stride (payload_bytes / count)
-  const uint8_t* base_ = nullptr;
   const VertexId* dst_ = nullptr;
   const uint8_t* values_ = nullptr;
 };

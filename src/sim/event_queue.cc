@@ -7,94 +7,8 @@
 
 namespace chaos {
 
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl) {
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    heap_.reserve(kInitialCapacity);
-  } else {
-    buckets_.resize(kInitialBuckets);
-    cur_start_ = 0;
-    cur_end_ = BucketWidth();
-  }
-}
+EventQueue::EventQueue() : buckets_(kInitialBuckets), cur_end_(BucketWidth()) {}
 
-void EventQueue::Push(TimeNs time, EventFn fn) {
-  Event ev{time, next_seq_++, std::move(fn)};
-  ++size_;
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    HeapPush(std::move(ev));
-  } else {
-    CalPush(std::move(ev));
-  }
-}
-
-EventQueue::Event EventQueue::Pop() {
-  CHAOS_CHECK(size_ > 0);
-  --size_;
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    return HeapPop();
-  }
-  return CalPop();
-}
-
-const EventQueue::Event& EventQueue::Peek() {
-  CHAOS_CHECK(size_ > 0);
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    return heap_.front();
-  }
-  CalLocateMin();
-  return buckets_[cursor_].back();
-}
-
-// --------------------------------------------------------------- binary heap
-
-void EventQueue::HeapPush(Event ev) {
-  heap_.push_back(std::move(ev));
-  SiftUp(heap_.size() - 1);
-}
-
-EventQueue::Event EventQueue::HeapPop() {
-  Event top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    SiftDown(0);
-  }
-  return top;
-}
-
-void EventQueue::SiftUp(size_t i) {
-  while (i > 0) {
-    const size_t parent = (i - 1) / 2;
-    if (!Earlier(heap_[i], heap_[parent])) {
-      break;
-    }
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  while (true) {
-    const size_t left = 2 * i + 1;
-    const size_t right = 2 * i + 2;
-    size_t smallest = i;
-    if (left < n && Earlier(heap_[left], heap_[smallest])) {
-      smallest = left;
-    }
-    if (right < n && Earlier(heap_[right], heap_[smallest])) {
-      smallest = right;
-    }
-    if (smallest == i) {
-      return;
-    }
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-}
-
-// ------------------------------------------------------------ calendar queue
-//
 // Invariants:
 //  * cursor_ points at the bucket whose rotation window is
 //    [cur_start_, cur_end_); no queued event has time < cur_start_
@@ -123,8 +37,9 @@ void EventQueue::SortCurrent() {
   }
 }
 
-void EventQueue::CalPush(Event ev) {
-  if (size_ == 1) {
+void EventQueue::Push(TimeNs time, EventFn fn) {
+  Event ev{time, next_seq_++, std::move(fn)};
+  if (++size_ == 1) {
     // Sole event: jump straight to its window instead of rotating to it.
     JumpTo(ev.time);
   } else if (ev.time < cur_start_) {
@@ -148,7 +63,7 @@ void EventQueue::CalPush(Event ev) {
   }
 }
 
-void EventQueue::CalLocateMin() {
+void EventQueue::LocateMin() {
   CHAOS_DCHECK(size_ > 0);
   size_t scanned = 0;
   while (true) {
@@ -184,12 +99,20 @@ void EventQueue::CalLocateMin() {
   }
 }
 
-EventQueue::Event EventQueue::CalPop() {
-  CalLocateMin();
+EventQueue::Event EventQueue::Pop() {
+  CHAOS_CHECK(size_ > 0);
+  LocateMin();  // before the decrement: LocateMin requires size_ > 0
+  --size_;
   std::vector<Event>& b = buckets_[cursor_];
   Event ev = std::move(b.back());
   b.pop_back();  // remaining prefix stays sorted; cur_sorted_ still holds
   return ev;
+}
+
+const EventQueue::Event& EventQueue::Peek() {
+  CHAOS_CHECK(size_ > 0);
+  LocateMin();
+  return buckets_[cursor_].back();
 }
 
 void EventQueue::Rebuild(size_t new_bucket_count) {

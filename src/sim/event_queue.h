@@ -1,19 +1,13 @@
 // Deterministic event queue: events fire in (time, insertion sequence) order,
 // so simultaneous events run in the order they were scheduled.
 //
-// Two interchangeable implementations live behind one class:
-//
-//   * kBinaryHeap — the classic array heap. O(log n) push/pop, trivially
-//     correct; kept as the differential golden for the calendar structure.
-//   * kCalendar — a calendar queue (Brown '88) with pow2 bucket widths and
-//     lazily sorted buckets. Amortized O(1) push/pop at the event rates the
-//     cluster simulation produces, and allocation-free in steady state
-//     (tests/hotpath_alloc_test.cc asserts this).
-//
-// Both pop in strictly ascending (time, seq) order — a total order, since
-// seq is unique — so simulation results are bitwise identical regardless of
-// the implementation picked. tests/sim_test.cc drives both on identical
-// seeded streams and asserts identical pop order.
+// The structure is a calendar queue (Brown '88) with pow2 bucket widths and
+// lazily sorted buckets: amortized O(1) push/pop at the event rates the
+// cluster simulation produces, and allocation-free in steady state
+// (tests/hotpath_alloc_test.cc asserts this). It pops in strictly ascending
+// (time, seq) order — a total order, since seq is unique — and
+// tests/sim_test.cc checks that order against a std::push_heap/pop_heap
+// reference on seeded streams.
 #ifndef CHAOS_SIM_EVENT_QUEUE_H_
 #define CHAOS_SIM_EVENT_QUEUE_H_
 
@@ -130,14 +124,6 @@ class EventFn {
   const Ops* ops_ = nullptr;
 };
 
-// Which event-queue data structure a Simulator (and thus a Cluster) uses.
-// Selected via ClusterConfig::event_queue; kCalendar is the default hot-path
-// structure, kBinaryHeap the differential golden.
-enum class EventQueueImpl : uint8_t {
-  kBinaryHeap = 0,
-  kCalendar = 1,
-};
-
 class EventQueue {
  public:
   struct Event {
@@ -146,25 +132,21 @@ class EventQueue {
     EventFn fn;
   };
 
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar);
+  EventQueue();
 
   void Push(TimeNs time, EventFn fn);
   // Removes and returns the earliest event. Queue must be non-empty.
   Event Pop();
-  // Returns the earliest event without removing it. Non-const because the
-  // calendar implementation advances its cursor / sorts its current bucket
-  // to locate the minimum (the logical contents are unchanged).
+  // Returns the earliest event without removing it. Non-const because
+  // locating the minimum advances the cursor and sorts its bucket (the
+  // logical contents are unchanged).
   const Event& Peek();
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   uint64_t total_pushed() const { return next_seq_; }
-  EventQueueImpl impl() const { return impl_; }
 
  private:
-  // Typical cluster runs keep hundreds of in-flight events; reserving up
-  // front keeps the first supersteps from re-allocating the heap array.
-  static constexpr size_t kInitialCapacity = 256;
   // Calendar geometry. Buckets double whenever occupancy exceeds
   // kGrowOccupancy events per bucket (amortized rebuild, which also
   // re-estimates the bucket width from observed inter-event gaps).
@@ -181,34 +163,22 @@ class EventQueue {
   // a pop_back. Strict order; (time, seq) keys are unique.
   static bool Later(const Event& a, const Event& b) { return Earlier(b, a); }
 
-  // --- binary heap ---
-  void HeapPush(Event ev);
-  Event HeapPop();
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-
-  // --- calendar ---
   size_t BucketOf(TimeNs time) const {
     return static_cast<size_t>(static_cast<uint64_t>(time) >> shift_) & (buckets_.size() - 1);
   }
   TimeNs BucketWidth() const { return TimeNs{1} << shift_; }
-  void CalPush(Event ev);
-  Event CalPop();
   // Positions cursor_ on the bucket holding the global minimum and sorts it;
   // afterwards buckets_[cursor_].back() is the minimum event. Requires
   // size_ > 0.
-  void CalLocateMin();
+  void LocateMin();
   void JumpTo(TimeNs time);
   void SortCurrent();
   void Rebuild(size_t new_bucket_count);
 
-  EventQueueImpl impl_;
   size_t size_ = 0;
   uint64_t next_seq_ = 0;
 
-  std::vector<Event> heap_;  // binary min-heap by (time, seq)
-
-  std::vector<std::vector<Event>> buckets_;  // calendar; pow2 bucket count
+  std::vector<std::vector<Event>> buckets_;  // pow2 bucket count
   std::vector<Event> scratch_;               // reused by Rebuild
   int shift_ = kInitialShift;                // bucket width = 1 << shift_ ns
   size_t cursor_ = 0;                        // bucket being drained

@@ -19,10 +19,7 @@ namespace chaos {
 
 class Simulator {
  public:
-  // `impl` selects the event-queue structure (ClusterConfig::event_queue);
-  // the pop order — and thus every simulation result — is identical for all
-  // implementations.
-  explicit Simulator(EventQueueImpl impl = EventQueueImpl::kCalendar) : queue_(impl) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

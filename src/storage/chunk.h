@@ -87,14 +87,16 @@ struct SetIdHash {
 
 std::string SetIdName(const SetId& id);
 
-// In-memory layout of a chunk payload. kAoS is the default: `count` records
-// of the set's record type back to back. kEdgeSoA is the vectorization
-// layout for edge sets: four packed arrays src[count] | dst[count] |
-// weight[count] | flags[count] (see core/edge_chunk_view.h). kUpdateSoA is
-// the analogous layout for update sets: dst[count] followed by the packed
-// update values (see core/update_chunk_view.h). Layout is a payload
-// property — model_bytes (the simulated footprint) is identical for every
-// layout, so the simulation cannot observe the choice.
+// In-memory layout of a chunk payload; each set kind has exactly one.
+// kAoS: `count` records of the set's record type back to back (raw input,
+// vertex, accumulator and checkpoint-vertex sets). kEdgeSoA: partitioned
+// edge sets, four packed arrays src[count] | dst[count] | weight[count] |
+// flags[count] (see core/edge_chunk_view.h). kUpdateSoA: every update-shaped
+// set (updates, their checkpoint snapshots, pre-processing degree counts),
+// dst[count] followed by the packed update values (see
+// core/update_chunk_view.h). Layout is a payload property — model_bytes
+// (the simulated footprint) is identical for every layout, so the
+// simulation cannot observe it.
 enum class ChunkLayout : uint8_t {
   kAoS = 0,
   kEdgeSoA = 1,
@@ -131,7 +133,8 @@ Chunk MakeChunk(uint64_t index, uint64_t model_bytes, std::vector<T> records) {
 
 // Zero-copy typed view of a chunk payload. The caller must know the record
 // type from the set kind (enforced by protocol, checked by tests). Only
-// valid for AoS payloads — SoA edge chunks are read through EdgeChunkView.
+// valid for AoS payloads — SoA chunks are read through EdgeChunkView and
+// UpdateChunkView.
 template <typename T>
 std::span<const T> ChunkSpan(const Chunk& c) {
   static_assert(std::is_trivially_copyable_v<T>, "chunk records must be POD");

@@ -122,10 +122,11 @@ TEST(RecordBinnerTest, RecordsPerChunkFloorsAtOne) {
 
 TEST(RecordBinnerTest, ZeroWireWidthBinsWithoutCrashing) {
   auto parts = Partitioning::Compute(64, 2, 16, 1 << 10);
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/0,
-                      /*chunk_bytes=*/1 << 10);
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/0,
+                      /*chunk_bytes=*/1 << 10, /*arena=*/nullptr,
+                      /*update_value_bytes=*/sizeof(float));
   for (VertexId v = 0; v < 64; ++v) {
-    binner.Add(parts.PartitionOf(v), UpdateRecord<float>{v, 1.0f});
+    binner.AddUpdate(parts.PartitionOf(v), v, 1.0f);
   }
   EXPECT_EQ(binner.emitted(), 64u);
 }
@@ -133,9 +134,10 @@ TEST(RecordBinnerTest, ZeroWireWidthBinsWithoutCrashing) {
 TEST(RecordBinnerTest, OversizedRecordParksEveryAdd) {
   auto parts = Partitioning::Compute(64, 2, 16, 1 << 10);
   // chunk_bytes smaller than one record: every Add should fill a chunk.
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/64,
-                      /*chunk_bytes=*/16);
-  binner.Add(parts.PartitionOf(0), UpdateRecord<float>{0, 1.0f});
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/64,
+                      /*chunk_bytes=*/16, /*arena=*/nullptr,
+                      /*update_value_bytes=*/sizeof(float));
+  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 1.0f);
   EXPECT_TRUE(binner.HasPending());
 }
 
@@ -144,11 +146,12 @@ TEST(RecordBinnerTest, OversizedRecordParksEveryAdd) {
 // colliding indexed-set keys. Indices are uint64_t end to end now.
 TEST(RecordBinnerTest, IndexCrossesThirtyTwoBitsWithoutWrapping) {
   auto parts = Partitioning::Compute(64, 2, 16, 1 << 10);
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/64,
-                      /*chunk_bytes=*/16);  // one record per chunk
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/64,
+                      /*chunk_bytes=*/16, /*arena=*/nullptr,
+                      /*update_value_bytes=*/sizeof(float));  // one record per chunk
   binner.set_next_index_for_test((1ull << 32) - 1);
-  binner.Add(parts.PartitionOf(0), UpdateRecord<float>{0, 1.0f});
-  binner.Add(parts.PartitionOf(0), UpdateRecord<float>{0, 2.0f});
+  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 1.0f);
+  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 2.0f);
   auto first = binner.PopPendingForTest();
   auto second = binner.PopPendingForTest();
   EXPECT_EQ(first.second.index, (1ull << 32) - 1);
@@ -186,21 +189,6 @@ TEST(RecordArenaTest, SharedPayloadsOutliveTheArena) {
   payload.reset();  // returns after close: freed directly, no crash/leak
 }
 
-TEST(MakeChunkFromBytesTest, PayloadIsAlignedCopy) {
-  std::vector<uint8_t> bytes(192);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<uint8_t>(i);
-  }
-  Chunk c = MakeChunkFromBytes(/*index=*/7, /*model_bytes=*/100, /*count=*/3, bytes.data(),
-                               bytes.size());
-  EXPECT_EQ(c.index, 7u);
-  EXPECT_EQ(c.payload_bytes, bytes.size());
-  // The old std::vector-backed payload only guaranteed alignof(uint8_t);
-  // the chunk payload must now satisfy any record type's alignment.
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c.data.get()) % RecordArena::kAlign, 0u);
-  EXPECT_EQ(std::memcmp(c.data.get(), bytes.data(), bytes.size()), 0);
-}
-
 TEST(RecordBatchTest, ArenaBackedZeroedAlignedAndBorrowable) {
   RecordArena arena;
   RecordBatch batch(&arena, sizeof(double), 100);
@@ -234,7 +222,6 @@ TEST(EdgeChunkViewTest, SoaRoundTripsAndIsAligned) {
   EXPECT_EQ(c.count, edges.size());
   EXPECT_EQ(c.payload_bytes, edges.size() * sizeof(Edge));
   EdgeChunkView view(c);
-  ASSERT_TRUE(view.soa());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(view.src()) % alignof(VertexId), 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(view.weight()) % alignof(float), 0u);
   for (uint32_t i = 0; i < view.size(); ++i) {
@@ -250,8 +237,8 @@ TEST(EdgeChunkViewTest, BinnerParksSoaChunksThatRoundTrip) {
   auto parts = Partitioning::Compute(1024, 2, 16, 4 << 10);
   RecordArena arena;
   // 16-byte wire edges, 1 KiB chunks -> 64 edges per chunk.
-  RecordBinner binner(&parts, sizeof(Edge), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena, RecordBinner::Format::kEdgeSoA);
+  RecordBinner binner(&parts, RecordBinner::Format::kEdgeSoA, /*record_wire_bytes=*/16,
+                      /*chunk_bytes=*/1 << 10, &arena);
   const auto edges = TestEdges(64);
   for (const Edge& e : edges) {
     binner.Add(/*p=*/0, e);
@@ -262,7 +249,6 @@ TEST(EdgeChunkViewTest, BinnerParksSoaChunksThatRoundTrip) {
   EXPECT_EQ(c.layout, ChunkLayout::kEdgeSoA);
   EXPECT_EQ(c.count, 64u);
   EdgeChunkView view(c);
-  ASSERT_TRUE(view.soa());
   for (uint32_t i = 0; i < 64; ++i) {
     const Edge e = view.At(i);
     EXPECT_EQ(e.src, edges[i].src);
@@ -280,8 +266,8 @@ TEST(EdgeChunkViewTest, BinnerParksStagedSoaTailsThatRoundTrip) {
   auto parts = Partitioning::Compute(1024, 2, 16, 4 << 10);
   RecordArena arena;
   // 16-byte wire edges, 1 KiB chunks -> 64 edges per chunk.
-  RecordBinner binner(&parts, sizeof(Edge), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena, RecordBinner::Format::kEdgeSoA);
+  RecordBinner binner(&parts, RecordBinner::Format::kEdgeSoA, /*record_wire_bytes=*/16,
+                      /*chunk_bytes=*/1 << 10, &arena);
   const auto edges = TestEdges(40);
   for (uint32_t i = 0; i < 37; ++i) {
     binner.Add(/*p=*/0, edges[i]);
@@ -317,16 +303,11 @@ TEST(EdgeChunkViewTest, BinnerParksStagedSoaTailsThatRoundTrip) {
   EXPECT_EQ(binner.emitted(), 40u);  // parked records still counted
 }
 
-TEST(EdgeChunkViewTest, AosChunksStillReadable) {
-  const auto edges = TestEdges(16);
-  Chunk c = MakeChunk<Edge>(/*index=*/0, /*model_bytes=*/128, edges);
-  EXPECT_EQ(c.layout, ChunkLayout::kAoS);
-  EdgeChunkView view(c);
-  EXPECT_FALSE(view.soa());
-  ASSERT_EQ(view.size(), 16u);
-  for (uint32_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(view.At(i).dst, edges[i].dst);
-  }
+// Edge sets have one layout: a stray AoS chunk is a producer bug and must
+// abort in every build type rather than be misread as SoA.
+TEST(EdgeChunkViewTest, AosChunkAborts) {
+  const Chunk c = MakeChunk<Edge>(/*index=*/0, /*model_bytes=*/128, TestEdges(16));
+  EXPECT_DEATH(EdgeChunkView{c}, "kEdgeSoA");
 }
 
 // ------------------------------------------------- update chunk SoA layout
@@ -349,14 +330,13 @@ TEST(UpdateChunkViewTest, SoaRoundTripsAndIsAligned) {
   EXPECT_EQ(c.count, updates.size());
   EXPECT_EQ(c.payload_bytes, updates.size() * (sizeof(VertexId) + sizeof(float)));
   UpdateChunkView view(c, sizeof(float));
-  ASSERT_TRUE(view.soa());
   EXPECT_EQ(reinterpret_cast<uintptr_t>(view.dst()) % alignof(VertexId), 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(view.values_as<float>()) % alignof(float), 0u);
   for (uint32_t i = 0; i < view.size(); ++i) {
     const UpdateRecord<float> r = view.At<float>(i);
     EXPECT_EQ(r.dst, updates[i].dst);
     EXPECT_EQ(r.value, updates[i].value);
-    EXPECT_EQ(view.DstAt(i), updates[i].dst);
+    EXPECT_EQ(view.dst()[i], updates[i].dst);
   }
 }
 
@@ -365,9 +345,8 @@ TEST(UpdateChunkViewTest, BinnerParksSoaUpdateChunksThatRoundTrip) {
   RecordArena arena;
   // 12-byte wire updates, 768-byte chunks -> 64 updates per chunk (a
   // multiple of the write-combining stage, so the NT-store path engages).
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/12,
-                      /*chunk_bytes=*/768, &arena, RecordBinner::Format::kUpdateSoA,
-                      /*update_value_bytes=*/sizeof(float));
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/12,
+                      /*chunk_bytes=*/768, &arena, /*update_value_bytes=*/sizeof(float));
   const auto updates = TestUpdates(64);
   for (const auto& u : updates) {
     binner.AddUpdate(/*p=*/0, u.dst, u.value);
@@ -379,7 +358,6 @@ TEST(UpdateChunkViewTest, BinnerParksSoaUpdateChunksThatRoundTrip) {
   EXPECT_EQ(c.count, 64u);
   EXPECT_EQ(c.payload_bytes, 64u * (sizeof(VertexId) + sizeof(float)));
   UpdateChunkView view(c, sizeof(float));
-  ASSERT_TRUE(view.soa());
   for (uint32_t i = 0; i < 64; ++i) {
     EXPECT_EQ(view.dst()[i], updates[i].dst);
     EXPECT_EQ(view.values_as<float>()[i], updates[i].value);
@@ -392,9 +370,8 @@ TEST(UpdateChunkViewTest, BinnerParksSoaUpdateChunksThatRoundTrip) {
 TEST(UpdateChunkViewTest, BinnerParksStagedUpdateTailsThatRoundTrip) {
   auto parts = Partitioning::Compute(1024, 2, 16, 4 << 10);
   RecordArena arena;
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/12,
-                      /*chunk_bytes=*/768, &arena, RecordBinner::Format::kUpdateSoA,
-                      /*update_value_bytes=*/sizeof(float));
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/12,
+                      /*chunk_bytes=*/768, &arena, /*update_value_bytes=*/sizeof(float));
   const auto updates = TestUpdates(40);
   for (uint32_t i = 0; i < 37; ++i) {
     binner.AddUpdate(/*p=*/0, updates[i].dst, updates[i].value);
@@ -422,23 +399,17 @@ TEST(UpdateChunkViewTest, BinnerParksStagedUpdateTailsThatRoundTrip) {
   }
   UpdateChunkView v1(c1, sizeof(float));
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(v1.DstAt(i), updates[37 + i].dst);
+    EXPECT_EQ(v1.dst()[i], updates[37 + i].dst);
   }
   EXPECT_EQ(binner.emitted(), 40u);  // parked records still counted
 }
 
-TEST(UpdateChunkViewTest, AosUpdateChunksStillReadable) {
-  const auto updates = TestUpdates(16);
-  Chunk c = MakeChunk<UpdateRecord<float>>(/*index=*/0, /*model_bytes=*/16 * 12, updates);
-  EXPECT_EQ(c.layout, ChunkLayout::kAoS);
-  UpdateChunkView view(c, sizeof(float));
-  EXPECT_FALSE(view.soa());
-  ASSERT_EQ(view.size(), 16u);
-  for (uint32_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(view.At<float>(i).dst, updates[i].dst);
-    EXPECT_EQ(view.At<float>(i).value, updates[i].value);
-    EXPECT_EQ(view.DstAt(i), updates[i].dst);
-  }
+// Update-shaped sets have one layout: a stray AoS chunk must abort in every
+// build type rather than be misread as SoA.
+TEST(UpdateChunkViewTest, AosChunkAborts) {
+  const Chunk c =
+      MakeChunk<UpdateRecord<float>>(/*index=*/0, /*model_bytes=*/16 * 12, TestUpdates(16));
+  EXPECT_DEATH((UpdateChunkView{c, sizeof(float)}), "kUpdateSoA");
 }
 
 // --------------------------------------------------------------- clusters

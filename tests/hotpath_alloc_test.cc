@@ -1,6 +1,6 @@
-// Allocation-count guard for the DES hot paths (PR 9 tentpole): after
-// warmup, neither event Push/Pop (either queue implementation, inline
-// EventFn) nor the per-record RecordBinner::Add path may touch the heap.
+// Allocation-count guard for the DES hot paths: after warmup, neither
+// event Push/Pop (calendar queue, inline EventFn) nor the per-record
+// RecordBinner::Add/AddUpdate paths may touch the heap.
 // The global operator new/delete are replaced with counting wrappers, so
 // any allocation creeping back into these loops fails loudly here — also
 // under ASan/TSan, which route through the replaced operators.
@@ -88,11 +88,11 @@ uint64_t CountAllocs(Fn&& fn) {
   return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
-void ExpectZeroAllocSteadyState(EventQueueImpl impl) {
-  EventQueue q(impl);
+TEST(HotPathAllocTest, CalendarPushPopAllocFree) {
+  EventQueue q;
   Rng rng(17);
-  // Warm: same time values the measurement phase will use, so calendar
-  // bucket vectors and the heap array retain the needed capacity.
+  // Warm: same time values the measurement phase will use, so the calendar
+  // bucket vectors retain the needed capacity.
   std::vector<TimeNs> times;
   times.reserve(4096);
   TimeNs now = 0;
@@ -114,90 +114,50 @@ void ExpectZeroAllocSteadyState(EventQueueImpl impl) {
       q.Push(t, [] {});
     }
   });
-  EXPECT_EQ(push_allocs, 0u) << "impl=" << static_cast<int>(impl);
+  EXPECT_EQ(push_allocs, 0u);
   const uint64_t pop_allocs = CountAllocs([&] {
     while (!q.empty()) {
       q.Pop();
     }
   });
-  EXPECT_EQ(pop_allocs, 0u) << "impl=" << static_cast<int>(impl);
-}
-
-TEST(HotPathAllocTest, BinaryHeapPushPopAllocFree) {
-  ExpectZeroAllocSteadyState(EventQueueImpl::kBinaryHeap);
-}
-
-TEST(HotPathAllocTest, CalendarPushPopAllocFree) {
-  ExpectZeroAllocSteadyState(EventQueueImpl::kCalendar);
+  EXPECT_EQ(pop_allocs, 0u);
 }
 
 TEST(HotPathAllocTest, InterleavedPushPopAllocFree) {
   // The simulator's actual access pattern: pop one, push a few, forever.
-  for (const auto impl : {EventQueueImpl::kBinaryHeap, EventQueueImpl::kCalendar}) {
-    EventQueue q(impl);
-    Rng warm_rng(3);
-    TimeNs now = 0;
-    auto step = [&](Rng* rng) {
-      for (int i = 0; i < 3; ++i) {
-        q.Push(now + static_cast<TimeNs>(rng->Below(10'000)), [] {});
-      }
-      now = q.Pop().time;
-      now = q.Pop().time;
-      now = q.Pop().time;
-    };
-    for (int round = 0; round < 2000; ++round) {
-      step(&warm_rng);  // warm: grows containers and calendar buckets
+  EventQueue q;
+  Rng warm_rng(3);
+  TimeNs now = 0;
+  auto step = [&](Rng* rng) {
+    for (int i = 0; i < 3; ++i) {
+      q.Push(now + static_cast<TimeNs>(rng->Below(10'000)), [] {});
     }
-    // Replay the warm schedule exactly (same rng stream, same time values,
-    // so the same per-bucket occupancy peaks): the queue drained to empty,
-    // so the first measured push re-anchors the calendar window via the
-    // sole-event jump and the rest follows the warmed path.
-    now = 0;
-    Rng rng(3);
-    const uint64_t allocs = CountAllocs([&] {
-      for (int round = 0; round < 2000; ++round) {
-        step(&rng);
-      }
-    });
-    EXPECT_EQ(allocs, 0u) << "impl=" << static_cast<int>(impl);
+    now = q.Pop().time;
+    now = q.Pop().time;
+    now = q.Pop().time;
+  };
+  for (int round = 0; round < 2000; ++round) {
+    step(&warm_rng);  // warm: grows containers and calendar buckets
   }
-}
-
-TEST(HotPathAllocTest, BinnerAddWithinBlockAllocFree) {
-  auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
-  RecordArena arena;
-  using Rec = UpdateRecord<float>;
-  // 1 KiB chunks of 16-byte wire records -> 64 records per chunk.
-  RecordBinner binner(&parts, sizeof(Rec), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena);
-  // Warm: fill and park a chunk per partition, then drop the parked chunks
-  // so their blocks return to the arena freelist.
-  for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-    for (int i = 0; i < 64; ++i) {
-      binner.Add(p, Rec{parts.Base(p), 1.0f});
-    }
-  }
-  while (binner.HasPending()) {
-    binner.PopPendingForTest();
-  }
-  // Steady state: every Add inside a block is memcpy + cursor bump; block
-  // leases are freelist hits. 63 adds per partition — no park, no chunk.
+  // Replay the warm schedule exactly (same rng stream, same time values,
+  // so the same per-bucket occupancy peaks): the queue drained to empty,
+  // so the first measured push re-anchors the calendar window via the
+  // sole-event jump and the rest follows the warmed path.
+  now = 0;
+  Rng rng(3);
   const uint64_t allocs = CountAllocs([&] {
-    for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-      for (int i = 0; i < 63; ++i) {
-        binner.Add(p, Rec{parts.Base(p), 2.0f});
-      }
+    for (int round = 0; round < 2000; ++round) {
+      step(&rng);
     }
   });
   EXPECT_EQ(allocs, 0u);
-  EXPECT_FALSE(binner.HasPending());
 }
 
 TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
-  RecordBinner binner(&parts, sizeof(Edge), /*record_wire_bytes=*/16,
-                      /*chunk_bytes=*/1 << 10, &arena, RecordBinner::Format::kEdgeSoA);
+  RecordBinner binner(&parts, RecordBinner::Format::kEdgeSoA, /*record_wire_bytes=*/16,
+                      /*chunk_bytes=*/1 << 10, &arena);
   const Edge e{1, 2, 1.0f, 0};
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
     for (int i = 0; i < 64; ++i) {
@@ -226,9 +186,8 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   RecordArena arena;
   // 12-byte wire updates, 768-byte chunks -> 64 per chunk (a multiple of
   // the write-combining stage, so the staged NT-store path is exercised).
-  RecordBinner binner(&parts, sizeof(UpdateRecord<float>), /*record_wire_bytes=*/12,
-                      /*chunk_bytes=*/768, &arena, RecordBinner::Format::kUpdateSoA,
-                      /*update_value_bytes=*/sizeof(float));
+  RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/12,
+                      /*chunk_bytes=*/768, &arena, /*update_value_bytes=*/sizeof(float));
   // Warm: park one chunk per partition; keep one parked chunk to scan and
   // let the rest return their blocks to the arena freelist.
   for (PartitionId p = 0; p < parts.num_partitions(); ++p) {

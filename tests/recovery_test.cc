@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "algorithms/basic.h"
+#include "algorithms/mcst.h"
 #include "algorithms/runner.h"
 #include "core/cluster.h"
 #include "core/recovery.h"
@@ -313,6 +314,70 @@ TEST(MachineCrashTest, McstRecoveryPreservesEmittedForestAndInFlightUpdates) {
   ASSERT_TRUE(recovered.recovery.recovered_from_checkpoint);
   EXPECT_EQ(recovered.output_records, truth.output_records);
   EXPECT_NEAR(recovered.scalar, truth.scalar, 1e-2);
+}
+
+// Records held in `kind` sets across the cluster's storage.
+template <GasProgram P>
+uint64_t StoredRecords(Cluster<P>& cluster, SetKind kind) {
+  uint64_t records = 0;
+  for (MachineId m = 0; m < cluster.config().machines; ++m) {
+    StorageEngine* storage = cluster.storage(m);
+    for (const SetId& id : storage->HostListSets()) {
+      if (id.kind == kind) {
+        for (const Chunk& c : *storage->HostGetSet(id)) {
+          records += c.count;
+        }
+      }
+    }
+  }
+  return records;
+}
+
+// Rescaled (N-1) recovery is the one flow in which ImportRepartitioned
+// re-bins a checkpoint's update-set snapshot under the survivors'
+// partitioning, and MCST's chase phases are what keep that snapshot
+// non-empty. Sweep seeds and kill times so the re-bin carries records, and
+// require each recovered run to emit the fault-free forest.
+TEST(MachineCrashTest, McstRescaledRecoveryRebinsInFlightUpdates) {
+  const int kMachines = 4;
+  uint64_t snapshot_records = 0;
+  for (const uint64_t seed : {31u, 32u}) {
+    RmatOptions opt;
+    opt.scale = 8;
+    opt.weighted = true;
+    opt.seed = seed;
+    InputGraph g = PrepareInput("mcst", GenerateRmat(opt));
+    ClusterConfig cfg = BaseConfig(kMachines);
+    auto truth = RunJob(MakeJob("mcst", g, cfg));
+    ASSERT_GT(truth.output_records, 0u);
+
+    const TimeNs compute = truth.metrics.total_time - truth.metrics.preprocess_time;
+    for (const double frac : {0.3, 0.6, 0.9}) {
+      cfg.checkpoint_interval = 1;
+      cfg.faults = FaultSchedule::MachineCrash(
+          1, truth.metrics.preprocess_time +
+                 static_cast<TimeNs>(frac * static_cast<double>(compute)));
+      // The crashed run is deterministic: replay it to measure the
+      // snapshot that recovery below will re-bin.
+      Cluster<McstProgram> crashed(cfg, McstProgram{});
+      const auto first = crashed.Run(g);
+      ASSERT_TRUE(first.crashed);
+      if (first.has_checkpoint) {
+        snapshot_records += StoredRecords(crashed, UpdatesCkptFor(first.checkpoint_side));
+      }
+
+      JobSpec spec = MakeJob("mcst", g, cfg);
+      spec.recover = true;
+      spec.recovery.replacement_machines = kMachines - 1;
+      auto recovered = RunJob(spec);
+      ASSERT_TRUE(recovered.recovery.crash_detected) << "seed " << seed << " frac " << frac;
+      EXPECT_EQ(recovered.recovery.machines_after, kMachines - 1);
+      EXPECT_EQ(recovered.output_records, truth.output_records)
+          << "seed " << seed << " frac " << frac;
+      EXPECT_NEAR(recovered.scalar, truth.scalar, 1e-2) << "seed " << seed << " frac " << frac;
+    }
+  }
+  EXPECT_GT(snapshot_records, 0u);  // the re-bin path really carried updates
 }
 
 }  // namespace

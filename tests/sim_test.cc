@@ -3,9 +3,11 @@
 // FIFO bandwidth resources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -117,52 +119,80 @@ TEST(EventQueueTest, InterleavedPushPop) {
   }
 }
 
-// ------------------------------------------- heap vs calendar differential
+// ------------------------------------ calendar vs std-heap differential
+
+// Reference queue: std::push_heap/pop_heap over the same (time, seq) keys,
+// with seq numbered by push order exactly as EventQueue numbers it.
+class HeapReference {
+ public:
+  struct Entry {
+    TimeNs time;
+    uint64_t seq;
+  };
+  void Push(TimeNs time) {
+    heap_.push_back({time, next_seq_++});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+  Entry Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    const Entry top = heap_.back();
+    heap_.pop_back();
+    return top;
+  }
+  bool empty() const { return heap_.empty(); }
+  uint64_t total_pushed() const { return next_seq_; }
+
+ private:
+  // std heaps keep the greatest element on top; "later" puts the earliest.
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+  }
+  std::vector<Entry> heap_;
+  uint64_t next_seq_ = 0;
+};
 
 // Pops every remaining event and records its identity. (time, seq) is the
 // full total order, so equal traces mean bitwise-identical pop order.
-std::vector<std::pair<TimeNs, uint64_t>> DrainTrace(EventQueue* q) {
+template <typename Q>
+std::vector<std::pair<TimeNs, uint64_t>> DrainTrace(Q* q) {
   std::vector<std::pair<TimeNs, uint64_t>> trace;
   while (!q->empty()) {
-    auto ev = q->Pop();
+    const auto ev = q->Pop();
     trace.emplace_back(ev.time, ev.seq);
   }
   return trace;
 }
 
 // Feeds the identical seeded stream of (push burst, pop burst) operations to
-// a binary heap and a calendar queue and asserts the pop traces match
-// element for element. `spread` shapes the time distribution: small spreads
-// produce dense buckets, huge spreads force calendar rotations + rebuilds.
+// the reference heap and the calendar queue and asserts the pop traces
+// match element for element. `spread` shapes the time distribution: small
+// spreads produce dense buckets, huge spreads force calendar rotations +
+// rebuilds.
 void RunQueueDifferential(uint64_t seed, int rounds, uint64_t spread) {
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapReference ref;
+  EventQueue cal;
   Rng rng(seed);
-  std::vector<std::pair<TimeNs, uint64_t>> heap_trace;
-  std::vector<std::pair<TimeNs, uint64_t>> cal_trace;
   TimeNs now = 0;
   for (int round = 0; round < rounds; ++round) {
     const int pushes = 1 + static_cast<int>(rng.Below(8));
     for (int i = 0; i < pushes; ++i) {
       // Occasionally collide exactly (simultaneous events must break ties
-      // by seq identically in both implementations).
+      // by seq identically in both queues).
       const TimeNs t = rng.Below(4) == 0 ? now : now + static_cast<TimeNs>(rng.Below(spread));
-      heap.Push(t, [] {});
+      ref.Push(t);
       cal.Push(t, [] {});
     }
     const int pops = static_cast<int>(rng.Below(6));
-    for (int i = 0; i < pops && !heap.empty(); ++i) {
-      auto he = heap.Pop();
-      auto ce = cal.Pop();
-      ASSERT_EQ(he.time, ce.time);
-      ASSERT_EQ(he.seq, ce.seq);
-      now = he.time;  // like a simulator: never schedule behind now
+    for (int i = 0; i < pops && !ref.empty(); ++i) {
+      const auto re = ref.Pop();
+      const auto ce = cal.Pop();
+      ASSERT_EQ(re.time, ce.time);
+      ASSERT_EQ(re.seq, ce.seq);
+      now = re.time;  // like a simulator: never schedule behind now
     }
   }
-  heap_trace = DrainTrace(&heap);
-  cal_trace = DrainTrace(&cal);
-  ASSERT_EQ(heap_trace, cal_trace);
-  EXPECT_EQ(heap.total_pushed(), cal.total_pushed());
+  ASSERT_EQ(DrainTrace(&ref), DrainTrace(&cal));
+  EXPECT_EQ(ref.total_pushed(), cal.total_pushed());
 }
 
 TEST(EventQueueDifferentialTest, DensePacked) {
@@ -183,19 +213,19 @@ TEST(EventQueueDifferentialTest, SparseForcesRotationSearch) {
 TEST(EventQueueDifferentialTest, SimultaneousEventBursts) {
   // Large bursts at identical timestamps — the seq tiebreak carries the
   // entire ordering, as in barrier releases and CondEvent::NotifyAll storms.
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapReference ref;
+  EventQueue cal;
   Rng rng(77);
   TimeNs now = 0;
   for (int round = 0; round < 200; ++round) {
     now += static_cast<TimeNs>(rng.Below(1000));
     const int burst = 1 + static_cast<int>(rng.Below(64));
     for (int i = 0; i < burst; ++i) {
-      heap.Push(now, [] {});
+      ref.Push(now);
       cal.Push(now, [] {});
     }
   }
-  EXPECT_EQ(DrainTrace(&heap), DrainTrace(&cal));
+  EXPECT_EQ(DrainTrace(&ref), DrainTrace(&cal));
 }
 
 TEST(EventQueueDifferentialTest, RateReprojectionStorm) {
@@ -203,45 +233,45 @@ TEST(EventQueueDifferentialTest, RateReprojectionStorm) {
   // events gets popped and re-pushed at nearer times when bandwidth is
   // re-projected. The near pushes land *behind* the calendar cursor window,
   // exercising the Push rewind path.
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapReference ref;
+  EventQueue cal;
   Rng rng(1234);
   TimeNs now = 0;
   for (int storm = 0; storm < 50; ++storm) {
     for (int i = 0; i < 32; ++i) {
       const TimeNs far = now + 1'000'000 + static_cast<TimeNs>(rng.Below(1'000'000));
-      heap.Push(far, [] {});
+      ref.Push(far);
       cal.Push(far, [] {});
     }
     // Re-projection: new events at much nearer times than what's queued.
     for (int i = 0; i < 32; ++i) {
       const TimeNs near = now + static_cast<TimeNs>(rng.Below(1000));
-      heap.Push(near, [] {});
+      ref.Push(near);
       cal.Push(near, [] {});
     }
     for (int i = 0; i < 48; ++i) {
-      auto he = heap.Pop();
-      auto ce = cal.Pop();
-      ASSERT_EQ(he.time, ce.time);
-      ASSERT_EQ(he.seq, ce.seq);
-      now = he.time;
+      const auto re = ref.Pop();
+      const auto ce = cal.Pop();
+      ASSERT_EQ(re.time, ce.time);
+      ASSERT_EQ(re.seq, ce.seq);
+      now = re.time;
     }
   }
-  EXPECT_EQ(DrainTrace(&heap), DrainTrace(&cal));
+  EXPECT_EQ(DrainTrace(&ref), DrainTrace(&cal));
 }
 
 TEST(EventQueueDifferentialTest, GrowthAndRebuild) {
   // Push enough to trigger several bucket-doubling rebuilds, then drain.
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapReference ref;
+  EventQueue cal;
   Rng rng(5);
   for (int i = 0; i < 100'000; ++i) {
     const TimeNs t = static_cast<TimeNs>(rng.Below(1ull << 30));
-    heap.Push(t, [] {});
+    ref.Push(t);
     cal.Push(t, [] {});
   }
   EXPECT_EQ(cal.size(), 100'000u);
-  EXPECT_EQ(DrainTrace(&heap), DrainTrace(&cal));
+  EXPECT_EQ(DrainTrace(&ref), DrainTrace(&cal));
 }
 
 // ---------------------------------------------------------------- Simulator
@@ -629,31 +659,6 @@ TEST(SimulatorTest, PropertyDeterministicReplay) {
   };
   EXPECT_EQ(run(123), run(123));
   EXPECT_NE(run(123), run(321));
-}
-
-// End-to-end: a whole simulation run (coroutines, FIFO resources, seeded
-// arrivals) completes with the identical trace under either queue impl.
-TEST(SimulatorTest, HeapAndCalendarProduceIdenticalTraces) {
-  auto run = [](EventQueueImpl impl) {
-    Simulator sim(impl);
-    FifoResource dev(&sim, "dev");
-    Rng rng(2024);
-    std::vector<TimeNs> trace;
-    for (int i = 0; i < 300; ++i) {
-      const TimeNs arrival = static_cast<TimeNs>(rng.Below(500));
-      const TimeNs service = static_cast<TimeNs>(1 + rng.Below(20));
-      sim.Spawn(
-          [](Simulator* s, FifoResource* dev, std::vector<TimeNs>* t, TimeNs a, TimeNs sv)
-              -> Task<> {
-            co_await s->Delay(a);
-            co_await dev->Acquire(sv);
-            t->push_back(s->now());
-          }(&sim, &dev, &trace, arrival, service));
-    }
-    sim.Run();
-    return trace;
-  };
-  EXPECT_EQ(run(EventQueueImpl::kBinaryHeap), run(EventQueueImpl::kCalendar));
 }
 
 }  // namespace
