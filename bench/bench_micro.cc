@@ -375,9 +375,7 @@ uint64_t RunArenaBinnerBatch(RecordBinner* binner) {
 // The update-record lifecycle, same cycle at gather scale: updates are
 // binned by destination partition during scatter and the parked chunks are
 // re-scanned by gather. 12-byte wire records (8-byte dst id + 4-byte float
-// value, PageRank's shape); the chunk size keeps records-per-chunk (16384)
-// a multiple of the write-combining stage so the NT-store path engages,
-// like an engine whose configured chunk size lands on a stage boundary.
+// value, PageRank's shape); the chunk holds 16384 records.
 // Unlike edge sets (re-scanned every superstep, kScanPasses), an update
 // chunk is consumed exactly once by gather, so this pair scans once —
 // the bin/park side carries its real per-superstep weight. The batch

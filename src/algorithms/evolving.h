@@ -20,16 +20,15 @@
 // prepared edge list by partition for the engines' re-bin stage. The
 // post-batch adjacency then becomes the next epoch's pre-batch one, so no
 // graph is prepared or indexed twice. The EvolvingController binds a
-// planner to a cluster through the MutationFeed. Recovery and preemption
-// re-attach the controller at the checkpoint's epoch: the planner's carried
+// planner to a cluster through the MutationFeed. Recovery (core/recovery.h)
+// and preemption (core/job_execution.h) re-attach the controller through
+// their ClusterAttachHook at the checkpoint's epoch: the planner's carried
 // state rewinds via MutationLog::GraphAfter and the feed replays every
 // epoch that was not durably committed.
 #ifndef CHAOS_ALGORITHMS_EVOLVING_H_
 #define CHAOS_ALGORITHMS_EVOLVING_H_
 
-#include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -237,117 +236,6 @@ class EvolvingController {
   EpochPlanner<P> planner_;
   MutationFeed feed_;
 };
-
-// Evolving twin of core/recovery.h RunWithRecovery: runs the full mutation
-// schedule; on a machine-failure abort, re-provisions, imports the last
-// committed checkpoint — including WHICH edge side (kEdges/kEdgesB) was
-// live at that commit, relabeled back to kEdges for the replacement — and
-// rewinds the controller so every epoch after checkpoint_epoch replays.
-// With no crash this is just the plain evolving run.
-template <GasProgram P>
-RunResult<P> RunEvolvingWithRecovery(const ClusterConfig& config, P prog, const InputGraph& raw,
-                                     const std::string& algorithm,
-                                     const MutationSchedule& sched,
-                                     const RecoveryOptions& opts = {},
-                                     RecoveryReport* report = nullptr) {
-  EvolvingController<P> ctrl(prog, algorithm, raw, sched);
-  RecoveryReport rep;
-  rep.machines_after = config.machines;
-
-  Cluster<P> cluster(config, prog);
-  ctrl.Attach(&cluster, 0);
-  RunResult<P> first = cluster.Run(ctrl.initial_prepared());
-  rep.end_to_end_time = first.metrics.total_time;
-  if (!first.crashed) {
-    if (report != nullptr) {
-      *report = rep;
-    }
-    return first;
-  }
-
-  rep.crash_detected = true;
-  rep.crashed_run_time = first.metrics.total_time;
-  rep.crash_superstep = first.supersteps > 0 ? first.supersteps - 1 : 0;
-
-  ClusterConfig rcfg = config;
-  rcfg.faults = FaultSchedule{};
-  rcfg.crash_after_superstep = -1;
-  if (opts.replacement_machines > 0 && opts.replacement_machines != config.machines) {
-    rcfg.machines = opts.replacement_machines;
-    rcfg.profiles.clear();
-  }
-  rep.machines_after = rcfg.machines;
-
-  const InputGraph& prepared0 = ctrl.initial_prepared();
-  GraphMeta meta;
-  meta.num_vertices = prepared0.num_vertices;
-  meta.weighted = prepared0.weighted;
-  meta.edge_wire_bytes = prepared0.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = prepared0.vertex_id_wire_bytes();
-
-  RunResult<P> second;
-  if (first.has_checkpoint) {
-    rcfg.resume = true;
-    rcfg.resume_superstep = first.checkpoint_superstep;
-    rep.resume_superstep = first.checkpoint_superstep;
-    rep.recovered_from_checkpoint = true;
-    Cluster<P> replacement(rcfg, prog);
-    replacement.PreparePartitioning(meta.num_vertices);
-    const SetKind usnap = UpdatesCkptFor(first.checkpoint_side);
-    const SetKind resume_updates = UpdatesFor(first.checkpoint_superstep);
-    if (rcfg.machines == config.machines) {
-      // The committed edge side may be kEdgesB (odd number of applied
-      // epochs); the replacement always starts on kEdges. A crash mid-apply
-      // leaves partial chunks on the in-flight side — never imported, the
-      // checkpoint pins the intact one.
-      replacement.ImportSets(cluster, first.checkpoint_edges_kind, SetKind::kEdges);
-      replacement.ImportSets(cluster, first.checkpoint_side, SetKind::kVertices);
-      replacement.ImportSets(cluster, usnap, resume_updates);
-    } else {
-      replacement.ImportRepartitioned(cluster, first.checkpoint_side, meta, usnap,
-                                      resume_updates, first.checkpoint_edges_kind);
-    }
-    // Mutations planned after the committed epoch died with the cluster:
-    // rewind the raw graph to GraphAfter(checkpoint_epoch) and replay.
-    ctrl.Attach(&replacement, first.checkpoint_epoch);
-    second = replacement.Resume(meta, first.checkpoint_global);
-    auto committed = cluster.OutputsBefore(first.checkpoint_superstep);
-    second.outputs.insert(second.outputs.begin(), std::make_move_iterator(committed.begin()),
-                          std::make_move_iterator(committed.end()));
-  } else {
-    rcfg.resume = false;
-    Cluster<P> replacement(rcfg, std::move(prog));
-    ctrl.Attach(&replacement, 0);
-    second = replacement.Run(ctrl.initial_prepared());
-  }
-
-  const bool died_in_preprocess = first.metrics.preprocess_time == 0;
-  rep.lost_work_supersteps =
-      !died_in_preprocess && rep.crash_superstep >= rep.resume_superstep
-          ? rep.crash_superstep - rep.resume_superstep + 1
-          : 0;
-  const auto& times = second.metrics.superstep_end_times;
-  if (died_in_preprocess) {
-    rep.time_to_recover = second.metrics.preprocess_time;
-  } else if (rep.crash_superstep < rep.resume_superstep) {
-    rep.time_to_recover = 0;
-  } else if (times.empty()) {
-    rep.time_to_recover = second.metrics.total_time;
-  } else {
-    const uint64_t idx = rep.crash_superstep - rep.resume_superstep;
-    rep.time_to_recover = times[std::min<uint64_t>(idx, times.size() - 1)];
-  }
-  rep.end_to_end_time = rep.crashed_run_time + second.metrics.total_time;
-
-  second.metrics.recovered = true;
-  second.metrics.lost_work_supersteps = rep.lost_work_supersteps;
-  second.metrics.time_to_recover = rep.time_to_recover;
-  second.metrics.crashed_run_time = rep.crashed_run_time;
-  if (report != nullptr) {
-    *report = rep;
-  }
-  return second;
-}
 
 }  // namespace chaos
 

@@ -72,9 +72,20 @@ AlgoResult ToAlgoResult(RunResult<P>&& run) {
   return result;
 }
 
+// One job on its own cluster: a single run, or with spec.recover the
+// machine-failure recovery driver. `attach` binds an evolving job's
+// mutation feed to every cluster the job builds.
 template <GasProgram P>
-AlgoResult RunChaosWith(P prog, const InputGraph& input, const ClusterConfig& config) {
-  Cluster<P> cluster(config, std::move(prog));
+AlgoResult RunOneJob(const JobSpec& spec, P prog, const InputGraph& input,
+                     const ClusterAttachHook<P>& attach, RecoveryReport* report) {
+  if (spec.recover) {
+    return ToAlgoResult(
+        RunWithRecovery(spec.cluster, std::move(prog), input, spec.recovery, report, attach));
+  }
+  Cluster<P> cluster(spec.cluster, std::move(prog));
+  if (attach) {
+    attach(cluster, 0);
+  }
   return ToAlgoResult(cluster.Run(input));
 }
 
@@ -175,20 +186,21 @@ JobResult RunJob(const JobSpec& spec) {
           ? DispatchEvolving(spec.algorithm, spec.params,
                              [&](auto prog) {
                                // spec.input is RAW here; the controller
-                               // prepares it per epoch. The recovery-capable
-                               // driver degenerates to a plain run when no
-                               // fault fires.
-                               return ToAlgoResult(RunEvolvingWithRecovery(
-                                   spec.cluster, std::move(prog), *spec.input, spec.algorithm,
-                                   spec.mutations, spec.recover ? spec.recovery : RecoveryOptions{},
-                                   &result.recovery));
+                               // prepares it per epoch and the cluster
+                               // ingests its epoch-0 prepared graph.
+                               using P = decltype(prog);
+                               EvolvingController<P> ctrl(prog, spec.algorithm, *spec.input,
+                                                          spec.mutations);
+                               return RunOneJob<P>(
+                                   spec, std::move(prog), ctrl.initial_prepared(),
+                                   [&ctrl](Cluster<P>& cluster, uint64_t applied_epochs) {
+                                     ctrl.Attach(&cluster, applied_epochs);
+                                   },
+                                   &result.recovery);
                              })
           : DispatchAlgorithm(spec.algorithm, spec.params, [&](auto prog) {
-              if (spec.recover) {
-                return ToAlgoResult(RunWithRecovery(spec.cluster, std::move(prog), *spec.input,
-                                                    spec.recovery, &result.recovery));
-              }
-              return RunChaosWith(std::move(prog), *spec.input, spec.cluster);
+              return RunOneJob<decltype(prog)>(spec, std::move(prog), *spec.input, {},
+                                               &result.recovery);
             });
   static_cast<AlgoResult&>(result) = std::move(algo);
   // Synthesize the trivial schedule of an isolated run: dispatched on

@@ -48,7 +48,9 @@ struct JobResult : AlgoResult {
 // Runs one job to completion on its own cluster. `spec.input` must already
 // have gone through PrepareInput for `spec.algorithm`. With spec.recover,
 // the run goes through the machine-failure recovery driver
-// (core/recovery.h) and the report lands in JobResult::recovery.
+// (core/recovery.h) and the report lands in JobResult::recovery. Without
+// it, static and evolving jobs alike are one cluster run: an injected
+// machine crash returns a crashed result.
 JobResult RunJob(const JobSpec& spec);
 
 // Result of serving a multi-job trace through the job scheduler.

@@ -11,6 +11,7 @@
 #include "core/buffer_pool.h"
 #include "core/config.h"
 #include "core/metrics.h"
+#include "graph/types.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "storage/chunk.h"
@@ -26,6 +27,12 @@ struct GraphMeta {
   bool weighted = false;
   uint64_t edge_wire_bytes = 8;
   uint64_t vertex_id_wire_bytes = 4;
+
+  // The facts of `g`; its edge list is not read, so a shape-only graph
+  // (vertex count and weightedness, no edges) works too.
+  static GraphMeta Of(const InputGraph& g) {
+    return GraphMeta{g.num_vertices, g.weighted, g.edge_wire_bytes(), g.vertex_id_wire_bytes()};
+  }
 };
 
 // Everything a computation engine needs to talk to the rest of the cluster.

@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "core/buffer_pool.h"
-#include "core/compute_engine.h"
 #include "core/edge_chunk_view.h"
+#include "core/engine_core.h"
+#include "core/gas_kernel.h"
 #include "core/mutation_feed.h"
 #include "core/record_arena.h"
+#include "core/record_binner.h"
 #include "core/update_chunk_view.h"
 #include "graph/types.h"
 
@@ -90,13 +92,8 @@ class Cluster {
   // results do).
   RunResult<P> Run(const InputGraph& input) {
     CHAOS_CHECK(!config_.resume);
-    GraphMeta meta;
-    meta.num_vertices = input.num_vertices;
-    meta.weighted = input.weighted;
-    meta.edge_wire_bytes = input.edge_wire_bytes();
-    meta.vertex_id_wire_bytes = input.vertex_id_wire_bytes();
     IngestInput(input);
-    return Execute(meta, prog_.InitGlobal(input.num_vertices));
+    return Execute(GraphMeta::Of(input), prog_.InitGlobal(input.num_vertices));
   }
 
   // Streaming variant of Run(): the edge list arrives in generator-supplied
@@ -111,11 +108,7 @@ class Cluster {
     InputGraph shape;  // wire-format facts only; edges stay in the stream
     shape.num_vertices = num_vertices;
     shape.weighted = weighted;
-    GraphMeta meta;
-    meta.num_vertices = num_vertices;
-    meta.weighted = weighted;
-    meta.edge_wire_bytes = shape.edge_wire_bytes();
-    meta.vertex_id_wire_bytes = shape.vertex_id_wire_bytes();
+    const GraphMeta meta = GraphMeta::Of(shape);
     IngestInputStream(num_vertices, meta.edge_wire_bytes, feed);
     return Execute(meta, prog_.InitGlobal(num_vertices));
   }
@@ -153,9 +146,9 @@ class Cluster {
   // restart must preserve from a crashed run (core/recovery.h).
   std::vector<typename P::OutputRecord> OutputsBefore(uint64_t superstep) const {
     std::vector<typename P::OutputRecord> out;
-    for (const auto& engine : engines_) {
-      const auto& all = engine->outputs();
-      const size_t n = engine->NumOutputsBefore(superstep);
+    for (size_t m = 0; m < cores_.size(); ++m) {
+      const auto& all = kernels_[m]->outputs();
+      const size_t n = cores_[m]->NumOutputsBefore(superstep);
       out.insert(out.end(), all.begin(), all.begin() + static_cast<ptrdiff_t>(n));
     }
     return out;
@@ -273,8 +266,9 @@ class Cluster {
 
     // ---- edges: drain every surviving edge chunk and re-bin by the new
     // partition of the source vertex, mirroring IngestInput's placement.
+    // Chunks are cut at the engines' binned capacity (RecordsPerChunk).
     const uint64_t per_edge_chunk =
-        std::max<uint64_t>(1, config_.chunk_bytes / meta.edge_wire_bytes);
+        RecordBinner::RecordsPerChunk(config_.chunk_bytes, meta.edge_wire_bytes);
     std::vector<std::vector<Edge>> bins(parts_->num_partitions());
     std::vector<uint64_t> next_index(parts_->num_partitions(), 0);
     Rng rng(HashCombine(config_.seed, 0x4ec0u));
@@ -336,7 +330,7 @@ class Cluster {
       const uint64_t update_wire = UpdateWireBytes<typename P::UpdateValue>(
           meta.vertex_id_wire_bytes);
       const uint64_t per_update_chunk =
-          std::max<uint64_t>(1, config_.chunk_bytes / update_wire);
+          RecordBinner::RecordsPerChunk(config_.chunk_bytes, update_wire);
       std::vector<std::vector<Rec>> ubins(parts_->num_partitions());
       // 64-bit chunk numbering: paper-scale runs with miniaturized
       // chunk_bytes exceed 2^32 sequential chunks per set (Chunk::index is
@@ -463,7 +457,8 @@ class Cluster {
     if (directory_ != nullptr) {
       directory_->Start();
     }
-    engines_.clear();
+    cores_.clear();
+    kernels_.clear();
     for (MachineId m = 0; m < config_.machines; ++m) {
       EngineContext ctx;
       ctx.sim = &sim_;
@@ -479,12 +474,15 @@ class Cluster {
       ctx.mutations = mutations_;
       ctx.arena = arenas_[static_cast<size_t>(m)].get();
       ctx.machine = m;
-      engines_.push_back(std::make_unique<ComputeEngine<P>>(
-          std::move(ctx), &prog_, meta, parts_.get(),
-          &machine_metrics_[static_cast<size_t>(m)], initial_global));
+      kernels_.push_back(std::make_unique<GasKernel<P>>(&prog_, parts_.get(),
+                                                        meta.vertex_id_wire_bytes,
+                                                        initial_global));
+      cores_.push_back(std::make_unique<EngineCore>(std::move(ctx), kernels_.back().get(), meta,
+                                                    parts_.get(),
+                                                    &machine_metrics_[static_cast<size_t>(m)]));
     }
-    for (auto& engine : engines_) {
-      engine->Start();
+    for (auto& core : cores_) {
+      core->Start();
     }
     if (injector_ != nullptr) {
       // Sampled at each fault's onset/recovery so steal activity and idle
@@ -503,12 +501,13 @@ class Cluster {
     sim_.Run();
     CHAOS_CHECK_MSG(sim_.live_tasks() == 0, "protocol deadlock: tasks still pending");
 
+    const EngineCore& coordinator = *cores_[0];
     RunResult<P> result;
-    result.crashed = engines_[0]->crashed();
-    result.supersteps = engines_[0]->supersteps_run() + (result.crashed ? 1 : 0);
-    result.final_global = engines_[0]->final_global();
+    result.crashed = coordinator.crashed();
+    result.supersteps = coordinator.supersteps_run() + (result.crashed ? 1 : 0);
+    result.final_global = kernels_[0]->global();
     result.metrics.total_time = finish_time_;
-    result.metrics.preprocess_time = engines_[0]->preprocess_end_time();
+    result.metrics.preprocess_time = coordinator.preprocess_end_time();
     result.metrics.supersteps = result.supersteps;
     result.metrics.machines = machine_metrics_;
     result.metrics.crashed = result.crashed;
@@ -526,21 +525,22 @@ class Cluster {
     result.metrics.network_bytes = net_->total_bytes();
     result.metrics.incast_events = net_->incast_events();
     result.metrics.messages = bus_->messages_delivered();
-    result.metrics.superstep_end_times = engines_[0]->superstep_end_times();
-    result.metrics.mutation_epochs = engines_[0]->mutation_records();
+    result.metrics.superstep_end_times = coordinator.superstep_end_times();
+    result.metrics.mutation_epochs = coordinator.mutation_records();
     if (injector_ != nullptr) {
       result.metrics.faults = injector_->records();
     }
-    for (auto& engine : engines_) {
-      const auto& out = engine->outputs();
+    for (size_t m = 0; m < cores_.size(); ++m) {
+      const auto& out = kernels_[m]->outputs();
       result.outputs.insert(result.outputs.end(), out.begin(), out.end());
-      if (engine->has_checkpoint()) {
+      const EngineCore& core = *cores_[m];
+      if (core.has_checkpoint()) {
         result.has_checkpoint = true;
-        result.checkpoint_global = engine->checkpointed_global();
-        result.checkpoint_superstep = engine->checkpointed_superstep();
-        result.checkpoint_side = engine->committed_checkpoint_side();
-        result.checkpoint_edges_kind = engine->checkpoint_edges_kind();
-        result.checkpoint_epoch = engine->checkpoint_epoch();
+        result.checkpoint_global = kernels_[m]->checkpointed_global();
+        result.checkpoint_superstep = core.checkpointed_superstep();
+        result.checkpoint_side = core.committed_checkpoint_side();
+        result.checkpoint_edges_kind = core.checkpoint_edges_kind();
+        result.checkpoint_epoch = core.checkpoint_epoch();
       }
     }
     ExtractStates(meta.num_vertices, &result);
@@ -552,8 +552,8 @@ class Cluster {
   Task<> Supervise() {
     while (true) {
       bool all_done = true;
-      for (const auto& engine : engines_) {
-        if (!engine->finished() && !engine->crashed()) {
+      for (const auto& core : cores_) {
+        if (!core->finished() && !core->crashed()) {
           all_done = false;
           break;
         }
@@ -618,10 +618,23 @@ class Cluster {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Partitioning> parts_;
   MutationFeed* mutations_ = nullptr;
-  std::vector<std::unique_ptr<ComputeEngine<P>>> engines_;
+  // Per machine: the typed kernel (per-edge/per-update/per-vertex loops,
+  // typed results) and the untemplated core that drives it. The core holds
+  // a pointer to its kernel, so both live behind stable addresses.
+  std::vector<std::unique_ptr<GasKernel<P>>> kernels_;
+  std::vector<std::unique_ptr<EngineCore>> cores_;
   std::vector<MachineMetrics> machine_metrics_;
   TimeNs finish_time_ = 0;
 };
+
+// Runs on a freshly built cluster before Run/Resume, with the number of
+// mutation epochs already baked into the state it holds: 0 for a fresh run,
+// RunResult::checkpoint_epoch when resuming from a checkpoint. Evolving jobs
+// attach their MutationFeed through it (algorithms/evolving.h
+// EvolvingController::Attach); the recovery driver and sliced job execution
+// both take one.
+template <GasProgram P>
+using ClusterAttachHook = std::function<void(Cluster<P>&, uint64_t applied_epochs)>;
 
 }  // namespace chaos
 

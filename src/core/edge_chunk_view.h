@@ -17,10 +17,10 @@
 // which arena payloads guarantee at 64 bytes (core/record_arena.h).
 //
 // kEdgeSoA is the only layout of a partitioned edge set. Producers either
-// write records straight into the regions as they bin (core/record_binner.h
-// fills kEdgeSoA blocks in place — no transpose pass) or convert a
-// host-side vector (MakeSoaEdgeChunk). Raw kInput chunks stay AoS and are
-// read through ChunkSpan<Edge>.
+// write records into the regions as they bin (core/record_binner.h flushes
+// 16-record column quanta into kEdgeSoA blocks — no transpose pass) or
+// convert a host-side vector (MakeSoaEdgeChunk). Raw kInput chunks stay
+// AoS and are read through ChunkSpan<Edge>.
 #ifndef CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 #define CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 

@@ -10,7 +10,22 @@
 //
 // The streaming phases themselves are driven by the ScatterPhase and
 // GatherPhase drivers (scatter_phase.h, gather_phase.h); the barrier and
-// checkpoint FSMs live in barrier_fsm.cc.
+// checkpoint FSMs live in barrier_fsm.cc. The cluster driver (cluster.h)
+// builds one core per machine over that machine's GasKernel<P>, which keeps
+// the per-edge/per-update/per-vertex loops typed and inlined and holds the
+// typed results (global state, outputs).
+//
+// Per superstep:
+//   scatter phase:  own partitions, then steal (Fig. 4, lines 23-33)
+//   barrier
+//   gather phase:   own partitions (gather + accumulator pull + merge +
+//                   apply + vertex write-back + update-set delete), then
+//                   steal (lines 35-53)
+//   barrier with global-state reduction (aggregator) and convergence check
+//
+// Machine 0 additionally runs the barrier coordinator; every machine runs a
+// control server answering steal proposals and accumulator pulls while its
+// main loop is busy streaming.
 //
 // Memory: every vertex-state / accumulator batch this core loads acquires
 // pages from the machine's BufferPool (core/buffer_pool.h); batches are

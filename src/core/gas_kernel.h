@@ -177,7 +177,7 @@ class GasKernel final : public ProgramKernel {
 
   size_t num_outputs() const override { return outputs_.size(); }
 
-  // ---- Typed accessors for the composition layer (compute_engine.h).
+  // ---- Typed accessors for the cluster driver (cluster.h).
   const G& global() const { return global_; }
   const G& checkpointed_global() const { return checkpointed_global_; }
   const std::vector<Out>& outputs() const { return outputs_; }

@@ -24,7 +24,6 @@
 #ifndef CHAOS_CORE_JOB_EXECUTION_H_
 #define CHAOS_CORE_JOB_EXECUTION_H_
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -49,14 +48,10 @@ class TypedJobExecution final : public JobExecution {
     CHAOS_CHECK_MSG(!spec_.recover, "recovery mode is single-job only");
   }
 
-  // Evolving-graph support: called after each slice's cluster is built (and,
-  // on resume, after the durable sets are imported) but before Run/Resume,
-  // with the number of mutation epochs already baked into the state the
-  // cluster holds (0 for the first slice; the committed checkpoint's epoch
-  // after a preemption). The hook attaches the job's MutationFeed — see
-  // algorithms/evolving.h EvolvingController::Attach.
-  using AttachHook = std::function<void(Cluster<P>&, uint64_t applied_epochs)>;
-  void set_attach_hook(AttachHook hook) { attach_ = std::move(hook); }
+  // Evolving-graph support: the hook runs after each slice's cluster is
+  // built (and, on resume, after the durable sets are imported) but before
+  // Run/Resume (see ClusterAttachHook in core/cluster.h).
+  void set_attach_hook(ClusterAttachHook<P> hook) { attach_ = std::move(hook); }
 
   uint64_t next_superstep() const override { return next_superstep_; }
 
@@ -142,20 +137,14 @@ class TypedJobExecution final : public JobExecution {
     if (attach_) {
       attach_(*replacement, ckpt_epoch_);
     }
-
-    GraphMeta meta;
-    meta.num_vertices = spec_.input->num_vertices;
-    meta.weighted = spec_.input->weighted;
-    meta.edge_wire_bytes = spec_.input->edge_wire_bytes();
-    meta.vertex_id_wire_bytes = spec_.input->vertex_id_wire_bytes();
-    RunResult<P> run = replacement->Resume(meta, ckpt_global_);
+    RunResult<P> run = replacement->Resume(GraphMeta::Of(*spec_.input), ckpt_global_);
     cluster_ = std::move(replacement);  // the old donor dies here, post-import
     return run;
   }
 
   P prog_;
   Finalize finalize_;
-  AttachHook attach_;
+  ClusterAttachHook<P> attach_;
 
   std::unique_ptr<Cluster<P>> cluster_;  // previous slice = next slice's donor
   uint64_t next_superstep_ = 0;

@@ -3,7 +3,7 @@
 //
 // Message-to-paper map (section / figure references are to the Chaos paper;
 // "Fig. 4" line numbers are the paper's pseudocode listing of the engine
-// loop, which src/core/compute_engine.h mirrors):
+// loop, which src/core/engine_core.h mirrors):
 //
 //   kHelpProposalReq/Resp  work stealing (§5.3-§5.4, Fig. 4 lines 23-33 for
 //                          scatter, 46-53 for gather): an idle engine

@@ -30,14 +30,24 @@ namespace chaos {
 // Returns the completed run's result, with recovery accounting filled into
 // its Metrics (recovered / lost_work_supersteps / time_to_recover /
 // crashed_run_time). `report`, when non-null, receives the full timeline.
+//
+// `attach`, when set, runs on every cluster the driver builds, before
+// Run/Resume (ClusterAttachHook). Evolving jobs pass their controller's
+// Attach (algorithms/evolving.h): the replacement imports the edge side
+// (kEdges/kEdgesB) that was live at the checkpoint as kEdges, and the
+// controller rewinds so every epoch after checkpoint_epoch replays.
 template <GasProgram P>
 RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGraph& input,
                              const RecoveryOptions& opts = {},
-                             RecoveryReport* report = nullptr) {
+                             RecoveryReport* report = nullptr,
+                             const ClusterAttachHook<P>& attach = {}) {
   RecoveryReport rep;
   rep.machines_after = config.machines;
 
   Cluster<P> cluster(config, prog);
+  if (attach) {
+    attach(cluster, 0);
+  }
   RunResult<P> first = cluster.Run(input);
   rep.end_to_end_time = first.metrics.total_time;
   if (!first.crashed) {
@@ -61,12 +71,7 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     rcfg.profiles.clear();  // per-machine overrides do not carry over a rescale
   }
   rep.machines_after = rcfg.machines;
-
-  GraphMeta meta;
-  meta.num_vertices = input.num_vertices;
-  meta.weighted = input.weighted;
-  meta.edge_wire_bytes = input.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = input.vertex_id_wire_bytes();
+  const GraphMeta meta = GraphMeta::Of(input);
 
   RunResult<P> second;
   if (first.has_checkpoint) {
@@ -84,13 +89,18 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     const SetKind resume_updates = UpdatesFor(first.checkpoint_superstep);
     if (rcfg.machines == config.machines) {
       // Same-size replacement: chunk homes are machine-count-stable, so the
-      // durable sets copy across position-for-position.
+      // durable sets copy across position-for-position. A crash mid-apply
+      // leaves partial chunks on an evolving run's in-flight edge side;
+      // they are never imported, the checkpoint pins the intact one.
       replacement.ImportSets(cluster, first.checkpoint_edges_kind, SetKind::kEdges);
       replacement.ImportSets(cluster, first.checkpoint_side, SetKind::kVertices);
       replacement.ImportSets(cluster, usnap, resume_updates);
     } else {
       replacement.ImportRepartitioned(cluster, first.checkpoint_side, meta, usnap,
                                       resume_updates, first.checkpoint_edges_kind);
+    }
+    if (attach) {
+      attach(replacement, first.checkpoint_epoch);
     }
     second = replacement.Resume(meta, first.checkpoint_global);
     // The replacement re-executes supersteps >= resume_superstep and
@@ -106,6 +116,9 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     // pre-processing): nothing to resume from, restart the whole run.
     rcfg.resume = false;
     Cluster<P> replacement(rcfg, std::move(prog));
+    if (attach) {
+      attach(replacement, 0);
+    }
     second = replacement.Run(input);
   }
 

@@ -3,6 +3,7 @@
 // references across machine counts, placements and stealing settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
@@ -109,15 +110,34 @@ TEST(ConfigTest, FetchWindowAndStealing) {
 
 // ------------------------------------------------------------ record binner
 
-TEST(RecordBinnerTest, RecordsPerChunkFloorsAtOne) {
-  // Normal regime: the chunk holds many records.
+TEST(RecordBinnerTest, RecordsPerChunkRoundsToWholeQuanta) {
+  constexpr uint64_t kQ = RecordBinner::kQuantum;
+  // Normal regime: the chunk holds many records, already whole quanta.
   EXPECT_EQ(RecordBinner::RecordsPerChunk(4 << 20, 8), (4u << 20) / 8);
-  // Record wider than the chunk: floor at one record per chunk.
-  EXPECT_EQ(RecordBinner::RecordsPerChunk(16, 64), 1u);
-  EXPECT_EQ(RecordBinner::RecordsPerChunk(0, 64), 1u);
+  // Rounded down to the quantum: 32 KiB / 12 B = 2730 -> 2720 records and
+  // 8 KiB / 12 B = 682 -> 672 (12-byte updates into small chunks).
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(32 << 10, 12), 2720u);
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(8 << 10, 12), 672u);
+  // Fewer than one quantum fits, or the record is wider than the chunk:
+  // floor at one quantum so binning still makes progress.
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(15 * 8, 8), kQ);
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(16, 64), kQ);
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(0, 64), kQ);
   // Zero-width records must not divide by zero; they bin as one byte wide.
   EXPECT_EQ(RecordBinner::RecordsPerChunk(1 << 10, 0), 1u << 10);
-  EXPECT_EQ(RecordBinner::RecordsPerChunk(0, 0), 1u);
+  EXPECT_EQ(RecordBinner::RecordsPerChunk(0, 0), kQ);
+  // Any input: a nonzero multiple of the quantum, and never more records
+  // than fit unless the floor applies.
+  Rng rng(15);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t chunk = rng.Below(1 << 16);
+    const uint64_t wire = rng.Below(80);
+    const uint64_t per = RecordBinner::RecordsPerChunk(chunk, wire);
+    ASSERT_GT(per, 0u) << chunk << " / " << wire;
+    ASSERT_EQ(per % kQ, 0u) << chunk << " / " << wire;
+    ASSERT_TRUE(per == kQ || per * std::max<uint64_t>(wire, 1) <= chunk)
+        << chunk << " / " << wire;
+  }
 }
 
 TEST(RecordBinnerTest, ZeroWireWidthBinsWithoutCrashing) {
@@ -131,14 +151,32 @@ TEST(RecordBinnerTest, ZeroWireWidthBinsWithoutCrashing) {
   EXPECT_EQ(binner.emitted(), 64u);
 }
 
-TEST(RecordBinnerTest, OversizedRecordParksEveryAdd) {
+// Records wider than the chunk still make progress: each chunk holds one
+// quantum of them (its modeled bytes exceed chunk_bytes), so every
+// quantum of adds parks a chunk.
+TEST(RecordBinnerTest, OversizedRecordsParkEveryQuantum) {
+  constexpr uint32_t kQ = RecordBinner::kQuantum;
   auto parts = Partitioning::Compute(64, 2, 16, 1 << 10);
-  // chunk_bytes smaller than one record: every Add should fill a chunk.
   RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/64,
                       /*chunk_bytes=*/16, /*arena=*/nullptr,
                       /*update_value_bytes=*/sizeof(float));
-  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 1.0f);
-  EXPECT_TRUE(binner.HasPending());
+  const PartitionId p = parts.PartitionOf(0);
+  for (uint32_t i = 0; i < 2 * kQ; ++i) {
+    binner.AddUpdate(p, VertexId{i}, static_cast<float>(i));
+    EXPECT_EQ(binner.HasPending(), i + 1 >= kQ) << "after add " << i;
+  }
+  for (uint32_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(binner.HasPending());
+    const auto parked = binner.PopPendingForTest();
+    EXPECT_EQ(parked.first, p);
+    EXPECT_EQ(parked.second.count, kQ);
+    EXPECT_EQ(parked.second.model_bytes, kQ * 64u);
+    const UpdateChunkView view(parked.second, sizeof(float));
+    for (uint32_t i = 0; i < kQ; ++i) {
+      EXPECT_EQ(view.dst()[i], k * kQ + i);
+    }
+  }
+  EXPECT_FALSE(binner.HasPending());
 }
 
 // Regression: chunk indices used to be uint32_t and wrapped silently at
@@ -148,15 +186,148 @@ TEST(RecordBinnerTest, IndexCrossesThirtyTwoBitsWithoutWrapping) {
   auto parts = Partitioning::Compute(64, 2, 16, 1 << 10);
   RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/64,
                       /*chunk_bytes=*/16, /*arena=*/nullptr,
-                      /*update_value_bytes=*/sizeof(float));  // one record per chunk
+                      /*update_value_bytes=*/sizeof(float));  // one quantum per chunk
   binner.set_next_index_for_test((1ull << 32) - 1);
-  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 1.0f);
-  binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, 2.0f);
+  for (uint32_t i = 0; i < 2 * RecordBinner::kQuantum; ++i) {
+    binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, static_cast<float>(i));
+  }
   auto first = binner.PopPendingForTest();
   auto second = binner.PopPendingForTest();
   EXPECT_EQ(first.second.index, (1ull << 32) - 1);
   EXPECT_EQ(second.second.index, 1ull << 32);  // not 0
   static_assert(std::is_same_v<decltype(Chunk::index), uint64_t>);
+}
+
+// The binner against a reference model: per-partition vectors cut every
+// RecordsPerChunk records in add order, plus one tail chunk per non-empty
+// partition (in partition order) at the final park. Every parked chunk's
+// partition, index, count, model_bytes and records, read back through the
+// chunk view, must match the model. `Value` is the update value type, or
+// Edge for edge sets. Cases are seeded; chunk sizes fall below, at and
+// above one quantum of records. Returns the number of tail chunks checked.
+template <typename Value>
+uint64_t ExpectBinnerMatchesReference(uint64_t seed) {
+  constexpr bool kEdges = std::is_same_v<Value, Edge>;
+  using Record = std::conditional_t<kEdges, Edge, UpdateRecord<Value>>;
+  constexpr uint64_t kQ = RecordBinner::kQuantum;
+  Rng rng(seed);
+  const auto partitions = static_cast<PartitionId>(1 + rng.Below(64));
+  const auto parts = Partitioning::WithPartitions(4096, 1, partitions);
+  const uint64_t wire = 4 + 4 * rng.Below(6);
+  uint64_t chunk_bytes = 0;
+  switch (rng.Below(3)) {
+    case 0:  // below one quantum: the floor applies
+      chunk_bytes = wire * rng.Below(kQ);
+      break;
+    case 1:  // one quantum and a partial record
+      chunk_bytes = wire * kQ + rng.Below(wire);
+      break;
+    default:  // several quanta plus a remainder that rounds away
+      chunk_bytes = wire * (kQ * (1 + rng.Below(8)) + rng.Below(kQ)) + rng.Below(wire);
+      break;
+  }
+  const uint64_t per = RecordBinner::RecordsPerChunk(chunk_bytes, wire);
+  const std::string what = "seed " + std::to_string(seed) + " partitions " +
+                           std::to_string(partitions) + " wire " + std::to_string(wire) +
+                           " chunk_bytes " + std::to_string(chunk_bytes);
+  RecordArena arena;
+  RecordBinner binner(&parts,
+                      kEdges ? RecordBinner::Format::kEdgeSoA : RecordBinner::Format::kUpdateSoA,
+                      wire, chunk_bytes, &arena, kEdges ? 0 : sizeof(Value));
+
+  struct Expected {
+    PartitionId partition;
+    uint64_t index;
+    std::vector<Record> records;
+  };
+  std::vector<Expected> want;
+  std::vector<std::vector<Record>> bins(partitions);
+  std::vector<std::pair<PartitionId, Chunk>> got;
+  const uint64_t total = rng.Below(3 * per * partitions + 1);
+  for (uint64_t i = 0; i < total; ++i) {
+    // Skewed destinations: partition 0 gets about half of the records.
+    const auto p = static_cast<PartitionId>(rng.Below(2) == 0 ? 0 : rng.Below(partitions));
+    Record r{};
+    if constexpr (kEdges) {
+      r = Edge{rng.Next(), rng.Next(), static_cast<float>(rng.Below(1000)) * 0.25f,
+               static_cast<uint32_t>(rng.Next())};
+      binner.Add(p, r);
+    } else {
+      r.dst = rng.Next();
+      r.value = static_cast<Value>(rng.Next());
+      binner.AddUpdate(p, r.dst, r.value);
+    }
+    bins[p].push_back(r);
+    if (bins[p].size() == per) {
+      want.push_back(Expected{p, want.size(), std::move(bins[p])});
+      bins[p].clear();
+    }
+    if (rng.Below(64) == 0) {  // drain between adds, like FlushPending
+      while (binner.HasPending()) {
+        got.push_back(binner.PopPendingForTest());
+      }
+    }
+  }
+  EXPECT_EQ(binner.emitted(), total) << what;
+  binner.ParkAllForTest();
+  while (binner.HasPending()) {
+    got.push_back(binner.PopPendingForTest());
+  }
+  for (PartitionId p = 0; p < partitions; ++p) {
+    if (!bins[p].empty()) {
+      want.push_back(Expected{p, want.size(), std::move(bins[p])});
+    }
+  }
+  EXPECT_EQ(binner.emitted(), total) << what;
+
+  EXPECT_EQ(got.size(), want.size()) << what;
+  uint64_t tails = 0;
+  for (size_t k = 0; k < std::min(got.size(), want.size()); ++k) {
+    const Chunk& c = got[k].second;
+    const Expected& w = want[k];
+    const std::string at = what + " chunk " + std::to_string(k);
+    EXPECT_EQ(got[k].first, w.partition) << at;
+    EXPECT_EQ(c.index, w.index) << at;
+    EXPECT_EQ(c.model_bytes, w.records.size() * wire) << at;
+    EXPECT_EQ(c.payload_bytes, w.records.size() * (kEdges ? sizeof(Edge) : 8 + sizeof(Value)))
+        << at;
+    if (c.count != w.records.size()) {
+      ADD_FAILURE() << at << ": count " << c.count << " != " << w.records.size();
+      continue;
+    }
+    tails += c.count < per ? 1 : 0;
+    if constexpr (kEdges) {
+      const EdgeChunkView view(c);
+      for (uint32_t i = 0; i < c.count; ++i) {
+        const Edge e = view.At(i);
+        const Edge& r = w.records[i];
+        if (!(e.src == r.src && e.dst == r.dst && e.weight == r.weight && e.flags == r.flags)) {
+          ADD_FAILURE() << at << " record " << i;
+          break;
+        }
+      }
+    } else {
+      const UpdateChunkView view(c, sizeof(Value));
+      for (uint32_t i = 0; i < c.count; ++i) {
+        const auto u = view.At<Value>(i);
+        if (!(u.dst == w.records[i].dst && u.value == w.records[i].value)) {
+          ADD_FAILURE() << at << " record " << i;
+          break;
+        }
+      }
+    }
+  }
+  return tails;
+}
+
+TEST(RecordBinnerTest, MatchesPerPartitionReferenceCuts) {
+  uint64_t tails = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    tails += ExpectBinnerMatchesReference<Edge>(seed);
+    tails += ExpectBinnerMatchesReference<uint32_t>(seed);
+    tails += ExpectBinnerMatchesReference<uint64_t>(seed);
+  }
+  EXPECT_GT(tails, 100u);  // the seeds exercise the tail path, not just full chunks
 }
 
 // ------------------------------------------------- arena & chunk alignment
@@ -343,8 +514,7 @@ TEST(UpdateChunkViewTest, SoaRoundTripsAndIsAligned) {
 TEST(UpdateChunkViewTest, BinnerParksSoaUpdateChunksThatRoundTrip) {
   auto parts = Partitioning::Compute(1024, 2, 16, 4 << 10);
   RecordArena arena;
-  // 12-byte wire updates, 768-byte chunks -> 64 updates per chunk (a
-  // multiple of the write-combining stage, so the NT-store path engages).
+  // 12-byte wire updates, 768-byte chunks -> 64 updates per chunk.
   RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/12,
                       /*chunk_bytes=*/768, &arena, /*update_value_bytes=*/sizeof(float));
   const auto updates = TestUpdates(64);

@@ -184,8 +184,7 @@ TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
 TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
-  // 12-byte wire updates, 768-byte chunks -> 64 per chunk (a multiple of
-  // the write-combining stage, so the staged NT-store path is exercised).
+  // 12-byte wire updates, 768-byte chunks -> 64 per chunk.
   RecordBinner binner(&parts, RecordBinner::Format::kUpdateSoA, /*record_wire_bytes=*/12,
                       /*chunk_bytes=*/768, &arena, /*update_value_bytes=*/sizeof(float));
   // Warm: park one chunk per partition; keep one parked chunk to scan and

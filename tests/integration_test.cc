@@ -95,11 +95,7 @@ TEST(CheckpointTest, RecoveryMatchesUninterruptedRun) {
   recovery.PreparePartitioning(g.num_vertices);
   recovery.ImportSets(crashed_cluster, SetKind::kEdges, SetKind::kEdges);
   recovery.ImportSets(crashed_cluster, crashed.checkpoint_side, SetKind::kVertices);
-  GraphMeta meta;
-  meta.num_vertices = g.num_vertices;
-  meta.weighted = g.weighted;
-  meta.edge_wire_bytes = g.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = g.vertex_id_wire_bytes();
+  const GraphMeta meta = GraphMeta::Of(g);
   auto resumed = recovery.Resume(meta, crashed.checkpoint_global);
 
   EXPECT_FALSE(resumed.crashed);

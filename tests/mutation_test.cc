@@ -806,6 +806,40 @@ TEST(EvolvingRecoveryTest, CrashAfterCommitResumesMutatedEdges) {
   EXPECT_EQ(recovered.values, healthy.values);
 }
 
+// Without spec.recover a job is one cluster run, evolving or not: a machine
+// crash must surface as a crashed result whose service time is the crashed
+// run's, exactly as for a static job under the same fault — not a silent
+// re-provision that drops the crashed run from the accounting.
+TEST(EvolvingRecoveryTest, CrashWithoutRecoverReturnsCrashed) {
+  InputGraph raw = SmallRmat(35);
+  const MutationLogOptions opt = Schedule(2, 0.04, MutatePreset::kUniform, 53);
+  ClusterConfig cfg = SmallConfig(3);
+  cfg.checkpoint_interval = 2;
+
+  JobResult healthy = RunJob(EvolvingJob("wcc", raw, cfg, opt));
+  ASSERT_EQ(healthy.metrics.mutation_epochs.size(), 2u);
+  const MutationEpochRecord& target = healthy.metrics.mutation_epochs[1];
+  ClusterConfig faulty = cfg;
+  faulty.faults = FaultSchedule::MachineCrash(1, (target.start_time + target.end_time) / 2);
+
+  const JobResult evolving = RunJob(EvolvingJob("wcc", raw, faulty, opt));
+  EXPECT_TRUE(evolving.crashed);
+  EXPECT_FALSE(evolving.metrics.recovered);
+  EXPECT_FALSE(evolving.recovery.crash_detected);
+  EXPECT_FALSE(evolving.sched.completed);
+  EXPECT_EQ(evolving.sched.service_time, evolving.metrics.total_time);
+  EXPECT_LT(evolving.metrics.total_time, healthy.metrics.total_time);
+
+  const InputGraph prepared = PrepareInput("wcc", raw);
+  const JobResult fixed_healthy = RunJob(MakeJob("wcc", prepared, cfg));
+  faulty.faults = FaultSchedule::MachineCrash(
+      1, (fixed_healthy.metrics.preprocess_time + fixed_healthy.metrics.total_time) / 2);
+  const JobResult fixed = RunJob(MakeJob("wcc", prepared, faulty));
+  EXPECT_TRUE(fixed.crashed);
+  EXPECT_FALSE(fixed.sched.completed);
+  EXPECT_EQ(fixed.sched.service_time, fixed.metrics.total_time);
+}
+
 // ------------------------------------------------------- compositions
 
 TEST(EvolvingCompositionTest, PreemptedSlicesMatchIsolatedBitwise) {
@@ -870,11 +904,7 @@ TEST(ImportValidationTest, RepartitionRejectsOutOfRangeEdges) {
   ASSERT_FALSE(run.crashed);
 
   ClusterConfig rcfg = SmallConfig(2);
-  GraphMeta meta;
-  meta.num_vertices = bad.num_vertices;
-  meta.weighted = bad.weighted;
-  meta.edge_wire_bytes = bad.edge_wire_bytes();
-  meta.vertex_id_wire_bytes = bad.vertex_id_wire_bytes();
+  const GraphMeta meta = GraphMeta::Of(bad);
   Cluster<BfsProgram> replacement(rcfg, BfsProgram(0));
   replacement.PreparePartitioning(bad.num_vertices);
   EXPECT_DEATH(replacement.ImportRepartitioned(donor, SetKind::kVertices, meta),
