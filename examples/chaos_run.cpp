@@ -39,6 +39,7 @@
 //         --algo pagerank --scale 14 --machines 4 --arrival-ms 0
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -79,14 +80,13 @@ void RegisterFlags(Options& opt) {
   opt.AddString("steal-mode", "steal_one",
                 "steal policy: steal_one|steal_half|adaptive (adaptive also "
                 "turns on backoff + victim-check hints)");
-  // The update-plane combining switches default ON here (the release
-  // binary wants the cheapest wire/control plane); the library-level
-  // ClusterConfig defaults stay off so the pinned benchmark figures
-  // reproduce byte-for-byte (see src/core/config.h).
-  opt.AddString("wire-combine", "on",
+  // The update-plane combining switches default off, as in the library's
+  // ClusterConfig (src/core/config.h): the paper's protocol has neither,
+  // and their effect on simulated time is mixed. Both stay opt-in.
+  opt.AddString("wire-combine", "off",
                 "on|off: pack outbound update batches columnar with delta-varint "
                 "ids before charging the NIC (pure re-encode, same results)");
-  opt.AddString("steal-combine", "on",
+  opt.AddString("steal-combine", "off",
                 "on|off: merge co-domain steal proposals queued at a victim into "
                 "one control-message CPU charge");
   opt.AddInt("straggler", -1, "machine to degrade (-1 = healthy cluster)");
@@ -147,6 +147,21 @@ void RegisterFlags(Options& opt) {
 // flags — a scheduled job cannot carry its own fault schedule.
 std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   const std::string algo = opt.GetString("algo");
+  const auto& known = Algorithms();
+  if (std::none_of(known.begin(), known.end(),
+                   [&algo](const AlgorithmInfo& a) { return a.name == algo; })) {
+    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
+    return std::nullopt;
+  }
+  if (opt.GetInt("machines") < 1) {
+    std::fprintf(stderr, "--machines must be >= 1 (got %lld)\n",
+                 static_cast<long long>(opt.GetInt("machines")));
+    return std::nullopt;
+  }
+  if (!(opt.GetDouble("alpha") >= 0.0)) {
+    std::fprintf(stderr, "--alpha must be >= 0 (got %g)\n", opt.GetDouble("alpha"));
+    return std::nullopt;
+  }
   const AlgorithmInfo& info = AlgorithmByName(algo);
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
 

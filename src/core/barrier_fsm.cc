@@ -13,12 +13,6 @@ namespace chaos {
 
 Task<BarrierOutcome> EngineCore::Barrier(bool advance) {
   BucketTimer t(ctx_.sim, metrics_, Bucket::kBarrier);
-  Message req;
-  req.src = ctx_.machine;
-  req.dst = 0;
-  req.service = kComputeService;
-  req.type = kBarrierArrive;
-  req.wire_bytes = kControlMsgBytes + kernel_->global_wire_bytes();
   BarrierArriveMsg body;
   body.phase_id = next_phase_id_++;
   body.local = kernel_->TakeLocalBlob();  // snapshots and resets the delta
@@ -26,10 +20,11 @@ Task<BarrierOutcome> EngineCore::Barrier(bool advance) {
   body.advance = advance;
   body.failed = Dead();  // barrier doubles as the failure detector (§6.6)
   body.superstep = superstep_;
-  req.body = std::move(body);
+  Message req = MakeMessage(ctx_.machine, 0, kComputeService, kBarrierArrive,
+                            kControlMsgBytes + kernel_->global_wire_bytes(), std::move(body));
   changed_ = 0;
   Message resp = co_await ctx_.bus->Call(std::move(req));
-  const auto& release = std::any_cast<const BarrierReleaseMsg&>(resp.body);
+  const auto& release = resp.As<BarrierReleaseMsg>();
   kernel_->SetGlobal(release.global);
   if (release.crash) {
     // The coordinator stops serving barriers after a crash release; every
@@ -51,7 +46,7 @@ Task<> EngineCore::BarrierService() {
       CHAOS_CHECK_EQ(msg.type, static_cast<uint32_t>(kBarrierArrive));
       arrivals.push_back(std::move(msg));
     }
-    const auto& first = std::any_cast<const BarrierArriveMsg&>(arrivals.front().body);
+    const auto& first = arrivals.front().As<BarrierArriveMsg>();
     const bool advance = first.advance;
     const uint64_t superstep = first.superstep;
     bool done = false;
@@ -61,13 +56,13 @@ Task<> EngineCore::BarrierService() {
     bool crash = false;
     bool mutate = false;
     for (const Message& msg : arrivals) {
-      crash = crash || std::any_cast<const BarrierArriveMsg&>(msg.body).failed;
+      crash = crash || msg.As<BarrierArriveMsg>().failed;
     }
     if (advance) {
       std::vector<uint8_t> folded = canonical;
       uint64_t changed = 0;
       for (const Message& msg : arrivals) {
-        const auto& body = std::any_cast<const BarrierArriveMsg&>(msg.body);
+        const auto& body = msg.As<BarrierArriveMsg>();
         CHAOS_CHECK_EQ(body.phase_id, first.phase_id);
         CHAOS_CHECK_EQ(body.superstep, superstep);
         kernel_->ReduceGlobal(folded.data(), body.local.data());

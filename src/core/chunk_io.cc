@@ -1,26 +1,12 @@
 #include "core/chunk_io.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "core/update_chunk_view.h"
 
 namespace chaos {
-namespace {
-
-Message StorageRequest(MachineId src, MachineId dst, uint32_t type, uint64_t wire_bytes,
-                       std::any body) {
-  Message m;
-  m.src = src;
-  m.dst = dst;
-  m.service = kStorageService;
-  m.type = type;
-  m.wire_bytes = wire_bytes;
-  m.body = std::move(body);
-  return m;
-}
-
-}  // namespace
 
 ChunkFetcher::ChunkFetcher(EngineContext* ctx, Rng* rng, SetId set, uint64_t epoch, int window,
                            MachineId local_master_target, bool preserve_payload)
@@ -33,17 +19,14 @@ ChunkFetcher::ChunkFetcher(EngineContext* ctx, Rng* rng, SetId set, uint64_t epo
       forced_target_(local_master_target),
       cond_(ctx->sim),
       credits_(window),
-      engine_empty_(static_cast<size_t>(ctx->machines()), 0),
-      in_flight_per_engine_(static_cast<size_t>(ctx->machines()), 0),
-      engines_left_(ctx->machines()) {
+      targets_(ctx->machines(), window) {
   CHAOS_CHECK_GT(window_, 0);
   if (ctx_->config->placement == Placement::kLocalMaster) {
     CHAOS_CHECK(forced_target_ != kNoMachine);
     // Only the master's engine holds the set: others are empty by design.
     for (MachineId m = 0; m < ctx_->machines(); ++m) {
       if (m != forced_target_) {
-        engine_empty_[static_cast<size_t>(m)] = 1;
-        --engines_left_;
+        targets_.Retire(m);
       }
     }
   }
@@ -60,39 +43,68 @@ void ChunkFetcher::Start() {
   }
 }
 
-MachineId ChunkFetcher::PickTarget() {
-  // Among engines not known-empty, pick uniformly among those with the
-  // fewest in-flight requests from this fetcher.
-  int best = INT32_MAX;
-  int candidates = 0;
-  for (MachineId m = 0; m < ctx_->machines(); ++m) {
-    if (engine_empty_[static_cast<size_t>(m)]) {
-      continue;
-    }
-    const int load = in_flight_per_engine_[static_cast<size_t>(m)];
-    if (load < best) {
-      best = load;
-      candidates = 1;
-    } else if (load == best) {
-      ++candidates;
-    }
+TargetPicker::TargetPicker(int machines, int max_load)
+    : words_((static_cast<size_t>(machines) + 63) / 64),
+      bits_(static_cast<size_t>(max_load + 1) * words_, 0),
+      count_(static_cast<size_t>(max_load + 1), 0),
+      load_(static_cast<size_t>(machines), 0),
+      retired_(static_cast<size_t>(machines), 0),
+      live_(machines) {
+  CHAOS_CHECK_GT(machines, 0);
+  CHAOS_CHECK_GE(max_load, 0);
+  for (MachineId m = 0; m < machines; ++m) {
+    Level(0)[m / 64] |= uint64_t{1} << (m % 64);
   }
-  if (candidates == 0) {
+  count_[0] = machines;
+}
+
+MachineId TargetPicker::Pick(Rng* rng) {
+  size_t level = 0;
+  while (level < count_.size() && count_[level] == 0) {
+    ++level;
+  }
+  if (level == count_.size()) {
     return kNoMachine;
   }
-  uint64_t pick = rng_->Below(static_cast<uint64_t>(candidates));
-  for (MachineId m = 0; m < ctx_->machines(); ++m) {
-    if (engine_empty_[static_cast<size_t>(m)] ||
-        in_flight_per_engine_[static_cast<size_t>(m)] != best) {
+  uint64_t pick = rng->Below(static_cast<uint64_t>(count_[level]));
+  const uint64_t* bits = Level(static_cast<int>(level));
+  for (size_t w = 0;; ++w) {
+    uint64_t word = bits[w];
+    const auto set = static_cast<uint64_t>(std::popcount(word));
+    if (pick >= set) {
+      pick -= set;
       continue;
     }
-    if (pick == 0) {
-      return m;
+    for (; pick > 0; --pick) {
+      word &= word - 1;  // drop the lowest candidate
     }
-    --pick;
+    return static_cast<MachineId>(w * 64 + static_cast<size_t>(std::countr_zero(word)));
   }
-  CHAOS_CHECK_MSG(false, "unreachable: candidate disappeared");
-  return kNoMachine;
+}
+
+void TargetPicker::Move(MachineId m, int delta) {
+  const auto i = static_cast<size_t>(m);
+  const int from = load_[i];
+  const int to = from + delta;
+  CHAOS_CHECK(to >= 0 && static_cast<size_t>(to) < count_.size());
+  load_[i] = to;
+  if (retired_[i] == 0) {
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    Level(from)[i / 64] &= ~bit;
+    Level(to)[i / 64] |= bit;
+    --count_[static_cast<size_t>(from)];
+    ++count_[static_cast<size_t>(to)];
+  }
+}
+
+void TargetPicker::Retire(MachineId m) {
+  const auto i = static_cast<size_t>(m);
+  if (retired_[i] == 0) {
+    retired_[i] = 1;
+    --live_;
+    Level(load_[i])[i / 64] &= ~(uint64_t{1} << (i % 64));
+    --count_[static_cast<size_t>(load_[i])];
+  }
 }
 
 Task<> ChunkFetcher::Worker() {
@@ -104,26 +116,26 @@ Task<> ChunkFetcher::Worker() {
     // *requests* outstanding) — and the master's storage-side D estimate
     // (§5.4) would undercount remaining work whenever a scan is CPU-bound,
     // e.g. on a degraded straggler machine.
-    while (credits_ == 0 && engines_left_ > 0 && !cancelled_) {
+    while (credits_ == 0 && targets_.live() > 0 && !cancelled_) {
       co_await cond_.Wait();
     }
     if (cancelled_) {
       break;
     }
-    const MachineId target = PickTarget();
+    const MachineId target = targets_.Pick(rng_);
     if (target == kNoMachine) {
       break;
     }
     --credits_;
-    in_flight_per_engine_[static_cast<size_t>(target)]++;
+    targets_.Begin(target);
     // Named locals around coroutine-call arguments (g++ 12 wrong-code with
     // braced aggregate temporaries in co_await expressions; see sim/task.h).
     ReadChunkReq body{set_, epoch_, preserve_payload_};
-    Message req = StorageRequest(ctx_->machine, target, kReadChunkReq, kControlMsgBytes,
-                                 std::move(body));
+    Message req = MakeMessage(ctx_->machine, target, kStorageService, kReadChunkReq,
+                              kControlMsgBytes, std::move(body));
     Message resp = co_await ctx_->bus->Call(std::move(req));
-    in_flight_per_engine_[static_cast<size_t>(target)]--;
-    auto& r = std::any_cast<ReadChunkResp&>(resp.body);
+    targets_.End(target);
+    auto& r = resp.As<ReadChunkResp>();
     if (r.ok) {
       ++chunks_fetched_;
       bytes_fetched_ += r.chunk.model_bytes;
@@ -138,10 +150,7 @@ Task<> ChunkFetcher::Worker() {
       ready_.push_back(std::move(b));
     } else {
       ++credits_;  // nothing buffered: return the credit
-      if (!engine_empty_[static_cast<size_t>(target)]) {
-        engine_empty_[static_cast<size_t>(target)] = 1;
-        --engines_left_;
-      }
+      targets_.Retire(target);
     }
     cond_.NotifyAll();
   }
@@ -161,15 +170,10 @@ Task<> ChunkFetcher::DirectoryWorker() {
       break;
     }
     --credits_;
-    Message req;
-    req.src = ctx_->machine;
-    req.dst = dir->home();
-    req.service = kDirectoryService;
-    req.type = kDirNextReq;
-    req.wire_bytes = kControlMsgBytes;
-    req.body = DirNextReq{set_, epoch_};
+    Message req = MakeMessage(ctx_->machine, dir->home(), kDirectoryService, kDirNextReq,
+                              kControlMsgBytes, DirNextReq{set_, epoch_});
     Message dresp = co_await ctx_->bus->Call(std::move(req));
-    const auto& next = std::any_cast<const DirNextResp&>(dresp.body);
+    const auto& next = dresp.As<DirNextResp>();
     if (!next.ok) {
       directory_exhausted_ = true;
       ++credits_;
@@ -179,10 +183,10 @@ Task<> ChunkFetcher::DirectoryWorker() {
     // Snapshot scans must not free the update payloads the real gather
     // still has to drain (mirrors the preserve flag on sequential reads).
     ReadIndexedReq body{set_, next.index, /*consume=*/!preserve_payload_, epoch_};
-    Message read = StorageRequest(ctx_->machine, next.engine, kReadIndexedReq,
-                                  kControlMsgBytes, std::move(body));
+    Message read = MakeMessage(ctx_->machine, next.engine, kStorageService, kReadIndexedReq,
+                               kControlMsgBytes, std::move(body));
     Message resp = co_await ctx_->bus->Call(std::move(read));
-    auto& r = std::any_cast<ReadChunkResp&>(resp.body);
+    auto& r = resp.As<ReadChunkResp>();
     CHAOS_CHECK_MSG(r.ok, "directory pointed at a missing chunk in " + SetIdName(set_));
     ++chunks_fetched_;
     bytes_fetched_ += r.chunk.model_bytes;
@@ -270,8 +274,8 @@ Task<> ChunkWriter::WriteToEngine(SetId set, Chunk chunk, MachineId target) {
     }
   }
   WriteChunkReq body{set, std::move(chunk)};
-  Message req = StorageRequest(ctx_->machine, target, kWriteChunkReq, wire + kControlMsgBytes,
-                               std::move(body));
+  Message req = MakeMessage(ctx_->machine, target, kStorageService, kWriteChunkReq,
+                            wire + kControlMsgBytes, std::move(body));
   Message ack = co_await ctx_->bus->Call(std::move(req));
   CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kWriteAck));
   ++chunks_written_;
@@ -296,15 +300,10 @@ Task<> ChunkWriter::Write(SetId set, Chunk chunk, MachineId home_or_master) {
       target = home_or_master;
       break;
     case Placement::kCentralDirectory: {
-      Message req;
-      req.src = ctx_->machine;
-      req.dst = ctx_->directory->home();
-      req.service = kDirectoryService;
-      req.type = kDirAllocReq;
-      req.wire_bytes = kControlMsgBytes;
-      req.body = DirAllocReq{set};
+      Message req = MakeMessage(ctx_->machine, ctx_->directory->home(), kDirectoryService,
+                                kDirAllocReq, kControlMsgBytes, DirAllocReq{set});
       Message resp = co_await ctx_->bus->Call(std::move(req));
-      const auto& alloc = std::any_cast<const DirAllocResp&>(resp.body);
+      const auto& alloc = resp.As<DirAllocResp>();
       target = alloc.engine;
       chunk.index = alloc.index;  // directory-assigned, unique within the set
       break;
@@ -320,23 +319,16 @@ Task<> DeleteSetEverywhere(EngineContext* ctx, SetId set) {
   if (ctx->directory != nullptr) {
     // Invalidate the central directory's chunk locations first so no reader
     // is pointed at a deleted chunk.
-    DirForgetReq body{set};
-    Message req;
-    req.src = ctx->machine;
-    req.dst = ctx->directory->home();
-    req.service = kDirectoryService;
-    req.type = kDirForgetReq;
-    req.wire_bytes = kControlMsgBytes;
-    req.body = std::move(body);
+    Message req = MakeMessage(ctx->machine, ctx->directory->home(), kDirectoryService,
+                              kDirForgetReq, kControlMsgBytes, DirForgetReq{set});
     Message ack = co_await ctx->bus->Call(std::move(req));
     CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kDirForgetResp));
   }
   TaskGroup group(ctx->sim);
   for (MachineId m = 0; m < ctx->machines(); ++m) {
     group.Spawn([](EngineContext* ctx, SetId set, MachineId m) -> Task<> {
-      DeleteSetReq body{set};
-      Message req =
-          StorageRequest(ctx->machine, m, kDeleteSetReq, kControlMsgBytes, std::move(body));
+      Message req = MakeMessage(ctx->machine, m, kStorageService, kDeleteSetReq,
+                                kControlMsgBytes, DeleteSetReq{set});
       Message ack = co_await ctx->bus->Call(std::move(req));
       CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kDeleteAck));
     }(ctx, set, m));

@@ -78,6 +78,39 @@ struct EngineContext {
   TimeNs MessageTime() const { return ScaleCpu(cost().MessageTime()); }
 };
 
+// The target choice of a ChunkFetcher: uniform among the engines not known
+// to be empty, restricted to those with the fewest of the fetcher's
+// in-flight requests (approximates the k-distinct-engines window of the
+// utilization analysis, §6.5). Candidates are kept in one machine bitset
+// per in-flight level, so a pick reads the lowest non-empty level instead
+// of scanning every machine. It draws rng->Below(candidates) and returns
+// that candidate in ascending machine order; tests/core_test.cc checks the
+// draw and the machine against a plain two-pass scan.
+class TargetPicker {
+ public:
+  // Loads range over [0, max_load].
+  TargetPicker(int machines, int max_load);
+
+  // kNoMachine (and no draw) when every engine is retired.
+  MachineId Pick(Rng* rng);
+  void Begin(MachineId m) { Move(m, +1); }  // one more request in flight to m
+  void End(MachineId m) { Move(m, -1); }    // one fewer
+  // m reported the set empty: never a candidate again. Idempotent.
+  void Retire(MachineId m);
+  int live() const { return live_; }  // engines not retired
+
+ private:
+  uint64_t* Level(int load) { return &bits_[static_cast<size_t>(load) * words_]; }
+  void Move(MachineId m, int delta);
+
+  size_t words_;
+  std::vector<uint64_t> bits_;  // level-major: (max_load + 1) x words_
+  std::vector<int> count_;      // candidates per level
+  std::vector<int> load_;       // in-flight requests per engine
+  std::vector<uint8_t> retired_;
+  int live_;
+};
+
 // Fetches all chunks of one (set, epoch), keeping `window` requests
 // outstanding across distinct uniformly-chosen storage engines that have not
 // yet reported the set empty. Exhaustion is detected when every engine has
@@ -108,10 +141,6 @@ class ChunkFetcher {
  private:
   Task<> Worker();
   Task<> DirectoryWorker();
-  // Chooses a target engine: uniform among engines not known-empty, biased
-  // to those with the fewest of our in-flight requests (approximates the
-  // k-distinct-engines window of the utilization analysis, §6.5).
-  MachineId PickTarget();
 
   EngineContext* ctx_;
   Rng* rng_;
@@ -130,9 +159,7 @@ class ChunkFetcher {
   CondEvent cond_;
   std::deque<Buffered> ready_;
   int credits_;  // window minus (in-flight requests + unconsumed chunks)
-  std::vector<uint8_t> engine_empty_;
-  std::vector<int> in_flight_per_engine_;
-  int engines_left_ = 0;
+  TargetPicker targets_;
   int workers_active_ = 0;
   bool directory_exhausted_ = false;
   bool cancelled_ = false;

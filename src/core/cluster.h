@@ -572,22 +572,11 @@ class Cluster {
       injector_->Cancel();
     }
     for (MachineId m = 0; m < config_.machines; ++m) {
-      Message stop;
-      stop.src = 0;
-      stop.dst = m;
-      stop.service = kStorageService;
-      stop.type = kStorageShutdown;
-      stop.wire_bytes = kControlMsgBytes;
-      bus_->PostSend(std::move(stop));
+      bus_->PostSend(MakeMessage(0, m, kStorageService, kStorageShutdown, kControlMsgBytes));
     }
     if (directory_ != nullptr) {
-      Message stop;
-      stop.src = 0;
-      stop.dst = directory_->home();
-      stop.service = kDirectoryService;
-      stop.type = kDirShutdown;
-      stop.wire_bytes = kControlMsgBytes;
-      bus_->PostSend(std::move(stop));
+      bus_->PostSend(MakeMessage(0, directory_->home(), kDirectoryService, kDirShutdown,
+                                 kControlMsgBytes));
     }
   }
 

@@ -103,9 +103,8 @@ struct ClusterConfig {
   // is reproduced exactly, only wire-byte charges shrink. steal_combine
   // merges co-domain steal proposals queued at a victim into one
   // MessageTime() charge (core/steal_policy.h, engine_core.cc
-  // ControlServer). Both default off so pinned benchmarks reproduce
-  // byte-for-byte; chaos_run turns both on (--wire-combine/--steal-combine)
-  // and fig12 A/Bs the wire savings.
+  // ControlServer). Both default off, here and in chaos_run
+  // (--wire-combine/--steal-combine opt in); fig12 A/Bs the wire savings.
   bool wire_combine = false;
   bool steal_combine = false;
 

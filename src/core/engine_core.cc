@@ -121,13 +121,8 @@ Task<> EngineCore::Main() {
   }
   crashed_ = aborted_;
   // Stop this machine's control server.
-  Message stop;
-  stop.src = ctx_.machine;
-  stop.dst = ctx_.machine;
-  stop.service = kControlService;
-  stop.type = kControlShutdown;
-  stop.wire_bytes = kControlMsgBytes;
-  ctx_.bus->PostSend(std::move(stop));
+  ctx_.bus->PostSend(MakeMessage(ctx_.machine, ctx_.machine, kControlService, kControlShutdown,
+                                 kControlMsgBytes));
   finished_ = true;
 }
 
@@ -256,15 +251,11 @@ Task<PooledBatch> EngineCore::LoadVertexSet(PartitionId p) {
 Task<> EngineCore::LoadVertexChunk(PartitionId p, uint64_t idx, RecordBatch* out,
                                    Semaphore* window) {
   const MachineId home = VertexChunkHome(p, idx, ctx_.machines());
-  Message req;
-  req.src = ctx_.machine;
-  req.dst = home;
-  req.service = kStorageService;
-  req.type = kReadIndexedReq;
-  req.wire_bytes = kControlMsgBytes;
-  req.body = ReadIndexedReq{SetId{p, SetKind::kVertices}, idx, false, 0};
+  Message req = MakeMessage(ctx_.machine, home, kStorageService, kReadIndexedReq,
+                            kControlMsgBytes,
+                            ReadIndexedReq{SetId{p, SetKind::kVertices}, idx, false, 0});
   Message resp = co_await ctx_.bus->Call(std::move(req));
-  const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+  const auto& r = resp.As<ReadChunkResp>();
   CHAOS_CHECK_MSG(r.ok, "missing vertex chunk " + std::to_string(idx) + " of partition " +
                             std::to_string(p));
   const uint64_t start = static_cast<uint64_t>(idx) * VertsPerChunk();
@@ -383,15 +374,11 @@ Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId
         continue;
       }
       ++metrics_->steal_proposals_sent;
-      Message req;
-      req.src = ctx_.machine;
-      req.dst = victim;
-      req.service = kControlService;
-      req.type = kHelpProposalReq;
-      req.wire_bytes = kControlMsgBytes;
-      req.body = HelpProposalReq{phase, superstep_, state.steal_half()};
+      Message req = MakeMessage(ctx_.machine, victim, kControlService, kHelpProposalReq,
+                                kControlMsgBytes,
+                                HelpProposalReq{phase, superstep_, state.steal_half()});
       Message resp = co_await ctx_.bus->Call(std::move(req));
-      const auto& r = std::any_cast<const HelpProposalResp&>(resp.body);
+      const auto& r = resp.As<HelpProposalResp>();
       if (!r.more_work) {
         drained[static_cast<size_t>(victim)] = 1;
         ++metrics_->victim_misses;
@@ -475,7 +462,7 @@ Task<> EngineCore::ControlServer() {
 }
 
 void EngineCore::HandleHelpProposal(const Message& m) {
-  const auto& req = std::any_cast<const HelpProposalReq&>(m.body);
+  const auto& req = m.As<HelpProposalReq>();
   ++metrics_->proposals_received;
   HelpProposalResp out;
   // A dead master accepts no new helpers (its superstep is doomed);
@@ -521,7 +508,7 @@ void EngineCore::HandleHelpProposal(const Message& m) {
 }
 
 Task<> EngineCore::HandleAccumPull(Message m) {
-  const auto& req = std::any_cast<const AccumPullReq&>(m.body);
+  const auto& req = m.As<AccumPullReq>();
   while (stolen_accums_.count(req.partition) == 0) {
     co_await stolen_ready_.Wait();
   }

@@ -46,9 +46,9 @@
 #include "core/metrics.h"
 #include "core/partition.h"
 #include "core/program_kernel.h"
-#include "core/protocol.h"
 #include "core/record_batch.h"
 #include "core/record_binner.h"
+#include "net/wire.h"
 #include "sim/sync.h"
 #include "storage/storage_engine.h"
 #include "util/rng.h"
@@ -86,7 +86,7 @@ struct PooledBatch {
   BufferPool::Lease lease;
 };
 
-// What a coordinator release told this engine to do next (protocol.h,
+// What a coordinator release told this engine to do next (net/wire.h,
 // BarrierReleaseMsg): finish, abort, or run the apply-mutations stage and
 // keep going (evolving graphs — `done` and `mutate` are mutually exclusive).
 struct BarrierOutcome {

@@ -93,19 +93,14 @@ Task<> GatherPhase::ProcessMaster(PartitionId p) {
 
   // Pull and merge the replica accumulators of every stealer.
   for (const MachineId stealer : st.gather_stealers) {
-    Message req;
-    req.src = c.ctx_.machine;
-    req.dst = stealer;
-    req.service = kControlService;
-    req.type = kAccumPullReq;
-    req.wire_bytes = kControlMsgBytes;
-    req.body = AccumPullReq{p, c.superstep_};
+    Message req = MakeMessage(c.ctx_.machine, stealer, kControlService, kAccumPullReq,
+                              kControlMsgBytes, AccumPullReq{p, c.superstep_});
     Message resp;
     {
       BucketTimer wait_t(c.ctx_.sim, c.metrics_, Bucket::kMergeWait);
       resp = co_await c.ctx_.bus->Call(std::move(req));
     }
-    const auto& pull = std::any_cast<const AccumPullResp&>(resp.body);
+    const auto& pull = resp.As<AccumPullResp>();
     BucketTimer merge_t(c.ctx_.sim, c.metrics_, Bucket::kMerge);
     co_await c.ctx_.sim->Delay(c.ctx_.CpuTime(pull.accums.count, cost.ns_per_vertex_merge));
     co_await c.TouchBatch(s.accums);

@@ -7,7 +7,7 @@
 // (gas_kernel.h) while the control flow compiles exactly once.
 //
 // Aggregator (GlobalState) values cross the barrier protocol as opaque
-// byte blobs (protocol.h BarrierArriveMsg/BarrierReleaseMsg); the kernel
+// byte blobs (net/wire.h BarrierArriveMsg/BarrierReleaseMsg); the kernel
 // owns serialization and the fold/advance operations on those blobs.
 #ifndef CHAOS_CORE_PROGRAM_KERNEL_H_
 #define CHAOS_CORE_PROGRAM_KERNEL_H_

@@ -28,7 +28,7 @@
 // Everything here is pure decision math — no simulator, no cluster — so
 // tests/steal_policy_test.cc can pin the per-mode behavior in isolation.
 // The engine-side implementation lives in EngineCore::StealLoop and the
-// control server (engine_core.cc); the wire format in protocol.h.
+// control server (engine_core.cc); the wire format in net/wire.h.
 #ifndef CHAOS_CORE_STEAL_POLICY_H_
 #define CHAOS_CORE_STEAL_POLICY_H_
 

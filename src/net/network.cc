@@ -1,8 +1,71 @@
 #include "net/network.h"
 
+#include <cstdlib>
+#include <iterator>
+#include <string>
 #include <utility>
+#include <variant>
 
 namespace chaos {
+namespace {
+
+const char* MessageTypeName(uint32_t type) {
+  static constexpr std::pair<uint32_t, const char*> kNames[] = {
+      {kReadChunkReq, "kReadChunkReq"},        {kReadChunkResp, "kReadChunkResp"},
+      {kWriteChunkReq, "kWriteChunkReq"},      {kWriteAck, "kWriteAck"},
+      {kReadIndexedReq, "kReadIndexedReq"},    {kDeleteSetReq, "kDeleteSetReq"},
+      {kDeleteAck, "kDeleteAck"},              {kStorageShutdown, "kStorageShutdown"},
+      {kDirAllocReq, "kDirAllocReq"},          {kDirAllocResp, "kDirAllocResp"},
+      {kDirNextReq, "kDirNextReq"},            {kDirNextResp, "kDirNextResp"},
+      {kDirForgetReq, "kDirForgetReq"},        {kDirForgetResp, "kDirForgetResp"},
+      {kDirShutdown, "kDirShutdown"},          {kHelpProposalReq, "kHelpProposalReq"},
+      {kHelpProposalResp, "kHelpProposalResp"}, {kAccumPullReq, "kAccumPullReq"},
+      {kAccumPullResp, "kAccumPullResp"},      {kBarrierArrive, "kBarrierArrive"},
+      {kBarrierRelease, "kBarrierRelease"},    {kControlShutdown, "kControlShutdown"},
+  };
+  for (const auto& [id, name] : kNames) {
+    if (id == type) {
+      return name;
+    }
+  }
+  return "unknown";
+}
+
+const char* MessageBodyName(size_t index) {
+  static constexpr const char* kNames[] = {
+      "no body",          "ReadChunkReq",     "ReadChunkResp",
+      "WriteChunkReq",    "ReadIndexedReq",   "DeleteSetReq",
+      "DirAllocReq",      "DirAllocResp",     "DirNextReq",
+      "DirNextResp",      "DirForgetReq",     "HelpProposalReq",
+      "HelpProposalResp", "AccumPullReq",     "AccumPullResp",
+      "BarrierArriveMsg", "BarrierReleaseMsg",
+  };
+  static_assert(std::size(kNames) == std::variant_size_v<MessageBody>);
+  return index < std::size(kNames) ? kNames[index] : "invalid";
+}
+
+}  // namespace
+
+void Message::BodyMismatch(size_t expected) const {
+  CHAOS_CHECK_MSG(false, std::string("message ") + MessageTypeName(type) + " (" +
+                             std::to_string(type) + ", machine " + std::to_string(src) +
+                             " -> " + std::to_string(dst) + ") carries " +
+                             MessageBodyName(body.index()) + ", expected " +
+                             MessageBodyName(expected));
+  std::abort();
+}
+
+Message MakeMessage(MachineId src, MachineId dst, int service, uint32_t type,
+                    uint64_t wire_bytes, MessageBody body) {
+  Message m;
+  m.src = src;
+  m.dst = dst;
+  m.service = service;
+  m.type = type;
+  m.wire_bytes = wire_bytes;
+  m.body = std::move(body);
+  return m;
+}
 
 NetworkConfig NetworkConfig::FortyGigE() {
   NetworkConfig c;
@@ -61,7 +124,7 @@ void UpdateWireCodec::Encode(const uint64_t* dst, const uint8_t* values, uint32_
   out->push_back(kPackedUpdateFrame);
   uint64_t prev = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    PutVarint(ZigZag(static_cast<int64_t>(dst[i]) - static_cast<int64_t>(prev)), out);
+    PutVarint(ZigZag(static_cast<int64_t>(dst[i] - prev)), out);
     prev = dst[i];
   }
   out->insert(out->end(), values, values + n * value_bytes);
@@ -86,7 +149,7 @@ uint32_t UpdateWireCodec::Decode(const uint8_t* in, size_t in_len, uint64_t valu
       break;
     }
     const uint64_t delta = GetVarint(in, in_len, &pos);
-    prev = static_cast<uint64_t>(static_cast<int64_t>(prev) + UnZigZag(delta));
+    prev += static_cast<uint64_t>(UnZigZag(delta));
     dst->push_back(prev);
     ++n;
   }
@@ -135,11 +198,12 @@ SimQueue<Message>& MessageBus::Inbox(MachineId machine, int service) {
 void MessageBus::Deliver(Message m) {
   ++delivered_;
   if (m.is_response) {
-    auto it = pending_.find(m.rpc_id);
-    CHAOS_CHECK_MSG(it != pending_.end(),
+    const auto slot = static_cast<uint32_t>(m.rpc_id);
+    CHAOS_CHECK_MSG(slot < rpc_slots_.size() && rpc_slots_[slot].rpc_id == m.rpc_id,
                     "response for unknown rpc_id " + std::to_string(m.rpc_id));
-    PendingCall* call = it->second;
-    pending_.erase(it);
+    PendingCall* call = rpc_slots_[slot].call;
+    rpc_slots_[slot] = RpcSlot{};
+    free_rpc_slots_.push_back(slot);
     call->response = std::move(m);
     call->ready = true;
     if (call->waiter) {
@@ -181,9 +245,16 @@ Task<> MessageBus::Send(Message m) {
 Task<Message> MessageBus::Call(Message request) {
   CHAOS_CHECK_EQ(request.rpc_id, 0u);
   CHAOS_CHECK(!request.is_response);
-  request.rpc_id = next_rpc_id_++;
+  auto slot = static_cast<uint32_t>(rpc_slots_.size());
+  if (free_rpc_slots_.empty()) {
+    rpc_slots_.emplace_back();
+  } else {
+    slot = free_rpc_slots_.back();
+    free_rpc_slots_.pop_back();
+  }
+  request.rpc_id = (next_rpc_serial_++ << 32) | slot;
   PendingCall call;
-  pending_.emplace(request.rpc_id, &call);
+  rpc_slots_[slot] = RpcSlot{request.rpc_id, &call};
   co_await Send(std::move(request));
   struct ResponseAwaiter {
     PendingCall* call;
@@ -197,17 +268,12 @@ Task<Message> MessageBus::Call(Message request) {
 }
 
 void MessageBus::PostReply(const Message& request, uint32_t type, uint64_t wire_bytes,
-                           std::any body) {
+                           MessageBody body) {
   CHAOS_CHECK_NE(request.rpc_id, 0u);
-  Message response;
-  response.src = request.dst;
-  response.dst = request.src;
-  response.service = request.service;
+  Message response =
+      MakeMessage(request.dst, request.src, request.service, type, wire_bytes, std::move(body));
   response.rpc_id = request.rpc_id;
   response.is_response = true;
-  response.type = type;
-  response.wire_bytes = wire_bytes;
-  response.body = std::move(body);
   PostSend(std::move(response));
 }
 

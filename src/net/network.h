@@ -1,6 +1,6 @@
 // Simulated cluster network: one NIC (uplink + downlink FIFO resource pair)
 // per machine behind a full-bisection switch, plus a message bus with typed
-// messages and RPC correlation.
+// messages (net/wire.h) and RPC correlation.
 //
 // The full-bisection assumption mirrors the paper (§1, §7): the switch is
 // never the bottleneck, only per-machine NICs are. An optional incast model
@@ -10,13 +10,12 @@
 #ifndef CHAOS_NET_NETWORK_H_
 #define CHAOS_NET_NETWORK_H_
 
-#include <any>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "net/wire.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -103,8 +102,9 @@ class UpdateWireCodec {
 class UpdateWireSizer {
  public:
   void Add(uint64_t dst) {
-    varint_bytes_ += UpdateWireCodec::VarintLen(UpdateWireCodec::ZigZag(
-        static_cast<int64_t>(dst) - static_cast<int64_t>(prev_)));
+    // Delta modulo 2^64 (unsigned: far-apart ids must not overflow).
+    varint_bytes_ += UpdateWireCodec::VarintLen(
+        UpdateWireCodec::ZigZag(static_cast<int64_t>(dst - prev_)));
     prev_ = dst;
     ++count_;
   }
@@ -139,10 +139,31 @@ struct Message {
   int service = kStorageService;
   uint64_t rpc_id = 0;  // nonzero when part of an RPC exchange
   bool is_response = false;
-  uint32_t type = 0;        // protocol discriminator, see protocol headers
+  uint32_t type = 0;        // MessageType (net/wire.h)
   uint64_t wire_bytes = 0;  // modeled size on the wire
-  std::any body;
+  MessageBody body;
+
+  // The body as a T; aborts, naming the message type, when it holds another.
+  template <typename T>
+  T& As() {
+    T* b = std::get_if<T>(&body);
+    if (b == nullptr) [[unlikely]] {
+      BodyMismatch(MessageBody(std::in_place_type<T>).index());
+    }
+    return *b;
+  }
+  template <typename T>
+  const T& As() const {
+    return const_cast<Message*>(this)->As<T>();
+  }
+
+ private:
+  [[noreturn]] void BodyMismatch(size_t expected) const;
 };
+
+// A request or one-way message from `src` to the `service` mailbox of `dst`.
+Message MakeMessage(MachineId src, MachineId dst, int service, uint32_t type,
+                    uint64_t wire_bytes, MessageBody body = {});
 
 class Network {
  public:
@@ -229,7 +250,8 @@ class MessageBus {
   Task<Message> Call(Message request);
 
   // Builds and sends the response for `request`. Fire-and-forget.
-  void PostReply(const Message& request, uint32_t type, uint64_t wire_bytes, std::any body);
+  void PostReply(const Message& request, uint32_t type, uint64_t wire_bytes,
+                 MessageBody body = {});
 
   uint64_t messages_delivered() const { return delivered_; }
   // Allocation counter for the large-N regression tests: machines *
@@ -243,14 +265,23 @@ class MessageBus {
     bool ready = false;
   };
 
+  // An in-flight RPC. Its rpc id is (serial << 32) | slot index, so a
+  // response finds its call without a lookup, and a stale or duplicate id
+  // cannot match a reused slot (its serial differs).
+  struct RpcSlot {
+    uint64_t rpc_id = 0;  // 0 while the slot is free
+    PendingCall* call = nullptr;
+  };
+
   void Deliver(Message m);
   internal::DetachedTask FinishRemote(Message m, TimeNs extra_latency);
 
   Simulator* sim_;
   Network* net_;
   std::vector<std::unique_ptr<SimQueue<Message>>> inboxes_;  // machine * kNumServices
-  std::unordered_map<uint64_t, PendingCall*> pending_;
-  uint64_t next_rpc_id_ = 1;
+  std::vector<RpcSlot> rpc_slots_;
+  std::vector<uint32_t> free_rpc_slots_;
+  uint64_t next_rpc_serial_ = 1;
   uint64_t delivered_ = 0;
 };
 

@@ -1,10 +1,19 @@
-// Compute-engine to compute-engine protocol: work stealing, accumulator
-// pulls, and the coordinator-based barrier with global-state reduction.
+// The cluster's wire protocol: every message type and the typed body it
+// carries. Message::body (net/network.h) is the closed MessageBody variant
+// below, read through the checked accessor Message::As<T>().
 //
-// Message-to-paper map (section / figure references are to the Chaos paper;
-// "Fig. 4" line numbers are the paper's pseudocode listing of the engine
-// loop, which src/core/engine_core.h mirrors):
+// Three services speak it (section / figure references are to the Chaos
+// paper; "Fig. 4" line numbers are the paper's pseudocode listing of the
+// engine loop, which src/core/engine_core.h mirrors):
 //
+//   Storage engine (storage/storage_engine.h, §6): sequential chunk reads
+//   drained once per epoch, indexed vertex-chunk reads, chunk writes and
+//   set deletion.
+//
+//   Central directory (storage/directory.h): the placement service of the
+//   baseline design Chaos argues against (§10.1, Fig. 15).
+//
+//   Compute engine to compute engine (core/engine_core.h):
 //   kHelpProposalReq/Resp  work stealing (§5.3-§5.4, Fig. 4 lines 23-33 for
 //                          scatter, 46-53 for gather): an idle engine
 //                          proposes to help a VICTIM MACHINE; the victim
@@ -43,10 +52,15 @@
 //                          whole-cluster crash of the checkpoint-recovery
 //                          experiments (§6.6/Fig. 13).
 //   kControlShutdown       simulation teardown, no paper counterpart.
-#ifndef CHAOS_CORE_PROTOCOL_H_
-#define CHAOS_CORE_PROTOCOL_H_
+//
+// The header depends on storage/chunk.h alone (chunks and set ids travel in
+// bodies), so the network layer needs nothing from storage/ or core/.
+#ifndef CHAOS_NET_WIRE_H_
+#define CHAOS_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "storage/chunk.h"
@@ -54,15 +68,98 @@
 
 namespace chaos {
 
-enum ComputeMsgType : uint32_t {
+enum MessageType : uint32_t {
+  // Storage engine.
+  kReadChunkReq = 100,     // body: ReadChunkReq  -> kReadChunkResp
+  kReadChunkResp = 101,    // body: ReadChunkResp
+  kWriteChunkReq = 102,    // body: WriteChunkReq -> kWriteAck
+  kWriteAck = 103,         // no body
+  kReadIndexedReq = 104,   // body: ReadIndexedReq -> kReadChunkResp
+  kDeleteSetReq = 105,     // body: DeleteSetReq  -> kDeleteAck
+  kDeleteAck = 106,        // no body
+  kStorageShutdown = 107,  // no body
+  // Central directory.
+  kDirAllocReq = 200,    // body: DirAllocReq  -> kDirAllocResp
+  kDirAllocResp = 201,   // body: DirAllocResp
+  kDirNextReq = 202,     // body: DirNextReq   -> kDirNextResp
+  kDirNextResp = 203,    // body: DirNextResp
+  kDirForgetReq = 204,   // body: DirForgetReq -> kDirForgetResp
+  kDirForgetResp = 205,  // no body
+  kDirShutdown = 206,    // no body
+  // Compute engine to compute engine.
   kHelpProposalReq = 300,   // body: HelpProposalReq -> kHelpProposalResp
   kHelpProposalResp = 301,  // body: HelpProposalResp
   kAccumPullReq = 302,      // body: AccumPullReq -> kAccumPullResp
   kAccumPullResp = 303,     // body: AccumPullResp
   kBarrierArrive = 304,     // body: BarrierArriveMsg -> kBarrierRelease
   kBarrierRelease = 305,    // body: BarrierReleaseMsg
-  kControlShutdown = 306,
+  kControlShutdown = 306,   // no body
 };
+
+// Modeled wire size of a bare request/ack message.
+constexpr uint64_t kControlMsgBytes = 64;
+
+// ---------------------------------------------------------------- storage
+
+struct ReadChunkReq {
+  SetId set;
+  uint64_t epoch = 0;
+  // Keep consume-once payloads (update sets) resident after serving: set by
+  // checkpoint snapshot scans, which read the set a later gather must still
+  // be able to drain.
+  bool preserve_payload = false;
+};
+
+struct ReadChunkResp {
+  bool ok = false;
+  Chunk chunk;
+};
+
+struct WriteChunkReq {
+  SetId set;
+  Chunk chunk;
+};
+
+struct ReadIndexedReq {
+  SetId set;
+  uint64_t index = 0;
+  // When true the read counts against the epoch's served bytes (and frees
+  // consume-once payloads), so the D estimate works in directory mode too.
+  bool consume = false;
+  uint64_t epoch = 0;
+};
+
+struct DeleteSetReq {
+  SetId set;
+};
+
+// -------------------------------------------------------------- directory
+
+struct DirAllocReq {
+  SetId set;
+};
+
+struct DirAllocResp {
+  MachineId engine = kNoMachine;
+  uint64_t index = 0;  // directory-assigned, globally unique within the set
+};
+
+struct DirNextReq {
+  SetId set;
+  uint64_t epoch = 0;
+};
+
+struct DirNextResp {
+  bool ok = false;
+  MachineId engine = kNoMachine;
+  uint64_t index = 0;
+};
+
+struct DirForgetReq {
+  SetId set;
+};
+
+// ---------------------------------------------------------------- compute
 
 // The two streaming phases of a superstep (§4). Steal proposals carry the
 // proposer's phase so a master never hands out work for a phase it has
@@ -153,9 +250,18 @@ struct BarrierReleaseMsg {
                         // attached MutationFeed has a pending batch — every
                         // engine must run the apply-mutations stage (re-bin
                         // the planned delta, reseed vertex states, commit)
-                        // and continue instead of finishing (§ISSUE 8).
+                        // and continue instead of finishing.
 };
+
+// ------------------------------------------------------------------ body
+
+// Every body the protocol carries; monostate for the bodiless types.
+using MessageBody =
+    std::variant<std::monostate, ReadChunkReq, ReadChunkResp, WriteChunkReq, ReadIndexedReq,
+                 DeleteSetReq, DirAllocReq, DirAllocResp, DirNextReq, DirNextResp, DirForgetReq,
+                 HelpProposalReq, HelpProposalResp, AccumPullReq, AccumPullResp,
+                 BarrierArriveMsg, BarrierReleaseMsg>;
 
 }  // namespace chaos
 
-#endif  // CHAOS_CORE_PROTOCOL_H_
+#endif  // CHAOS_NET_WIRE_H_

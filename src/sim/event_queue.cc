@@ -31,14 +31,22 @@ void EventQueue::JumpTo(TimeNs time) {
 
 void EventQueue::SortCurrent() {
   if (!cur_sorted_) {
-    std::vector<Event>& b = buckets_[cursor_];
+    std::vector<Key>& b = buckets_[cursor_];
     std::sort(b.begin(), b.end(), Later);
     cur_sorted_ = true;
   }
 }
 
-void EventQueue::Push(TimeNs time, EventFn fn) {
-  Event ev{time, next_seq_++, std::move(fn)};
+void EventQueue::Push(TimeNs time, EventFn&& fn) {
+  auto slot = static_cast<uint32_t>(slab_.size());
+  if (free_slots_.empty()) {
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
+  }
+  const Key ev{time, next_seq_++, slot};
   if (++size_ == 1) {
     // Sole event: jump straight to its window instead of rotating to it.
     JumpTo(ev.time);
@@ -48,12 +56,12 @@ void EventQueue::Push(TimeNs time, EventFn fn) {
     JumpTo(ev.time);
   }
   const size_t idx = BucketOf(ev.time);
-  std::vector<Event>& b = buckets_[idx];
+  std::vector<Key>& b = buckets_[idx];
   if (idx == cursor_ && cur_sorted_) {
     // Keep the drain bucket sorted: insert at the descending-order position.
-    b.insert(std::upper_bound(b.begin(), b.end(), ev, Later), std::move(ev));
+    b.insert(std::upper_bound(b.begin(), b.end(), ev, Later), ev);
   } else {
-    b.push_back(std::move(ev));
+    b.push_back(ev);
     if (idx == cursor_) {
       cur_sorted_ = false;
     }
@@ -67,7 +75,7 @@ void EventQueue::LocateMin() {
   CHAOS_DCHECK(size_ > 0);
   size_t scanned = 0;
   while (true) {
-    std::vector<Event>& b = buckets_[cursor_];
+    std::vector<Key>& b = buckets_[cursor_];
     if (!b.empty()) {
       SortCurrent();
       if (b.back().time < cur_end_) {
@@ -84,9 +92,9 @@ void EventQueue::LocateMin() {
     if (++scanned == buckets_.size()) {
       // Fruitless full rotation: the queue is sparse relative to the bucket
       // width. Find the global minimum directly and jump to its window.
-      const Event* min_ev = nullptr;
-      for (const std::vector<Event>& bucket : buckets_) {
-        for (const Event& e : bucket) {
+      const Key* min_ev = nullptr;
+      for (const std::vector<Key>& bucket : buckets_) {
+        for (const Key& e : bucket) {
           if (min_ev == nullptr || Earlier(e, *min_ev)) {
             min_ev = &e;
           }
@@ -103,25 +111,24 @@ EventQueue::Event EventQueue::Pop() {
   CHAOS_CHECK(size_ > 0);
   LocateMin();  // before the decrement: LocateMin requires size_ > 0
   --size_;
-  std::vector<Event>& b = buckets_[cursor_];
-  Event ev = std::move(b.back());
+  std::vector<Key>& b = buckets_[cursor_];
+  const Key key = b.back();
   b.pop_back();  // remaining prefix stays sorted; cur_sorted_ still holds
-  return ev;
+  free_slots_.push_back(key.slot);
+  return Event{key.time, key.seq, std::move(slab_[key.slot])};
 }
 
-const EventQueue::Event& EventQueue::Peek() {
+TimeNs EventQueue::PeekTime() {
   CHAOS_CHECK(size_ > 0);
   LocateMin();
-  return buckets_[cursor_].back();
+  return buckets_[cursor_].back().time;
 }
 
 void EventQueue::Rebuild(size_t new_bucket_count) {
   scratch_.clear();
   scratch_.reserve(size_);
-  for (std::vector<Event>& b : buckets_) {
-    for (Event& ev : b) {
-      scratch_.push_back(std::move(ev));
-    }
+  for (std::vector<Key>& b : buckets_) {
+    scratch_.insert(scratch_.end(), b.begin(), b.end());
     b.clear();
   }
   CHAOS_DCHECK(scratch_.size() == size_);
@@ -152,8 +159,8 @@ void EventQueue::Rebuild(size_t new_bucket_count) {
   buckets_.clear();
   buckets_.resize(new_bucket_count);
   JumpTo(scratch_.front().time);
-  for (Event& ev : scratch_) {
-    buckets_[BucketOf(ev.time)].push_back(std::move(ev));
+  for (const Key& ev : scratch_) {
+    buckets_[BucketOf(ev.time)].push_back(ev);
   }
   scratch_.clear();
 }

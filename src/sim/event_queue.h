@@ -4,10 +4,12 @@
 // The structure is a calendar queue (Brown '88) with pow2 bucket widths and
 // lazily sorted buckets: amortized O(1) push/pop at the event rates the
 // cluster simulation produces, and allocation-free in steady state
-// (tests/hotpath_alloc_test.cc asserts this). It pops in strictly ascending
-// (time, seq) order — a total order, since seq is unique — and
-// tests/sim_test.cc checks that order against a std::push_heap/pop_heap
-// reference on seeded streams.
+// (tests/hotpath_alloc_test.cc asserts this). Buckets hold 24-byte
+// {time, seq, slot} keys; the callbacks sit in a slab with a free list, so
+// sorting and mid-bucket inserts move keys only and a callback moves once
+// on Push and once on Pop. It pops in strictly ascending (time, seq) order
+// — a total order, since seq is unique — and tests/sim_test.cc checks that
+// order against a std::push_heap/pop_heap reference on seeded streams.
 #ifndef CHAOS_SIM_EVENT_QUEUE_H_
 #define CHAOS_SIM_EVENT_QUEUE_H_
 
@@ -30,7 +32,7 @@ namespace chaos {
 // pushing an event performs no heap allocation at all, where std::function
 // would allocate (libstdc++ inlines only 16 bytes) on every Push. This is
 // the event "pooling" of the simulator: callback storage lives inside the
-// bucket slot the queue already owns. Oversized captures fall back to the
+// slab slot the queue already owns. Oversized captures fall back to the
 // heap transparently.
 class EventFn {
  public:
@@ -134,13 +136,13 @@ class EventQueue {
 
   EventQueue();
 
-  void Push(TimeNs time, EventFn fn);
+  void Push(TimeNs time, EventFn&& fn);
   // Removes and returns the earliest event. Queue must be non-empty.
   Event Pop();
-  // Returns the earliest event without removing it. Non-const because
-  // locating the minimum advances the cursor and sorts its bucket (the
-  // logical contents are unchanged).
-  const Event& Peek();
+  // Time of the earliest event. Non-const because locating the minimum
+  // advances the cursor and sorts its bucket (the logical contents are
+  // unchanged).
+  TimeNs PeekTime();
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -156,19 +158,26 @@ class EventQueue {
   static constexpr int kInitialShift = 12;  // 4096 ns buckets until tuned
   static constexpr int kMaxShift = 40;
 
-  static bool Earlier(const Event& a, const Event& b) {
+  // An event's place in the calendar; `slot` indexes its callback in slab_.
+  struct Key {
+    TimeNs time;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
+  static bool Earlier(const Key& a, const Key& b) {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
   // Buckets are kept sorted *descending* so the minimum is back() and Pop is
   // a pop_back. Strict order; (time, seq) keys are unique.
-  static bool Later(const Event& a, const Event& b) { return Earlier(b, a); }
+  static bool Later(const Key& a, const Key& b) { return Earlier(b, a); }
 
   size_t BucketOf(TimeNs time) const {
     return static_cast<size_t>(static_cast<uint64_t>(time) >> shift_) & (buckets_.size() - 1);
   }
   TimeNs BucketWidth() const { return TimeNs{1} << shift_; }
   // Positions cursor_ on the bucket holding the global minimum and sorts it;
-  // afterwards buckets_[cursor_].back() is the minimum event. Requires
+  // afterwards buckets_[cursor_].back() is the minimum key. Requires
   // size_ > 0.
   void LocateMin();
   void JumpTo(TimeNs time);
@@ -178,11 +187,13 @@ class EventQueue {
   size_t size_ = 0;
   uint64_t next_seq_ = 0;
 
-  std::vector<std::vector<Event>> buckets_;  // pow2 bucket count
-  std::vector<Event> scratch_;               // reused by Rebuild
-  int shift_ = kInitialShift;                // bucket width = 1 << shift_ ns
-  size_t cursor_ = 0;                        // bucket being drained
-  TimeNs cur_start_ = 0;                     // window of cursor_'s rotation
+  std::vector<std::vector<Key>> buckets_;  // pow2 bucket count
+  std::vector<Key> scratch_;               // reused by Rebuild
+  std::vector<EventFn> slab_;              // callbacks, indexed by Key::slot
+  std::vector<uint32_t> free_slots_;       // slab_ entries not in use
+  int shift_ = kInitialShift;              // bucket width = 1 << shift_ ns
+  size_t cursor_ = 0;                      // bucket being drained
+  TimeNs cur_start_ = 0;                   // window of cursor_'s rotation
   TimeNs cur_end_ = 0;
   bool cur_sorted_ = false;  // buckets_[cursor_] sorted descending?
 };

@@ -154,7 +154,7 @@ class FaultInjector {
   // True once a kMachineCrash event for `machine` has been applied. The
   // compute engine polls this at its streaming/steal loop boundaries and
   // flags its next barrier arrival, which aborts the superstep cluster-wide
-  // (see BarrierArrive::failed in core/protocol.h).
+  // (see BarrierArriveMsg::failed in net/wire.h).
   bool dead(MachineId machine) const { return dead_[static_cast<size_t>(machine)] != 0; }
   // Simulated time the machine died, or -1 while alive.
   TimeNs dead_since(MachineId machine) const {

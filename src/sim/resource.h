@@ -20,8 +20,7 @@
 
 #include <cmath>
 #include <coroutine>
-#include <deque>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,15 +29,16 @@
 #include "sim/task.h"
 #include "sim/time.h"
 #include "util/common.h"
+#include "util/ring_buffer.h"
 
 namespace chaos {
 
 class FifoResource {
  public:
   FifoResource(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {}
+  // Pending wake events hold the resource's address.
   FifoResource(const FifoResource&) = delete;
   FifoResource& operator=(const FifoResource&) = delete;
-  FifoResource(FifoResource&&) = default;
 
   // Completes when the request has been fully serviced (FIFO behind all
   // earlier requests). `service` is the nominal (rate-1.0) service time.
@@ -57,7 +57,7 @@ class FifoResource {
     // O(1) per request.
     uint64_t seen_epoch = rate_epoch_;
     while (target > sim_->now()) {
-      co_await WaitUntilOrRateChange(target);
+      co_await SleepAwaiter{this, target};
       if (rate_epoch_ != seen_epoch) {
         seen_epoch = rate_epoch_;
         target = DoneTimeOf(id);
@@ -97,7 +97,7 @@ class FifoResource {
     }
     rate_ = rate;
     ++rate_epoch_;
-    WakeAllWaiters();
+    WakeAllSleepers();
   }
 
   double rate() const { return rate_; }
@@ -128,9 +128,9 @@ class FifoResource {
   }
 
   TimeNs DoneTimeOf(uint64_t id) const {
-    for (const Ticket& t : queue_) {
-      if (t.id == id) {
-        return t.done;
+    for (size_t i = 0; i < queue_.size(); ++i) {
+      if (queue_[i].id == id) {
+        return queue_[i].done;
       }
     }
     CHAOS_CHECK_MSG(false, "FifoResource ticket vanished: " + name_);
@@ -141,74 +141,118 @@ class FifoResource {
     // Completions are FIFO except for same-timestamp wake reordering after
     // a rate change, so the front is the overwhelmingly common case.
     if (!queue_.empty() && queue_.front().id == id) {
-      queue_.pop_front();
+      queue_.take_front();
       return;
     }
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->id == id) {
-        queue_.erase(it);
+    for (size_t i = 1; i < queue_.size(); ++i) {
+      if (queue_[i].id == id) {
+        queue_.erase(i);
         return;
       }
     }
     CHAOS_CHECK_MSG(false, "FifoResource pop of unknown ticket: " + name_);
   }
 
-  struct RateWaiter {
-    std::shared_ptr<bool> fired;
+  // Wake state of one sleeping Acquire, a slot in sleepers_. While armed
+  // the slot sits in a list in registration order (prev/next); SetRate
+  // detaches the whole list as one wake batch chained through `next`, and
+  // a freed slot is chained on the free list. The timed wake carries the
+  // slot's generation, so a wake that lost the race to SetRate finds the
+  // slot disarmed or reused and does nothing.
+  static constexpr uint32_t kNil = UINT32_MAX;
+  struct Sleeper {
     std::coroutine_handle<> h;
+    uint32_t gen = 0;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+    bool armed = false;
   };
 
-  // Awaitable resuming at absolute time `target`, or earlier if SetRate is
-  // called first. Both wake paths route through the event queue and a
-  // shared fired-flag guards double resumption, so order is deterministic.
-  struct RateChangeAwaiter {
+  // Suspends until absolute time `target`, or until the next SetRate if
+  // that comes first. Both wakes go through the event queue, so order is
+  // deterministic: one timed event per sleep, one event per SetRate.
+  struct SleepAwaiter {
     FifoResource* res;
     TimeNs target;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      // Drop entries whose waiter already resumed (their timed callback
-      // fired) so the registry tracks only live sleepers.
-      auto& waiters = res->rate_waiters_;
-      std::erase_if(waiters, [](const RateWaiter& w) { return *w.fired; });
-      auto fired = std::make_shared<bool>(false);
-      waiters.push_back(RateWaiter{fired, h});
-      res->sim_->PostAt(target, [fired, h] {
-        if (!*fired) {
-          *fired = true;
-          h.resume();
-        }
+      const uint32_t slot = res->Arm(h);
+      res->sim_->PostAt(target, [res = res, slot, gen = res->sleepers_[slot].gen] {
+        res->WakeTimed(slot, gen);
       });
     }
     void await_resume() const noexcept {}
   };
 
-  RateChangeAwaiter WaitUntilOrRateChange(TimeNs target) {
-    return RateChangeAwaiter{this, target};
+  uint32_t Arm(std::coroutine_handle<> h) {
+    uint32_t slot = free_sleeper_;
+    if (slot == kNil) {
+      slot = static_cast<uint32_t>(sleepers_.size());
+      sleepers_.emplace_back();
+    } else {
+      free_sleeper_ = sleepers_[slot].next;
+    }
+    Sleeper& s = sleepers_[slot];
+    ++s.gen;
+    s.h = h;
+    s.armed = true;
+    s.prev = armed_tail_;
+    s.next = kNil;
+    if (armed_tail_ == kNil) {
+      armed_head_ = slot;
+    } else {
+      sleepers_[armed_tail_].next = slot;
+    }
+    armed_tail_ = slot;
+    return slot;
   }
 
-  // Wakes every sleeper so it re-projects under the new rate. All handles
-  // resume inside ONE posted event, in registration order — same
-  // deterministic order as one event per waiter, but a rate change costs a
-  // single heap push instead of re-sifting the event heap once per sleeper
-  // (SetRate already pays an O(queue) ticket re-projection; this keeps the
-  // event-queue side O(log n)).
-  void WakeAllWaiters() {
-    std::vector<RateWaiter> waiters;
-    waiters.swap(rate_waiters_);
-    std::vector<std::coroutine_handle<>> to_resume;
-    to_resume.reserve(waiters.size());
-    for (auto& w : waiters) {
-      if (!*w.fired) {
-        *w.fired = true;  // the pending timed callback becomes a no-op
-        to_resume.push_back(w.h);
-      }
+  void FreeSleeper(uint32_t slot) {
+    sleepers_[slot].next = free_sleeper_;
+    free_sleeper_ = slot;
+  }
+
+  void WakeTimed(uint32_t slot, uint32_t gen) {
+    Sleeper& s = sleepers_[slot];
+    if (s.gen != gen || !s.armed) {
+      return;  // SetRate woke this sleep first
     }
-    if (to_resume.empty()) {
+    s.armed = false;
+    if (s.prev == kNil) {
+      armed_head_ = s.next;
+    } else {
+      sleepers_[s.prev].next = s.next;
+    }
+    if (s.next == kNil) {
+      armed_tail_ = s.prev;
+    } else {
+      sleepers_[s.next].prev = s.prev;
+    }
+    const std::coroutine_handle<> h = s.h;
+    FreeSleeper(slot);
+    h.resume();
+  }
+
+  // Wakes every sleeper so it re-projects under the new rate. All of them
+  // resume inside ONE posted event, in registration order, so a rate
+  // change costs a single event-queue push however many requests sleep.
+  void WakeAllSleepers() {
+    const uint32_t batch = armed_head_;
+    if (batch == kNil) {
       return;
     }
-    sim_->Post(0, [handles = std::move(to_resume)] {
-      for (const auto h : handles) {
+    for (uint32_t s = batch; s != kNil; s = sleepers_[s].next) {
+      sleepers_[s].armed = false;  // their timed wakes become no-ops
+    }
+    armed_head_ = kNil;
+    armed_tail_ = kNil;
+    sim_->Post(0, [this, batch] {
+      for (uint32_t s = batch; s != kNil;) {
+        const uint32_t next = sleepers_[s].next;
+        const std::coroutine_handle<> h = sleepers_[s].h;
+        FreeSleeper(s);  // a resumed sleeper may re-arm this slot, not the rest
         h.resume();
+        s = next;
       }
     });
   }
@@ -221,8 +265,11 @@ class FifoResource {
   TimeNs total_busy_ = 0;
   uint64_t num_requests_ = 0;
   uint64_t next_ticket_id_ = 1;
-  std::deque<Ticket> queue_;
-  std::vector<RateWaiter> rate_waiters_;
+  RingBuffer<Ticket> queue_;
+  std::vector<Sleeper> sleepers_;
+  uint32_t armed_head_ = kNil;
+  uint32_t armed_tail_ = kNil;
+  uint32_t free_sleeper_ = kNil;
 };
 
 }  // namespace chaos

@@ -31,7 +31,7 @@ uint64_t Simulator::Run() {
 
 bool Simulator::RunUntil(TimeNs deadline) {
   while (!queue_.empty()) {
-    if (queue_.Peek().time > deadline) {
+    if (queue_.PeekTime() > deadline) {
       return false;
     }
     EventQueue::Event ev = queue_.Pop();

@@ -8,13 +8,13 @@
 #define CHAOS_SIM_SYNC_H_
 
 #include <coroutine>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/common.h"
+#include "util/ring_buffer.h"
 
 namespace chaos {
 
@@ -34,12 +34,13 @@ class CondEvent {
     return Awaiter{this};
   }
 
+  // Resume() only posts events, so no waiter can register mid-loop; the
+  // vector keeps its capacity for the next round of waits.
   void NotifyAll() {
-    std::vector<std::coroutine_handle<>> woken;
-    woken.swap(waiters_);
-    for (auto h : woken) {
+    for (const auto h : waiters_) {
       sim_->Resume(h);
     }
+    waiters_.clear();
   }
 
   size_t num_waiters() const { return waiters_.size(); }
@@ -64,9 +65,7 @@ class SimQueue {
     while (items_.empty()) {
       co_await cond_.Wait();
     }
-    T value = std::move(items_.front());
-    items_.pop_front();
-    co_return value;
+    co_return items_.take_front();
   }
 
   // Non-suspending accessors for consumers that batch over already-queued
@@ -78,9 +77,7 @@ class SimQueue {
   }
   T PopNow() {
     CHAOS_CHECK(!items_.empty());
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
+    return items_.take_front();
   }
 
   bool empty() const { return items_.empty(); }
@@ -88,7 +85,7 @@ class SimQueue {
 
  private:
   CondEvent cond_;
-  std::deque<T> items_;
+  RingBuffer<T> items_;
 };
 
 // Counting semaphore.

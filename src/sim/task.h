@@ -22,6 +22,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "util/common.h"
 
 namespace chaos {
@@ -41,7 +42,8 @@ struct FinalAwaiter {
   void await_resume() noexcept {}
 };
 
-struct PromiseBase {
+// Frames come from the per-thread freelist of sim/frame_pool.h.
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
@@ -160,7 +162,7 @@ namespace internal {
 
 // Self-destroying fire-and-forget coroutine used by Simulator::Spawn.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     DetachedTask get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

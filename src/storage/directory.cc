@@ -42,7 +42,7 @@ Task<> DirectoryServer::Serve() {
     co_await cpu_.Acquire(lookup_cost_);
     switch (m.type) {
       case kDirAllocReq: {
-        const auto& req = std::any_cast<const DirAllocReq&>(m.body);
+        const auto& req = m.As<DirAllocReq>();
         Entry& entry = entries_[req.set];
         DirAllocResp resp;
         resp.engine = static_cast<MachineId>(rng_.Below(static_cast<uint64_t>(machines_)));
@@ -52,7 +52,7 @@ Task<> DirectoryServer::Serve() {
         break;
       }
       case kDirNextReq: {
-        const auto& req = std::any_cast<const DirNextReq&>(m.body);
+        const auto& req = m.As<DirNextReq>();
         DirNextResp resp;
         auto it = entries_.find(req.set);
         if (it != entries_.end()) {
@@ -72,9 +72,9 @@ Task<> DirectoryServer::Serve() {
         break;
       }
       case kDirForgetReq: {
-        const auto& req = std::any_cast<const DirForgetReq&>(m.body);
+        const auto& req = m.As<DirForgetReq>();
         entries_.erase(req.set);
-        bus_->PostReply(m, kDirForgetResp, kControlMsgBytes, std::any());
+        bus_->PostReply(m, kDirForgetResp, kControlMsgBytes);
         break;
       }
       default:

@@ -24,40 +24,8 @@
 
 namespace chaos {
 
-enum DirectoryMsgType : uint32_t {
-  kDirAllocReq = 200,   // body: DirAllocReq  -> kDirAllocResp
-  kDirAllocResp = 201,  // body: DirAllocResp
-  kDirNextReq = 202,    // body: DirNextReq   -> kDirNextResp
-  kDirNextResp = 203,   // body: DirNextResp
-  kDirForgetReq = 204,  // body: DirForgetReq -> kDirForgetResp
-  kDirForgetResp = 205,
-  kDirShutdown = 206,
-};
-
-struct DirAllocReq {
-  SetId set;
-};
-
-struct DirAllocResp {
-  MachineId engine = kNoMachine;
-  uint64_t index = 0;  // directory-assigned, globally unique within the set
-};
-
-struct DirNextReq {
-  SetId set;
-  uint64_t epoch = 0;
-};
-
-struct DirNextResp {
-  bool ok = false;
-  MachineId engine = kNoMachine;
-  uint64_t index = 0;
-};
-
-struct DirForgetReq {
-  SetId set;
-};
-
+// Serves kDirAllocReq, kDirNextReq and kDirForgetReq until kDirShutdown
+// (bodies in net/wire.h).
 class DirectoryServer {
  public:
   DirectoryServer(Simulator* sim, MessageBus* bus, MachineId home, int machines, uint64_t seed,

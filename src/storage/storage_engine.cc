@@ -171,7 +171,7 @@ Task<> StorageEngine::Serve() {
 }
 
 Task<> StorageEngine::HandleRead(Message m) {
-  const auto& req = std::any_cast<const ReadChunkReq&>(m.body);
+  const auto& req = m.As<ReadChunkReq>();
   auto it = sets_.find(req.set);
   ReadChunkResp resp;
   if (it != sets_.end()) {
@@ -213,7 +213,7 @@ Task<> StorageEngine::HandleRead(Message m) {
 }
 
 Task<> StorageEngine::HandleReadIndexed(Message m) {
-  const auto& req = std::any_cast<const ReadIndexedReq&>(m.body);
+  const auto& req = m.As<ReadIndexedReq>();
   auto it = sets_.find(req.set);
   ReadChunkResp resp;
   if (it != sets_.end()) {
@@ -250,7 +250,7 @@ Task<> StorageEngine::HandleReadIndexed(Message m) {
 }
 
 Task<> StorageEngine::HandleWrite(Message m) {
-  auto& req = std::any_cast<WriteChunkReq&>(m.body);
+  auto& req = m.As<WriteChunkReq>();
   const uint64_t bytes = req.chunk.model_bytes;
   // Ingest staging: the arriving payload sits in memory until the device
   // write completes.
@@ -278,15 +278,15 @@ Task<> StorageEngine::HandleWrite(Message m) {
   }
   co_await device_.Acquire(config_.access_latency + TransferTimeNs(bytes, config_.bandwidth_bps));
   bytes_written_ += bytes;
-  bus_->PostReply(m, kWriteAck, kControlMsgBytes, std::any());
+  bus_->PostReply(m, kWriteAck, kControlMsgBytes);
 }
 
 Task<> StorageEngine::HandleDelete(Message m) {
-  const auto& req = std::any_cast<const DeleteSetReq&>(m.body);
+  const auto& req = m.As<DeleteSetReq>();
   sets_.erase(req.set);
   // Deletion is metadata-only: negligible device time.
   co_await device_.Acquire(0);
-  bus_->PostReply(m, kDeleteAck, kControlMsgBytes, std::any());
+  bus_->PostReply(m, kDeleteAck, kControlMsgBytes);
 }
 
 std::string StorageEngine::SpillPath(const SetId& set, uint64_t spill_id) const {

@@ -43,53 +43,8 @@ struct StorageConfig {
   static StorageConfig Hdd();  // RAID0 of 2 disks, ~200 MB/s aggregate (§8)
 };
 
-// Storage protocol message types.
-enum StorageMsgType : uint32_t {
-  kReadChunkReq = 100,   // body: ReadChunkReq  -> kReadChunkResp
-  kReadChunkResp = 101,  // body: ReadChunkResp
-  kWriteChunkReq = 102,  // body: WriteChunkReq -> kWriteAck
-  kWriteAck = 103,       // no body
-  kReadIndexedReq = 104, // body: ReadIndexedReq -> kReadChunkResp
-  kDeleteSetReq = 105,   // body: DeleteSetReq  -> kDeleteAck
-  kDeleteAck = 106,      // no body
-  kStorageShutdown = 107,
-};
-
-struct ReadChunkReq {
-  SetId set;
-  uint64_t epoch = 0;
-  // Keep consume-once payloads (update sets) resident after serving: set by
-  // checkpoint snapshot scans, which read the set a later gather must still
-  // be able to drain.
-  bool preserve_payload = false;
-};
-
-struct ReadChunkResp {
-  bool ok = false;
-  Chunk chunk;
-};
-
-struct WriteChunkReq {
-  SetId set;
-  Chunk chunk;
-};
-
-struct ReadIndexedReq {
-  SetId set;
-  uint64_t index = 0;
-  // When true the read counts against the epoch's served bytes (and frees
-  // consume-once payloads), so the D estimate works in directory mode too.
-  bool consume = false;
-  uint64_t epoch = 0;
-};
-
-struct DeleteSetReq {
-  SetId set;
-};
-
-// Modeled wire size of a bare request/ack message.
-constexpr uint64_t kControlMsgBytes = 64;
-
+// Serves kReadChunkReq, kReadIndexedReq, kWriteChunkReq and kDeleteSetReq
+// until kStorageShutdown (bodies in net/wire.h).
 class StorageEngine {
  public:
   StorageEngine(Simulator* sim, MessageBus* bus, MachineId machine, const StorageConfig& config);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "algorithms/basic.h"
+#include "core/chunk_io.h"
 #include "core/cluster.h"
 #include "core/edge_chunk_view.h"
 #include "core/record_arena.h"
@@ -580,6 +583,101 @@ TEST(UpdateChunkViewTest, AosChunkAborts) {
   const Chunk c =
       MakeChunk<UpdateRecord<float>>(/*index=*/0, /*model_bytes=*/16 * 12, TestUpdates(16));
   EXPECT_DEATH((UpdateChunkView{c, sizeof(float)}), "kUpdateSoA");
+}
+
+// ------------------------------------------------ chunk fetcher targets
+
+// Reference target choice: two scans over every machine, the first
+// counting the least-loaded live engines, the second walking to the drawn
+// one.
+MachineId ReferencePick(const std::vector<int>& load, const std::vector<uint8_t>& empty,
+                        Rng* rng) {
+  const auto machines = static_cast<MachineId>(load.size());
+  int best = INT32_MAX;
+  int candidates = 0;
+  for (MachineId m = 0; m < machines; ++m) {
+    if (empty[static_cast<size_t>(m)]) {
+      continue;
+    }
+    const int l = load[static_cast<size_t>(m)];
+    if (l < best) {
+      best = l;
+      candidates = 1;
+    } else if (l == best) {
+      ++candidates;
+    }
+  }
+  if (candidates == 0) {
+    return kNoMachine;
+  }
+  uint64_t pick = rng->Below(static_cast<uint64_t>(candidates));
+  for (MachineId m = 0; m < machines; ++m) {
+    if (empty[static_cast<size_t>(m)] || load[static_cast<size_t>(m)] != best) {
+      continue;
+    }
+    if (pick == 0) {
+      return m;
+    }
+    --pick;
+  }
+  return kNoMachine;
+}
+
+// Random in-flight loads and empty flags over 1-130 machines (crossing the
+// 64-machine word boundary twice): every pick equals the two-pass scan's
+// from the same Rng state and consumes the same draws.
+TEST(TargetPickerTest, MatchesTwoPassScan) {
+  Rng gen(2024);
+  uint64_t picks = 0;
+  uint64_t none = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int machines = 1 + static_cast<int>(gen.Below(130));
+    const int max_load = 1 + static_cast<int>(gen.Below(8));
+    TargetPicker picker(machines, max_load);
+    std::vector<int> load(static_cast<size_t>(machines), 0);
+    std::vector<uint8_t> empty(static_cast<size_t>(machines), 0);
+    const uint64_t seed = gen.Next();
+    Rng mine(seed);
+    Rng ref(seed);
+    for (int step = 0; step < 300; ++step) {
+      const auto m = static_cast<MachineId>(gen.Below(static_cast<uint64_t>(machines)));
+      const size_t i = static_cast<size_t>(m);
+      switch (gen.Below(8)) {
+        case 0:
+          if (gen.Below(4) == 0) {  // keep most engines live for longer
+            picker.Retire(m);
+            empty[i] = 1;
+          }
+          break;
+        case 1:
+        case 2:
+          if (load[i] > 0) {
+            picker.End(m);
+            --load[i];
+          }
+          break;
+        case 3:
+        case 4:
+          if (load[i] < max_load) {
+            picker.Begin(m);
+            ++load[i];
+          }
+          break;
+        default: {
+          const MachineId want = ReferencePick(load, empty, &ref);
+          const MachineId got = picker.Pick(&mine);
+          ASSERT_EQ(got, want) << "round " << round << " step " << step;
+          ++(want == kNoMachine ? none : picks);
+          break;
+        }
+      }
+    }
+    ASSERT_EQ(picker.live(), std::count(empty.begin(), empty.end(), 0));
+    // Same number of draws: the two generators are still in lockstep.
+    ASSERT_EQ(mine.Next(), ref.Next()) << "round " << round;
+  }
+  EXPECT_GT(picks, 10000u);
+  EXPECT_GT(none, 0u);
 }
 
 // --------------------------------------------------------------- clusters

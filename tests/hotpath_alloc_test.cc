@@ -1,6 +1,9 @@
 // Allocation-count guard for the DES hot paths: after warmup, neither
-// event Push/Pop (calendar queue, inline EventFn) nor the per-record
-// RecordBinner::Add/AddUpdate paths may touch the heap.
+// event Push/Pop (calendar queue, inline EventFn), nor the message path (a
+// remote RPC round trip through both NIC FIFOs and a mailbox, sleeping
+// FifoResource requests, CondEvent waits: pooled coroutine frames, typed
+// message bodies, slot RPCs), nor the per-record RecordBinner::Add/AddUpdate
+// paths may touch the heap.
 // The global operator new/delete are replaced with counting wrappers, so
 // any allocation creeping back into these loops fails loudly here — also
 // under ASan/TSan, which route through the replaced operators.
@@ -23,6 +26,9 @@
 #include "graph/types.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
+#include "sim/resource.h"
+#include "sim/simulator.h"
+#include "sim/sync.h"
 #include "util/rng.h"
 
 namespace {
@@ -151,6 +157,115 @@ TEST(HotPathAllocTest, InterleavedPushPopAllocFree) {
     }
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+// Idles the simulator to the next 2^20 ns boundary. The calendar rotation
+// (pow2 bucket width x pow2 bucket count) divides 2^20 ns at the default
+// geometry, so a round started there lands its events in the same buckets
+// as every earlier round and finds their vectors already grown.
+void AlignRound(Simulator* sim) {
+  constexpr TimeNs kPeriod = TimeNs{1} << 20;
+  sim->PostAt((sim->now() / kPeriod + 1) * kPeriod, [] {});
+  sim->Run();
+}
+
+// A remote RPC round trip: Call on machine 0, the request through machine
+// 0's uplink and machine 1's downlink into machine 1's control mailbox
+// (SimQueue::Pop), PostReply back through both NICs into the pending call.
+// Frames come from the frame freelist, bodies are variant alternatives and
+// the call sits in an RPC slot, so once warm nothing allocates.
+TEST(HotPathAllocTest, WarmRemoteRpcRoundTripAllocFree) {
+  Simulator sim;
+  Network net(&sim, 2, NetworkConfig::FortyGigE());
+  MessageBus bus(&sim, &net);
+  uint64_t served = 0;
+  uint64_t answered = 0;
+  const auto round_trips = [&](int calls) {
+    AlignRound(&sim);
+    sim.Spawn([](MessageBus* bus, int calls, uint64_t* served) -> Task<> {
+      for (int i = 0; i < calls; ++i) {
+        Message req = co_await bus->Inbox(1, kControlService).Pop();
+        AccumPullReq body = req.As<AccumPullReq>();
+        ++body.superstep;
+        bus->PostReply(req, kAccumPullReq, kControlMsgBytes, body);
+        ++*served;
+      }
+    }(&bus, calls, &served));
+    for (int i = 0; i < calls; ++i) {
+      sim.Spawn([](MessageBus* bus, int i, uint64_t* answered) -> Task<> {
+        Message req;
+        req.src = 0;
+        req.dst = 1;
+        req.service = kControlService;
+        req.type = kAccumPullReq;
+        req.wire_bytes = kControlMsgBytes;
+        AccumPullReq body;
+        body.partition = static_cast<PartitionId>(i);
+        req.body = body;
+        Message resp = co_await bus->Call(std::move(req));
+        CHAOS_CHECK_EQ(resp.As<AccumPullReq>().superstep, 1u);
+        ++*answered;
+      }(&bus, i, &answered));
+    }
+    sim.Run();
+  };
+  round_trips(8);  // warm: frames, RPC slots, mailbox ring, sleeper slots
+  round_trips(8);
+  const uint64_t allocs = CountAllocs([&] { round_trips(8); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(served, 24u);
+  EXPECT_EQ(answered, 24u);
+  EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
+// Sleeping FifoResource requests: each of 6 queued requests sleeps until
+// its projected completion, and a SetRate mid-queue wakes them all to
+// re-project. Wake state lives in reused generation slots.
+TEST(HotPathAllocTest, WarmFifoResourceSleepersAllocFree) {
+  Simulator sim;
+  FifoResource dev(&sim, "dev");
+  uint64_t done = 0;
+  const auto burst = [&] {
+    AlignRound(&sim);
+    for (int i = 0; i < 6; ++i) {
+      sim.Spawn([](FifoResource* dev, uint64_t* done) -> Task<> {
+        co_await dev->Acquire(1000);
+        ++*done;
+      }(&dev, &done));
+    }
+    sim.PostAt(sim.now() + 2500, [&dev] { dev.SetRate(0.5); });
+    sim.PostAt(sim.now() + 4000, [&dev] { dev.SetRate(1.0); });
+    CHAOS_CHECK_GE(dev.queue_length(), 4u);
+    sim.Run();
+  };
+  burst();
+  burst();
+  const uint64_t allocs = CountAllocs(burst);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(done, 18u);
+}
+
+// A CondEvent wait/notify cycle keeps its waiter vector's capacity.
+TEST(HotPathAllocTest, WarmCondEventCycleAllocFree) {
+  Simulator sim;
+  CondEvent cond(&sim);
+  uint64_t woken = 0;
+  const auto cycle = [&] {
+    AlignRound(&sim);
+    for (int i = 0; i < 5; ++i) {
+      sim.Spawn([](CondEvent* cond, uint64_t* woken) -> Task<> {
+        co_await cond->Wait();
+        ++*woken;
+      }(&cond, &woken));
+    }
+    cond.NotifyAll();
+    sim.Run();
+  };
+  cycle();
+  cycle();
+  const uint64_t allocs = CountAllocs(cycle);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(woken, 15u);
 }
 
 TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {

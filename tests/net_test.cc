@@ -107,15 +107,32 @@ TEST(MessageBusTest, SenderBlocksOnlyForUplink) {
   EXPECT_EQ(sender_resumed, 500);  // uplink only, not latency+downlink
 }
 
+// Bodies are read through Message::As<T>(), which checks the variant
+// alternative and, on a mismatch, aborts naming the message type and both
+// body types.
+TEST(MessageTest, AsChecksTheBodyType) {
+  Message m = MakeMessage(3, 5, kStorageService, kReadChunkReq, kControlMsgBytes,
+                          ReadChunkReq{SetId{7, SetKind::kEdges}, 2, false});
+  EXPECT_EQ(m.As<ReadChunkReq>().set.partition, 7u);
+  EXPECT_EQ(m.As<ReadChunkReq>().epoch, 2u);
+  EXPECT_DEATH((void)m.As<ReadChunkResp>(),
+               "kReadChunkReq \\(100, machine 3 -> 5\\) carries ReadChunkReq, expected "
+               "ReadChunkResp");
+  const Message ack = MakeMessage(0, 1, kStorageService, kWriteAck, kControlMsgBytes);
+  EXPECT_DEATH((void)ack.As<DirNextResp>(), "kWriteAck .* carries no body, expected DirNextResp");
+}
+
 TEST(MessageBusTest, RpcRoundTrip) {
   Simulator sim;
   Network net(&sim, 2, TestConfig());
   MessageBus bus(&sim, &net);
-  // Server echoes the request payload + 1.
+  // Server echoes the requested partition + 1.
   sim.Spawn([](MessageBus* bus) -> Task<> {
     Message req = co_await bus->Inbox(1, kStorageService).Pop();
-    const int v = std::any_cast<int>(req.body);
-    bus->PostReply(req, 42, 100, v + 1);
+    const PartitionId v = req.As<AccumPullReq>().partition;
+    AccumPullReq reply;
+    reply.partition = v + 1;
+    bus->PostReply(req, 42, 100, reply);
   }(&bus));
   int got = 0;
   TimeNs finished = -1;
@@ -126,12 +143,13 @@ TEST(MessageBusTest, RpcRoundTrip) {
     req.service = kStorageService;
     req.type = 1;
     req.wire_bytes = 100;
-    req.body = 41;
+    AccumPullReq body;
+    body.partition = 41;
+    req.body = body;
     Message resp = co_await bus->Call(std::move(req));
-    *got = std::any_cast<int>(resp.body);
     CHAOS_CHECK(resp.is_response);
     CHAOS_CHECK_EQ(resp.type, 42u);
-    *got = std::any_cast<int>(resp.body);
+    *got = static_cast<int>(resp.As<AccumPullReq>().partition);
     *finished = s->now();
   }(&bus, &sim, &got, &finished));
   sim.Run();
@@ -163,9 +181,11 @@ TEST(MessageBusTest, ManyConcurrentRpcsAllResolve) {
       req.service = kStorageService;
       req.type = static_cast<uint32_t>(tag);
       req.wire_bytes = 64;
-      req.body = tag;
+      AccumPullReq body;
+      body.partition = static_cast<PartitionId>(tag);
+      req.body = body;
       Message resp = co_await bus->Call(std::move(req));
-      CHAOS_CHECK_EQ(std::any_cast<int>(resp.body), tag);
+      CHAOS_CHECK_EQ(resp.As<AccumPullReq>().partition, static_cast<PartitionId>(tag));
       CHAOS_CHECK_EQ(resp.type, static_cast<uint32_t>(tag) + 1000);
       ++*completed;
     }(&bus, dst, i, &completed));

@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <coroutine>
+#include <deque>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -633,6 +637,247 @@ TEST(ResourceTest, PropertyBusyTimeConservation) {
   EXPECT_EQ(dev.total_busy(), expected_busy);
   EXPECT_EQ(dev.num_requests(), 200u);
   EXPECT_GE(dev.busy_until(), expected_busy);  // idle gaps only push it later
+}
+
+// ------------------------------------------------ FifoResource differential
+
+// Reference FifoResource with the straightforward wake path: a shared_ptr
+// fired-flag per sleep and a registry vector pruned on every registration.
+// The generation-slot wake path must match it event for event (same role
+// as HeapReference for the event queue).
+class FifoReference {
+ public:
+  explicit FifoReference(Simulator* sim) : sim_(sim) {}
+
+  Task<> Acquire(TimeNs service) {
+    const uint64_t id = next_ticket_id_++;
+    const TimeNs start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
+    TimeNs target = start + Scaled(service, rate_);
+    busy_until_ = target;
+    total_busy_ += Scaled(service, rate_);
+    queue_.push_back(Ticket{id, target, service});
+    uint64_t seen_epoch = rate_epoch_;
+    while (target > sim_->now()) {
+      co_await RateChangeAwaiter{this, target};
+      if (rate_epoch_ != seen_epoch) {
+        seen_epoch = rate_epoch_;
+        target = DoneTimeOf(id);
+      }
+    }
+    PopTicket(id);
+  }
+
+  void SetRate(double rate) {
+    const TimeNs now = sim_->now();
+    if (!queue_.empty()) {
+      const TimeNs old_busy_until = busy_until_;
+      TimeNs prev = now;
+      for (size_t i = 0; i < queue_.size(); ++i) {
+        Ticket& t = queue_[i];
+        TimeNs remaining_nominal;
+        if (i == 0) {
+          const TimeNs remaining = t.done > now ? t.done - now : 0;
+          remaining_nominal =
+              static_cast<TimeNs>(std::ceil(static_cast<double>(remaining) * rate_));
+        } else {
+          remaining_nominal = t.work;
+        }
+        t.done = prev + Scaled(remaining_nominal, rate);
+        prev = t.done;
+      }
+      busy_until_ = queue_.back().done;
+      total_busy_ += busy_until_ - old_busy_until;
+    }
+    rate_ = rate;
+    ++rate_epoch_;
+    std::vector<RateWaiter> waiters;
+    waiters.swap(rate_waiters_);
+    std::vector<std::coroutine_handle<>> to_resume;
+    for (auto& w : waiters) {
+      if (!*w.fired) {
+        *w.fired = true;
+        to_resume.push_back(w.h);
+      }
+    }
+    if (to_resume.empty()) {
+      return;
+    }
+    sim_->Post(0, [handles = std::move(to_resume)] {
+      for (const auto h : handles) {
+        h.resume();
+      }
+    });
+  }
+
+  TimeNs total_busy() const { return total_busy_; }
+  TimeNs busy_until() const { return busy_until_; }
+
+ private:
+  struct Ticket {
+    uint64_t id;
+    TimeNs done;
+    TimeNs work;
+  };
+  struct RateWaiter {
+    std::shared_ptr<bool> fired;
+    std::coroutine_handle<> h;
+  };
+  struct RateChangeAwaiter {
+    FifoReference* res;
+    TimeNs target;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      auto& waiters = res->rate_waiters_;
+      std::erase_if(waiters, [](const RateWaiter& w) { return *w.fired; });
+      auto fired = std::make_shared<bool>(false);
+      waiters.push_back(RateWaiter{fired, h});
+      res->sim_->PostAt(target, [fired, h] {
+        if (!*fired) {
+          *fired = true;
+          h.resume();
+        }
+      });
+    }
+    void await_resume() const noexcept {}
+  };
+
+  static TimeNs Scaled(TimeNs service, double rate) {
+    if (rate == 1.0 || service == 0) {
+      return service;
+    }
+    return static_cast<TimeNs>(std::ceil(static_cast<double>(service) / rate));
+  }
+  TimeNs DoneTimeOf(uint64_t id) const {
+    for (const Ticket& t : queue_) {
+      if (t.id == id) {
+        return t.done;
+      }
+    }
+    CHAOS_CHECK_MSG(false, "reference ticket vanished");
+    return 0;
+  }
+  void PopTicket(uint64_t id) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->id == id) {
+        queue_.erase(it);
+        return;
+      }
+    }
+    CHAOS_CHECK_MSG(false, "reference pop of unknown ticket");
+  }
+
+  Simulator* sim_;
+  double rate_ = 1.0;
+  uint64_t rate_epoch_ = 0;
+  TimeNs busy_until_ = 0;
+  TimeNs total_busy_ = 0;
+  uint64_t next_ticket_id_ = 1;
+  std::deque<Ticket> queue_;
+  std::vector<RateWaiter> rate_waiters_;
+};
+
+// One scheduled operation: an Acquire (rate == 0) or a SetRate.
+struct FifoOp {
+  TimeNs time;
+  TimeNs service;
+  double rate;
+};
+
+struct FifoTrace {
+  std::vector<std::pair<int, TimeNs>> resumes;  // (request, completion) in resume order
+  uint64_t events = 0;
+  TimeNs total_busy = 0;
+  TimeNs busy_until = 0;
+
+  bool operator==(const FifoTrace&) const = default;
+};
+
+// Replays `ops` against a fresh Res. Operations at one timestamp run in
+// list order (PostAt breaks time ties by insertion order).
+template <typename Res>
+FifoTrace RunFifoSchedule(const std::vector<FifoOp>& ops) {
+  Simulator sim;
+  Res res(&sim);
+  FifoTrace trace;
+  int next_request = 0;
+  for (const FifoOp& op : ops) {
+    if (op.rate > 0.0) {
+      sim.PostAt(op.time, [&res, rate = op.rate] { res.SetRate(rate); });
+      continue;
+    }
+    const int request = next_request++;
+    sim.PostAt(op.time, [&sim, &res, &trace, request, service = op.service] {
+      sim.Spawn([](Simulator* s, Res* res, FifoTrace* t, int id, TimeNs service) -> Task<> {
+        co_await res->Acquire(service);
+        t->resumes.emplace_back(id, s->now());
+      }(&sim, &res, &trace, request, service));
+    });
+  }
+  sim.Run();
+  CHAOS_CHECK_EQ(sim.live_tasks(), 0u);
+  trace.events = sim.events_processed();
+  trace.total_busy = res.total_busy();
+  trace.busy_until = res.busy_until();
+  return trace;
+}
+
+// A seeded random schedule: arrivals (some at the same instant, some with
+// zero service) interleaved with rate changes that slow the resource down
+// and speed it up while requests sleep, including two rate changes at one
+// timestamp with arrivals between them.
+std::vector<FifoOp> RandomFifoSchedule(uint64_t seed, int n, TimeNs spread) {
+  static constexpr double kRates[] = {0.25, 0.5, 0.8, 1.0, 1.5, 3.0};
+  Rng rng(seed);
+  std::vector<FifoOp> ops;
+  TimeNs now = 0;
+  const auto rate = [&rng] { return kRates[rng.Below(std::size(kRates))]; };
+  const auto service = [&rng] {
+    return rng.Below(5) == 0 ? TimeNs{0} : static_cast<TimeNs>(1 + rng.Below(300));
+  };
+  for (int i = 0; i < n; ++i) {
+    if (rng.Below(3) != 0) {
+      now += static_cast<TimeNs>(rng.Below(static_cast<uint64_t>(spread)));
+    }
+    switch (rng.Below(10)) {
+      case 0:
+        ops.push_back(FifoOp{now, 0, rate()});
+        break;
+      case 1:
+        ops.push_back(FifoOp{now, 0, rate()});
+        for (uint64_t k = rng.Below(3); k > 0; --k) {
+          ops.push_back(FifoOp{now, service(), 0.0});
+        }
+        ops.push_back(FifoOp{now, 0, rate()});
+        break;
+      default:
+        ops.push_back(FifoOp{now, service(), 0.0});
+        break;
+    }
+  }
+  return ops;
+}
+
+struct SlotFifo : FifoResource {
+  explicit SlotFifo(Simulator* sim) : FifoResource(sim, "dut") {}
+};
+
+TEST(FifoResourceDifferentialTest, MatchesRegistryReference) {
+  int cases = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    // Small spreads keep long queues of sleepers for rate changes to hit;
+    // large ones let the resource drain between arrivals.
+    const TimeNs spread = seed % 2 == 0 ? 40 : 400;
+    const std::vector<FifoOp> ops = RandomFifoSchedule(seed, 300, spread);
+    const FifoTrace want = RunFifoSchedule<FifoReference>(ops);
+    const FifoTrace got = RunFifoSchedule<SlotFifo>(ops);
+    ASSERT_FALSE(want.resumes.empty());
+    ASSERT_EQ(got.resumes, want.resumes) << "seed " << seed;
+    ASSERT_EQ(got.events, want.events) << "seed " << seed;
+    ASSERT_EQ(got.total_busy, want.total_busy) << "seed " << seed;
+    ASSERT_EQ(got.busy_until, want.busy_until) << "seed " << seed;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 40);
 }
 
 // Determinism: the same seeded workload produces the identical completion

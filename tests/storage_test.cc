@@ -141,7 +141,7 @@ TEST(StorageEngineTest, ServeOncePerEpoch) {
   rig.sim.Spawn([](Rig* rig, SetId set, std::vector<int>* got) -> Task<> {
     while (true) {
       Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, /*epoch=*/1));
-      const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+      const auto& r = resp.As<ReadChunkResp>();
       if (!r.ok) {
         break;
       }
@@ -165,13 +165,13 @@ TEST(StorageEngineTest, NewEpochResetsCursor) {
   rig.sim.Spawn([](Rig* rig, SetId set, int* reads) -> Task<> {
     for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
       Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, epoch));
-      const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+      const auto& r = resp.As<ReadChunkResp>();
       CHAOS_CHECK(r.ok);
       CHAOS_CHECK_EQ(ChunkSpan<int>(r.chunk)[0], 42);
       ++*reads;
       // Second read within the same epoch must be empty.
       Message resp2 = co_await rig->bus.Call(ReadReq(0, 0, set, epoch));
-      CHAOS_CHECK(!std::any_cast<const ReadChunkResp&>(resp2.body).ok);
+      CHAOS_CHECK(!resp2.As<ReadChunkResp>().ok);
     }
     rig->Shutdown();
   }(&rig, set, &reads));
@@ -183,7 +183,7 @@ TEST(StorageEngineTest, MissingSetReturnsEmpty) {
   Rig rig(1);
   rig.sim.Spawn([](Rig* rig) -> Task<> {
     Message resp = co_await rig->bus.Call(ReadReq(0, 0, SetId{9, SetKind::kEdges}, 1));
-    CHAOS_CHECK(!std::any_cast<const ReadChunkResp&>(resp.body).ok);
+    CHAOS_CHECK(!resp.As<ReadChunkResp>().ok);
     rig->Shutdown();
   }(&rig));
   rig.sim.Run();
@@ -201,7 +201,7 @@ TEST(StorageEngineTest, WriteThenReadBack) {
     Message ack = co_await rig->bus.Call(WriteReq(0, 1, set, IntChunk(0, std::move(payload))));
     CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kWriteAck));
     Message resp = co_await rig->bus.Call(ReadReq(0, 1, set, 0));
-    const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+    const auto& r = resp.As<ReadChunkResp>();
     CHAOS_CHECK(r.ok);
     auto span = ChunkSpan<int>(r.chunk);
     CHAOS_CHECK_EQ(span.size(), 3u);
@@ -219,7 +219,7 @@ TEST(StorageEngineTest, UpdatePayloadFreedAfterServe) {
   rig.engines[0]->HostAddChunk(set, IntChunk(0, {1}));
   rig.sim.Spawn([](Rig* rig, SetId set) -> Task<> {
     Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, 0));
-    CHAOS_CHECK(std::any_cast<const ReadChunkResp&>(resp.body).ok);
+    CHAOS_CHECK(resp.As<ReadChunkResp>().ok);
     rig->Shutdown();
   }(&rig, set));
   rig.sim.Run();
@@ -234,7 +234,7 @@ TEST(StorageEngineTest, EdgePayloadRetainedAfterServe) {
   rig.engines[0]->HostAddChunk(set, IntChunk(0, {1}));
   rig.sim.Spawn([](Rig* rig, SetId set) -> Task<> {
     Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, 0));
-    CHAOS_CHECK(std::any_cast<const ReadChunkResp&>(resp.body).ok);
+    CHAOS_CHECK(resp.As<ReadChunkResp>().ok);
     rig->Shutdown();
   }(&rig, set));
   rig.sim.Run();
@@ -255,7 +255,7 @@ TEST(StorageEngineTest, IndexedReadAndOverwrite) {
     m.wire_bytes = kControlMsgBytes;
     m.body = ReadIndexedReq{set, 7, false, 0};
     Message resp = co_await rig->bus.Call(std::move(m));
-    const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+    const auto& r = resp.As<ReadChunkResp>();
     CHAOS_CHECK(r.ok);
     CHAOS_CHECK_EQ(ChunkSpan<int>(r.chunk)[0], 100);
     // Overwrite chunk #7 and read again.
@@ -269,7 +269,7 @@ TEST(StorageEngineTest, IndexedReadAndOverwrite) {
     m2.wire_bytes = kControlMsgBytes;
     m2.body = ReadIndexedReq{set, 7, false, 0};
     Message resp2 = co_await rig->bus.Call(std::move(m2));
-    CHAOS_CHECK_EQ(ChunkSpan<int>(std::any_cast<const ReadChunkResp&>(resp2.body).chunk)[0], 200);
+    CHAOS_CHECK_EQ(ChunkSpan<int>(resp2.As<ReadChunkResp>().chunk)[0], 200);
     rig->Shutdown();
   }(&rig, set));
   rig.sim.Run();
@@ -310,7 +310,7 @@ TEST(StorageEngineTest, DeleteSetRemovesData) {
     Message ack = co_await rig->bus.Call(std::move(m));
     CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kDeleteAck));
     Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, 5));
-    CHAOS_CHECK(!std::any_cast<const ReadChunkResp&>(resp.body).ok);
+    CHAOS_CHECK(!resp.As<ReadChunkResp>().ok);
     rig->Shutdown();
   }(&rig, set));
   rig.sim.Run();
@@ -333,7 +333,7 @@ TEST(StorageEngineTest, PropertyConcurrentReadersDisjointChunks) {
                      int* finished) -> Task<> {
       while (true) {
         Message resp = co_await rig->bus.Call(ReadReq(me, 2, set, 1));
-        const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+        const auto& r = resp.As<ReadChunkResp>();
         if (!r.ok) {
           break;
         }
@@ -418,7 +418,7 @@ TEST(FileSpillTest, RoundTripThroughRealFiles) {
     std::vector<int> got;
     rig.sim.Spawn([](Rig* rig, SetId set, std::vector<int>* got) -> Task<> {
       Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, 1));
-      const auto& r = std::any_cast<const ReadChunkResp&>(resp.body);
+      const auto& r = resp.As<ReadChunkResp>();
       CHAOS_CHECK(r.ok);
       for (int v : ChunkSpan<int>(r.chunk)) {
         got->push_back(v);
@@ -450,7 +450,7 @@ TEST(DirectoryTest, AllocThenNextRoundTrip) {
       req.wire_bytes = kControlMsgBytes;
       req.body = DirAllocReq{set};
       Message resp = co_await rig->bus.Call(std::move(req));
-      const auto& alloc = std::any_cast<const DirAllocResp&>(resp.body);
+      const auto& alloc = resp.As<DirAllocResp>();
       CHAOS_CHECK(alloc.engine >= 0 && alloc.engine < 4);
       std::vector<int> payload(1, static_cast<int>(i));
       (void)co_await rig->bus.Call(
@@ -467,7 +467,7 @@ TEST(DirectoryTest, AllocThenNextRoundTrip) {
       req.wire_bytes = kControlMsgBytes;
       req.body = DirNextReq{set, 1};
       Message resp = co_await rig->bus.Call(std::move(req));
-      const auto& next = std::any_cast<const DirNextResp&>(resp.body);
+      const auto& next = resp.As<DirNextResp>();
       if (!next.ok) {
         break;
       }
@@ -479,7 +479,7 @@ TEST(DirectoryTest, AllocThenNextRoundTrip) {
       read.wire_bytes = kControlMsgBytes;
       read.body = ReadIndexedReq{set, next.index, true, 1};
       Message rresp = co_await rig->bus.Call(std::move(read));
-      const auto& r = std::any_cast<const ReadChunkResp&>(rresp.body);
+      const auto& r = rresp.As<ReadChunkResp>();
       CHAOS_CHECK(r.ok);
       seen.insert(ChunkSpan<int>(r.chunk)[0]);
     }
