@@ -6,11 +6,14 @@
 #ifndef CHAOS_BENCH_BENCH_COMMON_H_
 #define CHAOS_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,6 +156,39 @@ inline std::vector<std::string> AllAlgorithmNames() {
   return names;
 }
 
+// Splits a comma list, dropping empty items: "bfs,,wcc," -> {bfs, wcc}.
+inline std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  size_t pos = 0;
+  while (pos <= list.size()) {
+    const size_t end = std::min(list.find(',', pos), list.size());
+    if (end > pos) {
+      items.push_back(list.substr(pos, end - pos));
+    }
+    pos = end + 1;
+  }
+  return items;
+}
+
+// Resolves an --algos flag: its listed names, or all ten when it is empty.
+// Returns false after a one-line stderr message when the list names no
+// algorithm or an unknown one, so a bench can refuse before any point runs.
+inline bool AlgoListFlag(const std::string& flag, std::vector<std::string>* algos) {
+  const std::vector<std::string> known = AllAlgorithmNames();
+  *algos = flag.empty() ? known : SplitList(flag);
+  for (const std::string& name : *algos) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "error: unknown algorithm '%s' in --algos\n", name.c_str());
+      return false;
+    }
+  }
+  if (algos->empty()) {
+    std::fprintf(stderr, "error: --algos lists no algorithms\n");
+    return false;
+  }
+  return true;
+}
+
 // ----------------------------------------------------------------------
 // Parallel sweep plumbing (--jobs).
 //
@@ -230,6 +266,137 @@ inline std::map<std::string, double> TakeRecordedMetrics() {
   out.swap(RecordedMetricsMap());
   return out;
 }
+
+// ----------------------------------------------------------------------
+// Machine-count scaling figures (Figs. 7-12, 14, 15, 19): one harness for
+// the algorithm x MachineSweep() loop each of them runs.
+
+// How a scaling point builds its cluster and what it measures. The storage
+// and network profiles go through BenchClusterConfig, which miniaturizes
+// their latencies with the chunk size; `tweak` edits the config after that.
+struct ScalingSetup {
+  uint64_t seed = 1;
+  StorageConfig storage = StorageConfig::Ssd();
+  NetworkConfig net = NetworkConfig::FortyGigE();
+  std::function<void(ClusterConfig&)> tweak;
+  std::function<double(const RunMetrics&)> metric;  // unset: simulated seconds
+};
+
+// The value one curve of a scaling figure measures at `m` machines.
+using ScalingPoint = std::function<double(int m)>;
+
+inline double RunScalingPoint(const std::string& algo, const InputGraph& prepared, int m,
+                              const ScalingSetup& setup) {
+  ClusterConfig cfg = BenchClusterConfig(prepared, m, setup.seed, setup.storage, setup.net);
+  if (setup.tweak) {
+    setup.tweak(cfg);
+  }
+  const JobResult result = RunJob(MakeJob(algo, prepared, cfg));
+  return setup.metric ? setup.metric(result.metrics) : result.metrics.total_seconds();
+}
+
+// Strong scaling: every point runs on one prepared graph, shared read-only.
+inline ScalingPoint StrongScalingPoint(std::string algo,
+                                       std::shared_ptr<const InputGraph> prepared,
+                                       ScalingSetup setup) {
+  return [=](int m) { return RunScalingPoint(algo, *prepared, m, setup); };
+}
+
+// Weak scaling: the RMAT scale grows by one per doubling of m, from
+// `base_scale` at m=1; each point generates and prepares its own graph.
+inline ScalingPoint WeakScalingPoint(std::string algo, uint32_t base_scale,
+                                     ScalingSetup setup) {
+  return [=](int m) {
+    const auto doublings = static_cast<uint32_t>(std::bit_width(static_cast<unsigned>(m)) - 1);
+    const InputGraph prepared = PrepareInput(
+        algo, BenchRmat(base_scale + doublings, AlgorithmByName(algo).needs_weights, setup.seed));
+    return RunScalingPoint(algo, prepared, m, setup);
+  };
+}
+
+// A scaling figure's table: one row per curve, one cell per MachineSweep()
+// count. Run() measures every point (in parallel under --jobs); Print()
+// shows each cell normalized to the m=1 value of the row's base row.
+class ScalingTable {
+ public:
+  struct Row {
+    std::string label;  // first column
+    std::string key;    // metric prefix
+    ScalingPoint point;
+    size_t base_row;
+    std::vector<double> values;      // measured, one per MachineSweep() count
+    std::vector<double> normalized;  // over the base row's m=1 value (0 if that is 0)
+
+    // The inverse of the normalized value at the largest m (0 if that is 0).
+    double Speedup() const { return normalized.back() > 0 ? 1.0 / normalized.back() : 0.0; }
+  };
+
+  const std::vector<Row>& rows() const { return rows_; }
+
+  // Adds a curve normalized to the m=1 value of row `base_row`, an earlier
+  // row (default: its own).
+  void Add(std::string label, std::string key, ScalingPoint point,
+           std::optional<size_t> base_row = std::nullopt) {
+    CHAOS_CHECK_LE(base_row.value_or(0), rows_.size());
+    rows_.push_back(Row{std::move(label), std::move(key), std::move(point),
+                        base_row.value_or(rows_.size()), {}, {}});
+  }
+
+  void Run() {
+    Sweep<double> sweep;
+    for (const Row& row : rows_) {
+      for (const int m : MachineSweep()) {
+        sweep.Add([&row, m] { return row.point(m); });
+      }
+    }
+    const std::vector<double> values = sweep.Run();
+    const auto per_row = static_cast<ptrdiff_t>(MachineSweep().size());
+    auto next = values.begin();
+    for (Row& row : rows_) {
+      row.values.assign(next, next + per_row);
+      next += per_row;
+      const double base = rows_[row.base_row].values.front();
+      for (const double v : row.values) {
+        row.normalized.push_back(base > 0 ? v / base : 0.0);
+      }
+    }
+  }
+
+  // Prints the header and one line per row: its label, its normalized cells
+  // in `fmt`, then whatever `extra` prints under `extra_columns`. Records
+  // each measured value as "<key>.m<m>.<metric>".
+  void Print(const std::string& corner, const std::string& metric, const char* fmt = "%.2f",
+             const std::vector<std::string>& extra_columns = {},
+             const std::function<void(const Row&)>& extra = {}) const {
+    std::vector<std::string> header = {corner};
+    for (const int m : MachineSweep()) {
+      header.push_back("m=" + std::to_string(m));
+    }
+    header.insert(header.end(), extra_columns.begin(), extra_columns.end());
+    PrintHeader(header);
+    for (const Row& row : rows_) {
+      PrintCell(row.label);
+      for (size_t i = 0; i < row.values.size(); ++i) {
+        PrintCell(row.normalized[i], fmt);
+        RecordMetric(row.key + ".m" + std::to_string(MachineSweep()[i]) + "." + metric,
+                     row.values[i]);
+      }
+      if (extra) {
+        extra(row);
+      }
+      EndRow();
+    }
+  }
+
+  // The speedup@32 column of the strong-scaling figures.
+  static void SpeedupCell(const Row& row) {
+    PrintCell(row.Speedup(), "%.1fx");
+    RecordMetric(row.key + ".speedup_at_32", row.Speedup());
+  }
+
+ private:
+  std::vector<Row> rows_;
+};
 
 // ----------------------------------------------------------------------
 // Bench registry: every bench translation unit registers itself here and

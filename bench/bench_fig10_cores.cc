@@ -16,47 +16,23 @@ CHAOS_BENCH_MAIN(fig10, "Figure 10: sensitivity to CPU core count") {
   }
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
-  const std::vector<std::string> algos = {"bfs", "pagerank"};
-  const std::vector<int> core_counts = {16, 12, 8};
 
-  Sweep<double> sweep;
-  for (const std::string& name : algos) {
-    for (const int cores : core_counts) {
-      int step = 0;
-      for (const int m : MachineSweep()) {
-        const uint32_t scale = base + static_cast<uint32_t>(step);
-        sweep.Add([name, scale, cores, m, seed] {
-          InputGraph prepared = PrepareInput(name, BenchRmat(scale, false, seed));
-          ClusterConfig cfg = BenchClusterConfig(prepared, m, seed);
-          cfg.cost.cores = cores;
-          return RunJob(MakeJob(name, prepared, cfg)).metrics.total_seconds();
-        });
-        ++step;
-      }
+  ScalingTable table;
+  for (const std::string name : {"bfs", "pagerank"}) {
+    const size_t p16 = table.rows().size();
+    for (const int cores : {16, 12, 8}) {
+      ScalingSetup setup;
+      setup.seed = seed;
+      setup.tweak = [cores](ClusterConfig& cfg) { cfg.cost.cores = cores; };
+      table.Add(name + " p=" + std::to_string(cores),
+                "fig10." + name + ".p" + std::to_string(cores),
+                WeakScalingPoint(name, base, setup), p16);
     }
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 10: weak scaling with p CPU cores, normalized to m=1/p=16 ==\n");
-  PrintHeader({"algo/cores", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32"});
-  size_t idx = 0;
-  for (const std::string& name : algos) {
-    double base16 = 0.0;
-    for (const int cores : core_counts) {
-      PrintCell(name + " p=" + std::to_string(cores));
-      for (const int m : MachineSweep()) {
-        const double s = seconds[idx++];
-        if (m == 1 && cores == 16) {
-          base16 = s;
-        }
-        PrintCell(base16 > 0 ? s / base16 : 0.0);
-        RecordMetric("fig10." + name + ".p" + std::to_string(cores) + ".m" +
-                         std::to_string(m) + ".sim_s",
-                     s);
-      }
-      EndRow();
-    }
-  }
+  table.Print("algo/cores", "sim_s");
   std::printf("\npaper: adequate performance with half the cores (curves nearly overlap)\n");
   return 0;
 }

@@ -15,47 +15,22 @@ CHAOS_BENCH_MAIN(fig11, "Figure 11: SSD vs HDD weak scaling") {
   }
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
-  const std::vector<std::string> algos = {"bfs", "pagerank"};
-  const std::vector<bool> devices = {true, false};  // SSD, HDD
 
-  Sweep<double> sweep;
-  for (const std::string& name : algos) {
-    for (const bool ssd : devices) {
-      int step = 0;
-      for (const int m : MachineSweep()) {
-        const uint32_t scale = base + static_cast<uint32_t>(step);
-        sweep.Add([name, scale, ssd, m, seed] {
-          InputGraph prepared = PrepareInput(name, BenchRmat(scale, false, seed));
-          ClusterConfig cfg = BenchClusterConfig(
-              prepared, m, seed, ssd ? StorageConfig::Ssd() : StorageConfig::Hdd());
-          return RunJob(MakeJob(name, prepared, cfg)).metrics.total_seconds();
-        });
-        ++step;
-      }
+  ScalingTable table;
+  for (const std::string name : {"bfs", "pagerank"}) {
+    const size_t ssd_row = table.rows().size();
+    for (const bool ssd : {true, false}) {
+      ScalingSetup setup;
+      setup.seed = seed;
+      setup.storage = ssd ? StorageConfig::Ssd() : StorageConfig::Hdd();
+      table.Add(name + (ssd ? " SSD" : " HDD"), "fig11." + name + (ssd ? ".ssd" : ".hdd"),
+                WeakScalingPoint(name, base, setup), ssd_row);
     }
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 11: SSD vs HDD, weak scaling, normalized to m=1 SSD ==\n");
-  PrintHeader({"algo/device", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32"});
-  size_t idx = 0;
-  for (const std::string& name : algos) {
-    double base_ssd = 0.0;
-    for (const bool ssd : devices) {
-      PrintCell(name + (ssd ? " SSD" : " HDD"));
-      for (const int m : MachineSweep()) {
-        const double s = seconds[idx++];
-        if (m == 1 && ssd) {
-          base_ssd = s;
-        }
-        PrintCell(base_ssd > 0 ? s / base_ssd : 0.0);
-        RecordMetric("fig11." + name + (ssd ? ".ssd" : ".hdd") + ".m" + std::to_string(m) +
-                         ".sim_s",
-                     s);
-      }
-      EndRow();
-    }
-  }
+  table.Print("algo/device", "sim_s");
   std::printf("\npaper: HDD curve ~2x above SSD (bandwidth ratio), same scaling shape\n");
   return 0;
 }

@@ -26,47 +26,21 @@ CHAOS_BENCH_MAIN(fig12, "Figure 12: 40 GigE vs 1 GigE weak scaling") {
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
   const std::vector<std::string> algos = {"bfs", "pagerank"};
-  const std::vector<bool> nets = {true, false};  // 40GigE, 1GigE
 
-  Sweep<double> sweep;
+  ScalingTable table;
   for (const std::string& name : algos) {
-    for (const bool fast : nets) {
-      int step = 0;
-      for (const int m : MachineSweep()) {
-        const uint32_t scale = base + static_cast<uint32_t>(step);
-        sweep.Add([name, scale, fast, m, seed] {
-          InputGraph prepared = PrepareInput(name, BenchRmat(scale, false, seed));
-          ClusterConfig cfg = BenchClusterConfig(
-              prepared, m, seed, StorageConfig::Ssd(),
-              fast ? NetworkConfig::FortyGigE() : NetworkConfig::OneGigE());
-          return RunJob(MakeJob(name, prepared, cfg)).metrics.total_seconds();
-        });
-        ++step;
-      }
+    for (const bool fast : {true, false}) {
+      ScalingSetup setup;
+      setup.seed = seed;
+      setup.net = fast ? NetworkConfig::FortyGigE() : NetworkConfig::OneGigE();
+      table.Add(name + (fast ? " 40G" : " 1G"), "fig12." + name + (fast ? ".40g" : ".1g"),
+                WeakScalingPoint(name, base, setup));
     }
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 12: 40GigE vs 1GigE, weak scaling, normalized to m=1 ==\n");
-  PrintHeader({"algo/net", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32"});
-  size_t idx = 0;
-  for (const std::string& name : algos) {
-    for (const bool fast : nets) {
-      PrintCell(name + (fast ? " 40G" : " 1G"));
-      double base_seconds = 0.0;
-      for (const int m : MachineSweep()) {
-        const double s = seconds[idx++];
-        if (m == 1) {
-          base_seconds = s;  // each curve normalized to its own m=1
-        }
-        PrintCell(base_seconds > 0 ? s / base_seconds : 0.0);
-        RecordMetric("fig12." + name + (fast ? ".40g" : ".1g") + ".m" + std::to_string(m) +
-                         ".sim_s",
-                     s);
-      }
-      EndRow();
-    }
-  }
+  table.Print("algo/net", "sim_s");
   std::printf("\npaper: 1GigE curves blow up to 5-9x while 40GigE stays < 2x\n");
 
   // Wire-format combining A/B (see the header comment): {network_bytes,

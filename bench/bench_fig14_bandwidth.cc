@@ -12,58 +12,28 @@ CHAOS_BENCH_MAIN(fig14, "Figure 14: aggregate storage bandwidth during weak scal
   opt.AddInt("base-scale", 10, "RMAT scale at m=1");
   opt.AddInt("seed", 1, "seed");
   opt.AddString("algos", "bfs,pagerank,wcc,sssp,spmv", "comma list (all ten = paper)");
-  if (!ParseFlags(opt, argc, argv)) {
+  std::vector<std::string> algos;
+  if (!ParseFlags(opt, argc, argv) || !AlgoListFlag(opt.GetString("algos"), &algos)) {
     return 1;
   }
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
-  const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
-  std::vector<std::string> algos;
-  {
-    std::string s = opt.GetString("algos");
-    size_t pos = 0;
-    while (pos != std::string::npos) {
-      const size_t comma = s.find(',', pos);
-      algos.push_back(s.substr(pos, comma - pos));
-      pos = comma == std::string::npos ? comma : comma + 1;
-    }
-  }
+  ScalingSetup setup;
+  setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));
+  setup.metric = [](const RunMetrics& metrics) { return metrics.AggregateStorageBandwidth(); };
 
-  Sweep<double> sweep;
+  ScalingTable table;
   for (const auto& name : algos) {
-    int step = 0;
-    for (const int m : MachineSweep()) {
-      const uint32_t scale = base + static_cast<uint32_t>(step);
-      sweep.Add([name, scale, m, seed] {
-        InputGraph prepared =
-            PrepareInput(name, BenchRmat(scale, AlgorithmByName(name).needs_weights, seed));
-        ClusterConfig cfg = BenchClusterConfig(prepared, m, seed);
-        return RunJob(MakeJob(name, prepared, cfg)).metrics.AggregateStorageBandwidth();
-      });
-      ++step;
-    }
+    table.Add(name, "fig14." + name, WeakScalingPoint(name, base, setup));
   }
-  const std::vector<double> bandwidths = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 14: aggregate storage bandwidth, normalized to m=1 ==\n");
-  PrintHeader({"algorithm", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32", "of max@32"});
-  size_t idx = 0;
-  for (const auto& name : algos) {
-    PrintCell(name);
-    double base_bw = 0.0;
-    double frac_of_max = 0.0;
-    for (const int m : MachineSweep()) {
-      const double bw = bandwidths[idx++];
-      if (m == 1) {
-        base_bw = bw;
-      }
-      PrintCell(base_bw > 0 ? bw / base_bw : 0.0, "%.1f");
-      RecordMetric("fig14." + name + ".m" + std::to_string(m) + ".agg_bw_bps", bw);
-      frac_of_max = bw / (StorageConfig::Ssd().bandwidth_bps * m);
-    }
+  table.Print("algorithm", "agg_bw_bps", "%.1f", {"of max@32"}, [](const ScalingTable::Row& row) {
+    const double frac_of_max =
+        row.values.back() / (StorageConfig::Ssd().bandwidth_bps * MachineSweep().back());
     PrintCell(100.0 * frac_of_max, "%.0f%%");
-    RecordMetric("fig14." + name + ".frac_of_max_at_32", frac_of_max);
-    EndRow();
-  }
+    RecordMetric(row.key + ".frac_of_max_at_32", frac_of_max);
+  });
   std::printf("\nmax line: m x %s per machine; paper: within 3%% of max, linear scaling\n",
               FormatBandwidth(StorageConfig::Ssd().bandwidth_bps).c_str());
   return 0;

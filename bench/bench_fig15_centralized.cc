@@ -16,47 +16,24 @@ CHAOS_BENCH_MAIN(fig15, "Figure 15: randomized chunk placement vs centralized di
   }
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
-  const std::vector<std::string> algos = {"bfs", "pagerank"};
-  const std::vector<bool> designs = {false, true};  // chaos, centralized
 
-  Sweep<double> sweep;
-  for (const std::string& name : algos) {
-    for (const bool centralized : designs) {
-      int step = 0;
-      for (const int m : MachineSweep()) {
-        const uint32_t scale = base + static_cast<uint32_t>(step);
-        sweep.Add([name, scale, centralized, m, seed] {
-          InputGraph prepared = PrepareInput(name, BenchRmat(scale, false, seed));
-          ClusterConfig cfg = BenchClusterConfig(prepared, m, seed);
-          cfg.placement = centralized ? Placement::kCentralDirectory : Placement::kRandom;
-          return RunJob(MakeJob(name, prepared, cfg)).metrics.total_seconds();
-        });
-        ++step;
-      }
+  ScalingTable table;
+  for (const std::string name : {"bfs", "pagerank"}) {
+    for (const bool centralized : {false, true}) {
+      ScalingSetup setup;
+      setup.seed = seed;
+      setup.tweak = [centralized](ClusterConfig& cfg) {
+        cfg.placement = centralized ? Placement::kCentralDirectory : Placement::kRandom;
+      };
+      table.Add(name + (centralized ? " central" : " chaos"),
+                "fig15." + name + (centralized ? ".central" : ".chaos"),
+                WeakScalingPoint(name, base, setup));
     }
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 15: Chaos vs centralized chunk directory (weak scaling) ==\n");
-  PrintHeader({"algo/design", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32"});
-  size_t idx = 0;
-  for (const std::string& name : algos) {
-    for (const bool centralized : designs) {
-      PrintCell(name + (centralized ? " central" : " chaos"));
-      double base_seconds = 0.0;
-      for (const int m : MachineSweep()) {
-        const double s = seconds[idx++];
-        if (m == 1) {
-          base_seconds = s;
-        }
-        PrintCell(base_seconds > 0 ? s / base_seconds : 0.0);
-        RecordMetric("fig15." + name + (centralized ? ".central" : ".chaos") + ".m" +
-                         std::to_string(m) + ".sim_s",
-                     s);
-      }
-      EndRow();
-    }
-  }
+  table.Print("algo/design", "sim_s");
   std::printf("\npaper: the centralized design's runtime grows increasingly faster with m\n");
   return 0;
 }

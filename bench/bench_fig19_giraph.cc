@@ -16,54 +16,31 @@ CHAOS_BENCH_MAIN(fig19, "Figure 19: Chaos vs a Giraph-like static-placement syst
     return 1;
   }
   const auto scale = static_cast<uint32_t>(opt.GetInt("scale"));
-  const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
-  const std::vector<bool> systems = {false, true};  // chaos, giraph-like
+  ScalingSetup chaos_setup;
+  chaos_setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));
 
   // Unpermuted RMAT: the skew static partitioning cannot adapt to.
   RmatOptions gopt;
   gopt.scale = scale;
   gopt.permute_ids = false;
-  gopt.seed = seed;
+  gopt.seed = chaos_setup.seed;
   auto prepared =
-      std::make_shared<InputGraph>(PrepareInput("pagerank", GenerateRmat(gopt)));
+      std::make_shared<const InputGraph>(PrepareInput("pagerank", GenerateRmat(gopt)));
 
-  Sweep<double> sweep;
-  for (const bool giraph : systems) {
-    for (const int m : MachineSweep()) {
-      sweep.Add([prepared, giraph, m, seed] {
-        ClusterConfig cfg = BenchClusterConfig(*prepared, m, seed);
-        if (giraph) {
-          cfg.alpha = 0.0;                          // no dynamic load balancing
-          cfg.placement = Placement::kLocalMaster;  // data pinned to its partition's machine
-        }
-        return RunJob(MakeJob("pagerank", *prepared, cfg)).metrics.total_seconds();
-      });
-    }
-  }
-  const std::vector<double> seconds = sweep.Run();
+  ScalingSetup giraph_setup = chaos_setup;
+  giraph_setup.tweak = [](ClusterConfig& cfg) {
+    cfg.alpha = 0.0;                          // no dynamic load balancing
+    cfg.placement = Placement::kLocalMaster;  // data pinned to its partition's machine
+  };
+  ScalingTable table;
+  table.Add("chaos", "fig19.chaos", StrongScalingPoint("pagerank", prepared, chaos_setup));
+  table.Add("giraph-like", "fig19.giraph-like",
+            StrongScalingPoint("pagerank", prepared, giraph_setup));
+  table.Run();
 
   std::printf("== Figure 19: Chaos vs Giraph-like (PR, RMAT-%u), each norm. to own m=1 ==\n",
               scale);
-  PrintHeader({"system", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32", "speedup@32"});
-  size_t idx = 0;
-  for (const bool giraph : systems) {
-    const std::string label = giraph ? "giraph-like" : "chaos";
-    PrintCell(label);
-    double base_seconds = 0.0;
-    double last = 1.0;
-    for (const int m : MachineSweep()) {
-      const double s = seconds[idx++];
-      if (m == 1) {
-        base_seconds = s;
-      }
-      last = base_seconds > 0 ? s / base_seconds : 0.0;
-      PrintCell(last, "%.3f");
-      RecordMetric("fig19." + label + ".m" + std::to_string(m) + ".sim_s", s);
-    }
-    PrintCell(last > 0 ? 1.0 / last : 0.0, "%.1fx");
-    RecordMetric("fig19." + label + ".speedup_at_32", last > 0 ? 1.0 / last : 0.0);
-    EndRow();
-  }
+  table.Print("system", "sim_s", "%.3f", {"speedup@32"}, ScalingTable::SpeedupCell);
   std::printf("\npaper: Giraph's static partitions severely limit scaling; Chaos ~13x\n"
               "(absolute Giraph runtimes are additionally ~10x slower from JVM overheads,\n"
               " which normalization removes)\n");

@@ -46,17 +46,8 @@ namespace {
 
 std::vector<double> ParseDoubleList(const std::string& text) {
   std::vector<double> out;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (!item.empty()) {
-      out.push_back(std::atof(item.c_str()));
-    }
+  for (const std::string& item : SplitList(text)) {
+    out.push_back(std::atof(item.c_str()));
   }
   return out;
 }

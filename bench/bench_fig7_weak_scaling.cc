@@ -12,64 +12,26 @@ CHAOS_BENCH_MAIN(fig7, "Figure 7: weak scaling, RMAT scale grows with machine co
   opt.AddInt("base-scale", 10, "RMAT scale at m=1 (paper: 27)");
   opt.AddInt("seed", 1, "seed");
   opt.AddString("algos", "", "comma list (default: all ten)");
-  if (!ParseFlags(opt, argc, argv)) {
+  std::vector<std::string> algos;
+  if (!ParseFlags(opt, argc, argv) || !AlgoListFlag(opt.GetString("algos"), &algos)) {
     return 1;
   }
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
-  const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
+  ScalingSetup setup;
+  setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));
 
-  std::vector<std::string> algos;
-  if (opt.GetString("algos").empty()) {
-    algos = AllAlgorithmNames();
-  } else {
-    std::string s = opt.GetString("algos");
-    size_t pos = 0;
-    while (pos != std::string::npos) {
-      const size_t comma = s.find(',', pos);
-      algos.push_back(s.substr(pos, comma - pos));
-      pos = comma == std::string::npos ? comma : comma + 1;
-    }
-  }
-
-  // Point list: (algorithm x machine count); each point generates its own
-  // scaled graph, so points share nothing at all.
-  Sweep<double> sweep;
+  ScalingTable table;
   for (const auto& name : algos) {
-    int step = 0;
-    for (const int m : MachineSweep()) {
-      const uint32_t scale = base + static_cast<uint32_t>(step);
-      sweep.Add([name, scale, m, seed] {
-        InputGraph prepared =
-            PrepareInput(name, BenchRmat(scale, AlgorithmByName(name).needs_weights, seed));
-        return RunJob(MakeJob(name, prepared, BenchClusterConfig(prepared, m, seed)))
-            .metrics.total_seconds();
-      });
-      ++step;
-    }
+    table.Add(name, "fig7." + name, WeakScalingPoint(name, base, setup));
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 7: weak scaling RMAT-%u..%u, runtime normalized to m=1 ==\n", base,
               base + 5);
-  PrintHeader({"algorithm", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32"});
+  table.Print("algorithm", "sim_s");
   RunningStat at32;
-  size_t idx = 0;
-  for (const auto& name : algos) {
-    PrintCell(name);
-    double base_seconds = 0.0;
-    for (const int m : MachineSweep()) {
-      const double s = seconds[idx++];
-      if (m == 1) {
-        base_seconds = s;
-      }
-      const double normalized = base_seconds > 0 ? s / base_seconds : 0.0;
-      PrintCell(normalized);
-      RecordMetric("fig7." + name + ".m" + std::to_string(m) + ".sim_s", s);
-      if (m == 32) {
-        at32.Add(normalized);
-      }
-    }
-    EndRow();
+  for (const auto& row : table.rows()) {
+    at32.Add(row.normalized.back());
   }
   RecordMetric("fig7.mean_normalized_at_32", at32.mean());
   std::printf("\nmean normalized runtime at m=32: %.2fx (paper: 1.61x, range 0.97x-2.29x)\n",

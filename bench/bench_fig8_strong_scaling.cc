@@ -14,47 +14,24 @@ CHAOS_BENCH_MAIN(fig8, "Figure 8: strong scaling on fixed RMAT graph") {
     return 1;
   }
   const auto scale = static_cast<uint32_t>(opt.GetInt("scale"));
-  const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
+  ScalingSetup setup;
+  setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));
 
-  // Point list: (algorithm x machine count), one self-contained simulation
-  // per point. Graphs are generated once per algorithm and shared read-only
-  // across that algorithm's points.
-  Sweep<double> sweep;
+  // Graphs are generated once per algorithm and shared read-only across
+  // that algorithm's points.
+  ScalingTable table;
   for (const auto& info : Algorithms()) {
-    auto prepared = std::make_shared<InputGraph>(
-        PrepareInput(info.name, BenchRmat(scale, info.needs_weights, seed)));
-    for (const int m : MachineSweep()) {
-      const std::string name = info.name;
-      sweep.Add([name, prepared, m, seed] {
-        return RunJob(MakeJob(name, *prepared, BenchClusterConfig(*prepared, m, seed)))
-            .metrics.total_seconds();
-      });
-    }
+    auto prepared = std::make_shared<const InputGraph>(
+        PrepareInput(info.name, BenchRmat(scale, info.needs_weights, setup.seed)));
+    table.Add(info.name, "fig8." + info.name, StrongScalingPoint(info.name, prepared, setup));
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 8: strong scaling RMAT-%u, runtime normalized to m=1 ==\n", scale);
-  PrintHeader({"algorithm", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32", "speedup@32"});
+  table.Print("algorithm", "sim_s", "%.2f", {"speedup@32"}, ScalingTable::SpeedupCell);
   RunningStat speedups;
-  size_t idx = 0;
-  for (const auto& info : Algorithms()) {
-    PrintCell(info.name);
-    double base_seconds = 0.0;
-    double last_norm = 1.0;
-    for (const int m : MachineSweep()) {
-      const double s = seconds[idx++];
-      if (m == 1) {
-        base_seconds = s;
-      }
-      last_norm = base_seconds > 0 ? s / base_seconds : 0.0;
-      PrintCell(last_norm);
-      RecordMetric("fig8." + info.name + ".m" + std::to_string(m) + ".sim_s", s);
-    }
-    const double speedup = last_norm > 0 ? 1.0 / last_norm : 0.0;
-    speedups.Add(speedup);
-    RecordMetric("fig8." + info.name + ".speedup_at_32", speedup);
-    PrintCell(speedup, "%.1fx");
-    EndRow();
+  for (const auto& row : table.rows()) {
+    speedups.Add(row.Speedup());
   }
   RecordMetric("fig8.mean_speedup_at_32", speedups.mean());
   std::printf("\nmean speedup at m=32: %.1fx (paper: ~13x on RMAT-27)\n", speedups.mean());

@@ -22,43 +22,20 @@ CHAOS_BENCH_MAIN(fig9, "Figure 9: strong scaling on the web graph from HDDs") {
   wopt.seed = static_cast<uint64_t>(opt.GetInt("seed"));
   InputGraph raw = GenerateWebGraph(wopt);
 
-  const std::vector<std::string> algos = {"bfs", "pagerank"};
-  Sweep<double> sweep;
-  for (const std::string& name : algos) {
-    auto prepared = std::make_shared<InputGraph>(PrepareInput(name, raw));
-    for (const int m : MachineSweep()) {
-      const uint64_t seed = wopt.seed;
-      sweep.Add([name, prepared, m, seed] {
-        // The web graph does not fit on SSDs (§9.2): HDD profile.
-        ClusterConfig cfg = BenchClusterConfig(*prepared, m, seed, StorageConfig::Hdd());
-        return RunJob(MakeJob(name, *prepared, cfg)).metrics.total_seconds();
-      });
-    }
+  ScalingSetup setup;
+  setup.seed = wopt.seed;
+  setup.storage = StorageConfig::Hdd();  // the web graph does not fit on SSDs (§9.2)
+  ScalingTable table;
+  for (const std::string name : {"bfs", "pagerank"}) {
+    auto prepared = std::make_shared<const InputGraph>(PrepareInput(name, raw));
+    table.Add(name, "fig9." + name, StrongScalingPoint(name, prepared, setup));
   }
-  const std::vector<double> seconds = sweep.Run();
+  table.Run();
 
   std::printf("== Figure 9: strong scaling, web graph (%llu pages, %llu links), HDD ==\n",
               static_cast<unsigned long long>(raw.num_vertices),
               static_cast<unsigned long long>(raw.num_edges()));
-  PrintHeader({"algorithm", "m=1", "m=2", "m=4", "m=8", "m=16", "m=32", "speedup@32"});
-  size_t idx = 0;
-  for (const std::string& name : algos) {
-    PrintCell(name);
-    double base_seconds = 0.0;
-    double last = 1.0;
-    for (const int m : MachineSweep()) {
-      const double s = seconds[idx++];
-      if (m == 1) {
-        base_seconds = s;
-      }
-      last = base_seconds > 0 ? s / base_seconds : 0.0;
-      PrintCell(last);
-      RecordMetric("fig9." + name + ".m" + std::to_string(m) + ".sim_s", s);
-    }
-    RecordMetric("fig9." + name + ".speedup_at_32", last > 0 ? 1.0 / last : 0.0);
-    PrintCell(last > 0 ? 1.0 / last : 0.0, "%.1fx");
-    EndRow();
-  }
+  table.Print("algorithm", "sim_s", "%.2f", {"speedup@32"}, ScalingTable::SpeedupCell);
   std::printf("\npaper: BFS 20x, PR 18.5x at m=32 on Data Commons\n");
   return 0;
 }

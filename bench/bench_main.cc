@@ -279,17 +279,7 @@ int DriverMain(int argc, char** argv) {
   if (bench == "all") {
     to_run = SortedRegistry();
   } else {
-    size_t pos = 0;
-    while (pos <= bench.size()) {
-      size_t comma = bench.find(',', pos);
-      if (comma == std::string::npos) {
-        comma = bench.size();
-      }
-      const std::string name = bench.substr(pos, comma - pos);
-      pos = comma + 1;
-      if (name.empty()) {
-        continue;
-      }
+    for (const std::string& name : SplitList(bench)) {
       const BenchEntry* entry = FindBench(name);
       if (entry == nullptr) {
         std::fprintf(stderr, "error: unknown bench '%s'; try --list\n", name.c_str());

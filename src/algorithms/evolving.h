@@ -165,12 +165,9 @@ class EpochPlanner {
     };
     const std::vector<Edge> del_arcs = prepared_arcs(batch.deletes);
     const std::vector<Edge> ins_arcs = prepared_arcs(batch.inserts);
-    if constexpr (std::is_same_v<P, IncBfsProgram>) {
-      return SeedIncBfs(old_adj, new_adj, del_arcs, ins_arcs, prog_.InitGlobal(0).source,
-                        seeds);
-    } else if constexpr (std::is_same_v<P, SsspProgram>) {
-      return SeedSssp(old_adj, new_adj, del_arcs, ins_arcs, prog_.InitGlobal(0).source,
-                      seeds);
+    if constexpr (std::is_same_v<P, IncBfsProgram> || std::is_same_v<P, SsspProgram>) {
+      return SeedPathLengths<P>(old_adj, new_adj, del_arcs, ins_arcs,
+                                prog_.InitGlobal(0).source, seeds);
     } else if constexpr (std::is_same_v<P, WccProgram>) {
       // Budget 0 = exhaustive: one traversal per arc fully explores any
       // component, so every intact deletion is certified.

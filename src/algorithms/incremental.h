@@ -163,52 +163,80 @@ struct SeedStats {
   uint64_t resets = 0;    // seeds reset to the init value
 };
 
-// ------------------------------------------------------------- BFS seeder
+// ----------------------------------------------------- path-length seeder
+// BFS and SSSP share the ANY-rule and differ only in the state field, the
+// unreached sentinel and the arc length. Tightness is checked with the
+// exact expression the engine's scatter evaluates (depth + 1, or the float
+// sum dist + weight), so every arc that could have produced a value is
+// recognized.
+template <typename P>
+struct PathLength;
+
+template <>
+struct PathLength<IncBfsProgram> {
+  static constexpr int64_t kUnreached = IncBfsProgram::kUnreached;
+  static int64_t Of(const IncBfsProgram::VertexState& s) { return s.depth; }
+  static int64_t Via(int64_t depth, float /*weight*/) { return depth + 1; }
+};
+
+template <>
+struct PathLength<SsspProgram> {
+  static constexpr float kUnreached = SsspProgram::kInf;
+  static float Of(const SsspProgram::VertexState& s) { return s.dist; }
+  static float Via(float dist, float weight) { return dist + weight; }
+};
+
 // `old_adj`/`new_adj` are the pre- and post-batch prepared graphs' arcs.
 // `deleted_arcs`/`inserted_arcs` are the batch in PREPARED per-arc form
 // (undirected preparation turns each raw edge into two forward arcs).
 // `states` holds the engine's converged pre-batch states in, seeds out.
-inline SeedStats SeedIncBfs(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
-                            const std::vector<Edge>& deleted_arcs,
-                            const std::vector<Edge>& inserted_arcs, VertexId source,
-                            std::vector<IncBfsProgram::VertexState>* states) {
-  constexpr int64_t kUnreached = IncBfsProgram::kUnreached;
+template <typename P>
+SeedStats SeedPathLengths(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
+                          const std::vector<Edge>& deleted_arcs,
+                          const std::vector<Edge>& inserted_arcs, VertexId source,
+                          std::vector<typename P::VertexState>* states) {
+  using L = PathLength<P>;
   auto& st = *states;
   const uint64_t n = old_adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
   CHAOS_CHECK_EQ(new_adj.num_vertices(), n);
+  auto reached = [&](VertexId v) { return L::Of(st[v]) != L::kUnreached; };
+  // True iff the arc u -> v (length from `weight`) could have set v's value.
+  auto tight = [&](VertexId u, VertexId v, float weight) {
+    return L::Of(st[v]) == L::Via(L::Of(st[u]), weight);
+  };
   std::vector<uint8_t> suspect(n, 0);
   std::vector<VertexId> work;
   auto mark = [&](VertexId v) {
-    if (v != source && suspect[v] == 0 && st[v].depth != kUnreached) {
+    if (v != source && suspect[v] == 0 && reached(v)) {
       suspect[v] = 1;
       work.push_back(v);
     }
   };
-  // Direct suspects: the deleted arc was tight (could have set dst's depth).
+  // Direct suspects: the deleted arc was tight.
   for (const Edge& e : deleted_arcs) {
-    if (st[e.src].depth != kUnreached && st[e.dst].depth == st[e.src].depth + 1) {
+    if (reached(e.src) && tight(e.src, e.dst, e.weight)) {
       mark(e.dst);
     }
   }
-  // Propagate over the OLD graph's tight arcs: anything whose depth may have
+  // Propagate over the OLD graph's tight arcs: anything whose value may have
   // depended on a suspect becomes suspect. All reads are of the unmodified
-  // converged depths; st is only rewritten in the final loop.
+  // converged values; st is only rewritten in the final loop.
   while (!work.empty()) {
     const VertexId u = work.back();
     work.pop_back();
     for (const auto& arc : old_adj.Out(u)) {
-      if (st[arc.dst].depth == st[u].depth + 1) {
+      if (tight(u, arc.dst, arc.weight)) {
         mark(arc.dst);
       }
     }
   }
   // Frontier: intact vertices bordering the reset region in the NEW graph
-  // re-announce their still-valid depth; sources of inserted arcs may open
+  // re-announce their still-valid value; sources of inserted arcs may open
   // shortcuts anywhere.
   std::vector<uint8_t> frontier(n, 0);
   for (uint64_t u = 0; u < n; ++u) {
-    if (suspect[u] != 0 || st[u].depth == kUnreached) {
+    if (suspect[u] != 0 || !reached(u)) {
       continue;
     }
     for (const auto& arc : new_adj.Out(u)) {
@@ -219,79 +247,14 @@ inline SeedStats SeedIncBfs(const HostAdjacency& old_adj, const HostAdjacency& n
     }
   }
   for (const Edge& e : inserted_arcs) {
-    if (suspect[e.src] == 0 && st[e.src].depth != kUnreached) {
+    if (suspect[e.src] == 0 && reached(e.src)) {
       frontier[e.src] = 1;
     }
   }
   SeedStats stats;
   for (uint64_t u = 0; u < n; ++u) {
     if (suspect[u] != 0) {
-      st[u] = IncBfsProgram::VertexState{kUnreached, 0};
-      ++stats.resets;
-    } else {
-      st[u].changed = frontier[u];
-      stats.frontier += frontier[u];
-    }
-  }
-  return stats;
-}
-
-// ------------------------------------------------------------ SSSP seeder
-// Same ANY-rule as BFS with float distances. Tightness is checked with the
-// exact float expression the engine's scatter evaluates (dist + weight), so
-// every arc that could have produced a distance is recognized.
-inline SeedStats SeedSssp(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
-                          const std::vector<Edge>& deleted_arcs,
-                          const std::vector<Edge>& inserted_arcs, VertexId source,
-                          std::vector<SsspProgram::VertexState>* states) {
-  constexpr float kInf = SsspProgram::kInf;
-  auto& st = *states;
-  const uint64_t n = old_adj.num_vertices();
-  CHAOS_CHECK_EQ(st.size(), n);
-  CHAOS_CHECK_EQ(new_adj.num_vertices(), n);
-  std::vector<uint8_t> suspect(n, 0);
-  std::vector<VertexId> work;
-  auto mark = [&](VertexId v) {
-    if (v != source && suspect[v] == 0 && st[v].dist != kInf) {
-      suspect[v] = 1;
-      work.push_back(v);
-    }
-  };
-  for (const Edge& e : deleted_arcs) {
-    if (st[e.src].dist != kInf && st[e.dst].dist == st[e.src].dist + e.weight) {
-      mark(e.dst);
-    }
-  }
-  while (!work.empty()) {
-    const VertexId u = work.back();
-    work.pop_back();
-    for (const auto& arc : old_adj.Out(u)) {
-      if (st[arc.dst].dist == st[u].dist + arc.weight) {
-        mark(arc.dst);
-      }
-    }
-  }
-  std::vector<uint8_t> frontier(n, 0);
-  for (uint64_t u = 0; u < n; ++u) {
-    if (suspect[u] != 0 || st[u].dist == kInf) {
-      continue;
-    }
-    for (const auto& arc : new_adj.Out(u)) {
-      if (suspect[arc.dst] != 0) {
-        frontier[u] = 1;
-        break;
-      }
-    }
-  }
-  for (const Edge& e : inserted_arcs) {
-    if (suspect[e.src] == 0 && st[e.src].dist != kInf) {
-      frontier[e.src] = 1;
-    }
-  }
-  SeedStats stats;
-  for (uint64_t u = 0; u < n; ++u) {
-    if (suspect[u] != 0) {
-      st[u] = SsspProgram::VertexState{kInf, 0};
+      st[u] = typename P::VertexState{L::kUnreached, 0};
       ++stats.resets;
     } else {
       st[u].changed = frontier[u];

@@ -51,6 +51,22 @@ auto DispatchAlgorithm(const std::string& name, const AlgoParams& params, Fn&& f
   return fn(BfsProgram(params.source));
 }
 
+// The program's scalar answer, from either engine's final global and
+// outputs: conductance's value, the MSF's total weight, else 0.
+template <GasProgram P>
+double ProgramScalar(const typename P::GlobalState& global,
+                     const std::vector<typename P::OutputRecord>& outputs) {
+  double total = 0.0;
+  if constexpr (std::is_same_v<P, ConductanceProgram>) {
+    total = global.conductance;
+  } else if constexpr (std::is_same_v<P, McstProgram>) {
+    for (const auto& edge : outputs) {
+      total += static_cast<double>(edge.w);
+    }
+  }
+  return total;
+}
+
 template <GasProgram P>
 AlgoResult ToAlgoResult(RunResult<P>&& run) {
   AlgoResult result;
@@ -59,16 +75,7 @@ AlgoResult ToAlgoResult(RunResult<P>&& run) {
   result.supersteps = run.supersteps;
   result.crashed = run.crashed;
   result.output_records = run.outputs.size();
-  if constexpr (std::is_same_v<P, ConductanceProgram>) {
-    result.scalar = run.final_global.conductance;
-  }
-  if constexpr (std::is_same_v<P, McstProgram>) {
-    double total = 0.0;
-    for (const auto& edge : run.outputs) {
-      total += static_cast<double>(edge.w);
-    }
-    result.scalar = total;
-  }
+  result.scalar = ProgramScalar<P>(run.final_global, run.outputs);
   return result;
 }
 
@@ -109,16 +116,7 @@ XStreamRunResult RunXStreamWith(P prog, const InputGraph& input, const XStreamCo
   result.preprocess_time = run.preprocess_time;
   result.bytes_moved = run.bytes_read + run.bytes_written;
   result.output_records = run.outputs.size();
-  if constexpr (std::is_same_v<P, ConductanceProgram>) {
-    result.scalar = run.final_global.conductance;
-  }
-  if constexpr (std::is_same_v<P, McstProgram>) {
-    double total = 0.0;
-    for (const auto& edge : run.outputs) {
-      total += static_cast<double>(edge.w);
-    }
-    result.scalar = total;
-  }
+  result.scalar = ProgramScalar<P>(run.final_global, run.outputs);
   return result;
 }
 

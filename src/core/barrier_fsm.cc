@@ -1,6 +1,6 @@
 // The barrier and 2-phase-checkpoint FSMs of the engine core (paper §5.2,
 // §6.6). Untemplated: aggregator state crosses the wire as kernel-
-// serialized blobs (protocol.h), and the coordinator folds them through
+// serialized blobs (net/wire.h), and the coordinator folds them through
 // the type-erased ProgramKernel.
 #include <string>
 #include <utility>
@@ -261,11 +261,7 @@ Task<> EngineCore::WriteSeedStates(PartitionId p, ChunkWriter* writer) {
   const uint64_t count = parts_->Count(p);
   const VertexId base = parts_->Base(p);
   co_await ctx_.sim->Delay(ctx_.CpuTime(count, ctx_.cost().ns_per_vertex_apply));
-  PooledBatch states;
-  if (ctx_.pool != nullptr) {
-    states.lease = co_await ctx_.pool->Acquire(count * record_bytes);
-  }
-  states.batch = RecordBatch(ctx_.arena, record_bytes, count);
+  PooledBatch states = co_await AllocBatch(record_bytes, count);
   states.batch.CopyIn(0, delta.seed_states.data() + base * record_bytes, count);
   co_await WriteVertexSet(p, states.batch, SetKind::kVertices, writer);
   if (ctx_.config->checkpoint_interval > 0) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -189,7 +190,7 @@ class Cluster {
   bool TryHostReadStates(SetKind kind, std::vector<VState>* out) const {
     CHAOS_CHECK(parts_ != nullptr);
     out->assign(parts_->num_vertices(), VState{});
-    const uint64_t per_chunk = std::max<uint64_t>(1, config_.chunk_bytes / sizeof(VState));
+    const uint64_t per_chunk = VertexChunkCapacity(config_.chunk_bytes, sizeof(VState));
     for (PartitionId p = 0; p < parts_->num_partitions(); ++p) {
       const VertexId base = parts_->Base(p);
       const uint64_t count = parts_->Count(p);
@@ -249,7 +250,7 @@ class Cluster {
     // ---- vertex states: old chunking -> flat array -> new chunking.
     std::vector<VState> states;
     from.HostReadStates(vertex_source, &states);
-    const uint64_t per_chunk = std::max<uint64_t>(1, config_.chunk_bytes / sizeof(VState));
+    const uint64_t per_chunk = VertexChunkCapacity(config_.chunk_bytes, sizeof(VState));
     for (PartitionId q = 0; q < parts_->num_partitions(); ++q) {
       const VertexId base = parts_->Base(q);
       const uint64_t count = parts_->Count(q);
@@ -264,54 +265,112 @@ class Cluster {
       }
     }
 
-    // ---- edges: drain every surviving edge chunk and re-bin by the new
-    // partition of the source vertex, mirroring IngestInput's placement.
-    // Chunks are cut at the engines' binned capacity (RecordsPerChunk).
-    const uint64_t per_edge_chunk =
-        RecordBinner::RecordsPerChunk(config_.chunk_bytes, meta.edge_wire_bytes);
-    std::vector<std::vector<Edge>> bins(parts_->num_partitions());
-    std::vector<uint64_t> next_index(parts_->num_partitions(), 0);
+    // ---- edges, then the update snapshot, from one placement RNG.
     Rng rng(HashCombine(config_.seed, 0x4ec0u));
+    Rebin<Edge>(from, edges_source, SetKind::kEdges, meta.edge_wire_bytes, &rng);
+    if (updates_source.has_value()) {
+      Rebin<UpdateRecord<typename P::UpdateValue>>(
+          from, *updates_source, updates_as,
+          UpdateWireBytes<typename P::UpdateValue>(meta.vertex_id_wire_bytes), &rng);
+    }
+  }
+
+  // Imports the checkpoint `from` (a crashed or preempted run) committed,
+  // for a Resume at config().resume_superstep: the edge side live at the
+  // checkpoint (`edges_kind`) as kEdges, checkpoint side `side` as the
+  // vertex sets, and the side's commit-time update snapshot (gather-phase
+  // emissions the resumed scatter cannot regenerate) under the update-set
+  // kind the first resumed gather scans. At the same machine count chunk
+  // homes are stable, so sets copy across position for position; otherwise
+  // they are re-partitioned. A crash mid-apply leaves partial chunks on an
+  // evolving run's in-flight edge side; they are never imported.
+  void ImportCheckpoint(Cluster<P>& from, SetKind side, SetKind edges_kind,
+                        const GraphMeta& meta) {
+    CHAOS_CHECK(config_.resume);
+    PreparePartitioning(meta.num_vertices);
+    const SetKind snapshot = UpdatesCkptFor(side);
+    const SetKind resume_updates = UpdatesFor(config_.resume_superstep);
+    if (config_.machines == from.config().machines) {
+      ImportSets(from, edges_kind, SetKind::kEdges);
+      ImportSets(from, side, SetKind::kVertices);
+      ImportSets(from, snapshot, resume_updates);
+    } else {
+      ImportRepartitioned(from, side, meta, snapshot, resume_updates, edges_kind);
+    }
+  }
+
+ private:
+  // Drains every `source` set of `from` and re-bins each record by the new
+  // partition of its key vertex: an edge's source (both endpoints are
+  // validated), an update's destination (updates are gathered at their
+  // target). Bins are cut at the engines' binned capacity (RecordsPerChunk)
+  // into the SoA layout the engines stream, stored as `as` sets and placed
+  // like IngestInput places chunks.
+  template <typename Rec>
+  void Rebin(Cluster<P>& from, SetKind source, SetKind as, uint64_t record_wire_bytes,
+             Rng* rng) {
+    constexpr bool kEdge = std::is_same_v<Rec, Edge>;
+    const uint64_t per_chunk =
+        RecordBinner::RecordsPerChunk(config_.chunk_bytes, record_wire_bytes);
+    std::vector<std::vector<Rec>> bins(parts_->num_partitions());
+    // 64-bit chunk numbering: paper-scale runs with miniaturized
+    // chunk_bytes exceed 2^32 sequential chunks per set (Chunk::index is
+    // uint64_t for the same reason; tests/core_test.cc pins this).
+    std::vector<uint64_t> next_index(parts_->num_partitions(), 0);
     auto flush = [&](PartitionId q) {
-      const uint64_t wire = bins[q].size() * meta.edge_wire_bytes;
-      const SetId set{q, SetKind::kEdges};
+      const uint64_t wire = bins[q].size() * record_wire_bytes;
+      const SetId set{q, as};
       const MachineId target =
           config_.placement == Placement::kLocalMaster
               ? parts_->Master(q)
-              : static_cast<MachineId>(rng.Below(static_cast<uint64_t>(config_.machines)));
+              : static_cast<MachineId>(rng->Below(static_cast<uint64_t>(config_.machines)));
       if (directory_ != nullptr) {
         directory_->HostRecord(set, next_index[q], target);
       }
-      // Re-binned edge chunks keep the SoA layout the engines expect to
-      // stream (core/edge_chunk_view.h).
-      storage_[static_cast<size_t>(target)]->HostAddChunk(
-          set, MakeSoaEdgeChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr));
+      Chunk chunk;
+      if constexpr (kEdge) {
+        chunk = MakeSoaEdgeChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr);
+      } else {
+        chunk = MakeSoaUpdateChunk(next_index[q]++, wire, bins[q], /*arena=*/nullptr);
+      }
+      storage_[static_cast<size_t>(target)]->HostAddChunk(set, std::move(chunk));
       bins[q].clear();
+    };
+    auto add = [&](VertexId key, const Rec& r) {
+      const PartitionId q = parts_->PartitionOf(key);
+      bins[q].push_back(r);
+      if (bins[q].size() >= per_chunk) {
+        flush(q);
+      }
     };
     for (MachineId m = 0; m < from.config().machines; ++m) {
       StorageEngine* src = from.storage(m);
       for (const SetId& id : src->HostListSets()) {
-        if (id.kind != edges_source) {
+        if (id.kind != source) {
           continue;
         }
         for (const Chunk& c : *src->HostGetSet(id)) {
           const Chunk loaded = src->HostMaterialize(id, c);
-          const EdgeChunkView view(loaded);
-          for (uint32_t i = 0; i < view.size(); ++i) {
-            const Edge e = view.At(i);
-            // Validate both endpoints up front: PartitionOf(e.src) would
-            // die with a cryptic range CHECK, and an out-of-range e.dst was
-            // accepted silently — scatter later emits updates to vertices
-            // that do not exist, corrupting the recovered run.
-            CHAOS_CHECK_MSG(
-                e.src < parts_->num_vertices() && e.dst < parts_->num_vertices(),
-                "ImportRepartitioned: edge (" + std::to_string(e.src) + " -> " +
-                    std::to_string(e.dst) + ") references a vertex beyond num_vertices=" +
-                    std::to_string(parts_->num_vertices()));
-            const PartitionId q = parts_->PartitionOf(e.src);
-            bins[q].push_back(e);
-            if (bins[q].size() >= per_edge_chunk) {
-              flush(q);
+          if constexpr (kEdge) {
+            const EdgeChunkView view(loaded);
+            for (uint32_t i = 0; i < view.size(); ++i) {
+              const Edge e = view.At(i);
+              // Validate both endpoints up front: PartitionOf(e.src) would
+              // die with a cryptic range CHECK, and an out-of-range e.dst
+              // was accepted silently — scatter later emits updates to
+              // vertices that do not exist, corrupting the recovered run.
+              CHAOS_CHECK_MSG(
+                  e.src < parts_->num_vertices() && e.dst < parts_->num_vertices(),
+                  "ImportRepartitioned: edge (" + std::to_string(e.src) + " -> " +
+                      std::to_string(e.dst) + ") references a vertex beyond num_vertices=" +
+                      std::to_string(parts_->num_vertices()));
+              add(e.src, e);
+            }
+          } else {
+            const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
+            for (uint32_t i = 0; i < view.size(); ++i) {
+              const Rec r = view.template At<typename P::UpdateValue>(i);
+              add(r.dst, r);
             }
           }
         }
@@ -322,65 +381,8 @@ class Cluster {
         flush(q);
       }
     }
-
-    // ---- update snapshot: re-bin each record by the new partition of its
-    // destination vertex (updates are gathered at their target).
-    if (updates_source.has_value()) {
-      using Rec = UpdateRecord<typename P::UpdateValue>;
-      const uint64_t update_wire = UpdateWireBytes<typename P::UpdateValue>(
-          meta.vertex_id_wire_bytes);
-      const uint64_t per_update_chunk =
-          RecordBinner::RecordsPerChunk(config_.chunk_bytes, update_wire);
-      std::vector<std::vector<Rec>> ubins(parts_->num_partitions());
-      // 64-bit chunk numbering: paper-scale runs with miniaturized
-      // chunk_bytes exceed 2^32 sequential chunks per set (Chunk::index is
-      // uint64_t for the same reason; tests/core_test.cc pins this).
-      std::vector<uint64_t> unext(parts_->num_partitions(), 0);
-      auto uflush = [&](PartitionId q) {
-        const uint64_t wire = ubins[q].size() * update_wire;
-        const SetId set{q, updates_as};
-        const MachineId target =
-            config_.placement == Placement::kLocalMaster
-                ? parts_->Master(q)
-                : static_cast<MachineId>(rng.Below(static_cast<uint64_t>(config_.machines)));
-        if (directory_ != nullptr) {
-          directory_->HostRecord(set, unext[q], target);
-        }
-        // Re-binned snapshot chunks keep the kUpdateSoA layout the gather
-        // loop reads (core/update_chunk_view.h).
-        storage_[static_cast<size_t>(target)]->HostAddChunk(
-            set, MakeSoaUpdateChunk(unext[q]++, wire, ubins[q], /*arena=*/nullptr));
-        ubins[q].clear();
-      };
-      for (MachineId m = 0; m < from.config().machines; ++m) {
-        StorageEngine* src = from.storage(m);
-        for (const SetId& id : src->HostListSets()) {
-          if (id.kind != *updates_source) {
-            continue;
-          }
-          for (const Chunk& c : *src->HostGetSet(id)) {
-            const Chunk loaded = src->HostMaterialize(id, c);
-            const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
-            for (uint32_t i = 0; i < view.size(); ++i) {
-              const Rec r = view.template At<typename P::UpdateValue>(i);
-              const PartitionId q = parts_->PartitionOf(r.dst);
-              ubins[q].push_back(r);
-              if (ubins[q].size() >= per_update_chunk) {
-                uflush(q);
-              }
-            }
-          }
-        }
-      }
-      for (PartitionId q = 0; q < parts_->num_partitions(); ++q) {
-        if (!ubins[q].empty()) {
-          uflush(q);
-        }
-      }
-    }
   }
 
- private:
   void IngestInput(const InputGraph& input) {
     parts_ = std::make_unique<Partitioning>(
         Partitioning::Compute(input.num_vertices, config_.machines,

@@ -17,9 +17,9 @@
 
 namespace chaos {
 
-// CPU cost model, calibrated by bench_micro on the host machine. Costs are
-// per item on one core; the engine divides by the configured core count
-// (the paper's machines have 16 cores, §8).
+// CPU cost model. The defaults are fixed constants, not measured on the
+// host. Costs are per item on one core; the engine divides by the
+// configured core count (the paper's machines have 16 cores, §8).
 struct CostModel {
   double ns_per_edge_scatter = 6.0;
   double ns_per_update_gather = 6.0;
@@ -126,9 +126,9 @@ struct ClusterConfig {
 
   // Resume a crashed run (default false): skip pre-processing; vertex and
   // edge sets must already be present in storage, imported from the
-  // committed checkpoint side via Cluster::ImportSets (same machine count)
-  // or Cluster::ImportRepartitioned (rescaled). Consumed by Cluster::Resume
-  // and EngineCore::Main; RunWithRecovery sets both fields up.
+  // committed checkpoint via Cluster::ImportCheckpoint. Consumed by
+  // Cluster::Resume and EngineCore::Main; RunWithRecovery sets both fields
+  // up.
   bool resume = false;
   // First superstep of the resumed run (units: absolute superstep index;
   // meaningful only with `resume`): RunResult::checkpoint_superstep of the

@@ -217,25 +217,25 @@ Task<> EngineCore::WriteVertexSetFromInit(PartitionId p, const std::vector<uint3
   const uint64_t count = parts_->Count(p);
   const VertexId base = parts_->Base(p);
   co_await ctx_.sim->Delay(ctx_.CpuTime(count, ctx_.cost().ns_per_vertex_apply));
-  PooledBatch states;
-  if (ctx_.pool != nullptr) {
-    states.lease = co_await ctx_.pool->Acquire(count * kernel_->vertex_state_bytes());
-  }
-  states.batch = RecordBatch(ctx_.arena, kernel_->vertex_state_bytes(), count);
+  PooledBatch states = co_await AllocBatch(kernel_->vertex_state_bytes(), count);
   kernel_->InitVertexBatch(&states.batch, base, degrees.empty() ? nullptr : degrees.data());
   co_await WriteVertexSet(p, states.batch, SetKind::kVertices, writer);
 }
 
 // --------------------------------------------------- vertex set load/store
 
-Task<PooledBatch> EngineCore::LoadVertexSet(PartitionId p) {
-  const uint64_t count = parts_->Count(p);
-  const uint64_t record_bytes = kernel_->vertex_state_bytes();
+Task<PooledBatch> EngineCore::AllocBatch(uint64_t record_bytes, uint64_t count) {
   PooledBatch out;
   if (ctx_.pool != nullptr) {
     out.lease = co_await ctx_.pool->Acquire(count * record_bytes);
   }
   out.batch = RecordBatch(ctx_.arena, record_bytes, count);
+  co_return out;
+}
+
+Task<PooledBatch> EngineCore::LoadVertexSet(PartitionId p) {
+  const uint64_t count = parts_->Count(p);
+  PooledBatch out = co_await AllocBatch(kernel_->vertex_state_bytes(), count);
   const uint64_t per_chunk = VertsPerChunk();
   const uint64_t nchunks = (count + per_chunk - 1) / per_chunk;
   Semaphore window(ctx_.sim, ctx_.config->fetch_window());

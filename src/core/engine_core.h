@@ -172,8 +172,7 @@ class EngineCore {
   static constexpr uint64_t kDegreesEpoch = 2;
 
   uint64_t VertsPerChunk() const {
-    const uint64_t per = ctx_.config->chunk_bytes / kernel_->vertex_state_bytes();
-    return per < 1 ? 1 : per;
+    return VertexChunkCapacity(ctx_.config->chunk_bytes, kernel_->vertex_state_bytes());
   }
 
   // The edge side currently being read. An evolving run's apply-mutations
@@ -203,6 +202,9 @@ class EngineCore {
                                 ChunkWriter* writer);
 
   // --------------------------------------------------- vertex set load/store
+  // Admits `count` records of `record_bytes` through the buffer pool (when
+  // there is one), then takes the batch from the record arena.
+  Task<PooledBatch> AllocBatch(uint64_t record_bytes, uint64_t count);
   // Acquires pool pages for the partition's vertex states and fills the
   // batch from the indexed vertex chunks at their hashed homes (§6.4).
   Task<PooledBatch> LoadVertexSet(PartitionId p);

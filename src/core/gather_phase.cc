@@ -46,10 +46,7 @@ Task<GatherPhase::Streamed> GatherPhase::Stream(PartitionId p, bool stolen) {
   }
   BucketTimer t(c.ctx_.sim, c.metrics_, stolen ? Bucket::kGpSteal : Bucket::kGpMaster);
   const uint64_t count = c.parts_->Count(p);
-  if (c.ctx_.pool != nullptr) {
-    out.accums.lease = co_await c.ctx_.pool->Acquire(count * c.kernel_->accum_bytes());
-  }
-  out.accums.batch = RecordBatch(c.ctx_.arena, c.kernel_->accum_bytes(), count);
+  out.accums = co_await c.AllocBatch(c.kernel_->accum_bytes(), count);
   c.kernel_->InitAccumBatch(&out.accums.batch);
   const VertexId base = c.parts_->Base(p);
   const auto& cost = c.ctx_.cost();

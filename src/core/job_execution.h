@@ -123,21 +123,18 @@ class TypedJobExecution final : public JobExecution {
     return cluster_->Run(*spec_.input);
   }
 
-  // Same import/resume recipe as core/recovery.h's same-size replacement:
-  // chunk homes are machine-count-stable, so durable sets copy across
-  // position-for-position from the previous slice's (dead) cluster.
+  // The import/resume recipe of core/recovery.h, from the previous slice's
+  // (dead) cluster.
   RunResult<P> RunResumed(ClusterConfig cfg) {
     cfg.resume = true;
     cfg.resume_superstep = next_superstep_;
     auto replacement = std::make_unique<Cluster<P>>(cfg, prog_);
-    replacement->PreparePartitioning(spec_.input->num_vertices);
-    replacement->ImportSets(*cluster_, ckpt_edges_kind_, SetKind::kEdges);
-    replacement->ImportSets(*cluster_, ckpt_side_, SetKind::kVertices);
-    replacement->ImportSets(*cluster_, UpdatesCkptFor(ckpt_side_), UpdatesFor(next_superstep_));
+    const GraphMeta meta = GraphMeta::Of(*spec_.input);
+    replacement->ImportCheckpoint(*cluster_, ckpt_side_, ckpt_edges_kind_, meta);
     if (attach_) {
       attach_(*replacement, ckpt_epoch_);
     }
-    RunResult<P> run = replacement->Resume(GraphMeta::Of(*spec_.input), ckpt_global_);
+    RunResult<P> run = replacement->Resume(meta, ckpt_global_);
     cluster_ = std::move(replacement);  // the old donor dies here, post-import
     return run;
   }

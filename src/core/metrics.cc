@@ -42,22 +42,6 @@ TimeNs MachineMetrics::TotalTracked() const {
   return total;
 }
 
-uint64_t RunMetrics::StorageBytesMoved() const {
-  uint64_t total = SpillBytesMoved();
-  for (const DeviceMetrics& d : devices) {
-    total += d.bytes_read + d.bytes_written;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::SpillBytesMoved() const {
-  uint64_t total = 0;
-  for (const PoolMetrics& p : pools) {
-    total += p.spill_out_bytes + p.spill_in_bytes;
-  }
-  return total;
-}
-
 uint64_t RunMetrics::PeakMemoryBytes() const {
   uint64_t peak = 0;
   for (const PoolMetrics& p : pools) {
@@ -77,34 +61,14 @@ double RunMetrics::MeanDeviceUtilization() const {
   if (devices.empty() || total_time <= 0) {
     return 0.0;
   }
-  double sum = 0.0;
-  for (const DeviceMetrics& d : devices) {
-    sum += static_cast<double>(d.busy) / static_cast<double>(total_time);
-  }
+  const double sum = Total(devices, [this](const DeviceMetrics& d) {
+    return static_cast<double>(d.busy) / static_cast<double>(total_time);
+  });
   return sum / static_cast<double>(devices.size());
 }
 
-TimeNs RunMetrics::MaxBucket(Bucket b) const {
-  TimeNs best = 0;
-  for (const MachineMetrics& m : machines) {
-    best = std::max(best, m.bucket(b));
-  }
-  return best;
-}
-
-TimeNs RunMetrics::SumBucket(Bucket b) const {
-  TimeNs total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.bucket(b);
-  }
-  return total;
-}
-
 double RunMetrics::BucketFraction(Bucket b) const {
-  TimeNs tracked = 0;
-  for (const MachineMetrics& m : machines) {
-    tracked += m.TotalTracked();
-  }
+  const TimeNs tracked = Total(machines, &MachineMetrics::TotalTracked);
   if (tracked <= 0) {
     return 0.0;
   }
@@ -149,104 +113,13 @@ TimeNs RunMetrics::SuperstepTail(double q) const {
   return d[rank - 1];
 }
 
-uint64_t RunMetrics::StealProposalsSent() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.steal_proposals_sent;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::StealRequestsDeclined() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.steal_requests_declined;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::StealBackoffs() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.steal_backoffs;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::PartitionsGranted() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.partitions_granted;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::StolenChunks() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.stolen_chunks;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::UpdateWireBytesSaved() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.update_wire_bytes_saved;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::UpdateChunksPacked() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.update_chunks_packed;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::StealProposalsCombined() const {
-  uint64_t total = 0;
-  for (const MachineMetrics& m : machines) {
-    total += m.steal_proposals_combined;
-  }
-  return total;
-}
-
 double RunMetrics::VictimMissRate() const {
   const uint64_t sent = StealProposalsSent();
   if (sent == 0) {
     return 0.0;
   }
-  uint64_t misses = 0;
-  for (const MachineMetrics& m : machines) {
-    misses += m.victim_misses;
-  }
-  return static_cast<double>(misses) / static_cast<double>(sent);
-}
-
-uint64_t RunMetrics::MutationEdgesApplied() const {
-  uint64_t total = 0;
-  for (const MutationEpochRecord& e : mutation_epochs) {
-    total += e.edges_inserted + e.edges_deleted;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::MutationFrontierTotal() const {
-  uint64_t total = 0;
-  for (const MutationEpochRecord& e : mutation_epochs) {
-    total += e.frontier;
-  }
-  return total;
-}
-
-uint64_t RunMetrics::MutationResetsTotal() const {
-  uint64_t total = 0;
-  for (const MutationEpochRecord& e : mutation_epochs) {
-    total += e.resets;
-  }
-  return total;
+  return static_cast<double>(Total(machines, &MachineMetrics::victim_misses)) /
+         static_cast<double>(sent);
 }
 
 std::string RunMetrics::Summary() const {

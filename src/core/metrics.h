@@ -5,7 +5,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/fault_injector.h"
@@ -128,9 +130,14 @@ struct RunMetrics {
   double total_seconds() const { return ToSeconds(total_time); }
 
   // Total device traffic: chunk reads/writes plus buffer-pool spill.
-  uint64_t StorageBytesMoved() const;
+  uint64_t StorageBytesMoved() const {
+    return SpillBytesMoved() +
+           Total(devices, &DeviceMetrics::bytes_read, &DeviceMetrics::bytes_written);
+  }
   // Memory-pressure spill traffic alone (both directions, all machines).
-  uint64_t SpillBytesMoved() const;
+  uint64_t SpillBytesMoved() const {
+    return Total(pools, &PoolMetrics::spill_out_bytes, &PoolMetrics::spill_in_bytes);
+  }
   // Max over machines of the pool's high-water mark of resident buffer
   // bytes (see PoolMetrics::peak_bytes).
   uint64_t PeakMemoryBytes() const;
@@ -138,9 +145,9 @@ struct RunMetrics {
   double AggregateStorageBandwidth() const;
   // Mean device utilization = busy / total, averaged over devices.
   double MeanDeviceUtilization() const;
-  // Max over machines of a bucket (load-balance overhead views, Fig. 20).
-  TimeNs MaxBucket(Bucket b) const;
-  TimeNs SumBucket(Bucket b) const;
+  TimeNs SumBucket(Bucket b) const {
+    return Total(machines, [b](const MachineMetrics& m) { return m.bucket(b); });
+  }
   // Fraction of summed machine time in a bucket (Fig. 17 bars).
   double BucketFraction(Bucket b) const;
   // Steals of the victim's partitions while the fault was active (difference
@@ -155,24 +162,55 @@ struct RunMetrics {
   // p99 the fig21 large-N gate compares). Nearest-rank on the sorted
   // durations — deterministic, no interpolation.
   TimeNs SuperstepTail(double q) const;
-  // Steal-policy aggregates over machines.
-  uint64_t StealProposalsSent() const;
-  uint64_t StealRequestsDeclined() const;
-  uint64_t StealBackoffs() const;
-  uint64_t PartitionsGranted() const;
-  uint64_t StolenChunks() const;
-  // Update-plane combining aggregates over machines.
-  uint64_t UpdateWireBytesSaved() const;
-  uint64_t UpdateChunksPacked() const;
-  uint64_t StealProposalsCombined() const;
+  // Steal-policy and update-plane combining aggregates over machines.
+  uint64_t StealProposalsSent() const {
+    return Total(machines, &MachineMetrics::steal_proposals_sent);
+  }
+  uint64_t StealRequestsDeclined() const {
+    return Total(machines, &MachineMetrics::steal_requests_declined);
+  }
+  uint64_t StealBackoffs() const { return Total(machines, &MachineMetrics::steal_backoffs); }
+  uint64_t PartitionsGranted() const {
+    return Total(machines, &MachineMetrics::partitions_granted);
+  }
+  uint64_t StolenChunks() const { return Total(machines, &MachineMetrics::stolen_chunks); }
+  uint64_t UpdateWireBytesSaved() const {
+    return Total(machines, &MachineMetrics::update_wire_bytes_saved);
+  }
+  uint64_t UpdateChunksPacked() const {
+    return Total(machines, &MachineMetrics::update_chunks_packed);
+  }
+  uint64_t StealProposalsCombined() const {
+    return Total(machines, &MachineMetrics::steal_proposals_combined);
+  }
   // Fraction of proposals that hit a victim with no open work.
   double VictimMissRate() const;
   // Evolving-graph aggregates over mutation_epochs.
-  uint64_t MutationEdgesApplied() const;  // inserts + deletes, all epochs
-  uint64_t MutationFrontierTotal() const;
-  uint64_t MutationResetsTotal() const;
+  uint64_t MutationEdgesApplied() const {  // inserts + deletes, all epochs
+    return Total(mutation_epochs, &MutationEpochRecord::edges_inserted,
+                 &MutationEpochRecord::edges_deleted);
+  }
+  uint64_t MutationFrontierTotal() const {
+    return Total(mutation_epochs, &MutationEpochRecord::frontier);
+  }
+  uint64_t MutationResetsTotal() const {
+    return Total(mutation_epochs, &MutationEpochRecord::resets);
+  }
 
   std::string Summary() const;
+
+ private:
+  // Sum over `records` of each record's `fields` (member pointers or
+  // projections).
+  template <typename R, typename... F,
+            typename T = std::common_type_t<std::invoke_result_t<F, const R&>...>>
+  static T Total(const std::vector<R>& records, F... fields) {
+    T total{};
+    for (const R& r : records) {
+      total += (std::invoke(fields, r) + ...);
+    }
+    return total;
+  }
 };
 
 }  // namespace chaos

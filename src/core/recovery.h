@@ -80,25 +80,8 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     rep.resume_superstep = first.checkpoint_superstep;
     rep.recovered_from_checkpoint = true;
     Cluster<P> replacement(rcfg, prog);
-    replacement.PreparePartitioning(input.num_vertices);
-    // The resume superstep's update set travels with the checkpoint: its
-    // commit-time snapshot (gather-phase emissions the resumed scatter
-    // cannot regenerate) is re-imported under the live update-set kind the
-    // first resumed gather will scan.
-    const SetKind usnap = UpdatesCkptFor(first.checkpoint_side);
-    const SetKind resume_updates = UpdatesFor(first.checkpoint_superstep);
-    if (rcfg.machines == config.machines) {
-      // Same-size replacement: chunk homes are machine-count-stable, so the
-      // durable sets copy across position-for-position. A crash mid-apply
-      // leaves partial chunks on an evolving run's in-flight edge side;
-      // they are never imported, the checkpoint pins the intact one.
-      replacement.ImportSets(cluster, first.checkpoint_edges_kind, SetKind::kEdges);
-      replacement.ImportSets(cluster, first.checkpoint_side, SetKind::kVertices);
-      replacement.ImportSets(cluster, usnap, resume_updates);
-    } else {
-      replacement.ImportRepartitioned(cluster, first.checkpoint_side, meta, usnap,
-                                      resume_updates, first.checkpoint_edges_kind);
-    }
+    replacement.ImportCheckpoint(cluster, first.checkpoint_side, first.checkpoint_edges_kind,
+                                 meta);
     if (attach) {
       attach(replacement, first.checkpoint_epoch);
     }

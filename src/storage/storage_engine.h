@@ -13,6 +13,7 @@
 #ifndef CHAOS_STORAGE_STORAGE_ENGINE_H_
 #define CHAOS_STORAGE_STORAGE_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -135,6 +136,12 @@ inline MachineId VertexChunkHome(PartitionId partition, uint64_t chunk_idx, int 
   CHAOS_CHECK_GT(machines, 0);
   return static_cast<MachineId>(Mix64(HashCombine(partition, chunk_idx)) %
                                 static_cast<uint64_t>(machines));
+}
+
+// Vertex states per indexed vertex chunk: as many `record_bytes` records as
+// fit in `chunk_bytes`, and at least one.
+inline uint64_t VertexChunkCapacity(uint64_t chunk_bytes, uint64_t record_bytes) {
+  return std::max<uint64_t>(1, chunk_bytes / record_bytes);
 }
 
 }  // namespace chaos

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 namespace {
 
 std::string g_bench_path;
@@ -256,13 +258,15 @@ std::string ReadWholeFile(const std::string& path) {
 }
 
 // Removes lines that legitimately differ between runs: host timings in the
-// JSON, the jobs count itself, and the "wrote <path>" driver line.
+// JSON and fig20's stdout line with the host-timed grid partitioner, the
+// jobs count itself, and the "wrote <path>" driver line.
 std::string StripVolatileLines(const std::string& text) {
   std::stringstream in(text);
   std::string out;
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("wall_ms") != std::string::npos ||
+        line.find("on this host") != std::string::npos ||
         line.find("\"jobs\"") != std::string::npos || line.rfind("wrote ", 0) == 0) {
       continue;
     }
@@ -272,7 +276,8 @@ std::string StripVolatileLines(const std::string& text) {
   return out;
 }
 
-void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flags) {
+void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flags,
+                         bool records_sim_s = true) {
   ASSERT_FALSE(g_bench_path.empty()) << "pass the chaos_bench path as argv[1]";
   const std::string base = ::testing::TempDir() + "/chaos_det_" + bench;
   struct Run {
@@ -300,8 +305,11 @@ void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flag
       << bench << ": metric JSON differs between --jobs=1 and --jobs=8";
   // The metric JSON must actually carry simulation metrics, otherwise the
   // comparison above proves nothing.
-  EXPECT_NE(runs[0].json.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(runs[0].json.find("sim_s"), std::string::npos);
+  EXPECT_NE(runs[0].json.find("\"metrics\": {\""), std::string::npos)
+      << bench << ": empty metrics map";
+  if (records_sim_s) {
+    EXPECT_NE(runs[0].json.find("sim_s"), std::string::npos) << bench << ": no sim_s metric";
+  }
 }
 
 TEST(BenchDeterminismTest, Fig8IdenticalAcrossJobCounts) {
@@ -328,6 +336,54 @@ TEST(BenchDeterminismTest, FigEvolvingIdenticalAcrossJobCounts) {
   ExpectJobsInvariant("fig_evolving", "--scale=9");
 }
 
+// Every bench that no gate runs, at tiny flags. fig5, fig14, fig17 and
+// fig20 record no sim_s; fig20's grid partitioner cost is pinned so its
+// table is simulated only. fig14's trailing comma checks that empty list
+// items drop.
+TEST(BenchDeterminismTest, UngatedBenchesIdenticalAcrossJobCounts) {
+  struct Case {
+    const char* bench;
+    const char* flags;
+    bool records_sim_s;
+  };
+  const Case cases[] = {
+      {"capacity", "--scale=8 --machines=4", true},
+      {"fig5", "--max-machines=4", false},
+      {"fig7", "--base-scale=5 --algos=bfs,mcst,pagerank", true},
+      {"fig9", "--pages-log2=9", true},
+      {"fig10", "--base-scale=5", true},
+      {"fig11", "--base-scale=5", true},
+      {"fig14", "--base-scale=5 --algos=bfs,sssp,", false},
+      {"fig15", "--base-scale=5", true},
+      {"fig16", "--scale=8 --machines=4", true},
+      {"fig17", "--scale=8 --machines=4", false},
+      {"fig18", "--scale=8 --machines=4", true},
+      {"fig19", "--scale=8", true},
+      {"fig20", "--scale=8 --machines=4 --grid-ns-per-edge=5", false},
+      {"table1", "--scale=8", true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.bench);
+    ExpectJobsInvariant(c.bench, c.flags, c.records_sim_s);
+  }
+}
+
+// A bad --algos list is refused up front with exit 1 and a message, not a
+// CHECK abort inside a sweep point.
+TEST(BenchSmokeTest, UnknownAlgorithmInListExitsOne) {
+  ASSERT_FALSE(g_bench_path.empty());
+  for (const char* flags : {"--bench=fig7 --algos=nosuch", "--bench=fig14 --algos=bfs,nosuch",
+                            "--bench=fig14 --algos=,"}) {
+    const std::string err_path = ::testing::TempDir() + "/chaos_bad_algos.err";
+    const std::string cmd = ShellQuote(g_bench_path) + " " + flags +
+                            " --trials=1 > /dev/null 2> " + ShellQuote(err_path);
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flags;
+    EXPECT_NE(ReadWholeFile(err_path).find("--algos"), std::string::npos) << flags;
+  }
+}
+
 TEST(BenchSmokeTest, ListIncludesAllRegisteredBenches) {
   ASSERT_FALSE(g_bench_path.empty());
   FILE* pipe = popen((ShellQuote(g_bench_path) + " --list").c_str(), "r");
@@ -342,7 +398,8 @@ TEST(BenchSmokeTest, ListIncludesAllRegisteredBenches) {
   for (const char* name :
        {"capacity", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
         "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21_stragglers",
-        "fig_evolving", "fig_memory", "micro", "table1"}) {
+        "fig_evolving", "fig_memory", "fig_recovery", "fig_scale", "micro", "serving",
+        "table1"}) {
     EXPECT_NE(output.find(name), std::string::npos) << "missing bench: " << name;
   }
 }

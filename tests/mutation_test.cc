@@ -408,8 +408,9 @@ TEST(SeederTest, BfsDeleteCutsTailUnreachable) {
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{2, 3, 1.0f, kEdgeForward}};
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p),
-                           Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
+                                               Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0,
+                                               &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[0].depth, 0);
@@ -435,8 +436,9 @@ TEST(SeederTest, BfsAlternatePathKeepsBoundaryFrontier) {
   st[1].depth = 1;
   st[3].depth = 1;
   st[2].depth = 2;
-  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p),
-                           Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
+                                               Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0,
+                                               &st);
   EXPECT_EQ(s.resets, 1u);
   EXPECT_EQ(st[2].depth, IncBfsProgram::kUnreached);
   EXPECT_EQ(st[3].changed, 1);  // still borders 2 in the new graph
@@ -457,8 +459,8 @@ TEST(SeederTest, BfsInsertMarksEndpointFrontier) {
   for (uint64_t v = 0; v < 5; ++v) {
     st[v].depth = static_cast<int64_t>(v);
   }
-  SeedStats s = SeedIncBfs(HostAdjacency(old_p), HostAdjacency(new_p), {},
-                           Arcs({Edge{0, 4, 1.0f, kEdgeForward}}), 0, &st);
+  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p), {},
+                                               Arcs({Edge{0, 4, 1.0f, kEdgeForward}}), 0, &st);
   EXPECT_EQ(s.resets, 0u);
   // Both endpoints of the inserted edge re-announce; depths are untouched.
   EXPECT_EQ(st[0].changed, 1);
@@ -479,8 +481,8 @@ TEST(SeederTest, SsspTightArcPropagation) {
   new_raw.edges.erase(new_raw.edges.begin());
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {2.0f, 0}, {5.0f, 0}};
-  SeedStats s = SeedSssp(HostAdjacency(old_p), HostAdjacency(new_p),
-                         Arcs({Edge{0, 1, 2.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
+                                             Arcs({Edge{0, 1, 2.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(st[1].dist, SsspProgram::kInf);
   EXPECT_EQ(st[2].dist, SsspProgram::kInf);
@@ -500,11 +502,36 @@ TEST(SeederTest, SsspNonTightDeleteKeepsState) {
   new_raw.edges.pop_back();
   const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {1.0f, 0}, {2.0f, 0}};
-  SeedStats s = SeedSssp(HostAdjacency(old_p), HostAdjacency(new_p),
-                         Arcs({Edge{0, 2, 5.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
+                                             Arcs({Edge{0, 2, 5.0f, kEdgeForward}}), {}, 0, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[2].dist, 2.0f);
+}
+
+TEST(SeederTest, SsspTightnessUsesTheEngineFloatSum) {
+  // Path 0 -0.1- 1 -0.2- 2. The engine's scatter sums in float, so vertex
+  // 2 converged at 0.1f + 0.2f, which rounds to 0.3f. The same sum taken
+  // in double (0.30000000447) differs from that value (0.30000001192), so
+  // only the exact float expression sees the arc 1 -> 2 as tight. Deleting
+  // {0,1} must then reset 2 along with 1.
+  InputGraph old_raw;
+  old_raw.num_vertices = 3;
+  old_raw.weighted = true;
+  old_raw.edges = {Edge{0, 1, 0.1f, kEdgeForward}, Edge{1, 2, 0.2f, kEdgeForward}};
+  const InputGraph old_p = MakeUndirected(old_raw);
+  InputGraph new_raw = old_raw;
+  new_raw.edges.erase(new_raw.edges.begin());
+  const InputGraph new_p = MakeUndirected(new_raw);
+  const float d1 = 0.0f + 0.1f;
+  const float d2 = d1 + 0.2f;
+  ASSERT_NE(static_cast<double>(d2), static_cast<double>(d1) + static_cast<double>(0.2f));
+  std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {d1, 0}, {d2, 0}};
+  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
+                                             Arcs({Edge{0, 1, 0.1f, kEdgeForward}}), {}, 0, &st);
+  EXPECT_EQ(s.resets, 2u);
+  EXPECT_EQ(st[1].dist, SsspProgram::kInf);
+  EXPECT_EQ(st[2].dist, SsspProgram::kInf);
 }
 
 TEST(SeederTest, WccSplitResetsWholeComponent) {
@@ -619,12 +646,9 @@ MutationDelta StatelessPlan(const P& prog, const std::string& algo, const Mutati
     const std::vector<Edge> ins_arcs = Arcs(batch.inserts);
     const HostAdjacency old_adj(old_p);
     const HostAdjacency new_adj(new_p);
-    if constexpr (std::is_same_v<P, IncBfsProgram>) {
-      stats = SeedIncBfs(old_adj, new_adj, del_arcs, ins_arcs, prog.InitGlobal(0).source,
-                         &seeds);
-    } else if constexpr (std::is_same_v<P, SsspProgram>) {
-      stats = SeedSssp(old_adj, new_adj, del_arcs, ins_arcs, prog.InitGlobal(0).source,
-                       &seeds);
+    if constexpr (std::is_same_v<P, IncBfsProgram> || std::is_same_v<P, SsspProgram>) {
+      stats = SeedPathLengths<P>(old_adj, new_adj, del_arcs, ins_arcs,
+                                 prog.InitGlobal(0).source, &seeds);
     } else {
       const uint64_t budget = sched.wcc_connectivity_budget != 0
                                   ? sched.wcc_connectivity_budget
