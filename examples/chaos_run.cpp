@@ -158,6 +158,11 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
                  static_cast<long long>(opt.GetInt("machines")));
     return std::nullopt;
   }
+  if (opt.GetInt("partitions-per-machine") < 1) {
+    std::fprintf(stderr, "--partitions-per-machine must be >= 1 (got %lld)\n",
+                 static_cast<long long>(opt.GetInt("partitions-per-machine")));
+    return std::nullopt;
+  }
   if (!(opt.GetDouble("alpha") >= 0.0)) {
     std::fprintf(stderr, "--alpha must be >= 0 (got %g)\n", opt.GetDouble("alpha"));
     return std::nullopt;
@@ -212,6 +217,14 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     }
   }
   auto prepared = std::make_shared<const InputGraph>(PrepareInput(algo, raw));
+  const int64_t source = opt.GetInt("source");
+  if ((algo == "bfs" || algo == "sssp") &&
+      (source < 0 || static_cast<uint64_t>(source) >= prepared->num_vertices)) {
+    std::fprintf(stderr, "--source must be below the vertex count %llu (got %lld)\n",
+                 static_cast<unsigned long long>(prepared->num_vertices),
+                 static_cast<long long>(source));
+    return std::nullopt;
+  }
   if (!quiet) {
     std::printf("%s over %llu vertices / %llu edges (%s input)\n", algo.c_str(),
                 static_cast<unsigned long long>(prepared->num_vertices),
@@ -361,7 +374,7 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
 
   AlgoParams params;
-  params.source = static_cast<VertexId>(opt.GetInt("source"));
+  params.source = static_cast<VertexId>(source);
   params.iterations = static_cast<uint32_t>(opt.GetInt("iterations"));
   JobSpec spec = MakeJob(algo, std::move(prepared), cfg, params);
   if (mutate_batches > 0) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 
 #include "core/update_chunk_view.h"
 #include "core/gather_phase.h"
@@ -137,11 +136,13 @@ Task<> EngineCore::Preprocess() {
     RecordBinner edge_binner(parts_, RecordBinner::Format::kEdgeSoA, meta_.edge_wire_bytes,
                              ctx_.config->chunk_bytes, ctx_.arena);
     ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
-    std::unordered_map<VertexId, uint32_t> degree_counts;
+    // Dense out-degree counts of the edges this machine ingests: 4 bytes
+    // per vertex, for programs that need degrees only.
+    const bool count_degrees = kernel_->needs_out_degrees();
+    std::vector<uint32_t> degree_counts(count_degrees ? meta_.num_vertices : 0);
     ChunkFetcher fetcher(&ctx_, &rng_, SetId{0, SetKind::kInput}, kInputEpoch,
                          ctx_.config->fetch_window(), LocalMasterTarget(ctx_.machine));
     fetcher.Start();
-    const bool count_degrees = kernel_->needs_out_degrees();
     while (true) {
       if (Dead()) {
         co_await fetcher.Cancel();
@@ -168,8 +169,10 @@ Task<> EngineCore::Preprocess() {
       RecordBinner degree_binner(parts_, RecordBinner::Format::kUpdateSoA,
                                  meta_.vertex_id_wire_bytes + 4, ctx_.config->chunk_bytes,
                                  ctx_.arena, sizeof(uint32_t));
-      for (const auto& [vertex, count] : degree_counts) {
-        degree_binner.AddUpdate(parts_->PartitionOf(vertex), vertex, count);
+      for (VertexId v = 0; v < degree_counts.size(); ++v) {
+        if (degree_counts[v] != 0) {
+          degree_binner.AddUpdate(parts_->PartitionOf(v), v, degree_counts[v]);
+        }
       }
       co_await degree_binner.FlushAll(&writer, SetKind::kDegrees);
     }

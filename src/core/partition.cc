@@ -1,5 +1,7 @@
 #include "core/partition.h"
 
+#include <bit>
+
 namespace chaos {
 
 Partitioning::Partitioning(uint64_t num_vertices, int machines, uint32_t num_partitions)
@@ -10,6 +12,8 @@ Partitioning::Partitioning(uint64_t num_vertices, int machines, uint32_t num_par
   CHAOS_CHECK_EQ(num_partitions % static_cast<uint32_t>(machines), 0u);
   verts_per_partition_ = (num_vertices + num_partitions - 1) / num_partitions;
   CHAOS_CHECK_GT(verts_per_partition_, 0u);
+  pow2_ = std::has_single_bit(verts_per_partition_);
+  shift_ = static_cast<uint8_t>(std::countr_zero(verts_per_partition_));
 }
 
 Partitioning Partitioning::Compute(uint64_t num_vertices, int machines,

@@ -26,9 +26,10 @@ class Partitioning {
   static Partitioning WithPartitions(uint64_t num_vertices, int machines,
                                      uint32_t num_partitions);
 
+  // v / verts_per_partition(), as a shift when that is a power of two.
   PartitionId PartitionOf(VertexId v) const {
     CHAOS_CHECK_LT(v, num_vertices_);
-    return static_cast<PartitionId>(v / verts_per_partition_);
+    return static_cast<PartitionId>(pow2_ ? v >> shift_ : v / verts_per_partition_);
   }
 
   VertexId Base(PartitionId p) const {
@@ -72,6 +73,9 @@ class Partitioning {
   int machines_;
   uint32_t num_partitions_;
   uint64_t verts_per_partition_;
+  // verts_per_partition_ == 1 << shift_ when pow2_.
+  bool pow2_;
+  uint8_t shift_;
 };
 
 }  // namespace chaos

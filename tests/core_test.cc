@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -82,6 +84,74 @@ TEST(PartitioningTest, TrailingPartitionsPastTheRangeAreEmpty) {
   EXPECT_EQ(total, 4096u);
   EXPECT_EQ(parts.Count(111), 0u);
   EXPECT_EQ(parts.PartitionOf(4095), 110u);  // no vertex maps to an empty one
+}
+
+// PartitionOf shifts instead of dividing when verts_per_partition() is a
+// power of two; it must agree with the division for every divisor shape
+// (1, powers of two, their neighbours) and every numerator, across the
+// 32-bit boundary and at 2^40.
+TEST(PartitioningTest, PartitionOfMatchesDivision) {
+  uint64_t checked = 0;
+  uint64_t wrong = 0;
+  std::string first_wrong;
+  auto expect_exact = [&](const Partitioning& parts, VertexId v) {
+    ++checked;
+    if (parts.PartitionOf(v) != v / parts.verts_per_partition() && wrong++ == 0) {
+      first_wrong = std::to_string(parts.num_vertices()) + "/" +
+                    std::to_string(parts.num_partitions()) + " v=" + std::to_string(v);
+    }
+  };
+  auto expect_edges = [&](const Partitioning& parts) {
+    const uint64_t d = parts.verts_per_partition();
+    const uint64_t n = parts.num_vertices();
+    for (const VertexId v : {uint64_t{0}, d - 1, d, d + 1, n - 1}) {
+      if (v < n) {
+        expect_exact(parts, v);
+      }
+    }
+  };
+  // Divisors by shape, each from n = d * partitions so verts_per_partition
+  // is exactly d.
+  std::vector<uint64_t> divisors = {1, 3, 5, 6, 7, 10, 12, 37, 641, 1000};
+  for (int k = 1; k <= 40; ++k) {
+    divisors.push_back(uint64_t{1} << k);
+    divisors.push_back((uint64_t{1} << k) - 1);
+    divisors.push_back((uint64_t{1} << k) + 1);
+  }
+  for (const uint64_t d : divisors) {
+    for (const uint32_t partitions : {1u, 3u, 1000u, 65537u}) {
+      const auto parts = Partitioning::WithPartitions(d * partitions, 1, partitions);
+      ASSERT_EQ(parts.verts_per_partition(), d);
+      expect_edges(parts);
+    }
+  }
+  // Vertex counts across the 32-bit boundary and near 2^40, including
+  // verts_per_partition == 1 and == num_vertices.
+  for (const uint64_t n : {(uint64_t{1} << 32) - 1, uint64_t{1} << 32, (uint64_t{1} << 32) + 1,
+                           (uint64_t{1} << 40) + 12345}) {
+    for (const uint32_t partitions : {1u, 2u, 3u, 7u, 64u, 1000u, 65536u, 1u << 31, UINT32_MAX}) {
+      const auto parts = Partitioning::WithPartitions(n, 1, partitions);
+      expect_edges(parts);
+    }
+  }
+  // Seeded random draws: 10^5 (n, partitions) pairs, 100 vertices each.
+  Rng rng(0x5eed);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t n = 1 + (rng.Next() >> (1 + rng.Below(63)));
+    const auto partitions = static_cast<uint32_t>(1 + rng.Below(UINT32_MAX));
+    const auto parts = Partitioning::WithPartitions(n, 1, partitions);
+    for (int j = 0; j < 100; ++j) {
+      expect_exact(parts, rng.Below(n));
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "first mismatch (num_vertices/partitions): " << first_wrong;
+  EXPECT_GT(checked, 10'000'000u);
+}
+
+TEST(PartitioningTest, PartitionOfPastTheRangeAborts) {
+  const auto parts = Partitioning::WithPartitions(1000, 1, 7);
+  EXPECT_EQ(parts.PartitionOf(999), 6u);
+  EXPECT_DEATH(parts.PartitionOf(1000), "num_vertices_");
 }
 
 // ---------------------------------------------------------- batching math
@@ -725,6 +795,48 @@ TEST(ClusterPageRankTest, MatchesReferenceAcrossMachineCounts) {
     for (size_t v = 0; v < expect.size(); ++v) {
       ASSERT_NEAR(result.values[v], expect[v], 1e-3 * (1.0 + std::abs(expect[v])))
           << "machines=" << machines << " vertex " << v;
+    }
+  }
+}
+
+// Pre-processing counts each vertex's out-degree from the input stream:
+// every kEdgeForward record counts (self-loops and parallel edges too),
+// kEdgeReverse mirrors do not, and vertices without edges get 0. The counts
+// reach each vertex state exactly, at any machine count, with partitions
+// that do not divide the vertex range evenly.
+TEST(ClusterPageRankTest, DegreesMatchOutDegrees) {
+  InputGraph g;
+  g.num_vertices = 1001;  // vertices 0 and 1000 have no edges
+  auto add = [&g](VertexId src, VertexId dst) {
+    Edge e;
+    e.src = src;
+    e.dst = dst;
+    g.edges.push_back(e);
+  };
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    const VertexId src = 1 + rng.Below(999);
+    add(src, 1 + rng.Below(999));
+  }
+  // Two self-loops, three parallel edges, and edges at the ends of the range.
+  add(5, 5);
+  add(5, 5);
+  for (int i = 0; i < 3; ++i) {
+    add(7, 9);
+  }
+  add(999, 1);
+  add(1, 999);
+  g = MakeBidirected(g);
+  const std::vector<uint32_t> expect = OutDegrees(g);
+  ASSERT_EQ(expect[0], 0u);
+  ASSERT_EQ(expect[1000], 0u);
+  for (const int machines : {1, 3, 4}) {
+    Cluster<PageRankProgram> cluster(SmallConfig(machines), PageRankProgram(1));
+    auto result = cluster.Run(g);
+    ASSERT_NE(g.num_vertices % cluster.partitioning().num_partitions(), 0u);
+    ASSERT_EQ(result.states.size(), g.num_vertices);
+    for (VertexId v = 0; v < g.num_vertices; ++v) {
+      ASSERT_EQ(result.states[v].degree, expect[v]) << "machines=" << machines << " vertex " << v;
     }
   }
 }
