@@ -40,8 +40,10 @@
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -352,9 +354,21 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
 
   // ---- Evolving mode.
+  if (opt.GetInt("mutate-batches") < 0 ||
+      opt.GetInt("mutate-batches") > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "--mutate-batches must be in [0, %u] (got %lld)\n",
+                 std::numeric_limits<uint32_t>::max(),
+                 static_cast<long long>(opt.GetInt("mutate-batches")));
+    return std::nullopt;
+  }
   const auto mutate_batches = static_cast<uint32_t>(opt.GetInt("mutate-batches"));
   std::optional<MutatePreset> mutate_preset;
   if (mutate_batches > 0) {
+    const double rate = opt.GetDouble("mutate-rate");
+    if (!(std::isfinite(rate) && rate > 0.0)) {
+      std::fprintf(stderr, "--mutate-rate must be finite and > 0 (got %g)\n", rate);
+      return std::nullopt;
+    }
     if (algo != "bfs" && algo != "sssp" && algo != "wcc") {
       std::fprintf(stderr, "--mutate-batches supports bfs/sssp/wcc, not %s\n", algo.c_str());
       return std::nullopt;

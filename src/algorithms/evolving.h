@@ -10,25 +10,28 @@
 // the fixed point of the fully mutated graph.
 //
 // Everything host-side lives in the EpochPlanner: the deterministic
-// MutationLog plus the state it carries from one epoch to the next — the
-// raw graph as of the last planned epoch and that graph's prepared
-// adjacency. Planning an epoch (1) applies the next raw batch in place,
-// (2) prepares the post-batch graph once, (3) computes warm-start seeds from
-// the converged states against the carried pre-batch adjacency and one
-// fresh post-batch adjacency (incremental.h) — or fresh InitVertex seeds for
-// the full-recompute baseline — and (4) bins the complete post-batch
-// prepared edge list by partition for the engines' re-bin stage. The
-// post-batch adjacency then becomes the next epoch's pre-batch one, so no
-// graph is prepared or indexed twice. The EvolvingController binds a
+// MutationLog plus two structures it carries from one epoch to the next and
+// patches per batch, never rebuilding them: the post-batch prepared edge
+// list binned by partition, and a HostAdjacency (incremental.h) over the
+// same arcs. Both are keyed by (sequence number, direction) and kept in key
+// order, which is the order a fresh MakeUndirected of the raw graph gives.
+// Planning an epoch (1) marks suspects on the carried pre-batch adjacency,
+// (2) patches the batch into the adjacency and the bins, deletes before
+// inserts, compacting each bin that lost arcs once, in place, and (3)
+// computes the frontier and WCC probes on the patched adjacency — or fresh
+// InitVertex seeds for the full-recompute baseline. The engines' re-bin
+// stage reads the bins through a view. The EvolvingController binds a
 // planner to a cluster through the MutationFeed. Recovery (core/recovery.h)
 // and preemption (core/job_execution.h) re-attach the controller through
-// their ClusterAttachHook at the checkpoint's epoch: the planner's carried
-// state rewinds via MutationLog::GraphAfter and the feed replays every
-// epoch that was not durably committed.
+// their ClusterAttachHook at the checkpoint's epoch: the planner rebuilds
+// its carried state from MutationLog::GraphAfter at its next Plan, and the
+// feed replays every epoch that was not durably committed.
 #ifndef CHAOS_ALGORITHMS_EVOLVING_H_
 #define CHAOS_ALGORITHMS_EVOLVING_H_
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -62,12 +65,17 @@ class EpochPlanner {
 
   EpochPlanner(P prog, std::string algorithm, const InputGraph& raw,
                const MutationSchedule& sched)
+      : EpochPlanner(std::move(prog), std::move(algorithm), MutationLog(raw, sched.log), sched) {}
+
+  // Plans the epochs of a given log (tests replay hand-built histories);
+  // `sched.log` is not read.
+  EpochPlanner(P prog, std::string algorithm, MutationLog log, const MutationSchedule& sched)
       : prog_(std::move(prog)),
         algorithm_(std::move(algorithm)),
         incremental_(sched.incremental),
         wcc_budget_(sched.wcc_connectivity_budget),
-        log_(raw, sched.log),
-        initial_prepared_(PrepareInput(algorithm_, raw)) {
+        log_(std::move(log)),
+        initial_prepared_(PrepareInput(algorithm_, log_.base())) {
     CHAOS_CHECK_MSG(algorithm_ == "bfs" || algorithm_ == "sssp" || algorithm_ == "wcc",
                     "evolving mode supports bfs/sssp/wcc, got " + algorithm_);
   }
@@ -79,26 +87,30 @@ class EpochPlanner {
   // Whether Plan reads converged states (false: full-recompute baseline).
   bool incremental() const { return incremental_; }
 
-  // Rewinds every piece of carried state to the raw graph after epochs
-  // [0, epoch); the next Plan must be for `epoch`.
+  // Rewinds the carried state to the raw graph after epochs [0, epoch); the
+  // next Plan must be for `epoch`, and rebuilds the state for its
+  // partitioning.
   void Reset(uint64_t epoch) {
     CHAOS_CHECK_LE(epoch, log_.num_batches());
-    current_raw_ = log_.GraphAfter(epoch);
-    current_adj_.reset();
     next_epoch_ = epoch;
+    adj_.reset();
+    parts_.reset();
+    bins_ = {};
   }
 
   // Plans `epoch` against the carried state and advances it. `states` are
-  // the converged pre-batch vertex states (incremental mode only).
+  // the converged pre-batch vertex states (incremental mode only). The
+  // delta's part_edges view the carried bins: they stay valid until the
+  // next Plan or Reset.
   MutationDelta Plan(uint64_t epoch, const Partitioning& parts, std::vector<VState> states) {
     CHAOS_CHECK_EQ(epoch, next_epoch_);
-    const MutationBatch& batch = log_.batch(epoch);
-    if (incremental_ && !current_adj_) {
-      // First epoch since Reset: index the pre-batch graph once.
-      current_adj_.emplace(PrepareInput(algorithm_, current_raw_));
+    if (!adj_) {
+      Build(parts);
     }
-    MutationLog::Apply(&current_raw_, batch);
-    const InputGraph prepared = PrepareInput(algorithm_, current_raw_);
+    CHAOS_CHECK_MSG(parts.num_partitions() == parts_->num_partitions() &&
+                        parts.verts_per_partition() == parts_->verts_per_partition(),
+                    "EpochPlanner: the partitioning changed without a Reset");
+    const MutationBatch& batch = log_.batch(epoch);
 
     MutationDelta delta;
     delta.vertex_state_bytes = sizeof(VState);
@@ -107,72 +119,140 @@ class EpochPlanner {
 
     SeedStats stats;
     if (incremental_) {
-      HostAdjacency new_adj(prepared);
-      stats = ComputeSeeds(*current_adj_, new_adj, prepared.edges.size(), batch, &states);
-      current_adj_ = std::move(new_adj);
+      stats = ComputeSeeds(batch, &states);
     } else {
       // Full-recompute baseline: fresh InitVertex seeds, identical apply
       // cost — the comparison isolates re-convergence work.
-      const auto global = prog_.InitGlobal(prepared.num_vertices);
+      Patch(batch);
+      const uint64_t n = adj_->num_vertices();
+      const auto global = prog_.InitGlobal(n);
       states.clear();
-      states.reserve(prepared.num_vertices);
-      for (VertexId v = 0; v < prepared.num_vertices; ++v) {
+      states.reserve(n);
+      for (VertexId v = 0; v < n; ++v) {
         states.push_back(prog_.InitVertex(global, v, 0));
       }
-      stats.resets = prepared.num_vertices;
-      stats.frontier = prepared.num_vertices;
+      stats.resets = n;
+      stats.frontier = n;
     }
     delta.seed_states.resize(states.size() * sizeof(VState));
     std::memcpy(delta.seed_states.data(), states.data(), delta.seed_states.size());
     delta.frontier = stats.frontier;
     delta.resets = stats.resets;
-
-    // The COMPLETE post-batch prepared edge list, binned by the partition
-    // the engines stream (PartitionOf(src), edge-list order): the apply
-    // stage replaces each partition's edge set wholesale, so chunk layout
-    // is host-determined and independent of fetch arrival order. Counted
-    // first, so every bin is sized once.
-    std::vector<uint64_t> counts(parts.num_partitions(), 0);
-    for (const Edge& e : prepared.edges) {
-      ++counts[parts.PartitionOf(e.src)];
+    delta.part_edges.reserve(bins_.size());
+    for (const Bin& bin : bins_) {
+      delta.part_edges.emplace_back(bin.edges);
     }
-    delta.part_edges.resize(parts.num_partitions());
-    for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
-      delta.part_edges[p].reserve(counts[p]);
-    }
-    for (const Edge& e : prepared.edges) {
-      delta.part_edges[parts.PartitionOf(e.src)].push_back(e);
-    }
-
     ++next_epoch_;
     return delta;
   }
 
  private:
-  SeedStats ComputeSeeds(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
-                         uint64_t new_prepared_edges, const MutationBatch& batch,
-                         std::vector<VState>* seeds) const {
-    // Per-arc (prepared) images of the batch: undirected preparation turns
-    // each raw edge into two forward arcs.
-    auto prepared_arcs = [](const std::vector<Edge>& raw) {
-      std::vector<Edge> arcs;
-      arcs.reserve(raw.size() * 2);
-      for (const Edge& e : raw) {
-        arcs.push_back(Edge{e.src, e.dst, e.weight, kEdgeForward});
-        arcs.push_back(Edge{e.dst, e.src, e.weight, kEdgeForward});
+  // One partition's post-batch prepared edges (those whose source it owns),
+  // in key order, with each edge's (seq << 1 | dir) key beside it. The
+  // apply stage replaces each partition's edge set with its bin wholesale,
+  // so chunk layout is host-determined, independent of fetch arrival order.
+  struct Bin {
+    std::vector<Edge> edges;
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> doomed;  // keys the current batch deletes
+
+    void Append(const Edge& e, uint64_t key) {
+      edges.push_back(e);
+      keys.push_back(key);
+    }
+    // Drops the doomed edges in one streaming pass from the first of them:
+    // each run of survivors between two doomed keys moves down at once.
+    void Compact() {
+      if (doomed.empty()) {
+        return;
       }
-      return arcs;
-    };
-    const std::vector<Edge> del_arcs = prepared_arcs(batch.deletes);
-    const std::vector<Edge> ins_arcs = prepared_arcs(batch.inserts);
+      std::sort(doomed.begin(), doomed.end());
+      size_t kept = 0;
+      size_t from = 0;  // survivors in [from, next doomed position) move to kept
+      auto move_down = [&](size_t to) {
+        std::copy(edges.begin() + from, edges.begin() + to, edges.begin() + kept);
+        std::copy(keys.begin() + from, keys.begin() + to, keys.begin() + kept);
+        kept += to - from;
+      };
+      for (const uint64_t key : doomed) {
+        const auto it = std::lower_bound(keys.begin() + from, keys.end(), key);
+        CHAOS_CHECK(it != keys.end() && *it == key);  // every deleted arc is in this bin
+        const auto at = static_cast<size_t>(it - keys.begin());
+        move_down(at);
+        from = at + 1;
+      }
+      move_down(edges.size());
+      edges.resize(kept);
+      keys.resize(kept);
+      doomed.clear();
+    }
+  };
+
+  // Bins are reserved with 1/8 headroom, so epochs that insert about as
+  // many edges as they delete patch them without reallocating.
+  static constexpr uint64_t kBinHeadroomDivisor = 8;
+
+  // Indexes and bins the raw graph after epochs [0, next_epoch_) in key
+  // order, emitting both arcs of each raw edge directly (no prepared copy).
+  void Build(const Partitioning& parts) {
+    std::optional<InputGraph> replayed;
+    if (next_epoch_ > 0) {
+      replayed = log_.GraphAfter(next_epoch_);
+    }
+    const InputGraph& raw = replayed ? *replayed : log_.base();
+    adj_.emplace(raw);
+    parts_.emplace(parts);
+    std::vector<uint64_t> counts(parts.num_partitions(), 0);
+    for (const Edge& e : raw.edges) {
+      ++counts[parts.PartitionOf(e.src)];
+      ++counts[parts.PartitionOf(e.dst)];
+    }
+    bins_.resize(parts.num_partitions());
+    for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
+      bins_[p].edges.reserve(counts[p] + counts[p] / kBinHeadroomDivisor);
+      bins_[p].keys.reserve(counts[p] + counts[p] / kBinHeadroomDivisor);
+    }
+    for (uint64_t i = 0; i < raw.edges.size(); ++i) {
+      AppendArcs(raw.edges[i], i);
+    }
+  }
+
+  // Bins both arcs of raw edge `seq`: the forward image, then the reverse
+  // image MakeUndirected emits after it.
+  void AppendArcs(const Edge& e, uint64_t seq) {
+    bins_[parts_->PartitionOf(e.src)].Append(e, seq << 1);
+    bins_[parts_->PartitionOf(e.dst)].Append(Edge{e.dst, e.src, e.weight, e.flags}, seq << 1 | 1);
+  }
+
+  // Applies `batch` to the adjacency and the bins: every delete (the
+  // first live occurrence, as MutationLog::Apply) before any insert.
+  void Patch(const MutationBatch& batch) {
+    for (const Edge& e : batch.deletes) {
+      const uint64_t seq = adj_->Delete(e);
+      bins_[parts_->PartitionOf(e.src)].doomed.push_back(seq << 1);
+      bins_[parts_->PartitionOf(e.dst)].doomed.push_back(seq << 1 | 1);
+    }
+    for (Bin& bin : bins_) {
+      bin.Compact();
+    }
+    for (const Edge& e : batch.inserts) {
+      AppendArcs(e, adj_->Insert(e));
+    }
+  }
+
+  // Seeds from the converged states, patching the batch in between the
+  // pre-batch and the post-batch reads of the adjacency.
+  SeedStats ComputeSeeds(const MutationBatch& batch, std::vector<VState>* seeds) {
+    auto patch = [&] { Patch(batch); };
     if constexpr (std::is_same_v<P, IncBfsProgram> || std::is_same_v<P, SsspProgram>) {
-      return SeedPathLengths<P>(old_adj, new_adj, del_arcs, ins_arcs,
-                                prog_.InitGlobal(0).source, seeds);
+      return SeedPathLengths<P>(*adj_, batch, prog_.InitGlobal(0).source, seeds, patch);
     } else if constexpr (std::is_same_v<P, WccProgram>) {
-      // Budget 0 = exhaustive: one traversal per arc fully explores any
+      patch();
+      // Budget 0 = exhaustive: an uncapped probe explores the whole
       // component, so every intact deletion is certified.
-      const uint64_t budget = wcc_budget_ != 0 ? wcc_budget_ : new_prepared_edges + 1;
-      return SeedWcc(new_adj, batch.deletes, ins_arcs, budget, seeds);
+      const uint64_t budget =
+          wcc_budget_ != 0 ? wcc_budget_ : std::numeric_limits<uint64_t>::max();
+      return SeedWcc(*adj_, batch, budget, seeds);
     } else {
       CHAOS_CHECK_MSG(false, "no incremental seeder for this program");
       return SeedStats{};
@@ -185,10 +265,12 @@ class EpochPlanner {
   uint64_t wcc_budget_;  // 0 = exhaustive probe
   MutationLog log_;
   InputGraph initial_prepared_;
-  // Carried per-epoch state, rewound by Reset.
+  // Carried per-epoch state, rewound by Reset and built by the next Plan:
+  // the graph after epochs [0, next_epoch_).
   uint64_t next_epoch_ = 0;
-  InputGraph current_raw_;  // raw graph after epochs [0, next_epoch_)
-  std::optional<HostAdjacency> current_adj_;  // its prepared arcs, once built
+  std::optional<HostAdjacency> adj_;
+  std::optional<Partitioning> parts_;  // the partitioning bins_ follow
+  std::vector<Bin> bins_;
 };
 
 template <GasProgram P>

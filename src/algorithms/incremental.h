@@ -21,6 +21,8 @@
 #ifndef CHAOS_ALGORITHMS_INCREMENTAL_H_
 #define CHAOS_ALGORITHMS_INCREMENTAL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -28,6 +30,7 @@
 
 #include "algorithms/basic.h"
 #include "core/gas.h"
+#include "graph/mutation_log.h"
 #include "graph/types.h"
 
 namespace chaos {
@@ -117,44 +120,172 @@ class IncBfsProgram {
 
 // ----------------------------------------------------------- host helpers
 
-// Host-side CSR over the forward arcs of a prepared graph. Iteration order
-// is edge-list order within each source — deterministic. The evolving
-// planner builds one per epoch (the post-batch graph) and carries it
-// forward as the next epoch's pre-batch adjacency.
+// Host-side index of a prepared (MakeUndirected) graph, patched batch by
+// batch instead of rebuilt. Every raw edge has a sequence number: its
+// position in the raw list the index was built from, then one more per
+// insert. Its two prepared arcs have the key (seq << 1 | dir), dir 0 for
+// the forward image src -> dst and 1 for the reverse image dst -> src.
+// MutationLog::Apply keeps survivors in order and appends inserts, so key
+// order is prepared edge-list order, and each vertex's arcs are visited in
+// the order a fresh index of the same graph would give.
+//
+// Layout: a base CSR over every prepared arc (all flag values, so deletes
+// find records with any flags), per-vertex lists of inserted arcs (keyed
+// above every base arc) and tombstones for deleted arcs. Once tombstones
+// plus inserted arcs pass 1/kCompactDivisor of the base, the index is
+// compacted back into a plain CSR.
 class HostAdjacency {
  public:
   struct Arc {
     VertexId dst;
     float weight;
+    uint32_t flags;
+    uint64_t key;  // seq << 1 | dir
+    bool live() const { return dst != kDead; }
   };
 
-  explicit HostAdjacency(const InputGraph& g) : offsets_(g.num_vertices + 1, 0) {
-    for (const Edge& e : g.edges) {
-      if (e.flags == kEdgeForward) {
-        ++offsets_[e.src + 1];
-      }
+  explicit HostAdjacency(const InputGraph& raw)
+      : offsets_(raw.num_vertices + 1, 0),
+        inserted_(raw.num_vertices),
+        base_seq_end_(raw.edges.size()),
+        next_seq_(raw.edges.size()) {
+    for (const Edge& e : raw.edges) {
+      CHAOS_CHECK(e.src < raw.num_vertices && e.dst < raw.num_vertices);
+      ++offsets_[e.src + 1];
+      ++offsets_[e.dst + 1];
     }
-    for (uint64_t v = 0; v < g.num_vertices; ++v) {
+    for (uint64_t v = 0; v < raw.num_vertices; ++v) {
       offsets_[v + 1] += offsets_[v];
     }
     arcs_.resize(offsets_.back());
     std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const Edge& e : g.edges) {
-      if (e.flags == kEdgeForward) {
-        arcs_[cursor[e.src]++] = Arc{e.dst, e.weight};
-      }
+    for (uint64_t i = 0; i < raw.edges.size(); ++i) {
+      const Edge& e = raw.edges[i];
+      arcs_[cursor[e.src]++] = Arc{e.dst, e.weight, e.flags, i << 1};
+      arcs_[cursor[e.dst]++] = Arc{e.src, e.weight, e.flags, i << 1 | 1};
     }
   }
 
   uint64_t num_vertices() const { return offsets_.size() - 1; }
 
-  std::span<const Arc> Out(VertexId v) const {
-    return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
+  // Calls fn(arc) on each live kEdgeForward arc out of `v`, in key order,
+  // until fn returns false. Returns false iff fn stopped the visit.
+  template <typename Fn>
+  bool VisitForward(VertexId v, Fn&& fn) const {
+    return VisitLive(v, [&](const Arc& arc) { return arc.flags != kEdgeForward || fn(arc); });
+  }
+
+  // Deletes the live edge with the lowest sequence number whose raw record
+  // equals `raw` (src, dst, weight bits, all 32 flag bits), the occurrence
+  // MutationLog::Apply removes, and returns that sequence number.
+  // CHECK-fails if no such edge is live.
+  uint64_t Delete(const Edge& raw) {
+    // Search the shorter list: the forward images out of src, or the
+    // reverse images out of dst. Matching takes the direction from the key:
+    // the reverse image of (d, s, w) has the forward image's content.
+    CHAOS_CHECK(raw.src < num_vertices() && raw.dst < num_vertices());
+    const bool at_src = Length(raw.src) <= Length(raw.dst);
+    const VertexId from = at_src ? raw.src : raw.dst;
+    const VertexId to = at_src ? raw.dst : raw.src;
+    const uint64_t dir = at_src ? 0 : 1;
+    const uint32_t wbits = std::bit_cast<uint32_t>(raw.weight);
+    auto matches = [&](const Arc& arc) {  // a tombstone's dst matches no vertex
+      return arc.dst == to && (arc.key & 1) == dir && arc.flags == raw.flags &&
+             std::bit_cast<uint32_t>(arc.weight) == wbits;
+    };
+    Arc* hit = nullptr;
+    for (const std::span<Arc> part : {Base(from), std::span<Arc>(inserted_[from])}) {
+      const auto it = std::find_if(part.begin(), part.end(), matches);
+      if (it != part.end()) {
+        hit = &*it;
+        break;
+      }
+    }
+    CHAOS_CHECK_MSG(hit != nullptr, "mutation deletes an edge that is not in the graph");
+    const uint64_t key = hit->key;
+    hit->dst = kDead;
+    ArcWithKey(to, key ^ 1).dst = kDead;
+    overlay_ += 2;
+    CompactIfOverlaid();
+    return key >> 1;
+  }
+
+  // Adds `raw` (both arcs) under the next sequence number and returns it.
+  uint64_t Insert(const Edge& raw) {
+    CHAOS_CHECK(raw.src < num_vertices() && raw.dst < num_vertices());
+    const uint64_t seq = next_seq_++;
+    inserted_[raw.src].push_back(Arc{raw.dst, raw.weight, raw.flags, seq << 1});
+    inserted_[raw.dst].push_back(Arc{raw.src, raw.weight, raw.flags, seq << 1 | 1});
+    overlay_ += 2;
+    CompactIfOverlaid();
+    return seq;
   }
 
  private:
+  static constexpr VertexId kDead = ~VertexId{0};  // Arc::dst of a tombstone
+  // Compact once tombstones plus inserted arcs exceed 1/8 of the base.
+  static constexpr uint64_t kCompactDivisor = 8;
+
+  std::span<const Arc> Base(VertexId v) const {
+    return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
+  }
+  std::span<Arc> Base(VertexId v) {
+    return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
+  }
+  // VisitForward over the live arcs of every flag value.
+  template <typename Fn>
+  bool VisitLive(VertexId v, Fn&& fn) const {
+    for (const std::span<const Arc> part : {Base(v), std::span<const Arc>(inserted_[v])}) {
+      for (const Arc& arc : part) {
+        if (arc.live() && !fn(arc)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+  uint64_t Length(VertexId v) const {
+    return offsets_[v + 1] - offsets_[v] + inserted_[v].size();
+  }
+
+  // The live arc out of `v` with `key`, by binary search: tombstones keep
+  // their keys, so both lists stay sorted.
+  Arc& ArcWithKey(VertexId v, uint64_t key) {
+    const std::span<Arc> part =
+        (key >> 1) < base_seq_end_ ? Base(v) : std::span<Arc>(inserted_[v]);
+    const auto it = std::lower_bound(part.begin(), part.end(), key,
+                                     [](const Arc& a, uint64_t k) { return a.key < k; });
+    CHAOS_CHECK(it != part.end() && it->key == key && it->live());
+    return *it;
+  }
+
+  void CompactIfOverlaid() {
+    if (overlay_ * kCompactDivisor <= arcs_.size()) {
+      return;
+    }
+    std::vector<uint64_t> offsets(offsets_.size(), 0);
+    std::vector<Arc> arcs;
+    arcs.reserve(arcs_.size() + overlay_);  // bounds the live arcs
+    for (uint64_t v = 0; v < num_vertices(); ++v) {
+      VisitLive(v, [&](const Arc& arc) {
+        arcs.push_back(arc);
+        return true;
+      });
+      inserted_[v].clear();
+      offsets[v + 1] = arcs.size();
+    }
+    offsets_ = std::move(offsets);
+    arcs_ = std::move(arcs);
+    base_seq_end_ = next_seq_;
+    overlay_ = 0;
+  }
+
   std::vector<uint64_t> offsets_;
-  std::vector<Arc> arcs_;
+  std::vector<Arc> arcs_;  // the base CSR, key order per vertex
+  std::vector<std::vector<Arc>> inserted_;  // per vertex, key order
+  uint64_t base_seq_end_;  // sequence numbers below this are in the base
+  uint64_t next_seq_;
+  uint64_t overlay_ = 0;  // tombstones + inserted arcs since the last compaction
 };
 
 // Seed accounting, surfaced through MutationDelta into MutationEpochRecord.
@@ -186,70 +317,74 @@ struct PathLength<SsspProgram> {
   static float Via(float dist, float weight) { return dist + weight; }
 };
 
-// `old_adj`/`new_adj` are the pre- and post-batch prepared graphs' arcs.
-// `deleted_arcs`/`inserted_arcs` are the batch in PREPARED per-arc form
-// (undirected preparation turns each raw edge into two forward arcs).
-// `states` holds the engine's converged pre-batch states in, seeds out.
-template <typename P>
-SeedStats SeedPathLengths(const HostAdjacency& old_adj, const HostAdjacency& new_adj,
-                          const std::vector<Edge>& deleted_arcs,
-                          const std::vector<Edge>& inserted_arcs, VertexId source,
-                          std::vector<typename P::VertexState>* states) {
+// `adj` indexes the pre-batch prepared graph and `patch()` turns it into the
+// post-batch one: suspects are marked over the pre-batch arcs, then the
+// frontier is read from the post-batch arcs. `batch` is the RAW batch; each
+// of its edges stands for both of its prepared arcs. `states` holds the
+// engine's converged pre-batch states in, seeds out.
+template <typename P, typename Patch>
+SeedStats SeedPathLengths(const HostAdjacency& adj, const MutationBatch& batch, VertexId source,
+                          std::vector<typename P::VertexState>* states, Patch&& patch) {
   using L = PathLength<P>;
+  using Arc = HostAdjacency::Arc;
   auto& st = *states;
-  const uint64_t n = old_adj.num_vertices();
+  const uint64_t n = adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
-  CHAOS_CHECK_EQ(new_adj.num_vertices(), n);
   auto reached = [&](VertexId v) { return L::Of(st[v]) != L::kUnreached; };
   // True iff the arc u -> v (length from `weight`) could have set v's value.
   auto tight = [&](VertexId u, VertexId v, float weight) {
     return L::Of(st[v]) == L::Via(L::Of(st[u]), weight);
   };
   std::vector<uint8_t> suspect(n, 0);
-  std::vector<VertexId> work;
+  std::vector<VertexId> suspects;
   auto mark = [&](VertexId v) {
     if (v != source && suspect[v] == 0 && reached(v)) {
       suspect[v] = 1;
-      work.push_back(v);
+      suspects.push_back(v);
     }
   };
-  // Direct suspects: the deleted arc was tight.
-  for (const Edge& e : deleted_arcs) {
+  // Direct suspects: a deleted arc, in either direction, was tight.
+  for (const Edge& e : batch.deletes) {
     if (reached(e.src) && tight(e.src, e.dst, e.weight)) {
       mark(e.dst);
     }
+    if (reached(e.dst) && tight(e.dst, e.src, e.weight)) {
+      mark(e.src);
+    }
   }
-  // Propagate over the OLD graph's tight arcs: anything whose value may have
-  // depended on a suspect becomes suspect. All reads are of the unmodified
-  // converged values; st is only rewritten in the final loop.
-  while (!work.empty()) {
-    const VertexId u = work.back();
-    work.pop_back();
-    for (const auto& arc : old_adj.Out(u)) {
+  // Propagate over the pre-batch graph's tight arcs: anything whose value
+  // may have depended on a suspect becomes suspect. All reads are of the
+  // unmodified converged values; st is only rewritten in the final loop.
+  for (size_t i = 0; i < suspects.size(); ++i) {
+    const VertexId u = suspects[i];
+    adj.VisitForward(u, [&](const Arc& arc) {
       if (tight(u, arc.dst, arc.weight)) {
         mark(arc.dst);
       }
-    }
+      return true;
+    });
   }
-  // Frontier: intact vertices bordering the reset region in the NEW graph
-  // re-announce their still-valid value; sources of inserted arcs may open
-  // shortcuts anywhere.
+  patch();
+  // Frontier: intact vertices bordering the reset region in the post-batch
+  // graph re-announce their still-valid value. The prepared graph holds
+  // the mirror of every arc, so these are the intact ends of the suspects'
+  // own post-batch arcs. Endpoints of inserted edges may open shortcuts
+  // anywhere.
   std::vector<uint8_t> frontier(n, 0);
-  for (uint64_t u = 0; u < n; ++u) {
-    if (suspect[u] != 0 || !reached(u)) {
-      continue;
+  auto announce = [&](VertexId u) {
+    if (suspect[u] == 0 && reached(u)) {
+      frontier[u] = 1;
     }
-    for (const auto& arc : new_adj.Out(u)) {
-      if (suspect[arc.dst] != 0) {
-        frontier[u] = 1;
-        break;
-      }
-    }
+  };
+  for (const VertexId v : suspects) {
+    adj.VisitForward(v, [&](const Arc& arc) {
+      announce(arc.dst);
+      return true;
+    });
   }
-  for (const Edge& e : inserted_arcs) {
-    if (suspect[e.src] == 0 && reached(e.src)) {
-      frontier[e.src] = 1;
-    }
+  for (const Edge& e : batch.inserts) {
+    announce(e.src);
+    announce(e.dst);
   }
   SeedStats stats;
   for (uint64_t u = 0; u < n; ++u) {
@@ -290,17 +425,18 @@ class HostReachProbe {
     while (!stack_.empty()) {
       const VertexId u = stack_.back();
       stack_.pop_back();
-      for (const auto& arc : adj_.Out(u)) {
-        if (++traversed > budget) {
+      const bool go_on = adj_.VisitForward(u, [&](const HostAdjacency::Arc& arc) {
+        if (++traversed > budget || arc.dst == to) {
           return false;
-        }
-        if (arc.dst == to) {
-          return true;
         }
         if (stamp_[arc.dst] != probe_) {
           stamp_[arc.dst] = probe_;
           stack_.push_back(arc.dst);
         }
+        return true;
+      });
+      if (!go_on) {
+        return traversed <= budget;  // stopped at `to`, or out of budget
       }
     }
     return false;  // component exhausted without reaching `to`
@@ -313,19 +449,18 @@ class HostReachProbe {
   std::vector<VertexId> stack_;
 };
 
-// `new_adj` is the post-batch prepared graph's arcs. `deleted_edges` are the
-// RAW batch deletions (one probe per edge, not per prepared arc);
-// `inserted_arcs` are prepared (both directions, so both endpoints of every
-// raw insert get their changed flag).
-inline SeedStats SeedWcc(const HostAdjacency& new_adj, const std::vector<Edge>& deleted_edges,
-                         const std::vector<Edge>& inserted_arcs, uint64_t connectivity_budget,
+// `adj` indexes the post-batch prepared graph. `batch` is the RAW batch: one
+// probe per deleted edge, and both endpoints of every insert get their
+// changed flag.
+inline SeedStats SeedWcc(const HostAdjacency& adj, const MutationBatch& batch,
+                         uint64_t connectivity_budget,
                          std::vector<WccProgram::VertexState>* states) {
   auto& st = *states;
-  const uint64_t n = new_adj.num_vertices();
+  const uint64_t n = adj.num_vertices();
   CHAOS_CHECK_EQ(st.size(), n);
-  HostReachProbe probe(new_adj);
+  HostReachProbe probe(adj);
   std::vector<uint8_t> reset_label(n, 0);  // labels are vertex ids
-  for (const Edge& e : deleted_edges) {
+  for (const Edge& e : batch.deletes) {
     // At convergence both endpoints of an existing edge carry their
     // component's min label, so unequal labels mean nothing to check.
     if (st[e.src].label != st[e.dst].label) {
@@ -339,8 +474,9 @@ inline SeedStats SeedWcc(const HostAdjacency& new_adj, const std::vector<Edge>& 
     }
   }
   std::vector<uint8_t> frontier(n, 0);
-  for (const Edge& e : inserted_arcs) {
+  for (const Edge& e : batch.inserts) {
     frontier[e.src] = 1;
+    frontier[e.dst] = 1;
   }
   SeedStats stats;
   for (uint64_t u = 0; u < n; ++u) {

@@ -181,8 +181,9 @@ Task<> EngineCore::ApplyMutationStage() {
     for (const PartitionId p : own_partitions_) {
       // Stream the old edge side of the partition — the read cost of
       // retiring the pre-batch edge set. The payloads are discarded: the
-      // replacement below is the host-planned full post-batch edge list,
-      // so the output is deterministic regardless of chunk arrival order.
+      // replacement below is the host-planned full post-batch edge list (a
+      // view of the planner's bins, valid until its next Plan), so the
+      // output is deterministic regardless of chunk arrival order.
       ChunkFetcher fetcher(&ctx_, &rng_, SetId{p, old_kind}, MutateScanEpoch(),
                            ctx_.config->fetch_window(), LocalMasterTarget(parts_->Master(p)),
                            /*preserve_payload=*/true);

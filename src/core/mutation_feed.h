@@ -4,10 +4,10 @@
 //
 // The coordinator consults the feed at every convergence barrier: if a
 // batch is pending, it calls Plan() — a zero-sim-time host callback that
-// reads the engines' converged vertex states, applies the next raw batch,
-// prepares the post-batch edge set per partition and computes the reseeded
-// vertex states — then releases the barrier with `mutate` set instead of
-// `done`. Every engine then runs the timed apply-mutations stage
+// reads the engines' converged vertex states, patches the next raw batch
+// into the planner's per-partition prepared edge lists and computes the
+// reseeded vertex states — then releases the barrier with `mutate` set
+// instead of `done`. Every engine then runs the timed apply-mutations stage
 // (EngineCore::ApplyMutationStage) against the planned delta, so all data
 // movement the plan implies is charged to simulated devices even though
 // planning itself is host-side.
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,9 +29,12 @@ namespace chaos {
 // post-batch prepared edge set binned by partition (deletes are simply
 // absent; inserts present), plus the full reseeded vertex-state image.
 struct MutationDelta {
-  // Prepared (post-MakeUndirected) edges of the NEW graph, one vector per
-  // partition, in deterministic (host-computed) order.
-  std::vector<std::vector<Edge>> part_edges;
+  // Prepared (post-MakeUndirected) edges of the NEW graph, one span per
+  // partition, in deterministic (host-computed) order. Non-owning: the
+  // spans view the planner's carried bins and stay valid only until that
+  // planner's next Plan or Reset, so a delta is applied before the next
+  // epoch is planned and is never kept across a re-attach.
+  std::vector<std::span<const Edge>> part_edges;
   // Reseeded vertex states for ALL vertices, vertex_state_bytes() each.
   std::vector<uint8_t> seed_states;
   uint64_t vertex_state_bytes = 0;
@@ -53,6 +57,7 @@ class MutationFeed {
     total_epochs_ = total_epochs;
     planner_ = std::move(planner);
     next_epoch_ = 0;
+    current_ = MutationDelta{};  // its views die with the planner's Reset
   }
 
   // Resume support: epochs [0, epoch) are already committed in the state

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -58,6 +59,10 @@ struct MutationBatch {
 class MutationLog {
  public:
   MutationLog(const InputGraph& base, const MutationLogOptions& opt);
+  // A log of given batches against `base` (a recorded or hand-built
+  // history). Batch k must apply to the graph after batches [0, k).
+  MutationLog(InputGraph base, std::vector<MutationBatch> batches)
+      : base_(std::move(base)), batches_(std::move(batches)) {}
 
   uint64_t num_batches() const { return batches_.size(); }
   const MutationBatch& batch(uint64_t k) const { return batches_[k]; }

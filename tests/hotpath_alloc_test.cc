@@ -11,6 +11,10 @@
 // Chunk-granularity allocations (one shared_ptr control block per *parked
 // chunk*) are explicitly allowed: the guarantee is per record and per
 // event, where the old code paid a vector regrowth per chunk per partition.
+//
+// The counter also records the largest single request, which bounds the
+// evolving planner: once its first Plan has built the carried bins and
+// index, a warm epoch allocates nothing the size of the edge list.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,11 +22,16 @@
 #include <cstdlib>
 #include <new>
 
+#include "algorithms/evolving.h"
+#include "algorithms/incremental.h"
+#include "algorithms/runner.h"
 #include "core/gas.h"
 #include "core/partition.h"
 #include "core/record_arena.h"
 #include "core/record_binner.h"
 #include "core/update_chunk_view.h"
+#include "graph/generators.h"
+#include "graph/ref/reference.h"
 #include "graph/types.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -34,9 +43,17 @@
 namespace {
 
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_largest{0};  // largest single request since reset
+
+void Count(std::size_t n) {
+  ++g_allocs;
+  uint64_t prev = g_largest.load(std::memory_order_relaxed);
+  while (n > prev && !g_largest.compare_exchange_weak(prev, n, std::memory_order_relaxed)) {
+  }
+}
 
 void* CountedAlloc(std::size_t n) {
-  ++g_allocs;
+  Count(n);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -45,7 +62,7 @@ void* CountedAlloc(std::size_t n) {
 }
 
 void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  ++g_allocs;
+  Count(n);
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
     throw std::bad_alloc();
@@ -60,11 +77,11 @@ void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
 void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new(std::size_t n, std::align_val_t a) {
@@ -92,6 +109,14 @@ uint64_t CountAllocs(Fn&& fn) {
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
   fn();
   return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// Runs `fn` and returns the largest single heap request it made.
+template <typename Fn>
+uint64_t LargestAlloc(Fn&& fn) {
+  g_largest.store(0, std::memory_order_relaxed);
+  fn();
+  return g_largest.load(std::memory_order_relaxed);
 }
 
 TEST(HotPathAllocTest, CalendarPushPopAllocFree) {
@@ -345,16 +370,61 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   EXPECT_FALSE(binner.HasPending());
 }
 
+// Epoch 0 builds the planner's carried bins and index from the raw graph;
+// epochs 1-3 only patch them. Those warm epochs may allocate |V|-sized
+// seed images and seeder arrays, and per-vertex insert lists, but no single
+// request may reach 1/8 of the prepared edge list. Four 1 % batches stay
+// under the index's compaction point.
+TEST(HotPathAllocTest, WarmEpochPlanAllocatesNothingEdgeSized) {
+  RmatOptions gen;
+  gen.scale = 12;
+  gen.edges_per_vertex = 8;
+  gen.seed = 5;
+  const InputGraph raw = GenerateRmat(gen);
+  MutationSchedule sched;
+  sched.log.num_batches = 4;
+  sched.log.rate = 0.01;
+  sched.log.seed = 9;
+  EpochPlanner<IncBfsProgram> planner(IncBfsProgram(0), "bfs", raw, sched);
+  const Partitioning parts = Partitioning::WithPartitions(raw.num_vertices, 4, 16);
+  const uint64_t edge_list_bytes = 2 * raw.edges.size() * sizeof(Edge);
+  planner.Reset(0);
+  for (uint64_t k = 0; k < sched.log.num_batches; ++k) {
+    // The converged pre-batch states, as the cluster would hand them over.
+    const std::vector<int64_t> depths =
+        ref::BfsDepths(PrepareInput("bfs", planner.log().GraphAfter(k)), 0);
+    std::vector<IncBfsProgram::VertexState> states;
+    for (const int64_t d : depths) {
+      states.push_back({d == ref::kUnreachable ? IncBfsProgram::kUnreached : d, 0});
+    }
+    uint64_t resets = 0;
+    const uint64_t largest = LargestAlloc([&] {
+      const MutationDelta delta = planner.Plan(k, parts, std::move(states));
+      resets = delta.resets;
+    });
+    if (k == 0) {
+      EXPECT_GE(largest, edge_list_bytes / 8);
+    } else {
+      EXPECT_LT(largest, edge_list_bytes / 8) << "epoch " << k;
+    }
+  }
+}
+
 // The counting operators themselves must be live (otherwise the zero
-// deltas above would be vacuously true).
+// deltas above would be vacuously true), and so must the largest-request
+// record.
 TEST(HotPathAllocTest, CounterObservesAllocations) {
-  const uint64_t allocs = CountAllocs([] {
-    auto* p = new int(7);
-    delete p;
-    std::vector<uint8_t> v(1 << 16);
-    (void)v;
+  uint64_t allocs = 0;
+  const uint64_t largest = LargestAlloc([&] {
+    allocs = CountAllocs([] {
+      auto* p = new int(7);
+      delete p;
+      std::vector<uint8_t> v(1 << 16);
+      (void)v;
+    });
   });
   EXPECT_GE(allocs, 2u);
+  EXPECT_GE(largest, uint64_t{1} << 16);
 }
 
 }  // namespace

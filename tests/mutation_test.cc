@@ -379,38 +379,41 @@ TEST(EvolvingTest, IncBfsMatchesStaticBfsOnStaticGraph) {
 
 // ------------------------------------------------- hand-checked seeders
 
-// Undirected path 0-1-2-3 prepared into forward arc pairs.
-InputGraph PreparedPath(uint64_t n, float weight = 1.0f) {
+// Raw path 0-1-...-(n-1); the adjacency indexes both arcs of each edge.
+InputGraph RawPath(uint64_t n) {
   InputGraph g;
   g.num_vertices = n;
-  g.weighted = weight != 1.0f;
   for (uint64_t v = 0; v + 1 < n; ++v) {
-    g.edges.push_back(Edge{v, v + 1, weight, kEdgeForward});
+    g.edges.push_back(Edge{v, v + 1, 1.0f, kEdgeForward});
   }
-  return MakeUndirected(g);
+  return g;
 }
 
-std::vector<Edge> Arcs(std::vector<Edge> raw) {
-  std::vector<Edge> arcs;
-  for (const Edge& e : raw) {
-    arcs.push_back(Edge{e.src, e.dst, e.weight, kEdgeForward});
-    arcs.push_back(Edge{e.dst, e.src, e.weight, kEdgeForward});
-  }
-  return arcs;
+MutationBatch Deletes(std::vector<Edge> deletes) { return MutationBatch{{}, std::move(deletes)}; }
+MutationBatch Inserts(std::vector<Edge> inserts) { return MutationBatch{std::move(inserts), {}}; }
+
+// Runs SeedPathLengths on the index of `old_raw`, patched with `batch` the
+// way the planner patches it: every delete before any insert.
+template <typename P>
+SeedStats SeedPaths(const InputGraph& old_raw, const MutationBatch& batch,
+                    std::vector<typename P::VertexState>* st) {
+  HostAdjacency adj(old_raw);
+  return SeedPathLengths<P>(adj, batch, 0, st, [&] {
+    for (const Edge& e : batch.deletes) {
+      adj.Delete(e);
+    }
+    for (const Edge& e : batch.inserts) {
+      adj.Insert(e);
+    }
+  });
 }
 
 TEST(SeederTest, BfsDeleteCutsTailUnreachable) {
-  const InputGraph old_p = PreparedPath(4);
   // Delete {1,2}: the tail {2,3} loses its only path and resets; no intact
   // vertex borders the reset region afterwards, so the frontier is empty.
-  InputGraph new_raw;
-  new_raw.num_vertices = 4;
-  new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{2, 3, 1.0f, kEdgeForward}};
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
-                                               Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0,
-                                               &st);
+  SeedStats s = SeedPaths<IncBfsProgram>(RawPath(4), Deletes({Edge{1, 2, 1.0f, kEdgeForward}}),
+                                         &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[0].depth, 0);
@@ -428,39 +431,21 @@ TEST(SeederTest, BfsAlternatePathKeepsBoundaryFrontier) {
   old_raw.num_vertices = 4;
   old_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{1, 2, 1.0f, kEdgeForward},
                    Edge{0, 3, 1.0f, kEdgeForward}, Edge{3, 2, 1.0f, kEdgeForward}};
-  const InputGraph old_p = MakeUndirected(old_raw);
-  InputGraph new_raw = old_raw;
-  new_raw.edges.erase(new_raw.edges.begin() + 1);
-  const InputGraph new_p = MakeUndirected(new_raw);
-  std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  st[1].depth = 1;
-  st[3].depth = 1;
-  st[2].depth = 2;
-  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
-                                               Arcs({Edge{1, 2, 1.0f, kEdgeForward}}), {}, 0,
-                                               &st);
+  std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {1, 0}};
+  SeedStats s =
+      SeedPaths<IncBfsProgram>(old_raw, Deletes({Edge{1, 2, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 1u);
   EXPECT_EQ(st[2].depth, IncBfsProgram::kUnreached);
   EXPECT_EQ(st[3].changed, 1);  // still borders 2 in the new graph
   EXPECT_EQ(st[0].changed, 0);
+  EXPECT_EQ(st[1].changed, 0);  // its arc into 2 is gone
   EXPECT_EQ(s.frontier, 1u);
 }
 
 TEST(SeederTest, BfsInsertMarksEndpointFrontier) {
-  const InputGraph old_p = PreparedPath(5);
-  InputGraph new_raw;
-  new_raw.num_vertices = 5;
-  for (uint64_t v = 0; v + 1 < 5; ++v) {
-    new_raw.edges.push_back(Edge{v, v + 1, 1.0f, kEdgeForward});
-  }
-  new_raw.edges.push_back(Edge{0, 4, 1.0f, kEdgeForward});
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<IncBfsProgram::VertexState> st = {{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}};
-  for (uint64_t v = 0; v < 5; ++v) {
-    st[v].depth = static_cast<int64_t>(v);
-  }
-  SeedStats s = SeedPathLengths<IncBfsProgram>(HostAdjacency(old_p), HostAdjacency(new_p), {},
-                                               Arcs({Edge{0, 4, 1.0f, kEdgeForward}}), 0, &st);
+  SeedStats s =
+      SeedPaths<IncBfsProgram>(RawPath(5), Inserts({Edge{0, 4, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 0u);
   // Both endpoints of the inserted edge re-announce; depths are untouched.
   EXPECT_EQ(st[0].changed, 1);
@@ -476,13 +461,8 @@ TEST(SeederTest, SsspTightArcPropagation) {
   old_raw.num_vertices = 3;
   old_raw.weighted = true;
   old_raw.edges = {Edge{0, 1, 2.0f, kEdgeForward}, Edge{1, 2, 3.0f, kEdgeForward}};
-  const InputGraph old_p = MakeUndirected(old_raw);
-  InputGraph new_raw = old_raw;
-  new_raw.edges.erase(new_raw.edges.begin());
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {2.0f, 0}, {5.0f, 0}};
-  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
-                                             Arcs({Edge{0, 1, 2.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPaths<SsspProgram>(old_raw, Deletes({old_raw.edges[0]}), &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(st[1].dist, SsspProgram::kInf);
   EXPECT_EQ(st[2].dist, SsspProgram::kInf);
@@ -497,13 +477,8 @@ TEST(SeederTest, SsspNonTightDeleteKeepsState) {
   old_raw.weighted = true;
   old_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{1, 2, 1.0f, kEdgeForward},
                    Edge{0, 2, 5.0f, kEdgeForward}};
-  const InputGraph old_p = MakeUndirected(old_raw);
-  InputGraph new_raw = old_raw;
-  new_raw.edges.pop_back();
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {1.0f, 0}, {2.0f, 0}};
-  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
-                                             Arcs({Edge{0, 2, 5.0f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPaths<SsspProgram>(old_raw, Deletes({old_raw.edges[2]}), &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[2].dist, 2.0f);
@@ -519,16 +494,11 @@ TEST(SeederTest, SsspTightnessUsesTheEngineFloatSum) {
   old_raw.num_vertices = 3;
   old_raw.weighted = true;
   old_raw.edges = {Edge{0, 1, 0.1f, kEdgeForward}, Edge{1, 2, 0.2f, kEdgeForward}};
-  const InputGraph old_p = MakeUndirected(old_raw);
-  InputGraph new_raw = old_raw;
-  new_raw.edges.erase(new_raw.edges.begin());
-  const InputGraph new_p = MakeUndirected(new_raw);
   const float d1 = 0.0f + 0.1f;
   const float d2 = d1 + 0.2f;
   ASSERT_NE(static_cast<double>(d2), static_cast<double>(d1) + static_cast<double>(0.2f));
   std::vector<SsspProgram::VertexState> st = {{0.0f, 0}, {d1, 0}, {d2, 0}};
-  SeedStats s = SeedPathLengths<SsspProgram>(HostAdjacency(old_p), HostAdjacency(new_p),
-                                             Arcs({Edge{0, 1, 0.1f, kEdgeForward}}), {}, 0, &st);
+  SeedStats s = SeedPaths<SsspProgram>(old_raw, Deletes({old_raw.edges[0]}), &st);
   EXPECT_EQ(s.resets, 2u);
   EXPECT_EQ(st[1].dist, SsspProgram::kInf);
   EXPECT_EQ(st[2].dist, SsspProgram::kInf);
@@ -540,9 +510,8 @@ TEST(SeederTest, WccSplitResetsWholeComponent) {
   InputGraph new_raw;
   new_raw.num_vertices = 5;
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{3, 4, 1.0f, kEdgeForward}};
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}, {3, 0}, {3, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_p), {Edge{1, 2, 1.0f, kEdgeForward}}, {},
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{1, 2, 1.0f, kEdgeForward}}),
                         kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 3u);
   EXPECT_EQ(st[0].label, 0u);
@@ -559,9 +528,8 @@ TEST(SeederTest, WccCycleSurvivesDeleteWithoutResets) {
   InputGraph new_raw;
   new_raw.num_vertices = 3;
   new_raw.edges = {Edge{1, 2, 1.0f, kEdgeForward}, Edge{2, 0, 1.0f, kEdgeForward}};
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_p), {Edge{0, 1, 1.0f, kEdgeForward}}, {},
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{0, 1, 1.0f, kEdgeForward}}),
                         kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
@@ -573,9 +541,8 @@ TEST(SeederTest, WccInsertMarksBothEndpoints) {
   new_raw.num_vertices = 4;
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{2, 3, 1.0f, kEdgeForward},
                    Edge{1, 2, 1.0f, kEdgeForward}};
-  const InputGraph new_p = MakeUndirected(new_raw);
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {2, 0}, {2, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_p), {}, Arcs({Edge{1, 2, 1.0f, kEdgeForward}}),
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Inserts({Edge{1, 2, 1.0f, kEdgeForward}}),
                         kWccConnectivityBudget, &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(st[1].changed, 1);
@@ -599,6 +566,9 @@ std::vector<typename P::VertexState> HostFixpoint(const P& prog, const InputGrap
   for (bool changed = true; changed;) {
     changed = false;
     for (const Edge& e : prepared.edges) {
+      if (e.flags != kEdgeForward) {
+        continue;  // the engines' scatter skips them too
+      }
       auto& s = st[e.src];
       auto& d = st[e.dst];
       if constexpr (std::is_same_v<P, IncBfsProgram>) {
@@ -625,35 +595,40 @@ std::vector<typename P::VertexState> HostFixpoint(const P& prog, const InputGrap
   return st;
 }
 
-// Stateless reference planner: both graphs rebuilt from GraphAfter, fresh
-// adjacencies, bins grown one push at a time.
+// Stateless reference planner: the pre-batch graph indexed fresh from
+// GraphAfter(epoch), the "patch" replaced by a fresh index of
+// GraphAfter(epoch + 1), bins grown one push at a time from the prepared
+// post-batch list. `bins` owns what `delta.part_edges` views.
+struct StatelessDelta {
+  std::vector<std::vector<Edge>> bins;
+  MutationDelta delta;
+};
+
 template <typename P>
-MutationDelta StatelessPlan(const P& prog, const std::string& algo, const MutationLog& log,
-                            const MutationSchedule& sched, uint64_t epoch,
-                            const Partitioning& parts,
-                            std::vector<typename P::VertexState> seeds) {
+StatelessDelta StatelessPlan(const P& prog, const std::string& algo, const MutationLog& log,
+                             const MutationSchedule& sched, uint64_t epoch,
+                             const Partitioning& parts,
+                             std::vector<typename P::VertexState> seeds) {
   using VState = typename P::VertexState;
   const MutationBatch& batch = log.batch(epoch);
-  const InputGraph old_p = PrepareInput(algo, log.GraphAfter(epoch));
   const InputGraph new_p = PrepareInput(algo, log.GraphAfter(epoch + 1));
-  MutationDelta delta;
+  StatelessDelta out;
+  MutationDelta& delta = out.delta;
   delta.vertex_state_bytes = sizeof(VState);
   delta.edges_inserted = batch.inserts.size();
   delta.edges_deleted = batch.deletes.size();
   SeedStats stats;
   if (sched.incremental) {
-    const std::vector<Edge> del_arcs = Arcs(batch.deletes);
-    const std::vector<Edge> ins_arcs = Arcs(batch.inserts);
-    const HostAdjacency old_adj(old_p);
-    const HostAdjacency new_adj(new_p);
+    HostAdjacency adj(log.GraphAfter(epoch));
+    auto reindex = [&] { adj = HostAdjacency(log.GraphAfter(epoch + 1)); };
     if constexpr (std::is_same_v<P, IncBfsProgram> || std::is_same_v<P, SsspProgram>) {
-      stats = SeedPathLengths<P>(old_adj, new_adj, del_arcs, ins_arcs,
-                                 prog.InitGlobal(0).source, &seeds);
+      stats = SeedPathLengths<P>(adj, batch, prog.InitGlobal(0).source, &seeds, reindex);
     } else {
+      reindex();
       const uint64_t budget = sched.wcc_connectivity_budget != 0
                                   ? sched.wcc_connectivity_budget
-                                  : new_p.edges.size() + 1;
-      stats = SeedWcc(new_adj, batch.deletes, ins_arcs, budget, &seeds);
+                                  : std::numeric_limits<uint64_t>::max();
+      stats = SeedWcc(adj, batch, budget, &seeds);
     }
   } else {
     const auto global = prog.InitGlobal(new_p.num_vertices);
@@ -668,11 +643,14 @@ MutationDelta StatelessPlan(const P& prog, const std::string& algo, const Mutati
   std::memcpy(delta.seed_states.data(), seeds.data(), delta.seed_states.size());
   delta.frontier = stats.frontier;
   delta.resets = stats.resets;
-  delta.part_edges.assign(parts.num_partitions(), {});
+  out.bins.assign(parts.num_partitions(), {});
   for (const Edge& e : new_p.edges) {
-    delta.part_edges[parts.PartitionOf(e.src)].push_back(e);
+    out.bins[parts.PartitionOf(e.src)].push_back(e);
   }
-  return delta;
+  for (const std::vector<Edge>& bin : out.bins) {
+    delta.part_edges.emplace_back(bin);
+  }
+  return out;
 }
 
 // Every field of a vertex state, floats by bit pattern (the serialized
@@ -710,33 +688,46 @@ void ExpectSameDelta(const MutationDelta& got, const MutationDelta& want, const 
   }
 }
 
-// Plans every epoch of a fresh run, then rewinds the same planner to epoch 2
-// (what Attach does on recovery or a preemption slice) and plans the rest
-// again; each delta must equal the stateless re-plan of that epoch.
+// Plans every epoch of `log` on 3 partitions, then rewinds the same planner
+// to epoch 2 on 4 partitions (what Attach does on a rescaled recovery) and
+// plans the rest again; each delta must equal the stateless re-plan of that
+// epoch. Returns the seeds reset over all plans.
 template <typename P>
-void ExpectPlannerMatchesStateless(const P& prog, const std::string& algo, bool weighted,
-                                   MutatePreset preset, bool incremental = true) {
-  constexpr uint64_t kEpochs = 4;
-  const InputGraph raw = SmallRmat(71, weighted);
-  MutationSchedule sched;
-  sched.log = Schedule(kEpochs, 0.05, preset, 73);
-  sched.incremental = incremental;
-  EpochPlanner<P> planner(prog, algo, raw, sched);
-  const MutationLog& log = planner.log();
-  const Partitioning parts = Partitioning::WithPartitions(raw.num_vertices, 3, 6);
+uint64_t ExpectPlannerMatchesStateless(const P& prog, const std::string& algo,
+                                       const MutationLog& log, const MutationSchedule& sched,
+                                       const std::string& what) {
+  EpochPlanner<P> planner(prog, algo, log, sched);
+  const uint64_t n = log.base().num_vertices;
   uint64_t resets = 0;
-  for (const uint64_t start : {uint64_t{0}, uint64_t{2}}) {
+  for (const auto& [start, num_parts] : {std::pair<uint64_t, uint32_t>{0, 3}, {2, 4}}) {
+    const Partitioning parts = Partitioning::WithPartitions(n, static_cast<int>(num_parts),
+                                                            num_parts);
     planner.Reset(start);
-    for (uint64_t k = start; k < kEpochs; ++k) {
+    for (uint64_t k = start; k < log.num_batches(); ++k) {
       const auto states = HostFixpoint(prog, PrepareInput(algo, log.GraphAfter(k)));
       const MutationDelta got = planner.Plan(k, parts, states);
-      const MutationDelta want = StatelessPlan(prog, algo, log, sched, k, parts, states);
-      ExpectSameDelta<P>(got, want,
-                         algo + " " + MutatePresetName(preset) + " start " +
-                             std::to_string(start) + " epoch " + std::to_string(k));
+      const StatelessDelta want = StatelessPlan(prog, algo, log, sched, k, parts, states);
+      ExpectSameDelta<P>(got, want.delta,
+                         what + " " + algo + " start " + std::to_string(start) + " epoch " +
+                             std::to_string(k));
       resets += got.resets;
     }
   }
+  return resets;
+}
+
+// Four 5 % epochs over RMAT-7: past the adjacency's compaction point.
+template <typename P>
+void ExpectRmatPlannerMatchesStateless(const P& prog, const std::string& algo, bool weighted,
+                                       MutatePreset preset, bool incremental = true,
+                                       uint64_t wcc_budget = 0) {
+  const InputGraph raw = SmallRmat(71, weighted);
+  MutationSchedule sched;
+  sched.log = Schedule(4, 0.05, preset, 73);
+  sched.incremental = incremental;
+  sched.wcc_connectivity_budget = wcc_budget;
+  const uint64_t resets = ExpectPlannerMatchesStateless(prog, algo, MutationLog(raw, sched.log),
+                                                        sched, MutatePresetName(preset));
   // The schedule reaches the seeders' reset paths, not only the frontier.
   EXPECT_GT(resets, 0u) << algo << " " << MutatePresetName(preset);
 }
@@ -744,17 +735,99 @@ void ExpectPlannerMatchesStateless(const P& prog, const std::string& algo, bool 
 TEST(EpochPlannerTest, CarriedStateMatchesStatelessPlan) {
   for (const MutatePreset preset :
        {MutatePreset::kUniform, MutatePreset::kHotspot, MutatePreset::kChurn}) {
-    ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, preset);
-    ExpectPlannerMatchesStateless(SsspProgram(0), "sssp", true, preset);
-    ExpectPlannerMatchesStateless(WccProgram{}, "wcc", false, preset);
+    ExpectRmatPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, preset);
+    ExpectRmatPlannerMatchesStateless(SsspProgram(0), "sssp", true, preset);
+    ExpectRmatPlannerMatchesStateless(WccProgram{}, "wcc", false, preset);
+  }
+}
+
+// A capped probe makes WCC's verdicts depend on the order each vertex's
+// arcs are visited in, which the patched index must keep. On this graph
+// (about 2k arcs) 8 arcs mostly runs out, while 768 stops part-way through
+// a component, where visiting inserted arcs before base arcs changes
+// verdicts under the uniform preset.
+TEST(EpochPlannerTest, BudgetedWccMatchesStatelessPlan) {
+  for (const MutatePreset preset :
+       {MutatePreset::kUniform, MutatePreset::kHotspot, MutatePreset::kChurn}) {
+    for (const uint64_t budget : {8, 768}) {
+      ExpectRmatPlannerMatchesStateless(WccProgram{}, "wcc", false, preset, true, budget);
+    }
   }
 }
 
 TEST(EpochPlannerTest, FullRecomputeMatchesStatelessPlan) {
-  ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, MutatePreset::kChurn,
-                                /*incremental=*/false);
-  ExpectPlannerMatchesStateless(WccProgram{}, "wcc", false, MutatePreset::kUniform,
-                                /*incremental=*/false);
+  ExpectRmatPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, MutatePreset::kChurn,
+                                    /*incremental=*/false);
+  ExpectRmatPlannerMatchesStateless(WccProgram{}, "wcc", false, MutatePreset::kUniform,
+                                    /*incremental=*/false);
+}
+
+// A hand-built multigraph history where matching by record content alone,
+// or by the first equal weight, would delete the wrong arc.
+TEST(EpochPlannerTest, MultigraphPatchMatchesStatelessPlan) {
+  const Edge fwd{0, 3, 1.0f, kEdgeForward};      // its reverse twin (3, 0) comes first
+  const Edge dup{2, 4, 1.0f, kEdgeForward};      // three copies
+  const Edge pos_zero{6, 7, 0.0f, kEdgeForward};
+  const Edge neg_zero{6, 7, -0.0f, kEdgeForward};
+  const Edge loop{5, 5, 2.0f, kEdgeForward};
+  const Edge flagged{1, 6, 1.0f, kEdgeReverse};  // indexed, never seeded over
+  InputGraph raw;
+  raw.num_vertices = 8;
+  raw.weighted = true;
+  raw.edges = {Edge{0, 1, 1.0f, kEdgeForward},
+               Edge{3, 0, 1.0f, kEdgeForward},
+               Edge{1, 2, 1.0f, kEdgeForward},  // same partition as vertex 0, between the twins
+               fwd,
+               dup,
+               pos_zero,
+               dup,
+               neg_zero,
+               loop,
+               Edge{4, 5, 1.0f, kEdgeForward},
+               Edge{5, 6, 3.0f, kEdgeForward},
+               dup,
+               flagged,
+               Edge{7, 1, 1.0f, kEdgeForward},
+               Edge{5, 4, 1.0f, kEdgeForward},
+               Edge{2, 7, 1.0f, kEdgeForward}};
+  std::vector<MutationBatch> batches(3);
+  // Deletes the later copy of each twin pair, two of three duplicates, the
+  // -0.0 record (listed after the +0.0 one) and the self-loop.
+  batches[0].deletes = {fwd, dup, neg_zero, dup, loop, Edge{5, 4, 1.0f, kEdgeForward}};
+  batches[0].inserts = {fwd, Edge{4, 4, 1.0f, kEdgeForward}, Edge{7, 6, 0.0f, kEdgeForward}};
+  batches[1].deletes = {fwd, dup, flagged, pos_zero};
+  batches[1].inserts = {dup, dup, neg_zero, Edge{3, 0, 1.0f, kEdgeForward}};
+  batches[2].deletes = {Edge{3, 0, 1.0f, kEdgeForward}, dup, Edge{4, 4, 1.0f, kEdgeForward},
+                        neg_zero, Edge{7, 6, 0.0f, kEdgeForward}};
+  batches[2].inserts = {loop, pos_zero};
+  const MutationLog log(raw, batches);
+  // The reference Apply agrees on what each batch leaves behind.
+  for (uint64_t k = 0; k < log.num_batches(); ++k) {
+    InputGraph want = log.GraphAfter(k);
+    NaiveApply(&want, log.batch(k));
+    ExpectSameEdges(log.GraphAfter(k + 1), want, "epoch " + std::to_string(k));
+  }
+  for (const bool incremental : {true, false}) {
+    MutationSchedule sched;
+    sched.incremental = incremental;
+    ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", log, sched, "multigraph");
+    ExpectPlannerMatchesStateless(SsspProgram(0), "sssp", log, sched, "multigraph");
+    ExpectPlannerMatchesStateless(WccProgram{}, "wcc", log, sched, "multigraph");
+    sched.wcc_connectivity_budget = 2;
+    ExpectPlannerMatchesStateless(WccProgram{}, "wcc", log, sched, "multigraph budget 2");
+  }
+}
+
+TEST(EpochPlannerDeathTest, PartitioningChangeWithoutResetDies) {
+  const InputGraph raw = SmallRmat(72);
+  MutationSchedule sched;
+  sched.log = Schedule(2, 0.05);
+  EpochPlanner<WccProgram> planner(WccProgram{}, "wcc", raw, sched);
+  const auto states = HostFixpoint(WccProgram{}, PrepareInput("wcc", raw));
+  planner.Reset(0);
+  planner.Plan(0, Partitioning::WithPartitions(raw.num_vertices, 3, 3), states);
+  EXPECT_DEATH(planner.Plan(1, Partitioning::WithPartitions(raw.num_vertices, 4, 4), states),
+               "partitioning changed without a Reset");
 }
 
 // ------------------------------------------------------- crash replay
@@ -804,6 +877,44 @@ TEST(EvolvingRecoveryTest, RescaledRecoveryReplaysOnSurvivors) {
   EXPECT_TRUE(recovered.recovery.crash_detected);
   EXPECT_EQ(recovered.recovery.machines_after, 3);
   EXPECT_EQ(recovered.values, healthy.values);
+}
+
+// A crash in the last epoch's apply stage, after earlier epochs were
+// patched into the planner's carried state: the replacement, one machine
+// smaller, re-attaches at a checkpoint epoch past 0, so the planner
+// rebuilds for a new partition count and replays the last epoch.
+TEST(EvolvingRecoveryTest, RescaledRecoveryAfterPatchedEpochs) {
+  InputGraph raw = SmallRmat(38, /*weighted=*/true);
+  const MutationLogOptions opt = Schedule(3, 0.04, MutatePreset::kChurn, 61);
+  ClusterConfig cfg = SmallConfig(4, 63);
+  cfg.checkpoint_interval = 2;
+
+  JobResult healthy = RunJob(EvolvingJob("sssp", raw, cfg, opt));
+  ASSERT_EQ(healthy.metrics.mutation_epochs.size(), 3u);
+  const MutationEpochRecord& target = healthy.metrics.mutation_epochs.back();
+  ASSERT_GT(target.end_time, target.start_time);
+
+  JobSpec spec = EvolvingJob("sssp", raw, cfg, opt);
+  spec.recover = true;
+  spec.recovery.replacement_machines = cfg.machines - 1;
+  spec.cluster.faults =
+      FaultSchedule::MachineCrash(2, (target.start_time + target.end_time) / 2);
+  JobResult recovered = RunJob(spec);
+  EXPECT_TRUE(recovered.recovery.crash_detected);
+  EXPECT_TRUE(recovered.recovery.recovered_from_checkpoint);
+  EXPECT_EQ(recovered.recovery.machines_after, cfg.machines - 1);
+  ExpectNearValues(recovered.values, healthy.values, 1e-3);
+  // The replacement replayed the interrupted last epoch, and every epoch it
+  // applied is the healthy run's epoch of the same index.
+  ASSERT_FALSE(recovered.metrics.mutation_epochs.empty());
+  EXPECT_EQ(recovered.metrics.mutation_epochs.back().epoch, target.epoch);
+  EXPECT_GT(recovered.metrics.mutation_epochs.front().epoch, 0u);
+  for (const MutationEpochRecord& rec : recovered.metrics.mutation_epochs) {
+    ASSERT_LT(rec.epoch, healthy.metrics.mutation_epochs.size());
+    const MutationEpochRecord& want = healthy.metrics.mutation_epochs[rec.epoch];
+    EXPECT_EQ(rec.edges_inserted, want.edges_inserted) << "epoch " << rec.epoch;
+    EXPECT_EQ(rec.edges_deleted, want.edges_deleted) << "epoch " << rec.epoch;
+  }
 }
 
 // Crash AFTER an epoch's commit point: the committed side may be kEdgesB;
