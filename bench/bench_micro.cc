@@ -1,7 +1,9 @@
-// Microbenchmarks backing the simulator's CPU cost parameters: per-edge
-// scatter cost, per-edge grid-partitioning cost, event queue and chunk
-// machinery throughput, and generator speed. Run these on a new host to
-// recalibrate CostModel / --grid-ns-per-edge.
+// Host-time microbenchmarks of the simulator itself: per-edge scatter and
+// grid-partitioning cost, event queue, coroutine and chunk throughput, and
+// generator speed, then paired A/Bs of each hot-path structure against the
+// one it replaced. The per-edge figures can be set beside CostModel's fixed
+// defaults (core/config.h) and fig20's --grid-ns-per-edge; nothing here
+// changes either.
 //
 // Self-contained timing harness (no google-benchmark dependency): each
 // benchmark body is run for an adaptive number of iterations until the
@@ -22,10 +24,8 @@
 #include "core/partition.h"
 #include "core/record_arena.h"
 #include "core/record_binner.h"
-#include "core/steal_policy.h"
 #include "core/update_chunk_view.h"
 #include "graph/generators.h"
-#include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/chunk.h"
@@ -186,11 +186,9 @@ double NowMs() {
 // Baseline-vs-optimized pairs for the DES hot-path work: the calendar queue
 // against the binary heap, the arena-backed binner against the old
 // regrow-a-vector-per-chunk binner (replicated here verbatim as the A side),
-// and the update-plane trio — SoA update bin/scan cycle, wire-format
-// combining ratio, and steal-proposal combining ratio. Host timings (or, for
-// the two ratio pairs, deterministic model quantities) — recorded as metrics
-// so the pinned BENCH json documents the measured speedups, but excluded
-// from the cross-host byte-compare.
+// and the same SoA bin/scan cycle for the update plane. Host timings —
+// recorded as metrics so the pinned BENCH json documents the measured
+// speedups, but excluded from the cross-host byte-compare.
 
 // Baseline for the hold pair: the textbook binary heap (std::push_heap /
 // std::pop_heap) over the same (time, seq, EventFn) events EventQueue
@@ -482,55 +480,6 @@ uint64_t RunSoaUpdateBatch(RecordBinner* binner) {
   return kUpdateBatch;
 }
 
-// Wire-format combining ratio (net/network.h UpdateWireCodec): verbatim
-// per-record wire bytes vs the packed columnar frame, on a partition-
-// clustered update batch — dst ids confined to one partition's vertex
-// range, in emission order, exactly what one binned update chunk carries.
-// Model quantities (bytes per record, not host time), so the measured
-// ratio is deterministic across hosts.
-double WirePackBytesPerRecord(bool packed) {
-  constexpr uint32_t kRecords = 1 << 16;
-  constexpr uint64_t kPartitionBase = 5ull << 20;
-  if (!packed) {
-    return static_cast<double>(kUpdateWireBytes);
-  }
-  Rng rng(2026);
-  std::vector<uint64_t> dst(kRecords);
-  std::vector<uint8_t> values(kRecords * sizeof(float), 0x5a);
-  for (uint32_t i = 0; i < kRecords; ++i) {
-    dst[i] = kPartitionBase + rng.Below(1 << 16);
-  }
-  std::vector<uint8_t> frame;
-  UpdateWireCodec::Encode(dst.data(), values.data(), kRecords, sizeof(float),
-                          &frame);
-  CHAOS_CHECK_EQ(frame.size(), UpdateWireCodec::PackedFrameBytes(
-                                   dst.data(), kRecords, sizeof(float)));
-  return static_cast<double>(frame.size()) / kRecords;
-}
-
-// Steal-combining charge ratio (core/steal_policy.h): per-message CPU
-// charges a victim pays over a seeded synthetic proposal stream, uncombined
-// (one per proposal) vs combined (one per maximal co-domain run). 64
-// machines in domains of 8; a domain's helpers go idle together and sweep
-// the same victim order, so proposals arrive in domain bursts — the arrival
-// pattern the combining targets. Deterministic model quantities.
-double StealChargesPerProposal(bool combined) {
-  constexpr int kStealMachines = 64;
-  constexpr int kStealDomain = 8;
-  Rng rng(2026);
-  std::vector<int> srcs;
-  while (srcs.size() < (1u << 15)) {
-    const int domain = static_cast<int>(rng.Below(kStealMachines / kStealDomain));
-    const uint64_t burst = 2 + rng.Below(5);
-    for (uint64_t i = 0; i < burst; ++i) {
-      srcs.push_back(domain * kStealDomain + static_cast<int>(rng.Below(kStealDomain)));
-    }
-  }
-  const uint64_t charges =
-      combined ? CombinedProposalCharges(srcs, kStealDomain) : srcs.size();
-  return static_cast<double>(charges) / static_cast<double>(srcs.size());
-}
-
 // Adaptive ns-per-item over a persistent-state batch body.
 double MeasureNsPerItem(const std::function<uint64_t()>& batch, double min_ms) {
   batch();  // warm: containers, arena freelists, calendar buckets
@@ -556,7 +505,7 @@ double MeasureNsPerItem(const std::function<uint64_t()>& batch, double min_ms) {
 using namespace chaos;
 using namespace chaos::bench;
 
-CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
+CHAOS_BENCH_MAIN(micro, "Host-time microbenchmarks and hot-path A/B pairs") {
   Options opt;
   opt.AddDouble("min-ms", 100.0, "minimum measured window per benchmark, in ms");
   opt.AddString("filter", "", "only run benchmarks whose name contains this substring");
@@ -630,10 +579,6 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
                              kBinnerChunkBytes, &arena);
          return MeasureNsPerItem([&] { return RunArenaBinnerBatch(&binner); }, ms);
        }},
-      // Update-plane pairs (metric keys keep the *_ns_per_op names so the CI
-      // gate machinery reads every pair uniformly; for the two model-quantity
-      // pairs below the recorded unit is bytes/record resp. charges/proposal,
-      // and the speedups are deterministic across hosts).
       {"UpdateBinGatherCycle", "micro.update_bin_cycle",
        [](double ms) {
          LegacyUpdateBinner binner(
@@ -648,12 +593,6 @@ CHAOS_BENCH_MAIN(micro, "Microbenchmarks for CostModel calibration") {
                              kUpdateChunkBytes, &arena, sizeof(float));
          return MeasureNsPerItem([&] { return RunSoaUpdateBatch(&binner); }, ms);
        }},
-      {"UpdateWirePack", "micro.wire_pack",
-       [](double) { return WirePackBytesPerRecord(false); },
-       [](double) { return WirePackBytesPerRecord(true); }},
-      {"StealProposalCombine", "micro.steal_combine",
-       [](double) { return StealChargesPerProposal(false); },
-       [](double) { return StealChargesPerProposal(true); }},
   };
   std::printf("\n");
   PrintHeader({"pair", "baseline", "optimized", "speedup"});

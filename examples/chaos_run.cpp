@@ -40,7 +40,6 @@
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -82,15 +81,6 @@ void RegisterFlags(Options& opt) {
   opt.AddString("steal-mode", "steal_one",
                 "steal policy: steal_one|steal_half|adaptive (adaptive also "
                 "turns on backoff + victim-check hints)");
-  // The update-plane combining switches default off, as in the library's
-  // ClusterConfig (src/core/config.h): the paper's protocol has neither,
-  // and their effect on simulated time is mixed. Both stay opt-in.
-  opt.AddString("wire-combine", "off",
-                "on|off: pack outbound update batches columnar with delta-varint "
-                "ids before charging the NIC (pure re-encode, same results)");
-  opt.AddString("steal-combine", "off",
-                "on|off: merge co-domain steal proposals queued at a victim into "
-                "one control-message CPU charge");
   opt.AddInt("straggler", -1, "machine to degrade (-1 = healthy cluster)");
   opt.AddDouble("straggler-severity", 4.0, "slowdown factor of the straggler");
   opt.AddString("straggler-target", "cpu", "degraded resource: cpu|storage|nic|machine");
@@ -261,22 +251,6 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     cfg.steal.backoff = true;
     cfg.steal.victim_check = true;
   }
-  const auto parse_switch = [&opt](const char* flag, bool* out) {
-    const std::string& v = opt.GetString(flag);
-    if (v == "on") {
-      *out = true;
-    } else if (v == "off") {
-      *out = false;
-    } else {
-      std::fprintf(stderr, "--%s must be on|off (got '%s')\n", flag, v.c_str());
-      return false;
-    }
-    return true;
-  };
-  if (!parse_switch("wire-combine", &cfg.wire_combine) ||
-      !parse_switch("steal-combine", &cfg.steal_combine)) {
-    return std::nullopt;
-  }
   cfg.checkpoint_interval = static_cast<uint32_t>(opt.GetInt("checkpoint-interval"));
   cfg.seed = seed;
   if (opt.GetInt("cores") > 0) {
@@ -365,8 +339,8 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   std::optional<MutatePreset> mutate_preset;
   if (mutate_batches > 0) {
     const double rate = opt.GetDouble("mutate-rate");
-    if (!(std::isfinite(rate) && rate > 0.0)) {
-      std::fprintf(stderr, "--mutate-rate must be finite and > 0 (got %g)\n", rate);
+    if (!(rate > 0.0 && rate <= 1.0)) {  // NaN and inf fail too
+      std::fprintf(stderr, "--mutate-rate must be in (0, 1] (got %g)\n", rate);
       return std::nullopt;
     }
     if (algo != "bfs" && algo != "sssp" && algo != "wcc") {

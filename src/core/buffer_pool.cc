@@ -101,11 +101,6 @@ const BufferPool::Slot* BufferPool::Find(uint64_t id) const {
   return nullptr;
 }
 
-uint64_t BufferPool::lease_resident_bytes(const Lease& lease) const {
-  const Slot* s = Find(lease.id_);
-  return s == nullptr ? 0 : s->resident;
-}
-
 uint64_t BufferPool::lease_spilled_bytes(const Lease& lease) const {
   const Slot* s = Find(lease.id_);
   return s == nullptr ? 0 : s->spilled;

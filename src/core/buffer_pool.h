@@ -115,7 +115,6 @@ class BufferPool {
   uint64_t used_bytes() const { return resident_ + spilled_; }
   uint64_t resident_bytes() const { return resident_; }
   uint64_t spilled_bytes() const { return spilled_; }
-  uint64_t lease_resident_bytes(const Lease& lease) const;
   uint64_t lease_spilled_bytes(const Lease& lease) const;
   const PoolMetrics& metrics() const { return metrics_; }
 

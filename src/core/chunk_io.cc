@@ -4,8 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "core/update_chunk_view.h"
-
 namespace chaos {
 
 ChunkFetcher::ChunkFetcher(EngineContext* ctx, Rng* rng, SetId set, uint64_t epoch, int window,
@@ -236,21 +234,6 @@ Task<std::optional<Chunk>> ChunkFetcher::Next() {
 ChunkWriter::ChunkWriter(EngineContext* ctx, Rng* rng, int window)
     : ctx_(ctx), rng_(rng), window_(ctx->sim, window), group_(ctx->sim) {}
 
-uint64_t ChunkWriter::CombinedUpdateWire(const Chunk& chunk) const {
-  // Per-record wire width is a chunk invariant (model_bytes = count *
-  // UpdateWireBytes); the value column is what rides beyond the id.
-  const uint64_t record_wire = chunk.model_bytes / chunk.count;
-  CHAOS_DCHECK(record_wire * chunk.count == chunk.model_bytes);
-  CHAOS_DCHECK(record_wire > vid_wire_);
-  const uint64_t value_bytes = record_wire - vid_wire_;
-  const VertexId* dst = UpdateChunkView(chunk, value_bytes).dst();
-  UpdateWireSizer sizer;
-  for (uint32_t i = 0; i < chunk.count; ++i) {
-    sizer.Add(dst[i]);
-  }
-  return sizer.PackedWireBytes(record_wire, value_bytes);
-}
-
 Task<> ChunkWriter::WriteToEngine(SetId set, Chunk chunk, MachineId target) {
   const uint64_t bytes = chunk.model_bytes;
   // The in-flight payload occupies this machine's memory until the write
@@ -259,23 +242,9 @@ Task<> ChunkWriter::WriteToEngine(SetId set, Chunk chunk, MachineId target) {
   if (ctx_->pool != nullptr) {
     lease = co_await ctx_->pool->Acquire(bytes);
   }
-  // With wire combining on, outbound update batches are re-encoded columnar
-  // for the transfer only (net/network.h, UpdateWireCodec): the NIC charge
-  // shrinks, the stored chunk and its model_bytes do not.
-  uint64_t wire = bytes;
-  if (combine_updates_ && chunk.count > 0 &&
-      (set.kind == SetKind::kUpdatesEven || set.kind == SetKind::kUpdatesOdd)) {
-    wire = CombinedUpdateWire(chunk);
-    if (metrics_ != nullptr) {
-      metrics_->update_wire_bytes_saved += bytes - wire;
-      if (wire < bytes) {
-        ++metrics_->update_chunks_packed;
-      }
-    }
-  }
   WriteChunkReq body{set, std::move(chunk)};
   Message req = MakeMessage(ctx_->machine, target, kStorageService, kWriteChunkReq,
-                            wire + kControlMsgBytes, std::move(body));
+                            bytes + kControlMsgBytes, std::move(body));
   Message ack = co_await ctx_->bus->Call(std::move(req));
   CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kWriteAck));
   ++chunks_written_;

@@ -10,7 +10,6 @@
 
 #include "core/buffer_pool.h"
 #include "core/config.h"
-#include "core/metrics.h"
 #include "graph/types.h"
 #include "net/network.h"
 #include "sim/sync.h"
@@ -183,26 +182,11 @@ class ChunkWriter {
   // Waits until every issued write has been acknowledged.
   Task<> Drain();
 
-  // Enables columnar wire combining (config wire_combine) for outbound
-  // update-set chunks: kUpdatesEven/kUpdatesOdd writes charge the NIC the
-  // combined frame size (net/network.h, UpdateWireCodec) instead of the
-  // verbatim batch. Pure re-encoding of the transfer — model_bytes, the
-  // pool lease and the stored chunk are untouched, so storage-side
-  // accounting and every downstream read are identical. `metrics` may be
-  // null (tests); the saved bytes accrue there otherwise.
-  void EnableUpdateCombining(uint64_t vertex_id_wire_bytes, MachineMetrics* metrics) {
-    combine_updates_ = true;
-    vid_wire_ = vertex_id_wire_bytes;
-    metrics_ = metrics;
-  }
-
   uint64_t chunks_written() const { return chunks_written_; }
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   Task<> WriteToEngine(SetId set, Chunk chunk, MachineId target);
-  // Combined wire charge for one outbound update chunk (<= model_bytes).
-  uint64_t CombinedUpdateWire(const Chunk& chunk) const;
 
   EngineContext* ctx_;
   Rng* rng_;
@@ -210,9 +194,6 @@ class ChunkWriter {
   TaskGroup group_;
   uint64_t chunks_written_ = 0;
   uint64_t bytes_written_ = 0;
-  bool combine_updates_ = false;
-  uint64_t vid_wire_ = 0;
-  MachineMetrics* metrics_ = nullptr;
 };
 
 // Broadcast helpers used by masters (update-set deletion, §6.1).

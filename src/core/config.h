@@ -97,17 +97,6 @@ struct ClusterConfig {
   // alpha above stays the accept/decline bias under every mode.
   StealPolicy steal;
 
-  // Update-plane combining knobs. wire_combine re-encodes outbound update
-  // batches columnar with delta-varint destination ids before charging the
-  // NIC (net/network.h, UpdateWireCodec) — pure re-encoding, every record
-  // is reproduced exactly, only wire-byte charges shrink. steal_combine
-  // merges co-domain steal proposals queued at a victim into one
-  // MessageTime() charge (core/steal_policy.h, engine_core.cc
-  // ControlServer). Both default off, here and in chaos_run
-  // (--wire-combine/--steal-combine opt in); fig12 A/Bs the wire savings.
-  bool wire_combine = false;
-  bool steal_combine = false;
-
   Placement placement = Placement::kRandom;
 
   // Checkpoint every N supersteps (0 = off, the default), 2-phase protocol

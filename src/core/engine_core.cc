@@ -434,25 +434,9 @@ Task<> EngineCore::ControlServer() {
     // that victim hints and backoff exist to cut.
     co_await ctx_.sim->Delay(ctx_.MessageTime());
     switch (m.type) {
-      case kHelpProposalReq: {
+      case kHelpProposalReq:
         HandleHelpProposal(m);
-        // Domain-level proposal combining (config steal_combine): proposals
-        // from the same steal domain queued behind this one arrive as one
-        // merged control message, so they share the MessageTime() charge
-        // already paid above. Each member still gets its own grant decision
-        // and reply; the drain stops at the first cross-domain (or
-        // non-proposal) message so handling order is untouched.
-        if (ctx_.config->steal_combine) {
-          const int domain = ctx_.config->steal.steal_domain;
-          while (!inbox.empty() && inbox.front().type == kHelpProposalReq &&
-                 CoDomainSteal(inbox.front().src, m.src, domain)) {
-            const Message merged = inbox.PopNow();
-            ++metrics_->steal_proposals_combined;
-            HandleHelpProposal(merged);
-          }
-        }
         break;
-      }
       case kAccumPullReq:
         ctx_.sim->Spawn(HandleAccumPull(std::move(m)));
         break;

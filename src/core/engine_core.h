@@ -240,9 +240,7 @@ class EngineCore {
   Task<> ControlServer();
   // Grant logic + reply for one queued steal proposal. Synchronous: the
   // per-message CPU charge is the caller's — ControlServer charges one
-  // MessageTime() per popped message, or one per co-domain run when
-  // steal_combine merges queued proposals (steal_policy.h,
-  // CombinedProposalCharges).
+  // MessageTime() per popped message.
   void HandleHelpProposal(const Message& m);
   Task<> HandleAccumPull(Message m);
   // Stolen-gather replica handshake (Fig. 4 line 52).

@@ -7,13 +7,7 @@ GatherPhase::GatherPhase(EngineCore* core)
       binner_(core->parts_, RecordBinner::Format::kUpdateSoA,
               core->kernel_->update_wire_bytes(), core->ctx_.config->chunk_bytes,
               core->ctx_.arena, core->kernel_->update_value_bytes()),
-      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {
-  if (core->ctx_.config->wire_combine) {
-    writer_.EnableUpdateCombining(
-        core->kernel_->update_wire_bytes() - core->kernel_->update_value_bytes(),
-        core->metrics_);
-  }
-}
+      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {}
 
 Task<> GatherPhase::Run() {
   EngineCore& c = *core_;

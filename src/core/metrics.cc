@@ -159,14 +159,6 @@ std::string RunMetrics::Summary() const {
                   100.0 * VictimMissRate());
     out += line;
   }
-  if (UpdateChunksPacked() > 0 || StealProposalsCombined() > 0) {
-    std::snprintf(line, sizeof(line),
-                  "  combine: packed_chunks=%llu wire_saved=%s proposals_merged=%llu\n",
-                  static_cast<unsigned long long>(UpdateChunksPacked()),
-                  FormatBytes(UpdateWireBytesSaved()).c_str(),
-                  static_cast<unsigned long long>(StealProposalsCombined()));
-    out += line;
-  }
   if (!mutation_epochs.empty()) {
     std::snprintf(line, sizeof(line),
                   "  mutations: epochs=%llu edges_applied=%llu frontier=%llu resets=%llu\n",

@@ -51,10 +51,6 @@ struct MachineMetrics {
   TimeNs steal_backoff_time = 0;    // as helper: sim time parked in backoff
   uint64_t partitions_granted = 0;  // as master: partitions handed to helpers
   uint64_t stolen_chunks = 0;       // as helper: chunks streamed on stolen partitions
-  // Update-plane combining (config wire_combine / steal_combine).
-  uint64_t update_wire_bytes_saved = 0;  // verbatim - packed, outbound updates
-  uint64_t update_chunks_packed = 0;     // outbound update chunks re-encoded
-  uint64_t steal_proposals_combined = 0; // as victim: MessageTime charges merged away
 
   TimeNs bucket(Bucket b) const { return buckets[static_cast<size_t>(b)]; }
   void Add(Bucket b, TimeNs t) { buckets[static_cast<size_t>(b)] += t; }
@@ -162,7 +158,7 @@ struct RunMetrics {
   // p99 the fig21 large-N gate compares). Nearest-rank on the sorted
   // durations — deterministic, no interpolation.
   TimeNs SuperstepTail(double q) const;
-  // Steal-policy and update-plane combining aggregates over machines.
+  // Steal-policy aggregates over machines.
   uint64_t StealProposalsSent() const {
     return Total(machines, &MachineMetrics::steal_proposals_sent);
   }
@@ -174,15 +170,11 @@ struct RunMetrics {
     return Total(machines, &MachineMetrics::partitions_granted);
   }
   uint64_t StolenChunks() const { return Total(machines, &MachineMetrics::stolen_chunks); }
-  uint64_t UpdateWireBytesSaved() const {
-    return Total(machines, &MachineMetrics::update_wire_bytes_saved);
-  }
-  uint64_t UpdateChunksPacked() const {
-    return Total(machines, &MachineMetrics::update_chunks_packed);
-  }
-  uint64_t StealProposalsCombined() const {
-    return Total(machines, &MachineMetrics::steal_proposals_combined);
-  }
+  // Always 0: the update-plane combining these counted is gone.
+  // bench/e2e/chaos_e2e.cc is their only reader.
+  uint64_t UpdateWireBytesSaved() const { return 0; }
+  uint64_t UpdateChunksPacked() const { return 0; }
+  uint64_t StealProposalsCombined() const { return 0; }
   // Fraction of proposals that hit a victim with no open work.
   double VictimMissRate() const;
   // Evolving-graph aggregates over mutation_epochs.

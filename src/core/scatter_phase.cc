@@ -7,13 +7,7 @@ ScatterPhase::ScatterPhase(EngineCore* core)
       binner_(core->parts_, RecordBinner::Format::kUpdateSoA,
               core->kernel_->update_wire_bytes(), core->ctx_.config->chunk_bytes,
               core->ctx_.arena, core->kernel_->update_value_bytes()),
-      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {
-  if (core->ctx_.config->wire_combine) {
-    writer_.EnableUpdateCombining(
-        core->kernel_->update_wire_bytes() - core->kernel_->update_value_bytes(),
-        core->metrics_);
-  }
-}
+      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {}
 
 Task<> ScatterPhase::Run() {
   EngineCore& c = *core_;

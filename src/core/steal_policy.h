@@ -35,7 +35,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/time.h"
 
@@ -140,39 +139,6 @@ class BackoffWindow {
   TimeNs max_;
   TimeNs window_ = 0;
 };
-
-// Steal domain of a machine under `steal_domain` grouping. steal_domain
-// <= 1 means flat routing: every machine shares domain 0 (so with
-// combining on, ALL queued proposals merge).
-inline int StealDomainOf(int machine, int steal_domain) {
-  return steal_domain <= 1 ? 0 : machine / steal_domain;
-}
-
-inline bool CoDomainSteal(int a, int b, int steal_domain) {
-  return StealDomainOf(a, steal_domain) == StealDomainOf(b, steal_domain);
-}
-
-// Domain-level proposal combining (config steal_combine): steal proposals
-// from machines of one steal domain that are queued back to back at a
-// victim are handled under a single per-message MessageTime() CPU charge —
-// the domain's requests arrive as one merged control message whose amount
-// is the sum of its members' asks (each member still gets its own grant
-// decision and reply). Given the source machines of a victim's queued
-// proposals in arrival order, returns how many MessageTime() charges the
-// victim pays: one per maximal run of co-domain sources. Without combining
-// the victim pays srcs.size() charges. Pure math — the engine-side drain
-// lives in EngineCore::ControlServer (engine_core.cc); this function backs
-// the steal_combine micro and steal_policy_test.cc.
-inline uint64_t CombinedProposalCharges(const std::vector<int>& srcs,
-                                        int steal_domain) {
-  uint64_t charges = 0;
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    if (i == 0 || !CoDomainSteal(srcs[i], srcs[i - 1], steal_domain)) {
-      ++charges;
-    }
-  }
-  return charges;
-}
 
 // Per-phase sweep state of one helper. For kAdaptive it carries the
 // escalation bit, driven by the victims' task-indicator hints: a granted

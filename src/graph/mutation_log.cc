@@ -154,7 +154,7 @@ std::optional<MutatePreset> MutatePresetByName(const std::string& name) {
 MutationLog::MutationLog(const InputGraph& base, const MutationLogOptions& opt)
     : base_(base) {
   CHAOS_CHECK_GT(base.num_vertices, 1u);
-  CHAOS_CHECK(opt.rate > 0.0);
+  CHAOS_CHECK(opt.rate > 0.0 && opt.rate <= 1.0);  // NaN and inf fail too
   CHAOS_CHECK(opt.delete_fraction >= 0.0 && opt.delete_fraction <= 1.0);
 
   InputGraph current = base;

@@ -43,7 +43,7 @@ std::optional<MutatePreset> MutatePresetByName(const std::string& name);
 struct MutationLogOptions {
   // Number of batches in the log. 0 = inactive (JobSpec's default).
   uint32_t num_batches = 0;
-  // Batch size as a fraction of the CURRENT edge count (>= 1 edge).
+  // Batch size as a fraction of the CURRENT edge count, in (0, 1]; >= 1 edge.
   double rate = 0.01;
   // Fraction of each batch that deletes edges; the rest inserts.
   double delete_fraction = 0.5;

@@ -81,84 +81,6 @@ NetworkConfig NetworkConfig::OneGigE() {
   return c;
 }
 
-uint64_t UpdateWireCodec::PackedFrameBytes(const uint64_t* dst, uint32_t n,
-                                           uint64_t value_bytes) {
-  UpdateWireSizer sizer;
-  for (uint32_t i = 0; i < n; ++i) {
-    sizer.Add(dst[i]);
-  }
-  return sizer.PackedFrameBytes(value_bytes);
-}
-
-namespace {
-
-void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(v));
-}
-
-uint64_t GetVarint(const uint8_t* in, size_t in_len, size_t* pos) {
-  uint64_t v = 0;
-  uint32_t shift = 0;
-  while (true) {
-    CHAOS_CHECK(*pos < in_len);
-    const uint8_t b = in[(*pos)++];
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      return v;
-    }
-    shift += 7;
-    CHAOS_CHECK(shift < 64);
-  }
-}
-
-constexpr uint8_t kPackedUpdateFrame = 1;
-
-}  // namespace
-
-void UpdateWireCodec::Encode(const uint64_t* dst, const uint8_t* values, uint32_t n,
-                             uint64_t value_bytes, std::vector<uint8_t>* out) {
-  out->push_back(kPackedUpdateFrame);
-  uint64_t prev = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    PutVarint(ZigZag(static_cast<int64_t>(dst[i] - prev)), out);
-    prev = dst[i];
-  }
-  out->insert(out->end(), values, values + n * value_bytes);
-}
-
-uint32_t UpdateWireCodec::Decode(const uint8_t* in, size_t in_len, uint64_t value_bytes,
-                                 std::vector<uint64_t>* dst,
-                                 std::vector<uint8_t>* values) {
-  CHAOS_CHECK(in_len >= 1);
-  CHAOS_CHECK_EQ(in[0], kPackedUpdateFrame);
-  // The value column sits at the tail; its length pins the record count:
-  // frame = 1 + varints + n * value_bytes, so walk varints until the
-  // remaining bytes are exactly the value column.
-  size_t pos = 1;
-  uint32_t n = 0;
-  uint64_t prev = 0;
-  const size_t first_dst = dst->size();
-  while (pos + (static_cast<size_t>(n) + 1) * value_bytes <= in_len) {
-    // Peek-free: every varint consumed must still leave room for one value
-    // per decoded id. Stop once ids and values exactly tile the frame.
-    if (pos + static_cast<size_t>(n) * value_bytes == in_len) {
-      break;
-    }
-    const uint64_t delta = GetVarint(in, in_len, &pos);
-    prev += static_cast<uint64_t>(UnZigZag(delta));
-    dst->push_back(prev);
-    ++n;
-  }
-  CHAOS_CHECK_EQ(pos + static_cast<size_t>(n) * value_bytes, in_len);
-  CHAOS_CHECK_EQ(dst->size() - first_dst, n);
-  values->insert(values->end(), in + pos, in + in_len);
-  return n;
-}
-
 Network::Network(Simulator* sim, int machines, const NetworkConfig& config)
     : sim_(sim), machines_(machines), config_(config) {
   CHAOS_CHECK_GT(machines, 0);

@@ -39,91 +39,6 @@ struct NetworkConfig {
   static NetworkConfig OneGigE();
 };
 
-// Columnar wire format for outbound update batches (config wire_combine).
-//
-// An update batch is logically a sequence of (dst, value) records. The
-// combined frame re-encodes it columnar: one format byte, the destination
-// ids as zigzag-delta varints (binned batches target one partition, so ids
-// cluster and deltas are small — most take 1-2 bytes instead of the
-// modeled 4/8-byte id), then the raw values back to back. Pure
-// re-encoding: Decode() restores the exact record sequence, so nothing
-// downstream — arithmetic order included — can observe the wire format.
-// The sender keeps the legacy verbatim frame when packing would not help
-// (pathological id sequences), so the combined wire size never exceeds the
-// uncombined one; PackedWireBytes() folds that min in.
-//
-// The simulator's hot path only needs the frame SIZE to charge the NIC
-// (payloads are not actually serialized in the DES); UpdateWireSizer
-// computes it incrementally with no allocation. Encode()/Decode() realize
-// the byte format for the exactness tests and any host-side use.
-class UpdateWireCodec {
- public:
-  static uint64_t ZigZag(int64_t v) {
-    return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  }
-  static int64_t UnZigZag(uint64_t v) {
-    return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-  }
-  static uint32_t VarintLen(uint64_t v) {
-    uint32_t len = 1;
-    while (v >= 0x80) {
-      v >>= 7;
-      ++len;
-    }
-    return len;
-  }
-
-  // Packed frame: flag byte + dst varints + n * value_bytes raw values.
-  static uint64_t PackedFrameBytes(const uint64_t* dst, uint32_t n,
-                                   uint64_t value_bytes);
-
-  // Modeled wire bytes for a combined send of n records whose verbatim
-  // (uncombined) record width is record_wire_bytes: the packed frame when
-  // it wins, the verbatim frame otherwise.
-  static uint64_t PackedWireBytes(const uint64_t* dst, uint32_t n,
-                                  uint64_t record_wire_bytes,
-                                  uint64_t value_bytes) {
-    const uint64_t verbatim = n * record_wire_bytes;
-    const uint64_t packed = PackedFrameBytes(dst, n, value_bytes);
-    return packed < verbatim ? packed : verbatim;
-  }
-
-  // Serializes n records into `out` (appended). `values` is the packed
-  // value column, value_bytes per record.
-  static void Encode(const uint64_t* dst, const uint8_t* values, uint32_t n,
-                     uint64_t value_bytes, std::vector<uint8_t>* out);
-  // Inverse of Encode; returns the record count. Appends to dst/values.
-  static uint32_t Decode(const uint8_t* in, size_t in_len, uint64_t value_bytes,
-                         std::vector<uint64_t>* dst, std::vector<uint8_t>* values);
-};
-
-// Incremental packed-frame sizer for the simulator's send path: feed each
-// destination id, then read the frame size. No allocation, O(1) state.
-class UpdateWireSizer {
- public:
-  void Add(uint64_t dst) {
-    // Delta modulo 2^64 (unsigned: far-apart ids must not overflow).
-    varint_bytes_ += UpdateWireCodec::VarintLen(
-        UpdateWireCodec::ZigZag(static_cast<int64_t>(dst - prev_)));
-    prev_ = dst;
-    ++count_;
-  }
-  uint64_t count() const { return count_; }
-  uint64_t PackedFrameBytes(uint64_t value_bytes) const {
-    return 1 + varint_bytes_ + count_ * value_bytes;
-  }
-  uint64_t PackedWireBytes(uint64_t record_wire_bytes, uint64_t value_bytes) const {
-    const uint64_t verbatim = count_ * record_wire_bytes;
-    const uint64_t packed = PackedFrameBytes(value_bytes);
-    return packed < verbatim ? packed : verbatim;
-  }
-
- private:
-  uint64_t prev_ = 0;
-  uint64_t varint_bytes_ = 0;
-  uint64_t count_ = 0;
-};
-
 // Well-known message bus services (mailboxes) per machine.
 enum Service : int {
   kStorageService = 0,

@@ -25,16 +25,7 @@
 //                          so helpers can skip drained victims — one
 //                          round-trip per victim per sweep instead of one
 //                          per partition, which is what keeps the request
-//                          storm linear at 32-128 machines. With
-//                          steal_combine on, proposals from one steal
-//                          domain queued together at a victim are modeled
-//                          as ONE merged control message (amount = sum of
-//                          the members' asks): the victim pays a single
-//                          per-message MessageTime() charge per co-domain
-//                          run, while every member still receives its own
-//                          grant decision and response (engine_core.cc
-//                          ControlServer; pure math in steal_policy.h
-//                          CombinedProposalCharges).
+//                          storm linear at 32-128 machines.
 //   kAccumPullReq/Resp     gather-phase accumulator reconciliation (§5.3,
 //                          Fig. 4 line 52): the master pulls each stealer's
 //                          replica accumulator array and merges it before

@@ -68,18 +68,6 @@ class SimQueue {
     co_return items_.take_front();
   }
 
-  // Non-suspending accessors for consumers that batch over already-queued
-  // items (e.g. the control server's proposal combining): peek the front,
-  // then take it synchronously. Both require !empty().
-  const T& front() const {
-    CHAOS_CHECK(!items_.empty());
-    return items_.front();
-  }
-  T PopNow() {
-    CHAOS_CHECK(!items_.empty());
-    return items_.take_front();
-  }
-
   bool empty() const { return items_.empty(); }
   size_t size() const { return items_.size(); }
 

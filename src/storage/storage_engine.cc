@@ -135,11 +135,6 @@ uint64_t StorageEngine::RemainingBytes(const SetId& set, uint64_t epoch) const {
   return store.bytes_total - store.bytes_served_epoch;
 }
 
-uint64_t StorageEngine::TotalBytes(const SetId& set) const {
-  auto it = sets_.find(set);
-  return it == sets_.end() ? 0 : it->second.bytes_total;
-}
-
 uint64_t StorageEngine::NumChunks(const SetId& set) const {
   auto it = sets_.find(set);
   return it == sets_.end() ? 0 : it->second.chunks.size();

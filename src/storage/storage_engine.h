@@ -76,7 +76,6 @@ class StorageEngine {
 
   // ---- Local queries (same-machine, free: used for the D estimate, §5.4).
   uint64_t RemainingBytes(const SetId& set, uint64_t epoch) const;
-  uint64_t TotalBytes(const SetId& set) const;
   uint64_t NumChunks(const SetId& set) const;
 
   // ---- Statistics.

@@ -44,60 +44,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper_bounds)) {
-  CHAOS_CHECK(!bounds_.empty());
-  CHAOS_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Add(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  counts_[static_cast<size_t>(it - bounds_.begin())]++;
-  ++total_;
-}
-
-uint64_t Histogram::BucketCount(size_t i) const {
-  CHAOS_CHECK_LT(i, counts_.size());
-  return counts_[i];
-}
-
-double Histogram::Quantile(double q) const {
-  CHAOS_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) {
-    return 0.0;
-  }
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = i < bounds_.size() ? bounds_[i] : bounds_.back() * 2.0;
-      const double frac =
-          counts_[i] == 0 ? 0.0 : (target - cumulative) / static_cast<double>(counts_[i]);
-      return lo + frac * (hi - lo);
-    }
-    cumulative = next;
-  }
-  return bounds_.back();
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  char line[128];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (i < bounds_.size()) {
-      std::snprintf(line, sizeof(line), "<=%g: %llu\n", bounds_[i],
-                    static_cast<unsigned long long>(counts_[i]));
-    } else {
-      std::snprintf(line, sizeof(line), ">%g: %llu\n", bounds_.back(),
-                    static_cast<unsigned long long>(counts_[i]));
-    }
-    out += line;
-  }
-  return out;
-}
-
 double ExactQuantile(std::vector<double> samples, double q) {
   CHAOS_CHECK(!samples.empty());
   CHAOS_CHECK(q >= 0.0 && q <= 1.0);

@@ -1,5 +1,5 @@
-// Lightweight descriptive statistics and fixed-boundary histograms used by
-// the metrics subsystem and by the benchmark harnesses.
+// Lightweight descriptive statistics and pretty-printers used by the metrics
+// subsystem and by the benchmark harnesses.
 #ifndef CHAOS_UTIL_STATS_H_
 #define CHAOS_UTIL_STATS_H_
 
@@ -31,26 +31,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Histogram over caller-provided ascending bucket upper bounds; values above
-// the last bound land in an overflow bucket.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void Add(double x);
-  uint64_t BucketCount(size_t i) const;
-  size_t NumBuckets() const { return counts_.size(); }  // includes overflow
-  uint64_t TotalCount() const { return total_; }
-  // Linear-interpolated quantile estimate, q in [0, 1].
-  double Quantile(double q) const;
-  std::string ToString() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;  // bounds_.size() + 1 entries
-  uint64_t total_ = 0;
 };
 
 // Exact quantile over a sample vector (copies and sorts). q in [0, 1].

@@ -990,33 +990,41 @@ TEST(ClusterPropertyTest, ChunkSizeDoesNotChangeResults) {
   }
 }
 
-// Update-plane combining is pure re-encoding (wire) plus control-message
-// merging (steal): the switches must not change any result, and a combined
-// run must move strictly fewer simulated NIC bytes — the packed frame is
-// only charged when smaller than the verbatim one. BFS keeps the answer
-// integer-valued, so "identical" is exact equality, not a tolerance.
-TEST(ClusterPropertyTest, CombiningKeepsResultsAndShrinksWire) {
-  InputGraph g = MakeUndirected(TestGraph(47));
-  auto run = [&](bool combine) {
+// Run() ingests its edge list as one batch through the streaming ingest, so
+// RunStreaming must give the same run bit for bit whatever the batch size:
+// one edge, 7 edges, one edge short of and past a chunk, the whole list.
+// Weighted 12-byte edges make a chunk 170 edges, not a power of two.
+TEST(ClusterIngestTest, StreamingMatchesRunAtAnyBatchSize) {
+  RmatOptions gen;
+  gen.scale = 9;
+  gen.edges_per_vertex = 16;
+  gen.weighted = true;
+  gen.seed = 53;
+  const InputGraph g = GenerateRmat(gen);
+  for (const Placement placement : {Placement::kRandom, Placement::kCentralDirectory}) {
     ClusterConfig cfg = SmallConfig(4);
-    cfg.wire_combine = combine;
-    cfg.steal_combine = combine;
-    Cluster<BfsProgram> cluster(cfg, BfsProgram(0));
-    return cluster.Run(g);
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  ASSERT_EQ(off.values.size(), on.values.size());
-  for (size_t v = 0; v < off.values.size(); ++v) {
-    ASSERT_DOUBLE_EQ(on.values[v], off.values[v]) << "vertex " << v;
+    cfg.placement = placement;
+    const auto want = Cluster<PageRankProgram>(cfg, PageRankProgram(3)).Run(g);
+    const uint64_t per_chunk = cfg.chunk_bytes / g.edge_wire_bytes();
+    ASSERT_EQ(per_chunk, 170u);
+    for (const uint64_t batch : {uint64_t{1}, uint64_t{7}, per_chunk - 1, per_chunk + 1,
+                                 uint64_t{g.edges.size()}}) {
+      Cluster<PageRankProgram> cluster(cfg, PageRankProgram(3));
+      const auto got = cluster.RunStreaming(
+          g.num_vertices, g.weighted, [&](const Cluster<PageRankProgram>::BatchSink& sink) {
+            for (uint64_t start = 0; start < g.edges.size(); start += batch) {
+              const uint64_t end = std::min<uint64_t>(start + batch, g.edges.size());
+              sink(std::vector<Edge>(g.edges.begin() + static_cast<int64_t>(start),
+                                     g.edges.begin() + static_cast<int64_t>(end)));
+            }
+          });
+      EXPECT_EQ(got.values, want.values) << "batch " << batch;
+      EXPECT_EQ(got.metrics.total_time, want.metrics.total_time) << "batch " << batch;
+      EXPECT_EQ(got.metrics.network_bytes, want.metrics.network_bytes) << "batch " << batch;
+      EXPECT_EQ(got.metrics.superstep_end_times, want.metrics.superstep_end_times)
+          << "batch " << batch;
+    }
   }
-  // Defaults-off run accrues no combining metrics (the pinned benchmarks
-  // depend on that); the combined run packs chunks and saves wire bytes.
-  EXPECT_EQ(off.metrics.UpdateChunksPacked(), 0u);
-  EXPECT_EQ(off.metrics.UpdateWireBytesSaved(), 0u);
-  EXPECT_GT(on.metrics.UpdateChunksPacked(), 0u);
-  EXPECT_GT(on.metrics.UpdateWireBytesSaved(), 0u);
-  EXPECT_LT(on.metrics.network_bytes, off.metrics.network_bytes);
 }
 
 TEST(ClusterMetricsTest, AccountingSane) {

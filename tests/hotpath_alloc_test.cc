@@ -319,8 +319,8 @@ TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
 
 // One warmed gather/apply update cycle, end to end: staged SoA AddUpdates
 // (the apply side's re-binning), then a full SoA scan of a parked update
-// chunk through UpdateChunkView plus the wire sizer (the gather side and
-// the combined send-size computation) — all allocation-free per record.
+// chunk through UpdateChunkView (the gather side) — all allocation-free per
+// record.
 TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   auto parts = Partitioning::Compute(4096, 4, 16, 16 << 10);
   RecordArena arena;
@@ -358,12 +358,9 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
     const UpdateChunkView view(scanned, sizeof(float));
     const VertexId* dst = view.dst();
     const float* value = view.values_as<float>();
-    UpdateWireSizer sizer;
     for (uint32_t i = 0; i < view.size(); ++i) {
       sink += value[i] + static_cast<float>(dst[i] & 1);
-      sizer.Add(dst[i]);
     }
-    sink += static_cast<float>(sizer.PackedWireBytes(12, sizeof(float)));
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(sink, 0.0f);

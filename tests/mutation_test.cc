@@ -308,6 +308,18 @@ TEST(ApplyDeathTest, DeleteOfAbsentRecordDies) {
   EXPECT_DEATH(MutationLog::Apply(&g, b), "remaining == 0");
 }
 
+// A rate past 1 would size a batch from a double that can lie outside the
+// uint64 range (undefined behaviour), so the constructor refuses it; 1 is
+// the largest rate it takes.
+TEST(MutationLogDeathTest, OutOfRangeRateDies) {
+  const InputGraph g = SmallRmat(3);
+  for (const double rate : {std::numeric_limits<double>::infinity(), 1e300}) {
+    EXPECT_DEATH({ const MutationLog log(g, Schedule(1, rate)); }, "opt.rate <= 1.0") << rate;
+  }
+  const MutationLog whole(g, Schedule(1, 1.0));
+  EXPECT_EQ(whole.batch(0).deletes.size() + whole.batch(0).inserts.size(), g.edges.size());
+}
+
 // ------------------------------------------- evolving == from scratch
 
 TEST(EvolvingTest, BfsMatchesFromScratchBitwise) {

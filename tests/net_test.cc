@@ -1,14 +1,11 @@
 // Tests for the simulated network: NIC FIFO charging, local bypass, RPC
-// correlation, incast penalty, many-to-one serialization, and the columnar
-// update wire codec behind config wire_combine.
+// correlation, incast penalty and many-to-one serialization.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "net/network.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace chaos {
 namespace {
@@ -294,104 +291,6 @@ TEST(MessageBusTest, DeliveredCountTracksMessages) {
   }
   sim.Run();
   EXPECT_EQ(bus.messages_delivered(), 5u);
-}
-
-// ---- Columnar update wire codec (config wire_combine).
-
-// Encode -> Decode must restore the exact record sequence — ids in arrival
-// order (including non-monotonic ones: binned batches are clustered but not
-// sorted) and the value column byte for byte.
-TEST(UpdateWireCodecTest, RoundTripIsByteExact) {
-  Rng rng(7);
-  const uint64_t value_bytes = 4;
-  std::vector<uint64_t> dst;
-  std::vector<uint8_t> values;
-  const uint64_t base = 123456789;
-  for (int i = 0; i < 1000; ++i) {
-    dst.push_back(base + rng.Below(1 << 16));  // clustered, NOT sorted
-    for (uint64_t b = 0; b < value_bytes; ++b) {
-      values.push_back(static_cast<uint8_t>(rng.Below(256)));
-    }
-  }
-  std::vector<uint8_t> frame;
-  UpdateWireCodec::Encode(dst.data(), values.data(),
-                          static_cast<uint32_t>(dst.size()), value_bytes, &frame);
-  EXPECT_EQ(frame.size(), UpdateWireCodec::PackedFrameBytes(
-                              dst.data(), static_cast<uint32_t>(dst.size()),
-                              value_bytes));
-  std::vector<uint64_t> dst2;
-  std::vector<uint8_t> values2;
-  const uint32_t n =
-      UpdateWireCodec::Decode(frame.data(), frame.size(), value_bytes, &dst2, &values2);
-  ASSERT_EQ(n, dst.size());
-  EXPECT_EQ(dst2, dst);
-  EXPECT_EQ(values2, values);
-}
-
-TEST(UpdateWireCodecTest, RoundTripEmptyAndSingle) {
-  for (const uint32_t n : {0u, 1u}) {
-    std::vector<uint64_t> dst(n, 42);
-    std::vector<uint8_t> values(n * 8, 0xab);
-    std::vector<uint8_t> frame;
-    UpdateWireCodec::Encode(dst.data(), values.data(), n, 8, &frame);
-    std::vector<uint64_t> dst2;
-    std::vector<uint8_t> values2;
-    EXPECT_EQ(UpdateWireCodec::Decode(frame.data(), frame.size(), 8, &dst2, &values2), n);
-    EXPECT_EQ(dst2, dst);
-    EXPECT_EQ(values2, values);
-  }
-}
-
-// The min rule: clustered ids pack below the verbatim frame; adversarial
-// (maximally spread) ids fall back to the verbatim size, never above it.
-TEST(UpdateWireCodecTest, PackedWireBytesNeverExceedsVerbatim) {
-  const uint64_t record_wire = 12;  // 8-byte id + 4-byte value
-  const uint64_t value_bytes = 4;
-  std::vector<uint64_t> clustered;
-  std::vector<uint64_t> spread;
-  Rng rng(3);
-  for (int i = 0; i < 4096; ++i) {
-    clustered.push_back((5ull << 20) + rng.Below(1 << 14));
-    spread.push_back(rng.Next());  // alternating huge deltas: 10-byte varints
-  }
-  const uint64_t n = clustered.size();
-  const uint64_t packed_clustered = UpdateWireCodec::PackedWireBytes(
-      clustered.data(), static_cast<uint32_t>(n), record_wire, value_bytes);
-  const uint64_t packed_spread = UpdateWireCodec::PackedWireBytes(
-      spread.data(), static_cast<uint32_t>(n), record_wire, value_bytes);
-  EXPECT_LT(packed_clustered, n * record_wire);
-  EXPECT_EQ(packed_spread, n * record_wire);  // verbatim fallback
-}
-
-// The sizer is the hot-path twin of PackedFrameBytes: identical sizes,
-// incrementally and allocation-free.
-TEST(UpdateWireCodecTest, SizerMatchesFrameBytes) {
-  Rng rng(11);
-  std::vector<uint64_t> dst;
-  UpdateWireSizer sizer;
-  for (int i = 0; i < 500; ++i) {
-    dst.push_back(rng.Below(1ull << 40));
-    sizer.Add(dst.back());
-  }
-  EXPECT_EQ(sizer.count(), dst.size());
-  for (const uint64_t vb : {1ull, 4ull, 8ull, 16ull}) {
-    EXPECT_EQ(sizer.PackedFrameBytes(vb),
-              UpdateWireCodec::PackedFrameBytes(dst.data(),
-                                                static_cast<uint32_t>(dst.size()), vb));
-    EXPECT_EQ(sizer.PackedWireBytes(8 + vb, vb),
-              UpdateWireCodec::PackedWireBytes(
-                  dst.data(), static_cast<uint32_t>(dst.size()), 8 + vb, vb));
-  }
-}
-
-TEST(UpdateWireCodecTest, ZigZagVarintPrimitives) {
-  for (const int64_t v : {0ll, 1ll, -1ll, 63ll, -64ll, 1ll << 40, -(1ll << 40)}) {
-    EXPECT_EQ(UpdateWireCodec::UnZigZag(UpdateWireCodec::ZigZag(v)), v);
-  }
-  EXPECT_EQ(UpdateWireCodec::VarintLen(0), 1u);
-  EXPECT_EQ(UpdateWireCodec::VarintLen(127), 1u);
-  EXPECT_EQ(UpdateWireCodec::VarintLen(128), 2u);
-  EXPECT_EQ(UpdateWireCodec::VarintLen(~0ull), 10u);
 }
 
 // Regression for the 1B-edge regime: the per-link byte accumulators must be

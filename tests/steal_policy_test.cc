@@ -116,39 +116,6 @@ TEST(StealSweepStateTest, AdaptiveFollowsTheVictimHint) {
   EXPECT_FALSE(s.steal_half());
 }
 
-// ------------------------------------------- domain-level proposal combining
-
-TEST(StealCombineTest, FlatRoutingPutsEveryMachineInDomainZero) {
-  EXPECT_EQ(StealDomainOf(0, 0), 0);
-  EXPECT_EQ(StealDomainOf(17, 0), 0);
-  EXPECT_EQ(StealDomainOf(17, 1), 0);
-  EXPECT_TRUE(CoDomainSteal(3, 60, 0));
-}
-
-TEST(StealCombineTest, DomainGroupsMachinesByQuotient) {
-  EXPECT_EQ(StealDomainOf(0, 8), 0);
-  EXPECT_EQ(StealDomainOf(7, 8), 0);
-  EXPECT_EQ(StealDomainOf(8, 8), 1);
-  EXPECT_EQ(StealDomainOf(127, 8), 15);
-  EXPECT_TRUE(CoDomainSteal(8, 15, 8));
-  EXPECT_FALSE(CoDomainSteal(7, 8, 8));
-}
-
-TEST(StealCombineTest, ChargesCountMaximalCoDomainRuns) {
-  EXPECT_EQ(CombinedProposalCharges({}, 8), 0u);
-  EXPECT_EQ(CombinedProposalCharges({5}, 8), 1u);
-  // One run: every source is in domain 0.
-  EXPECT_EQ(CombinedProposalCharges({0, 3, 7, 1}, 8), 1u);
-  // Alternating domains: nothing merges.
-  EXPECT_EQ(CombinedProposalCharges({0, 8, 1, 9}, 8), 4u);
-  // Runs {0,1} {8} {2,2} -> 3 charges.
-  EXPECT_EQ(CombinedProposalCharges({0, 1, 8, 2, 2}, 8), 3u);
-  // Flat routing merges everything queued together into one charge.
-  EXPECT_EQ(CombinedProposalCharges({0, 31, 4, 9}, 0), 1u);
-  // A domain seen again later starts a NEW run — no merging backwards.
-  EXPECT_EQ(CombinedProposalCharges({0, 8, 0}, 8), 3u);
-}
-
 // ----------------------------------------------------------- mode parsing
 
 TEST(StealModeTest, ParseRoundTripsEveryMode) {
@@ -244,32 +211,6 @@ TEST(StealPolicyClusterTest, PolicyRunsAreDeterministic) {
     for (size_t v = 0; v < a.values.size(); ++v) {
       ASSERT_DOUBLE_EQ(a.values[v], b.values[v]) << StealModeName(mode);
     }
-  }
-}
-
-// config steal_combine merges co-domain proposals queued back to back at a
-// victim into one control-message CPU charge. The grant logic is untouched
-// — every member still gets its own decision and reply — so results must
-// match the uncombined run; the combined run is deterministic and, under
-// the straggler-driven proposal storm, actually merges something.
-TEST(StealPolicyClusterTest, ProposalCombiningKeepsResultsDeterministic) {
-  InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
-  auto run = [&](bool combine) {
-    ClusterConfig cfg = PolicyRunConfig(4, 1.0, 4.0);
-    cfg.steal.steal_domain = 2;
-    cfg.steal_combine = combine;
-    return RunJob(MakeJob("pagerank", g, cfg));
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  const auto on2 = run(true);
-  EXPECT_EQ(off.metrics.StealProposalsCombined(), 0u);  // default stays silent
-  EXPECT_EQ(on.metrics.total_time, on2.metrics.total_time);
-  EXPECT_EQ(on.metrics.StealProposalsCombined(), on2.metrics.StealProposalsCombined());
-  ASSERT_EQ(on.values.size(), off.values.size());
-  for (size_t v = 0; v < on.values.size(); ++v) {
-    ASSERT_NEAR(on.values[v], off.values[v],
-                1e-4 * std::max(1.0, std::abs(off.values[v])));
   }
 }
 

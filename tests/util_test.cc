@@ -181,34 +181,6 @@ TEST(RunningStatTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
-TEST(HistogramTest, BucketAssignment) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.Add(0.5);
-  h.Add(1.0);   // boundary goes to its bucket (<=)
-  h.Add(5.0);
-  h.Add(50.0);
-  h.Add(1000.0);  // overflow
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 1u);
-  EXPECT_EQ(h.BucketCount(3), 1u);
-  EXPECT_EQ(h.TotalCount(), 5u);
-}
-
-TEST(HistogramTest, QuantileMonotone) {
-  Histogram h({1, 2, 4, 8, 16, 32});
-  Rng rng(31);
-  for (int i = 0; i < 10000; ++i) {
-    h.Add(rng.NextDouble() * 32.0);
-  }
-  double prev = 0.0;
-  for (double q = 0.1; q <= 0.95; q += 0.1) {
-    const double v = h.Quantile(q);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
 TEST(ExactQuantileTest, KnownValues) {
   std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(ExactQuantile(v, 0.0), 1.0);
