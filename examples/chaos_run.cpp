@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -181,8 +182,32 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
                    algo.c_str());
     }
   } else {
-    const auto scale = static_cast<uint32_t>(opt.GetInt("scale"));
+    // The scales each generator can represent: rmat's permutation holds
+    // 32-bit ids, web needs 4 pages for its 4-host floor, and the shifts
+    // of the others must stay inside their types (grid's halves are 32-bit).
+    struct ScaleRange {
+      const char* kind;
+      int64_t min;
+      int64_t max;
+    };
+    static constexpr ScaleRange kScaleRanges[] = {
+        {"rmat", 0, 31}, {"web", 2, 63}, {"grid", 0, 62}, {"uniform", 0, 59}};
     const std::string kind = opt.GetString("generate");
+    const ScaleRange* range =
+        std::find_if(std::begin(kScaleRanges), std::end(kScaleRanges),
+                     [&kind](const ScaleRange& r) { return kind == r.kind; });
+    if (range == std::end(kScaleRanges)) {
+      std::fprintf(stderr, "unknown generator '%s'\n", kind.c_str());
+      return std::nullopt;
+    }
+    const int64_t requested = opt.GetInt("scale");
+    if (requested < range->min || requested > range->max) {
+      std::fprintf(stderr, "--scale must be in [%lld, %lld] for --generate %s (got %lld)\n",
+                   static_cast<long long>(range->min), static_cast<long long>(range->max),
+                   kind.c_str(), static_cast<long long>(requested));
+      return std::nullopt;
+    }
+    const auto scale = static_cast<uint32_t>(requested);
     if (kind == "rmat") {
       RmatOptions gopt;
       gopt.scale = scale;
@@ -201,11 +226,8 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
       gopt.height = 1u << (scale - scale / 2);
       gopt.seed = seed;
       raw = GenerateGridGraph(gopt);
-    } else if (kind == "uniform") {
-      raw = GenerateUniformRandom(1ull << scale, 16ull << scale, info.needs_weights, seed);
     } else {
-      std::fprintf(stderr, "unknown generator '%s'\n", kind.c_str());
-      return std::nullopt;
+      raw = GenerateUniformRandom(1ull << scale, 16ull << scale, info.needs_weights, seed);
     }
   }
   auto prepared = std::make_shared<const InputGraph>(PrepareInput(algo, raw));

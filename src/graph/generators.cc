@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/common.h"
 
@@ -40,84 +39,115 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-// Shared RMAT core: one code path drives both the materializing and the
-// streaming entry points, so their RNG consumption (and thus the edge
-// sequence) cannot diverge. `emit` returns whether to keep generating.
-template <typename EmitFn>
-void RmatEdges(const RmatOptions& options, EmitFn&& emit) {
-  CHAOS_CHECK_LE(options.scale, 40u);
-  const double d = 1.0 - options.a - options.b - options.c;
-  CHAOS_CHECK_MSG(d > 0.0, "RMAT quadrant probabilities must sum to < 1");
-  const uint64_t n = 1ull << options.scale;
-  const uint64_t m = n * options.edges_per_vertex;
-
-  Rng rng(options.seed);
-  std::vector<uint32_t> perm;
-  if (options.permute_ids) {
-    CHAOS_CHECK_LE(n, (1ull << 32));
-    perm = rng.Permutation(static_cast<uint32_t>(n));
+// The one RMAT core behind GenerateRmat and StreamRmat, so that their RNG
+// consumption (and thus the edge sequence) cannot diverge. The id
+// permutation is drawn first; then each edge draws `scale` quadrants, and
+// its weight after them when weighted.
+class RmatCore {
+ public:
+  explicit RmatCore(const RmatOptions& options) : options_(options), rng_(options.seed) {
+    CHAOS_CHECK_LE(options.scale, 40u);
+    CHAOS_CHECK_MSG(!options.permute_ids || options.scale <= 31,
+                    "RMAT with permute_ids needs scale <= 31 (the permutation holds 32-bit ids)");
+    // The branchless quadrant pick below needs nondecreasing thresholds.
+    CHAOS_CHECK_MSG(options.a >= 0.0 && options.b >= 0.0 && options.c >= 0.0,
+                    "RMAT quadrant probabilities a, b and c must be >= 0");
+    const double d = 1.0 - options.a - options.b - options.c;
+    CHAOS_CHECK_MSG(d > 0.0, "RMAT quadrant probabilities must sum to < 1");
+    const double ab = options.a + options.b;
+    t_a_ = Rng::UnitThreshold(options.a);
+    t_ab_ = Rng::UnitThreshold(ab);
+    t_abc_ = Rng::UnitThreshold(ab + options.c);
+    if (options.permute_ids) {
+      perm_ = rng_.Permutation(static_cast<uint32_t>(1ull << options.scale));
+    }
   }
 
-  const double ab = options.a + options.b;
-  const double abc = ab + options.c;
-  for (uint64_t i = 0; i < m; ++i) {
-    uint64_t src = 0;
-    uint64_t dst = 0;
-    for (uint32_t level = 0; level < options.scale; ++level) {
-      const double u = rng.NextDouble();
-      src <<= 1;
-      dst <<= 1;
-      if (u < options.a) {
-        // top-left: no bits set
-      } else if (u < ab) {
-        dst |= 1;
-      } else if (u < abc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
+  uint64_t num_edges() const { return (1ull << options_.scale) * options_.edges_per_vertex; }
+
+  // Writes the next `count` edges of the sequence to `out`, one piece at a
+  // time: raw recursive ids first, then the permutation over the whole
+  // piece, so that its table misses overlap instead of each waiting behind
+  // an edge's RNG steps.
+  void Fill(Edge* out, uint64_t count) {
+    while (count > 0) {
+      const uint64_t n = std::min(count, kPieceEdges);
+      DrawRaw(out, n);
+      if (options_.permute_ids) {
+        for (Edge* e = out; e != out + n; ++e) {
+          e->src = perm_[e->src];
+          e->dst = perm_[e->dst];
+        }
       }
-    }
-    Edge e;
-    e.src = options.permute_ids ? perm[src] : src;
-    e.dst = options.permute_ids ? perm[dst] : dst;
-    e.weight = options.weighted ? RandomWeight(rng, 100.0) : 1.0f;
-    if (!emit(e)) {
-      return;
+      out += n;
+      count -= n;
     }
   }
-}
+
+ private:
+  static constexpr uint64_t kPieceEdges = 1 << 16;
+
+  // Not inlined into Fill, whose live values would otherwise push the level
+  // loop's counter onto the stack. The locals keep the RNG state and the
+  // thresholds in registers across the stores to `out` (a uint64_t id
+  // store may alias members).
+  [[gnu::noinline]] void DrawRaw(Edge* out, uint64_t count) {
+    Rng rng = rng_;
+    const uint32_t scale = options_.scale;
+    const uint64_t t_a = t_a_;
+    const uint64_t t_ab = t_ab_;
+    const uint64_t t_abc = t_abc_;
+    for (Edge* e = out; e != out + count; ++e) {
+      uint64_t src = 0;
+      uint64_t dst = 0;
+      for (uint32_t level = scale; level > 0; --level) {
+        // Quadrant 0..3 is the number of thresholds at or below the draw;
+        // x >= T(p) is exactly !(NextDouble() < p) for the same draw.
+        const uint64_t x = rng.Next53();
+        const uint64_t q = uint64_t{x >= t_a} + (x >= t_ab) + (x >= t_abc);
+        src = (src << 1) | (q >> 1);
+        dst = (dst << 1) | (q & 1);
+      }
+      e->src = src;
+      e->dst = dst;
+      e->weight = options_.weighted ? RandomWeight(rng, 100.0) : 1.0f;
+      e->flags = kEdgeForward;
+    }
+    rng_ = rng;
+  }
+
+  RmatOptions options_;
+  Rng rng_;
+  uint64_t t_a_ = 0;
+  uint64_t t_ab_ = 0;
+  uint64_t t_abc_ = 0;
+  std::vector<uint32_t> perm_;
+};
 
 }  // namespace
 
 InputGraph GenerateRmat(const RmatOptions& options) {
+  RmatCore core(options);
   InputGraph g;
   g.num_vertices = 1ull << options.scale;
   g.weighted = options.weighted;
-  g.edges.reserve(g.num_vertices * options.edges_per_vertex);
-  RmatEdges(options, [&g](const Edge& e) {
-    g.edges.push_back(e);
-    return true;
-  });
+  g.edges.resize(core.num_edges());
+  core.Fill(g.edges.data(), g.edges.size());
   return g;
 }
 
 void StreamRmat(const RmatOptions& options, uint64_t batch_edges,
                 const std::function<bool(const std::vector<Edge>&)>& sink) {
   CHAOS_CHECK_GT(batch_edges, 0u);
+  RmatCore core(options);
   std::vector<Edge> batch;
-  batch.reserve(batch_edges);
-  bool more = true;
-  RmatEdges(options, [&](const Edge& e) {
-    batch.push_back(e);
-    if (batch.size() >= batch_edges) {
-      more = sink(batch);
-      batch.clear();
+  for (uint64_t left = core.num_edges(); left > 0;) {
+    batch.resize(std::min(batch_edges, left));
+    core.Fill(batch.data(), batch.size());
+    left -= batch.size();
+    if (!sink(batch)) {
+      return;
     }
-    return more;
-  });
-  if (more && !batch.empty()) {
-    sink(batch);
   }
 }
 

@@ -9,6 +9,7 @@
 #define CHAOS_UTIL_RNG_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -88,8 +89,28 @@ class Rng {
     return lo + static_cast<int64_t>(Below(static_cast<uint64_t>(hi - lo) + 1));
   }
 
-  // Uniform double in [0, 1).
-  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+  // Uniform integer in [0, 2^53): the draw behind NextDouble().
+  uint64_t Next53() { return Next() >> 11; }
+
+  // Uniform double in [0, 1): exactly Next53() * 2^-53.
+  double NextDouble() { return static_cast<double>(Next53()) * 0x1.0p-53; }
+
+  // The integer form of `NextDouble() < p`: for every x in [0, 2^53),
+  //   x < UnitThreshold(p)  <=>  x * 2^-53 < p.
+  // NextDouble() is exactly x * 2^-53 for x = Next53() (an integer below
+  // 2^53 times a power of two), so u < p <=> x < p * 2^53 <=>
+  // x < ceil(p * 2^53), x being an integer; ldexp(p, 53) is exact. The
+  // threshold is clamped to [0, 2^53]: no draw is below a p <= 0 (or a
+  // NaN), every draw is below a p >= 1.
+  static uint64_t UnitThreshold(double p) {
+    if (!(p > 0.0)) {
+      return 0;
+    }
+    if (p >= 1.0) {
+      return 1ull << 53;
+    }
+    return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
 
   bool Bernoulli(double p) { return NextDouble() < p; }
 

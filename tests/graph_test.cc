@@ -1,7 +1,9 @@
 // Tests for graph types, generators, and the reference algorithm library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -393,32 +395,109 @@ TEST(RefDijkstraTest, PropertyRelaxed) {
   }
 }
 
-// StreamRmat must produce the exact edge sequence GenerateRmat does (same
-// RNG consumption), independent of batch size — including a batch size
-// that does not divide the edge count, and weighted edges (whose weights
-// interleave extra RNG draws with the coordinate bits).
-TEST(StreamRmatTest, MatchesMaterializedGenerator) {
-  for (const bool weighted : {false, true}) {
+// The RMAT edge sequence is pinned by a hash over every field of every
+// edge, computed with the earlier generator that compared one double per
+// level against a, a + b and a + b + c. GenerateRmat and StreamRmat must
+// both reproduce it, the latter at any batch size. The cases cover scales
+// 0 and 1, unpermuted and weighted graphs (weights interleave extra RNG
+// draws with the levels), a non-default edges_per_vertex, thresholds that
+// are exact integers (a = 0.5, b = 0.25, c = 0.125) and edge counts past
+// one 64k-edge piece.
+struct RmatPin {
+  uint32_t scale;
+  uint64_t seed;
+  bool weighted;
+  bool permute_ids;
+  uint32_t edges_per_vertex;
+  double a, b, c;
+  uint64_t hash;
+};
+
+constexpr RmatPin kRmatPins[] = {
+    {0, 1, false, true, 16, 0.57, 0.19, 0.19, 0x81ab7fd241f2541d},
+    {1, 7, true, true, 16, 0.57, 0.19, 0.19, 0x2bb97dec1104a321},
+    {1, 3, false, false, 5, 0.57, 0.19, 0.19, 0xc2d61ebc29782fb7},
+    {8, 2, false, true, 16, 0.5, 0.25, 0.125, 0x040fabe384d2e5ad},
+    {9, 4, true, false, 3, 0.57, 0.19, 0.19, 0xbb12bced32724b47},
+    {10, 99, false, true, 16, 0.57, 0.19, 0.19, 0x80154436de603157},
+    {10, 99, true, true, 16, 0.57, 0.19, 0.19, 0x1a43b4a2698d1e24},
+    {11, 8, true, true, 7, 0.45, 0.22, 0.22, 0xb17b1c52e429ad75},
+    {12, 5, false, false, 17, 0.57, 0.19, 0.19, 0xb05aca2be5c9f23c},
+    {14, 1, false, true, 16, 0.57, 0.19, 0.19, 0x107caace2f350340},
+};
+
+uint64_t HashEdges(uint64_t h, const std::vector<Edge>& edges) {
+  for (const Edge& e : edges) {
+    uint32_t weight_bits;
+    std::memcpy(&weight_bits, &e.weight, sizeof(weight_bits));
+    h = HashCombine(h, e.src);
+    h = HashCombine(h, e.dst);
+    h = HashCombine(h, weight_bits);
+    h = HashCombine(h, e.flags);
+  }
+  return h;
+}
+
+TEST(StreamRmatTest, BothEntryPointsMatchPinnedHashes) {
+  for (const RmatPin& pin : kRmatPins) {
     RmatOptions opt;
-    opt.scale = 10;
-    opt.weighted = weighted;
-    opt.seed = 99;
-    const InputGraph golden = GenerateRmat(opt);
-    for (const uint64_t batch : {1000ull, 4096ull, 1ull << 20}) {
-      std::vector<Edge> streamed;
+    opt.scale = pin.scale;
+    opt.seed = pin.seed;
+    opt.weighted = pin.weighted;
+    opt.permute_ids = pin.permute_ids;
+    opt.edges_per_vertex = pin.edges_per_vertex;
+    opt.a = pin.a;
+    opt.b = pin.b;
+    opt.c = pin.c;
+    SCOPED_TRACE(testing::Message() << "scale=" << pin.scale << " seed=" << pin.seed);
+    const InputGraph g = GenerateRmat(opt);
+    const uint64_t m = (1ull << pin.scale) * pin.edges_per_vertex;
+    EXPECT_EQ(g.num_vertices, 1ull << pin.scale);
+    EXPECT_EQ(g.weighted, pin.weighted);
+    ASSERT_EQ(g.num_edges(), m);
+    EXPECT_EQ(HashEdges(0, g.edges), pin.hash);
+
+    // StreamRmat at one edge per batch, at a batch size that does not
+    // divide the edge count, and at one larger than it.
+    uint64_t ragged = std::max<uint64_t>(2, m / 5);
+    while (m % ragged == 0) {
+      ++ragged;
+    }
+    for (const uint64_t batch : {uint64_t{1}, ragged, m + 1}) {
+      uint64_t h = 0;
+      uint64_t streamed = 0;
       StreamRmat(opt, batch, [&](const std::vector<Edge>& edges) {
-        streamed.insert(streamed.end(), edges.begin(), edges.end());
+        EXPECT_EQ(edges.size(), std::min(batch, m - streamed)) << "batch=" << batch;
+        streamed += edges.size();
+        h = HashEdges(h, edges);
         return true;
       });
-      ASSERT_EQ(streamed.size(), golden.edges.size());
-      for (size_t i = 0; i < streamed.size(); ++i) {
-        ASSERT_EQ(streamed[i].src, golden.edges[i].src) << "weighted=" << weighted;
-        ASSERT_EQ(streamed[i].dst, golden.edges[i].dst);
-        ASSERT_EQ(streamed[i].weight, golden.edges[i].weight);
-        ASSERT_EQ(streamed[i].flags, golden.edges[i].flags);
-      }
+      EXPECT_EQ(streamed, m) << "batch=" << batch;
+      EXPECT_EQ(h, pin.hash) << "batch=" << batch;
     }
   }
+}
+
+// The permutation holds 32-bit ids, so a permuted graph stops at scale 31;
+// the check fires before anything is allocated, on both entry points.
+TEST(RmatDeathTest, PermutedScaleAbove31IsRejected) {
+  RmatOptions opt;
+  opt.scale = 32;
+  EXPECT_DEATH(StreamRmat(opt, 1024, [](const std::vector<Edge>&) { return false; }),
+               "permute_ids needs scale <= 31");
+  EXPECT_DEATH(GenerateRmat(opt), "permute_ids needs scale <= 31");
+}
+
+// The branchless quadrant pick needs nondecreasing thresholds.
+TEST(RmatDeathTest, NegativeQuadrantProbabilityIsRejected) {
+  RmatOptions opt;
+  opt.scale = 4;
+  opt.b = -0.1;
+  EXPECT_DEATH(GenerateRmat(opt), "a, b and c must be >= 0");
+  opt.b = 0.19;
+  opt.c = -0.01;
+  EXPECT_DEATH(StreamRmat(opt, 8, [](const std::vector<Edge>&) { return true; }),
+               "a, b and c must be >= 0");
 }
 
 // A sink returning false stops generation after the current batch — the

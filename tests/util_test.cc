@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -101,6 +102,24 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     sum += d;
   }
   EXPECT_NEAR(sum / 20000.0, 0.5, 0.02);
+}
+
+// UnitThreshold(p) is the integer form of NextDouble() < p: at and beside
+// the threshold, at both ends of the 53-bit range, for the RMAT defaults'
+// cumulative sums, an exactly representable p and the clamped cases.
+TEST(RngTest, UnitThresholdMatchesNextDoubleCompare) {
+  constexpr uint64_t kOne = 1ull << 53;
+  for (const double p : {0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.5, 0.0, 1.0, -0.1, 1.5,
+                         std::numeric_limits<double>::denorm_min()}) {
+    const uint64_t t = Rng::UnitThreshold(p);
+    ASSERT_LE(t, kOne) << "p=" << p;
+    for (const uint64_t x : {uint64_t{0}, t - 1, t, t + 1, kOne - 1}) {
+      if (x >= kOne) {
+        continue;  // t - 1 at t == 0, or t and t + 1 at t == 2^53
+      }
+      EXPECT_EQ(x < t, static_cast<double>(x) * 0x1p-53 < p) << "p=" << p << " x=" << x;
+    }
+  }
 }
 
 TEST(RngTest, ShuffleIsPermutation) {
