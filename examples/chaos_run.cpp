@@ -40,6 +40,7 @@
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -133,6 +134,20 @@ void RegisterFlags(Options& opt) {
   opt.AddBool("verbose", false, "info-level logging");
 }
 
+// A time flag given in units of `unit_ns` nanoseconds, as TimeNs; nullopt,
+// after one line on stderr, unless it is finite, >= 0 and its nanosecond
+// count fits in TimeNs.
+std::optional<TimeNs> TimeFlag(const Options& opt, const std::string& name, TimeNs unit_ns) {
+  const double value = opt.GetDouble(name);
+  const double ns = value * static_cast<double>(unit_ns);
+  if (!(value >= 0.0 && ns < 0x1p63)) {  // NaN fails both; 2^63 is past TimeNs
+    std::fprintf(stderr, "--%s must be in [0, %g) (got %g)\n", name.c_str(),
+                 0x1p63 / static_cast<double>(unit_ns), value);
+    return std::nullopt;
+  }
+  return static_cast<TimeNs>(ns);
+}
+
 // Builds the JobSpec a parsed flag set describes: load or generate the
 // input, size the cluster, attach fault injection and recovery. This is the
 // single flag -> JobSpec path: the one-shot CLI, every --sweep point and
@@ -158,6 +173,24 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
   if (!(opt.GetDouble("alpha") >= 0.0)) {
     std::fprintf(stderr, "--alpha must be >= 0 (got %g)\n", opt.GetDouble("alpha"));
+    return std::nullopt;
+  }
+  if (opt.GetInt("chunk-kb") < 1) {
+    std::fprintf(stderr, "--chunk-kb must be >= 1 (got %lld)\n",
+                 static_cast<long long>(opt.GetInt("chunk-kb")));
+    return std::nullopt;
+  }
+  // One superstep per iteration; more than the superstep bound allows
+  // would abort the run.
+  const auto max_iterations = static_cast<int64_t>(ClusterConfig{}.max_supersteps);
+  if (opt.GetInt("iterations") < 0 || opt.GetInt("iterations") > max_iterations) {
+    std::fprintf(stderr, "--iterations must be in [0, %lld] (got %lld)\n",
+                 static_cast<long long>(max_iterations),
+                 static_cast<long long>(opt.GetInt("iterations")));
+    return std::nullopt;
+  }
+  const std::optional<TimeNs> arrival = TimeFlag(opt, "arrival-ms", kNsPerMs);
+  if (!arrival.has_value()) {
     return std::nullopt;
   }
   const AlgorithmInfo& info = AlgorithmByName(algo);
@@ -303,16 +336,24 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
       return std::nullopt;
     }
     const double severity = opt.GetDouble("straggler-severity");
-    if (severity < 1.0) {
-      std::fprintf(stderr, "--straggler-severity must be >= 1\n");
+    if (!(std::isfinite(severity) && severity >= 1.0)) {
+      std::fprintf(stderr, "--straggler-severity must be finite and >= 1 (got %g)\n", severity);
+      return std::nullopt;
+    }
+    const std::optional<TimeNs> at = TimeFlag(opt, "fault-at-ms", kNsPerMs);
+    if (!at.has_value()) {
+      return std::nullopt;
+    }
+    const std::optional<TimeNs> duration = TimeFlag(opt, "fault-duration-ms", kNsPerMs);
+    if (!duration.has_value()) {
       return std::nullopt;
     }
     FaultEvent fault;
     fault.machine = victim;
     fault.target = target;
     fault.factor = 1.0 / severity;
-    fault.at = static_cast<TimeNs>(opt.GetDouble("fault-at-ms") * kNsPerMs);
-    fault.duration = static_cast<TimeNs>(opt.GetDouble("fault-duration-ms") * kNsPerMs);
+    fault.at = *at;
+    fault.duration = *duration;
     cfg.faults.Add(fault);
     if (!quiet) {
       std::printf("injecting: machine %d %s at %.1fx speed (%s)\n", victim,
@@ -332,8 +373,12 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
       std::fprintf(stderr, "--rescale needs at least 2 machines (cannot shrink below 1)\n");
       return std::nullopt;
     }
+    const std::optional<TimeNs> kill_at = TimeFlag(opt, "kill-at", kNsPerSec);
+    if (!kill_at.has_value()) {
+      return std::nullopt;
+    }
     FaultEvent kill;
-    kill.at = static_cast<TimeNs>(opt.GetDouble("kill-at") * static_cast<double>(kNsPerSec));
+    kill.at = *kill_at;
     kill.machine = kill_machine;
     kill.target = FaultTarget::kMachine;
     kill.kind = FaultKind::kMachineCrash;
@@ -403,7 +448,7 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
   spec.name = opt.GetString("name");
   spec.priority = static_cast<int>(opt.GetInt("priority"));
-  spec.arrival = static_cast<TimeNs>(opt.GetDouble("arrival-ms") * kNsPerMs);
+  spec.arrival = *arrival;
   spec.preemptible = !opt.GetBool("no-preempt");
   return spec;
 }

@@ -135,8 +135,6 @@ Task<> ChunkFetcher::Worker() {
     targets_.End(target);
     auto& r = resp.As<ReadChunkResp>();
     if (r.ok) {
-      ++chunks_fetched_;
-      bytes_fetched_ += r.chunk.model_bytes;
       // The buffered chunk occupies this machine's memory until the
       // consumer takes it; under budget pressure the admission spills
       // colder buffers (a simulated device write) before completing.
@@ -186,8 +184,6 @@ Task<> ChunkFetcher::DirectoryWorker() {
     Message resp = co_await ctx_->bus->Call(std::move(read));
     auto& r = resp.As<ReadChunkResp>();
     CHAOS_CHECK_MSG(r.ok, "directory pointed at a missing chunk in " + SetIdName(set_));
-    ++chunks_fetched_;
-    bytes_fetched_ += r.chunk.model_bytes;
     Buffered b;
     b.chunk = std::move(r.chunk);
     if (ctx_->pool != nullptr) {
@@ -247,8 +243,6 @@ Task<> ChunkWriter::WriteToEngine(SetId set, Chunk chunk, MachineId target) {
                             bytes + kControlMsgBytes, std::move(body));
   Message ack = co_await ctx_->bus->Call(std::move(req));
   CHAOS_CHECK_EQ(ack.type, static_cast<uint32_t>(kWriteAck));
-  ++chunks_written_;
-  bytes_written_ += bytes;
   window_.Release();
 }
 

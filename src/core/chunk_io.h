@@ -63,8 +63,7 @@ struct EngineContext {
   int machines() const { return config->machines; }
   StorageEngine* local_storage() const { return storage[static_cast<size_t>(machine)]; }
 
-  // This machine's CPU cost model (heterogeneous profiles honored).
-  const CostModel& cost() const { return config->cost_for(machine); }
+  const CostModel& cost() const { return config->cost; }
 
   // Stretches a nominal CPU delay by any active fault on this machine; all
   // engine compute delays route through here so CPU degradation applies.
@@ -134,9 +133,6 @@ class ChunkFetcher {
   // fault-killed mid-scan, so its coroutines drain instead of leaking.
   Task<> Cancel();
 
-  uint64_t chunks_fetched() const { return chunks_fetched_; }
-  uint64_t bytes_fetched() const { return bytes_fetched_; }
-
  private:
   Task<> Worker();
   Task<> DirectoryWorker();
@@ -163,8 +159,6 @@ class ChunkFetcher {
   bool directory_exhausted_ = false;
   bool cancelled_ = false;
   bool started_ = false;
-  uint64_t chunks_fetched_ = 0;
-  uint64_t bytes_fetched_ = 0;
 };
 
 // Writes chunks with bounded in-flight window; placement per config. Write
@@ -182,9 +176,6 @@ class ChunkWriter {
   // Waits until every issued write has been acknowledged.
   Task<> Drain();
 
-  uint64_t chunks_written() const { return chunks_written_; }
-  uint64_t bytes_written() const { return bytes_written_; }
-
  private:
   Task<> WriteToEngine(SetId set, Chunk chunk, MachineId target);
 
@@ -192,8 +183,6 @@ class ChunkWriter {
   Rng* rng_;
   Semaphore window_;
   TaskGroup group_;
-  uint64_t chunks_written_ = 0;
-  uint64_t bytes_written_ = 0;
 };
 
 // Broadcast helpers used by masters (update-set deletion, §6.1).

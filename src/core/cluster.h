@@ -56,17 +56,14 @@ class Cluster {
     net_ = std::make_unique<Network>(&sim_, config_.machines, config_.net);
     bus_ = std::make_unique<MessageBus>(&sim_, net_.get());
     for (MachineId m = 0; m < config_.machines; ++m) {
-      // Heterogeneity: each machine gets its own storage/NIC hardware.
       storage_.push_back(
-          std::make_unique<StorageEngine>(&sim_, bus_.get(), m, config_.storage_for(m)));
-      net_->SetNicBandwidth(m, config_.nic_bandwidth_for(m));
+          std::make_unique<StorageEngine>(&sim_, bus_.get(), m, config_.storage));
       // Memory is a first-class simulated resource: each machine's buffer
       // pool enforces the configured budget, spilling to (and stalling on)
       // that machine's own storage device.
-      const StorageConfig& scfg = config_.storage_for(m);
       pools_.push_back(std::make_unique<BufferPool>(
-          &sim_, &storage_.back()->device(), scfg.bandwidth_bps, scfg.access_latency,
-          config_.EffectivePoolBudget()));
+          &sim_, &storage_.back()->device(), config_.storage.bandwidth_bps,
+          config_.storage.access_latency, config_.EffectivePoolBudget()));
       storage_.back()->set_pool(pools_.back().get());
       // Per-engine record arena (host memory; see core/record_arena.h).
       // Chunks parked in any machine's storage may outlive it — payload
@@ -175,8 +172,7 @@ class Cluster {
           if (directory_ != nullptr && !IsIndexedKind(as)) {
             directory_->HostRecord(target, c.index, m);
           }
-          storage_[static_cast<size_t>(m)]->HostAddChunk(target,
-                                                         src->HostMaterialize(id, c));
+          storage_[static_cast<size_t>(m)]->HostAddChunk(target, c);
         }
       }
     }
@@ -211,8 +207,7 @@ class Cluster {
         if (found == nullptr) {
           return false;
         }
-        const Chunk loaded = storage_[static_cast<size_t>(home)]->HostMaterialize(set, *found);
-        auto span = ChunkSpan<VState>(loaded);
+        auto span = ChunkSpan<VState>(*found);
         const uint64_t start = base + static_cast<uint64_t>(idx) * per_chunk;
         CHAOS_CHECK_LE(start + span.size(), out->size());
         std::copy(span.begin(), span.end(), out->begin() + static_cast<int64_t>(start));
@@ -349,9 +344,8 @@ class Cluster {
           continue;
         }
         for (const Chunk& c : *src->HostGetSet(id)) {
-          const Chunk loaded = src->HostMaterialize(id, c);
           if constexpr (kEdge) {
-            const EdgeChunkView view(loaded);
+            const EdgeChunkView view(c);
             for (uint32_t i = 0; i < view.size(); ++i) {
               const Edge e = view.At(i);
               // Validate both endpoints up front: PartitionOf(e.src) would
@@ -366,7 +360,7 @@ class Cluster {
               add(e.src, e);
             }
           } else {
-            const UpdateChunkView view(loaded, sizeof(typename P::UpdateValue));
+            const UpdateChunkView view(c, sizeof(typename P::UpdateValue));
             for (uint32_t i = 0; i < view.size(); ++i) {
               const Rec r = view.template At<typename P::UpdateValue>(i);
               add(r.dst, r);
@@ -479,8 +473,6 @@ class Cluster {
         const MachineMetrics& mm = machine_metrics_[static_cast<size_t>(m)];
         FaultProbeSample sample;
         sample.proposals_accepted = mm.proposals_accepted;
-        sample.steals_worked = mm.steals_worked;
-        sample.barrier_wait = mm.bucket(Bucket::kBarrier);
         return sample;
       });
       injector_->Start();

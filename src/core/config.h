@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <vector>
 
 #include "core/steal_policy.h"
 #include "net/network.h"
@@ -34,17 +32,6 @@ struct CostModel {
     return static_cast<TimeNs>(std::ceil(total));
   }
   TimeNs MessageTime() const { return ItemsTime(1, ns_per_message); }
-};
-
-// Hardware overrides for one machine of a heterogeneous cluster. Unset
-// fields fall back to the cluster-wide defaults; machines beyond the
-// `ClusterConfig::profiles` vector use the defaults for everything. This is
-// static heterogeneity (a machine that *is* slower); dynamic degradation
-// mid-run (a machine that *becomes* slower) is `ClusterConfig::faults`.
-struct MachineProfile {
-  std::optional<CostModel> cost;            // CPU speed / core count
-  std::optional<StorageConfig> storage;     // device bandwidth / latency
-  std::optional<double> nic_bandwidth_bps;  // NIC speed (both directions)
 };
 
 // How chunk placement targets are chosen (paper default: uniform random).
@@ -131,13 +118,10 @@ struct ClusterConfig {
   StorageConfig storage = StorageConfig::Ssd();
   CostModel cost;
 
-  // Per-machine hardware overrides (heterogeneous clusters); indexed by
-  // machine id, may be shorter than `machines`.
-  std::vector<MachineProfile> profiles;
-
   // Declarative fault/straggler schedule replayed during the run (see
   // sim/fault_injector.h): rate degradations and fail-stop MachineCrash
-  // events. Empty = perfectly healthy cluster.
+  // events. Empty = perfectly healthy cluster. A machine that is slower
+  // throughout is a permanent fault from t=0 (FaultSchedule::Straggler).
   FaultSchedule faults;
 
   uint64_t seed = 1;
@@ -159,24 +143,6 @@ struct ClusterConfig {
            4ull * static_cast<uint64_t>(fetch_window()) * chunk_bytes;
   }
   bool stealing_enabled() const { return alpha > 0.0; }
-
-  const MachineProfile* profile_for(MachineId m) const {
-    const auto i = static_cast<size_t>(m);
-    return i < profiles.size() ? &profiles[i] : nullptr;
-  }
-  const CostModel& cost_for(MachineId m) const {
-    const MachineProfile* p = profile_for(m);
-    return p != nullptr && p->cost.has_value() ? *p->cost : cost;
-  }
-  const StorageConfig& storage_for(MachineId m) const {
-    const MachineProfile* p = profile_for(m);
-    return p != nullptr && p->storage.has_value() ? *p->storage : storage;
-  }
-  double nic_bandwidth_for(MachineId m) const {
-    const MachineProfile* p = profile_for(m);
-    return p != nullptr && p->nic_bandwidth_bps.has_value() ? *p->nic_bandwidth_bps
-                                                           : net.nic_bandwidth_bps;
-  }
 };
 
 // Theoretical storage utilization from the paper's batching analysis:

@@ -409,7 +409,7 @@ Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId
       dry_rounds = 0;
       continue;
     }
-    if (!policy.backoff || dry_rounds >= policy.max_backoff_rounds) {
+    if (!policy.backoff || dry_rounds >= kMaxBackoffRounds) {
       break;
     }
     // Dry sweep with backoff on: park and retry — work that opens late

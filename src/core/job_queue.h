@@ -9,7 +9,6 @@
 #define CHAOS_CORE_JOB_QUEUE_H_
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,15 +76,6 @@ class ReadyQueue {
   void PopFront() {
     CHAOS_DCHECK(!jobs_.empty());
     jobs_.erase(jobs_.begin());
-  }
-
-  // Highest priority among queued jobs (for tests and metrics).
-  int MaxPriority() const {
-    int best = std::numeric_limits<int>::min();
-    for (const ReadyJob& j : jobs_) {
-      best = std::max(best, j.priority);
-    }
-    return best;
   }
 
  private:

@@ -36,6 +36,10 @@ std::optional<TracePreset> TracePresetByName(const std::string& name) {
 
 namespace {
 
+// The two priority classes GenerateTrace draws from.
+constexpr int kHighPriority = 2;
+constexpr int kLowPriority = 0;
+
 TimeNs UniformArrival(Rng& rng, TimeNs horizon) {
   return static_cast<TimeNs>(rng.Below(static_cast<uint64_t>(horizon)));
 }
@@ -94,8 +98,7 @@ std::vector<TraceEntry> GenerateTrace(const TraceOptions& options) {
         entry.arrival = DiurnalArrival(rng, options.horizon);
         break;
     }
-    entry.priority = rng.Bernoulli(options.high_fraction) ? options.high_priority
-                                                          : options.low_priority;
+    entry.priority = rng.Bernoulli(options.high_fraction) ? kHighPriority : kLowPriority;
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const TraceEntry& a, const TraceEntry& b) { return a.arrival < b.arrival; });

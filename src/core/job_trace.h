@@ -29,10 +29,9 @@ struct TraceOptions {
   // Arrivals land in [0, horizon).
   TimeNs horizon = 60'000'000'000;  // 60 s
   uint64_t seed = 1;
-  // Two-class priority mix: each entry is high with this probability.
+  // Two-class priority mix: each entry is high (priority 2) with this
+  // probability, else low (priority 0).
   double high_fraction = 0.25;
-  int high_priority = 2;
-  int low_priority = 0;
 };
 
 struct TraceEntry {

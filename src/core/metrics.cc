@@ -168,14 +168,6 @@ std::string RunMetrics::Summary() const {
                   static_cast<unsigned long long>(MutationResetsTotal()));
     out += line;
   }
-  if (recovered) {
-    std::snprintf(line, sizeof(line),
-                  "  recovered: lost_supersteps=%llu time_to_recover=%s crashed_run=%s\n",
-                  static_cast<unsigned long long>(lost_work_supersteps),
-                  FormatSeconds(ToSeconds(time_to_recover)).c_str(),
-                  FormatSeconds(ToSeconds(crashed_run_time)).c_str());
-    out += line;
-  }
   for (const FaultRecord& r : faults) {
     if (r.applied_at < 0) {
       std::snprintf(line, sizeof(line), "  fault m%d %s x%.2f: not reached\n",

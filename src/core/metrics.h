@@ -112,13 +112,6 @@ struct RunMetrics {
   // indexed from the first superstep this run executed (resumed runs start
   // at their resume superstep). Backs the time-to-recover measurement.
   std::vector<TimeNs> superstep_end_times;
-  // Machine-failure recovery accounting, filled by RunWithRecovery
-  // (core/recovery.h) on the metrics of the completed replacement run; all
-  // zero for runs that never failed.
-  bool recovered = false;
-  uint64_t lost_work_supersteps = 0;  // supersteps re-run after the restart
-  TimeNs time_to_recover = 0;   // takeover -> point of failure re-reached
-  TimeNs crashed_run_time = 0;  // sim time spent in the aborted run
   // Evolving-graph accounting: one record per mutation epoch applied by
   // this run, in application order (empty for static runs).
   std::vector<MutationEpochRecord> mutation_epochs;

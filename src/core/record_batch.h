@@ -62,7 +62,6 @@ class RecordBatch {
 
   uint64_t record_bytes() const { return record_bytes_; }
   uint64_t count() const { return count_; }
-  uint64_t size_bytes() const { return record_bytes_ * count_; }
   bool empty() const { return count_ == 0; }
 
   void* data() { return data_.get(); }

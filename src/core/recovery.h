@@ -27,9 +27,9 @@ namespace chaos {
 // Runs `prog` over `input` on a cluster configured by `config`; on a
 // machine-failure abort, re-provisions and resumes from the last committed
 // checkpoint (or restarts from the input if no checkpoint had committed).
-// Returns the completed run's result, with recovery accounting filled into
-// its Metrics (recovered / lost_work_supersteps / time_to_recover /
-// crashed_run_time). `report`, when non-null, receives the full timeline.
+// Returns the completed run's result. `report`, when non-null, receives the
+// recovery timeline (crash and resume supersteps, lost work, time to
+// recover); the result's metrics are the replacement run's own.
 //
 // `attach`, when set, runs on every cluster the driver builds, before
 // Run/Resume (ClusterAttachHook). Evolving jobs pass their controller's
@@ -66,9 +66,8 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
   ClusterConfig rcfg = config;
   rcfg.faults = FaultSchedule{};
   rcfg.crash_after_superstep = -1;
-  if (opts.replacement_machines > 0 && opts.replacement_machines != config.machines) {
+  if (opts.replacement_machines > 0) {
     rcfg.machines = opts.replacement_machines;
-    rcfg.profiles.clear();  // per-machine overrides do not carry over a rescale
   }
   rep.machines_after = rcfg.machines;
   const GraphMeta meta = GraphMeta::Of(input);
@@ -131,10 +130,6 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
   }
   rep.end_to_end_time = rep.crashed_run_time + second.metrics.total_time;
 
-  second.metrics.recovered = true;
-  second.metrics.lost_work_supersteps = rep.lost_work_supersteps;
-  second.metrics.time_to_recover = rep.time_to_recover;
-  second.metrics.crashed_run_time = rep.crashed_run_time;
   if (report != nullptr) {
     *report = rep;
   }

@@ -71,15 +71,17 @@ inline bool ParseStealMode(const std::string& s, StealMode* out) {
   return true;
 }
 
+// Grant-free sweeps a backing-off helper retries before it gives up.
+inline constexpr int kMaxBackoffRounds = 3;
+
 struct StealPolicy {
   StealMode mode = StealMode::kStealOne;
 
   // Retry after a grant-free sweep, parking exponentially longer between
   // attempts (initial, doubled per round, capped at max), up to
-  // max_backoff_rounds rounds; off = give up after the first dry sweep
+  // kMaxBackoffRounds rounds; off = give up after the first dry sweep
   // (the pre-policy baseline behavior).
   bool backoff = false;
-  int max_backoff_rounds = 3;
   TimeNs backoff_initial = 20 * kNsPerUs;
   TimeNs backoff_max = 160 * kNsPerUs;
 

@@ -90,7 +90,6 @@ Network::Network(Simulator* sim, int machines, const NetworkConfig& config)
         std::make_unique<FifoResource>(sim, "nic-up-" + std::to_string(m));
     links_[static_cast<size_t>(m)].down =
         std::make_unique<FifoResource>(sim, "nic-down-" + std::to_string(m));
-    links_[static_cast<size_t>(m)].bandwidth_bps = config.nic_bandwidth_bps;
   }
 }
 
@@ -139,9 +138,9 @@ void MessageBus::Deliver(Message m) {
 internal::DetachedTask MessageBus::FinishRemote(Message m, TimeNs extra_latency) {
   co_await sim_->Delay(extra_latency);
   FifoResource& down = net_->Downlink(m.dst);
-  TimeNs service = net_->TxTime(m.dst, m.wire_bytes);
+  TimeNs service = net_->TxTime(m.wire_bytes);
   const NetworkConfig& cfg = net_->config();
-  if (cfg.model_incast && down.Backlog(sim_->now()) > cfg.incast_backlog_threshold) {
+  if (down.Backlog(sim_->now()) > cfg.incast_backlog_threshold) {
     service += cfg.incast_penalty;
     net_->NoteIncast();
   }
@@ -159,7 +158,7 @@ Task<> MessageBus::Send(Message m) {
     co_return;
   }
   net_->NoteSent(m.src, m.wire_bytes);
-  co_await net_->Uplink(m.src).Acquire(net_->TxTime(m.src, m.wire_bytes));
+  co_await net_->Uplink(m.src).Acquire(net_->TxTime(m.wire_bytes));
   // Propagation and receiver-side work continue without blocking the sender.
   FinishRemote(std::move(m), net_->config().one_way_latency);
 }

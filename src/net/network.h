@@ -3,8 +3,8 @@
 // messages (net/wire.h) and RPC correlation.
 //
 // The full-bisection assumption mirrors the paper (§1, §7): the switch is
-// never the bottleneck, only per-machine NICs are. An optional incast model
-// adds a retransmission penalty when a downlink's backlog exceeds a buffer
+// never the bottleneck, only per-machine NICs are. An incast model adds a
+// retransmission penalty when a downlink's backlog exceeds a buffer
 // threshold; the paper observes this regime past the batching sweet spot
 // (§10.1, Fig. 16).
 #ifndef CHAOS_NET_NETWORK_H_
@@ -29,7 +29,6 @@ struct NetworkConfig {
   double nic_bandwidth_bps = 5e9;            // bytes/sec; 40 GigE ~ 5 GB/s
   TimeNs one_way_latency = 50 * kNsPerUs;    // propagation + stack, one way
   TimeNs local_latency = 5 * kNsPerUs;       // same-machine IPC cost
-  bool model_incast = true;
   TimeNs incast_backlog_threshold = 500 * kNsPerUs;  // downlink backlog -> drops
   TimeNs incast_penalty = kNsPerMs;                  // retransmission delay
 
@@ -84,25 +83,12 @@ class Network {
  public:
   Network(Simulator* sim, int machines, const NetworkConfig& config);
 
-  // Time to push `bytes` through the default-speed NIC link.
+  // Time to push `bytes` through a NIC link. Every machine's NIC has the
+  // configured speed; a degraded one is a FifoResource::SetRate fault on
+  // its links.
   TimeNs TxTime(uint64_t bytes) const {
     return TransferTimeNs(bytes, config_.nic_bandwidth_bps);
   }
-
-  // Time to push `bytes` through machine `m`'s NIC (honors per-machine
-  // bandwidth overrides in heterogeneous clusters).
-  TimeNs TxTime(MachineId m, uint64_t bytes) const {
-    return TransferTimeNs(bytes, links_[Index(m)].bandwidth_bps);
-  }
-
-  // Overrides one machine's NIC speed (applies to both directions). Static
-  // heterogeneity only — call before traffic starts; dynamic mid-run
-  // degradation goes through FifoResource::SetRate on the links instead.
-  void SetNicBandwidth(MachineId m, double bps) {
-    CHAOS_CHECK_GT(bps, 0.0);
-    links_[Index(m)].bandwidth_bps = bps;
-  }
-  double nic_bandwidth(MachineId m) const { return links_[Index(m)].bandwidth_bps; }
 
   FifoResource& Uplink(MachineId m) { return *links_[Index(m)].up; }
   FifoResource& Downlink(MachineId m) { return *links_[Index(m)].down; }
@@ -128,7 +114,6 @@ class Network {
   struct Link {
     std::unique_ptr<FifoResource> up;
     std::unique_ptr<FifoResource> down;
-    double bandwidth_bps = 0.0;  // per-machine NIC speed (default from config)
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
   };

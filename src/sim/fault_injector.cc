@@ -106,7 +106,6 @@ FaultInjector::FaultInjector(Simulator* sim, FaultSchedule schedule, int machine
   hooks_.resize(static_cast<size_t>(machines));
   cpu_rate_.assign(static_cast<size_t>(machines), 1.0);
   dead_.assign(static_cast<size_t>(machines), 0);
-  dead_since_.assign(static_cast<size_t>(machines), -1);
   active_.resize(static_cast<size_t>(machines));
   records_.resize(schedule_.events.size());
   for (size_t i = 0; i < schedule_.events.size(); ++i) {
@@ -171,11 +170,7 @@ void FaultInjector::Apply(const Change& change) {
       record.at_apply = probe_(event.machine);
     }
     ++events_applied_;
-    if (dead_[static_cast<size_t>(event.machine)] == 0) {
-      dead_[static_cast<size_t>(event.machine)] = 1;
-      dead_since_[static_cast<size_t>(event.machine)] = sim_->now();
-      ++dead_count_;
-    }
+    dead_[static_cast<size_t>(event.machine)] = 1;
     return;
   }
   if (change.begin) {

@@ -104,11 +104,9 @@ struct FaultSchedule {
 };
 
 // Counters sampled from the victim machine when an event is applied and
-// cleared, so steal activity and idle time are attributable to each event.
+// cleared, so steal activity is attributable to each event.
 struct FaultProbeSample {
   uint64_t proposals_accepted = 0;  // victim's partitions handed to stealers
-  uint64_t steals_worked = 0;       // stolen work items the victim executed
-  TimeNs barrier_wait = 0;          // victim's accumulated barrier idle time
 };
 
 using FaultProbe = std::function<FaultProbeSample(MachineId)>;
@@ -156,11 +154,6 @@ class FaultInjector {
   // flags its next barrier arrival, which aborts the superstep cluster-wide
   // (see BarrierArriveMsg::failed in net/wire.h).
   bool dead(MachineId machine) const { return dead_[static_cast<size_t>(machine)] != 0; }
-  // Simulated time the machine died, or -1 while alive.
-  TimeNs dead_since(MachineId machine) const {
-    return dead_since_[static_cast<size_t>(machine)];
-  }
-  int dead_count() const { return dead_count_; }
 
   // Stretches a nominal CPU delay by the machine's current degradation.
   // Granularity caveat: CPU scaling applies when a compute delay is issued
@@ -175,7 +168,6 @@ class FaultInjector {
     return static_cast<TimeNs>(std::ceil(static_cast<double>(t) / rate));
   }
 
-  const FaultSchedule& schedule() const { return schedule_; }
   const std::vector<FaultRecord>& records() const { return records_; }
   uint64_t events_applied() const { return events_applied_; }
 
@@ -197,8 +189,6 @@ class FaultInjector {
   std::vector<MachineHooks> hooks_;
   std::vector<double> cpu_rate_;
   std::vector<uint8_t> dead_;
-  std::vector<TimeNs> dead_since_;
-  int dead_count_ = 0;
   std::vector<std::vector<size_t>> active_;  // per machine: active event idxs
   std::vector<Change> timeline_;             // sorted by (at, begin-last, index)
   std::vector<FaultRecord> records_;

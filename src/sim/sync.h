@@ -43,8 +43,6 @@ class CondEvent {
     waiters_.clear();
   }
 
-  size_t num_waiters() const { return waiters_.size(); }
-
  private:
   Simulator* sim_;
   std::vector<std::coroutine_handle<>> waiters_;

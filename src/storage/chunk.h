@@ -111,7 +111,6 @@ struct Chunk {
   uint64_t model_bytes = 0;    // modeled storage/wire footprint
   uint32_t count = 0;          // number of records in the payload
   uint64_t payload_bytes = 0;  // in-memory byte length of the payload array
-  uint64_t spill_id = 0;       // engine-assigned unique id for file spilling
   ChunkLayout layout = ChunkLayout::kAoS;
   std::shared_ptr<const void> data;  // payload array (layout above)
 };

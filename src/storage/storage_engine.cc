@@ -1,8 +1,6 @@
 #include "storage/storage_engine.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "core/buffer_pool.h"
@@ -62,18 +60,7 @@ StorageEngine::StorageEngine(Simulator* sim, MessageBus* bus, MachineId machine,
       bus_(bus),
       machine_(machine),
       config_(config),
-      device_(sim, "device-" + std::to_string(machine)) {
-  if (!config_.spill_dir.empty()) {
-    std::filesystem::create_directories(config_.spill_dir);
-  }
-}
-
-StorageEngine::~StorageEngine() {
-  if (!config_.spill_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(config_.spill_dir, ec);
-  }
-}
+      device_(sim, "device-" + std::to_string(machine)) {}
 
 void StorageEngine::Start() {
   CHAOS_CHECK(!started_);
@@ -93,7 +80,6 @@ void StorageEngine::RollEpoch(SetStore& store, uint64_t epoch) const {
 
 void StorageEngine::HostAddChunk(const SetId& set, Chunk chunk) {
   SetStore& store = GetOrCreate(set);
-  MaybeSpill(set, chunk);
   store.bytes_total += chunk.model_bytes;
   if (IsIndexedKind(set.kind)) {
     auto pos = store.by_index.find(chunk.index);
@@ -175,7 +161,7 @@ Task<> StorageEngine::HandleRead(Message m) {
     if (store.cursor < store.chunks.size()) {
       Chunk& stored = store.chunks[store.cursor++];
       resp.ok = true;
-      resp.chunk = Materialize(req.set, stored);
+      resp.chunk = stored;
       store.bytes_served_epoch += stored.model_bytes;
       // Input chunks are consumed exactly once; free the payload early.
       // Checkpoint snapshot scans preserve it — the superstep's real gather
@@ -217,7 +203,7 @@ Task<> StorageEngine::HandleReadIndexed(Message m) {
     if (pos != store.by_index.end()) {
       Chunk& stored = store.chunks[pos->second];
       resp.ok = true;
-      resp.chunk = Materialize(req.set, stored);
+      resp.chunk = stored;
       if (req.consume) {
         RollEpoch(store, req.epoch);
         store.bytes_served_epoch += stored.model_bytes;
@@ -254,7 +240,6 @@ Task<> StorageEngine::HandleWrite(Message m) {
     lease = co_await pool_->Acquire(bytes);
   }
   SetStore& store = GetOrCreate(req.set);
-  MaybeSpill(req.set, req.chunk);
   bool appended = true;
   if (IsIndexedKind(req.set.kind)) {
     auto pos = store.by_index.find(req.chunk.index);
@@ -282,50 +267,6 @@ Task<> StorageEngine::HandleDelete(Message m) {
   // Deletion is metadata-only: negligible device time.
   co_await device_.Acquire(0);
   bus_->PostReply(m, kDeleteAck, kControlMsgBytes);
-}
-
-std::string StorageEngine::SpillPath(const SetId& set, uint64_t spill_id) const {
-  return config_.spill_dir + "/m" + std::to_string(machine_) + "_" +
-         std::to_string(spill_id) + "_" + SetKindName(set.kind) + "_p" +
-         std::to_string(set.partition) + ".chunk";
-}
-
-void StorageEngine::MaybeSpill(const SetId& set, Chunk& chunk) {
-  if (config_.spill_dir.empty() || chunk.data == nullptr || chunk.payload_bytes == 0) {
-    return;
-  }
-  chunk.spill_id = next_spill_id_++;  // writer-local indexes are not unique
-  const std::string path = SpillPath(set, chunk.spill_id);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHAOS_CHECK_MSG(out.good(), "cannot open spill file " + path);
-  out.write(static_cast<const char*>(chunk.data.get()),
-            static_cast<std::streamsize>(chunk.payload_bytes));
-  CHAOS_CHECK_MSG(out.good(), "short write to spill file " + path);
-  out.close();
-  chunk.data.reset();  // payload now lives on the real filesystem
-}
-
-Chunk StorageEngine::Materialize(const SetId& set, const Chunk& chunk) const {
-  if (config_.spill_dir.empty() || chunk.data != nullptr || chunk.payload_bytes == 0) {
-    return chunk;
-  }
-  const std::string path = SpillPath(set, chunk.spill_id);
-  std::ifstream in(path, std::ios::binary);
-  CHAOS_CHECK_MSG(in.good(), "cannot open spill file " + path);
-  // Cache-line-aligned buffer: re-materialized payloads must satisfy the
-  // same alignment ChunkSpan<T>/EdgeChunkView assert of fresh ones (a
-  // vector's allocator only guarantees element alignment).
-  constexpr std::align_val_t kAlign{64};
-  auto holder = std::shared_ptr<uint8_t>(
-      static_cast<uint8_t*>(::operator new(chunk.payload_bytes, kAlign)),
-      [](uint8_t* p) { ::operator delete(p, std::align_val_t{64}); });
-  in.read(reinterpret_cast<char*>(holder.get()),
-          static_cast<std::streamsize>(chunk.payload_bytes));
-  CHAOS_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(chunk.payload_bytes),
-                  "short read from spill file " + path);
-  Chunk loaded = chunk;
-  loaded.data = std::shared_ptr<const void>(holder, holder.get());
-  return loaded;
 }
 
 }  // namespace chaos

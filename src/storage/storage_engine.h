@@ -36,9 +36,6 @@ class BufferPool;  // core/buffer_pool.h; serve/write staging charges pages
 struct StorageConfig {
   double bandwidth_bps = 400e6;           // device bandwidth (SSD ~ 400 MB/s, §8)
   TimeNs access_latency = 100 * kNsPerUs; // per-request latency
-  uint64_t chunk_bytes = 4ull << 20;      // nominal chunk size (4 MB, §7)
-  // Optional directory for file-backed payload spilling ("" = in-memory).
-  std::string spill_dir;
 
   static StorageConfig Ssd();
   static StorageConfig Hdd();  // RAID0 of 2 disks, ~200 MB/s aggregate (§8)
@@ -49,7 +46,6 @@ struct StorageConfig {
 class StorageEngine {
  public:
   StorageEngine(Simulator* sim, MessageBus* bus, MachineId machine, const StorageConfig& config);
-  ~StorageEngine();
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
@@ -68,12 +64,6 @@ class StorageEngine {
   std::vector<SetId> HostListSets() const;
   void HostDeleteSet(const SetId& set);
 
-  // Rematerializes a (possibly file-spilled) chunk's payload for host-side
-  // consumers (result extraction, checkpoint export).
-  Chunk HostMaterialize(const SetId& set, const Chunk& chunk) const {
-    return Materialize(set, chunk);
-  }
-
   // ---- Local queries (same-machine, free: used for the D estimate, §5.4).
   uint64_t RemainingBytes(const SetId& set, uint64_t epoch) const;
   uint64_t NumChunks(const SetId& set) const;
@@ -86,7 +76,6 @@ class StorageEngine {
   FifoResource& device() { return device_; }
   const FifoResource& device() const { return device_; }
   MachineId machine() const { return machine_; }
-  const StorageConfig& config() const { return config_; }
 
  private:
   struct SetStore {
@@ -108,11 +97,6 @@ class StorageEngine {
   SetStore& GetOrCreate(const SetId& set);
   void RollEpoch(SetStore& store, uint64_t epoch) const;
 
-  // File-backed payload spill support.
-  std::string SpillPath(const SetId& set, uint64_t spill_id) const;
-  void MaybeSpill(const SetId& set, Chunk& chunk);
-  Chunk Materialize(const SetId& set, const Chunk& chunk) const;
-
   Simulator* sim_;
   MessageBus* bus_;
   MachineId machine_;
@@ -124,7 +108,6 @@ class StorageEngine {
   uint64_t bytes_written_ = 0;
   uint64_t chunks_served_ = 0;
   uint64_t empty_responses_ = 0;
-  uint64_t next_spill_id_ = 1;
   bool started_ = false;
 };
 

@@ -1,6 +1,6 @@
 // Tests for the perturbation subsystem: FifoResource rate multipliers
 // (including in-flight queue re-projection), declarative fault schedules,
-// deterministic replay, heterogeneous machine profiles, and the paper's
+// deterministic replay, slow machines as faults from t=0, and the paper's
 // load-balancing claim — a straggler with stealing beats one without.
 #include <gtest/gtest.h>
 
@@ -284,44 +284,27 @@ TEST(FaultClusterTest, FaultScheduleReplayIsDeterministic) {
 
 // ---------------------------------------------------------- heterogeneity
 
-TEST(HeterogeneityTest, ProfileAccessorsFallBackToDefaults) {
-  ClusterConfig cfg;
-  cfg.machines = 3;
-  cfg.profiles.resize(2);
-  CostModel slow;
-  slow.cores = 4;
-  cfg.profiles[1].cost = slow;
-  cfg.profiles[1].storage = StorageConfig::Hdd();
-  cfg.profiles[1].nic_bandwidth_bps = 1.25e8;
-
-  EXPECT_EQ(cfg.cost_for(0).cores, cfg.cost.cores);
-  EXPECT_EQ(cfg.cost_for(1).cores, 4);
-  EXPECT_EQ(cfg.cost_for(2).cores, cfg.cost.cores);  // beyond the vector
-  EXPECT_DOUBLE_EQ(cfg.storage_for(1).bandwidth_bps, StorageConfig::Hdd().bandwidth_bps);
-  EXPECT_DOUBLE_EQ(cfg.storage_for(0).bandwidth_bps, cfg.storage.bandwidth_bps);
-  EXPECT_DOUBLE_EQ(cfg.nic_bandwidth_for(1), 1.25e8);
-  EXPECT_DOUBLE_EQ(cfg.nic_bandwidth_for(2), cfg.net.nic_bandwidth_bps);
-}
-
-TEST(HeterogeneityTest, SlowMachineProfileSlowsTheRunButNotTheAnswer) {
+// A machine that is slower throughout is a permanent fault from t=0, on
+// whichever resource it is slow: the run takes longer, the answer stays.
+TEST(HeterogeneityTest, SlowMachineSlowsTheRunButNotTheAnswer) {
   InputGraph g = PrepareInput("pagerank", StragglerGraph());
-  ClusterConfig uniform = StragglerConfig(2, 1.0, 1.0);
+  const ClusterConfig uniform = StragglerConfig(2, 1.0, 1.0);
   auto base = RunJob(MakeJob("pagerank", g, uniform));
 
-  ClusterConfig skewed = uniform;
-  skewed.profiles.resize(1);
-  CostModel slow = skewed.cost;
-  slow.ns_per_edge_scatter *= 4;
-  slow.ns_per_update_gather *= 4;
-  skewed.profiles[0].cost = slow;
-  auto het = RunJob(MakeJob("pagerank", g, skewed));
+  for (const FaultTarget target :
+       {FaultTarget::kCpu, FaultTarget::kStorage, FaultTarget::kNic, FaultTarget::kMachine}) {
+    SCOPED_TRACE(FaultTargetName(target));
+    ClusterConfig skewed = uniform;
+    skewed.faults = FaultSchedule::Straggler(0, 4.0, target);
+    auto het = RunJob(MakeJob("pagerank", g, skewed));
 
-  EXPECT_GT(het.metrics.total_time, base.metrics.total_time);
-  ASSERT_EQ(het.values.size(), base.values.size());
-  for (size_t v = 0; v < base.values.size(); ++v) {
-    // Heterogeneity shifts steal/merge order (float non-associativity).
-    ASSERT_NEAR(het.values[v], base.values[v],
-                1e-4 * std::max(1.0, std::abs(base.values[v])));
+    EXPECT_GT(het.metrics.total_time, base.metrics.total_time);
+    ASSERT_EQ(het.values.size(), base.values.size());
+    for (size_t v = 0; v < base.values.size(); ++v) {
+      // Heterogeneity shifts steal/merge order (float non-associativity).
+      ASSERT_NEAR(het.values[v], base.values[v],
+                  1e-4 * std::max(1.0, std::abs(base.values[v])));
+    }
   }
 }
 

@@ -1,17 +1,15 @@
-// Integration tests: checkpointing + crash recovery (paper §6.6, Fig. 13),
-// file-backed storage in a full cluster run, and performance-shape
-// invariants that back the evaluation figures (batching utilization,
-// stealing benefit, centralized-directory slowdown, network bottleneck).
+// Integration tests: checkpointing + crash recovery (paper §6.6, Fig. 13)
+// and performance-shape invariants that back the evaluation figures
+// (batching utilization, stealing benefit, centralized-directory slowdown,
+// network bottleneck).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "algorithms/basic.h"
 #include "algorithms/runner.h"
 #include "core/cluster.h"
 #include "graph/generators.h"
-#include "graph/ref/reference.h"
 
 namespace chaos {
 namespace {
@@ -132,24 +130,6 @@ TEST(CheckpointTest, TwoPhaseCommittedSideIsComplete) {
   }
   EXPECT_GT(committed_chunks, 0u);
   EXPECT_EQ(committed_chunks, vertex_chunks);
-}
-
-// -------------------------------------------------------------- file spill
-
-TEST(FileSpillIntegrationTest, FullRunThroughRealFilesystem) {
-  const std::string dir = ::testing::TempDir() + "/chaos_cluster_spill";
-  InputGraph g = TestGraph(19);
-  auto expect = ref::PageRank(g, 3);
-  {
-    ClusterConfig cfg = BaseConfig(2);
-    cfg.storage.spill_dir = dir;
-    Cluster<PageRankProgram> cluster(cfg, PageRankProgram(3));
-    auto result = cluster.Run(g);
-    for (size_t v = 0; v < expect.size(); ++v) {
-      ASSERT_NEAR(result.values[v], expect[v], 1e-3 * (1.0 + std::abs(expect[v])));
-    }
-  }
-  EXPECT_FALSE(std::filesystem::exists(dir));  // engines clean their spill
 }
 
 // -------------------------------------------------- performance invariants

@@ -2,6 +2,7 @@
 // correlation, incast penalty and many-to-one serialization.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "net/network.h"
@@ -15,7 +16,7 @@ NetworkConfig TestConfig() {
   c.nic_bandwidth_bps = 1e9;  // 1 GB/s: 1 byte == 1 ns
   c.one_way_latency = 1000;
   c.local_latency = 10;
-  c.model_incast = false;
+  c.incast_backlog_threshold = std::numeric_limits<TimeNs>::max();
   return c;
 }
 
@@ -223,7 +224,6 @@ TEST(MessageBusTest, UplinkSerializesConcurrentSends) {
 
 TEST(MessageBusTest, IncastPenaltyTriggersOnBacklog) {
   NetworkConfig cfg = TestConfig();
-  cfg.model_incast = true;
   cfg.incast_backlog_threshold = 1500;
   cfg.incast_penalty = 100000;
   Simulator sim;

@@ -1,9 +1,9 @@
 // Tests for the storage engine: serve-once-per-epoch semantics, epoch reset,
 // indexed vertex chunks, remaining-bytes (D estimate), deletion, placement
-// uniformity, file spill, and the centralized directory.
+// uniformity, and the centralized directory.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -23,7 +23,7 @@ NetworkConfig FastNet() {
   c.nic_bandwidth_bps = 1e9;
   c.one_way_latency = 100;
   c.local_latency = 10;
-  c.model_incast = false;
+  c.incast_backlog_threshold = std::numeric_limits<TimeNs>::max();
   return c;
 }
 
@@ -31,7 +31,6 @@ StorageConfig FastStorage() {
   StorageConfig c;
   c.bandwidth_bps = 1e9;
   c.access_latency = 50;
-  c.chunk_bytes = 1024;
   return c;
 }
 
@@ -41,10 +40,9 @@ struct Rig {
   MessageBus bus;
   std::vector<std::unique_ptr<StorageEngine>> engines;
 
-  explicit Rig(int machines, StorageConfig sc = FastStorage())
-      : net(&sim, machines, FastNet()), bus(&sim, &net) {
+  explicit Rig(int machines) : net(&sim, machines, FastNet()), bus(&sim, &net) {
     for (MachineId m = 0; m < machines; ++m) {
-      engines.push_back(std::make_unique<StorageEngine>(&sim, &bus, m, sc));
+      engines.push_back(std::make_unique<StorageEngine>(&sim, &bus, m, FastStorage()));
       engines.back()->Start();
     }
   }
@@ -400,36 +398,6 @@ TEST(PlacementTest, VertexChunkHomeRoughlyUniform) {
   for (const int count : counts) {
     EXPECT_NEAR(count, expected, expected * 0.2);
   }
-}
-
-// ------------------------------------------------------------------ spill
-
-TEST(FileSpillTest, RoundTripThroughRealFiles) {
-  const std::string dir = ::testing::TempDir() + "/chaos_spill_test";
-  {
-    StorageConfig sc = FastStorage();
-    sc.spill_dir = dir;
-    Rig rig(1, sc);
-    const SetId set{0, SetKind::kEdges};
-    rig.engines[0]->HostAddChunk(set, IntChunk(0, {11, 22, 33}));
-    // Payload must have been dropped from memory and written to disk.
-    EXPECT_EQ((*rig.engines[0]->HostGetSet(set))[0].data, nullptr);
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-    std::vector<int> got;
-    rig.sim.Spawn([](Rig* rig, SetId set, std::vector<int>* got) -> Task<> {
-      Message resp = co_await rig->bus.Call(ReadReq(0, 0, set, 1));
-      const auto& r = resp.As<ReadChunkResp>();
-      CHAOS_CHECK(r.ok);
-      for (int v : ChunkSpan<int>(r.chunk)) {
-        got->push_back(v);
-      }
-      rig->Shutdown();
-    }(&rig, set, &got));
-    rig.sim.Run();
-    EXPECT_EQ(got, (std::vector<int>{11, 22, 33}));
-  }
-  // Engine destructor cleans the spill directory.
-  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // -------------------------------------------------------------- directory
