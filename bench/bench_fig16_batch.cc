@@ -29,8 +29,7 @@ CHAOS_BENCH_MAIN(fig16, "Figure 16: runtime vs batching window phi*k") {
       const std::string name = info.name;
       sweep.Add([name, prepared, machines, seed, window] {
         ClusterConfig cfg = BenchClusterConfig(*prepared, machines, seed);
-        cfg.phi = 1.0;
-        cfg.batch_k = window;  // fetch window = phi * k = window
+        cfg.fetch_window = window;  // phi * k
         return RunJob(MakeJob(name, *prepared, cfg)).metrics.total_seconds();
       });
     }

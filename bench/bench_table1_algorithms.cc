@@ -45,7 +45,7 @@ CHAOS_BENCH_MAIN(table1, "Table 1: single-machine runtime, X-Stream vs Chaos") {
       XStreamConfig xcfg;
       xcfg.memory_budget_bytes = ccfg.memory_budget_bytes;
       xcfg.chunk_bytes = ccfg.chunk_bytes;
-      xcfg.prefetch_window = ccfg.fetch_window();
+      xcfg.prefetch_window = ccfg.fetch_window;
       xcfg.storage = ccfg.storage;
       xcfg.cost = ccfg.cost;
 

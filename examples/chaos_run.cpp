@@ -54,7 +54,6 @@
 #include "core/job_trace.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
-#include "util/logging.h"
 #include "util/options.h"
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -131,7 +130,7 @@ void RegisterFlags(Options& opt) {
   opt.AddInt("serve-mem-mb", 0,
              "per-machine memory for admission control in MiB (0 = unlimited)");
   opt.AddInt("quantum", 4, "preemption quantum in supersteps (--policy priority)");
-  opt.AddBool("verbose", false, "info-level logging");
+  opt.AddBool("verbose", false, "print the scheduler's event log (serving mode)");
 }
 
 // A time flag given in units of `unit_ns` nanoseconds, as TimeNs; nullopt,
@@ -148,6 +147,19 @@ std::optional<TimeNs> TimeFlag(const Options& opt, const std::string& name, Time
   return static_cast<TimeNs>(ns);
 }
 
+// False, after one line on stderr, unless the integer flag `name` is in
+// [lo, hi].
+bool IntFlagIn(const Options& opt, const std::string& name, int64_t lo, int64_t hi) {
+  const int64_t value = opt.GetInt(name);
+  if (value >= lo && value <= hi) {
+    return true;
+  }
+  std::fprintf(stderr, "--%s must be in [%lld, %lld] (got %lld)\n", name.c_str(),
+               static_cast<long long>(lo), static_cast<long long>(hi),
+               static_cast<long long>(value));
+  return false;
+}
+
 // Builds the JobSpec a parsed flag set describes: load or generate the
 // input, size the cluster, attach fault injection and recovery. This is the
 // single flag -> JobSpec path: the one-shot CLI, every --sweep point and
@@ -161,32 +173,18 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
     return std::nullopt;
   }
-  if (opt.GetInt("machines") < 1) {
-    std::fprintf(stderr, "--machines must be >= 1 (got %lld)\n",
-                 static_cast<long long>(opt.GetInt("machines")));
-    return std::nullopt;
-  }
-  if (opt.GetInt("partitions-per-machine") < 1) {
-    std::fprintf(stderr, "--partitions-per-machine must be >= 1 (got %lld)\n",
-                 static_cast<long long>(opt.GetInt("partitions-per-machine")));
+  // Upper bounds keep each value inside the type it is converted to. One
+  // superstep runs per iteration, and more than the superstep bound would
+  // abort the run.
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  if (!IntFlagIn(opt, "machines", 1, kIntMax) ||
+      !IntFlagIn(opt, "partitions-per-machine", 1, kIntMax) ||
+      !IntFlagIn(opt, "chunk-kb", 1, std::numeric_limits<int64_t>::max() >> 10) ||
+      !IntFlagIn(opt, "iterations", 0, static_cast<int64_t>(kMaxSupersteps))) {
     return std::nullopt;
   }
   if (!(opt.GetDouble("alpha") >= 0.0)) {
     std::fprintf(stderr, "--alpha must be >= 0 (got %g)\n", opt.GetDouble("alpha"));
-    return std::nullopt;
-  }
-  if (opt.GetInt("chunk-kb") < 1) {
-    std::fprintf(stderr, "--chunk-kb must be >= 1 (got %lld)\n",
-                 static_cast<long long>(opt.GetInt("chunk-kb")));
-    return std::nullopt;
-  }
-  // One superstep per iteration; more than the superstep bound allows
-  // would abort the run.
-  const auto max_iterations = static_cast<int64_t>(ClusterConfig{}.max_supersteps);
-  if (opt.GetInt("iterations") < 0 || opt.GetInt("iterations") > max_iterations) {
-    std::fprintf(stderr, "--iterations must be in [0, %lld] (got %lld)\n",
-                 static_cast<long long>(max_iterations),
-                 static_cast<long long>(opt.GetInt("iterations")));
     return std::nullopt;
   }
   const std::optional<TimeNs> arrival = TimeFlag(opt, "arrival-ms", kNsPerMs);
@@ -602,12 +600,29 @@ bool LoadTraceFile(const Options& base, const std::string& path,
 // derived seed layered on top (still the one flag -> JobSpec path).
 bool GeneratePresetTrace(const Options& base, TracePreset preset,
                          std::vector<JobSpec>* specs) {
+  if (!IntFlagIn(base, "trace-jobs", 1, std::numeric_limits<int>::max())) {
+    return false;
+  }
+  const std::optional<TimeNs> horizon = TimeFlag(base, "trace-horizon-ms", kNsPerMs);
+  if (!horizon.has_value()) {
+    return false;
+  }
+  if (*horizon < 1) {
+    std::fprintf(stderr, "--trace-horizon-ms must be at least 1 ns (got %g)\n",
+                 base.GetDouble("trace-horizon-ms"));
+    return false;
+  }
+  const double high_fraction = base.GetDouble("high-fraction");
+  if (!(high_fraction >= 0.0 && high_fraction <= 1.0)) {
+    std::fprintf(stderr, "--high-fraction must be in [0, 1] (got %g)\n", high_fraction);
+    return false;
+  }
   TraceOptions topt;
   topt.preset = preset;
   topt.num_jobs = static_cast<int>(base.GetInt("trace-jobs"));
-  topt.horizon = static_cast<TimeNs>(base.GetDouble("trace-horizon-ms") * kNsPerMs);
+  topt.horizon = *horizon;
   topt.seed = static_cast<uint64_t>(base.GetInt("seed"));
-  topt.high_fraction = base.GetDouble("high-fraction");
+  topt.high_fraction = high_fraction;
   for (const TraceEntry& entry : GenerateTrace(topt)) {
     // The derived seed is folded to 31 bits so it round-trips through the
     // int flag; per-job variety is all it needs to provide.
@@ -634,6 +649,12 @@ int RunTrace(const Options& opt) {
   if (!policy.has_value()) {
     std::fprintf(stderr, "unknown --policy '%s' (want fifo|priority)\n",
                  opt.GetString("policy").c_str());
+    return 1;
+  }
+  // A quantum of kMaxSupersteps already never preempts: no run gets further.
+  if (!IntFlagIn(opt, "serve-machines", 1, std::numeric_limits<int>::max()) ||
+      !IntFlagIn(opt, "quantum", 1, static_cast<int64_t>(kMaxSupersteps)) ||
+      !IntFlagIn(opt, "serve-mem-mb", 0, std::numeric_limits<int64_t>::max() >> 20)) {
     return 1;
   }
 
@@ -822,9 +843,6 @@ int main(int argc, char** argv) {
     }
     opt.PrintHelp(argv[0]);
     return err ? 1 : 0;
-  }
-  if (opt.GetBool("verbose")) {
-    SetLogLevel(LogLevel::kInfo);
   }
   const bool trace_mode =
       !opt.GetString("trace").empty() || !opt.GetString("trace-preset").empty();

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -46,13 +45,6 @@
 #include "graph/mutation_log.h"
 
 namespace chaos {
-
-// Bounded-probe default for callers that want a capped WCC connectivity
-// check (tests exercise both regimes). The controller itself follows
-// MutationSchedule::wcc_connectivity_budget: 0 = exhaustive, which is free
-// in simulated time (planning is host-side) and keeps giant components
-// from re-flooding on every intra-component delete.
-inline constexpr uint64_t kWccConnectivityBudget = 4096;
 
 // Host-side planning of mutation epochs, with the per-epoch state carried
 // from one epoch to the next (see the file comment). Runs without a
@@ -73,7 +65,6 @@ class EpochPlanner {
       : prog_(std::move(prog)),
         algorithm_(std::move(algorithm)),
         incremental_(sched.incremental),
-        wcc_budget_(sched.wcc_connectivity_budget),
         log_(std::move(log)),
         initial_prepared_(PrepareInput(algorithm_, log_.base())) {
     CHAOS_CHECK_MSG(algorithm_ == "bfs" || algorithm_ == "sssp" || algorithm_ == "wcc",
@@ -248,11 +239,7 @@ class EpochPlanner {
       return SeedPathLengths<P>(*adj_, batch, prog_.InitGlobal(0).source, seeds, patch);
     } else if constexpr (std::is_same_v<P, WccProgram>) {
       patch();
-      // Budget 0 = exhaustive: an uncapped probe explores the whole
-      // component, so every intact deletion is certified.
-      const uint64_t budget =
-          wcc_budget_ != 0 ? wcc_budget_ : std::numeric_limits<uint64_t>::max();
-      return SeedWcc(*adj_, batch, budget, seeds);
+      return SeedWcc(*adj_, batch, seeds);
     } else {
       CHAOS_CHECK_MSG(false, "no incremental seeder for this program");
       return SeedStats{};
@@ -262,7 +249,6 @@ class EpochPlanner {
   P prog_;
   std::string algorithm_;
   bool incremental_;
-  uint64_t wcc_budget_;  // 0 = exhaustive probe
   MutationLog log_;
   InputGraph initial_prepared_;
   // Carried per-epoch state, rewound by Reset and built by the next Plan:

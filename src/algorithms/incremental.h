@@ -15,9 +15,11 @@
 //    at a suspect; suspects reset to "unreached" and the intact boundary
 //    re-announces. Conservative — over-marking only costs recompute work,
 //    never correctness.
-//  * WCC: per deleted intra-component edge, a budgeted reachability probe
-//    on the new graph; if the endpoints may have split (or the budget runs
-//    out), the entire old component resets to self-labels and re-floods.
+//  * WCC: per deleted intra-component edge, a reachability probe on the
+//    new graph; if the endpoints split, the entire old component resets to
+//    self-labels and re-floods. Planning is host-side, so the probe is
+//    exhaustive: free in simulated time, and giant components do not
+//    re-flood on every intra-component delete.
 #ifndef CHAOS_ALGORITHMS_INCREMENTAL_H_
 #define CHAOS_ALGORITHMS_INCREMENTAL_H_
 
@@ -401,19 +403,16 @@ SeedStats SeedPathLengths(const HostAdjacency& adj, const MutationBatch& batch, 
 
 // ------------------------------------------------------------- WCC seeder
 
-// Bounded DFS reachability probes on one graph. The visited set is a
-// stamp vector shared by every probe: each probe takes a fresh stamp
-// instead of allocating (and, under the exhaustive budget, filling) a set
-// of its own.
+// DFS reachability probes on one graph. The visited set is a stamp vector
+// shared by every probe: each probe takes a fresh stamp instead of
+// allocating and filling a set of its own.
 class HostReachProbe {
  public:
   explicit HostReachProbe(const HostAdjacency& adj)
       : adj_(adj), stamp_(adj.num_vertices(), 0) {}
 
-  // True iff `to` is reached from `from` within `budget` arc traversals.
-  // Budget exhaustion reports false — the caller treats "don't know" as
-  // "split" (a conservative full reset).
-  bool Connected(VertexId from, VertexId to, uint64_t budget) {
+  // True iff `to` is reachable from `from`.
+  bool Connected(VertexId from, VertexId to) {
     if (from == to) {
       return true;
     }
@@ -421,12 +420,11 @@ class HostReachProbe {
     ++probe_;
     stack_.assign(1, from);
     stamp_[from] = probe_;
-    uint64_t traversed = 0;
     while (!stack_.empty()) {
       const VertexId u = stack_.back();
       stack_.pop_back();
       const bool go_on = adj_.VisitForward(u, [&](const HostAdjacency::Arc& arc) {
-        if (++traversed > budget || arc.dst == to) {
+        if (arc.dst == to) {
           return false;
         }
         if (stamp_[arc.dst] != probe_) {
@@ -436,7 +434,7 @@ class HostReachProbe {
         return true;
       });
       if (!go_on) {
-        return traversed <= budget;  // stopped at `to`, or out of budget
+        return true;  // stopped at `to`
       }
     }
     return false;  // component exhausted without reaching `to`
@@ -453,7 +451,6 @@ class HostReachProbe {
 // probe per deleted edge, and both endpoints of every insert get their
 // changed flag.
 inline SeedStats SeedWcc(const HostAdjacency& adj, const MutationBatch& batch,
-                         uint64_t connectivity_budget,
                          std::vector<WccProgram::VertexState>* states) {
   auto& st = *states;
   const uint64_t n = adj.num_vertices();
@@ -469,7 +466,7 @@ inline SeedStats SeedWcc(const HostAdjacency& adj, const MutationBatch& batch,
     if (reset_label[st[e.src].label] != 0) {
       continue;  // this component already resets wholesale
     }
-    if (!probe.Connected(e.src, e.dst, connectivity_budget)) {
+    if (!probe.Connected(e.src, e.dst)) {
       reset_label[st[e.src].label] = 1;
     }
   }

@@ -45,7 +45,7 @@ auto DispatchAlgorithm(const std::string& name, const AlgoParams& params, Fn&& f
     return fn(SpmvProgram{});
   }
   if (name == "bp") {
-    return fn(BpProgram(params.iterations, params.bp_damping));
+    return fn(BpProgram(params.iterations));
   }
   CHAOS_CHECK_MSG(false, "unknown algorithm: " + name);
   return fn(BfsProgram(params.source));

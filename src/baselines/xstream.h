@@ -31,7 +31,6 @@ struct XStreamConfig {
   int prefetch_window = 8;  // in-flight device requests (I/O / compute overlap)
   StorageConfig storage = StorageConfig::Ssd();
   CostModel cost;
-  uint64_t max_supersteps = 100000;
 };
 
 template <GasProgram P>
@@ -186,7 +185,7 @@ class XStreamEngine {
     const uint64_t updates_per_chunk =
         std::max<uint64_t>(1, config_.chunk_bytes / meta_wire_update_);
     while (true) {
-      CHAOS_CHECK_LT(superstep, config_.max_supersteps);
+      CHAOS_CHECK_LT(superstep, kMaxSupersteps);
       G local = prog_.InitLocal();
       uint64_t changed = 0;
       std::vector<std::vector<std::vector<Rec>>> next_updates(nparts);

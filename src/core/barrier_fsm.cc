@@ -119,10 +119,10 @@ Task<> EngineCore::CommitCheckpoint() {
       checkpoint_counter_ % 2 == 0 ? SetKind::kUpdatesCkptA : SetKind::kUpdatesCkptB;
   {
     BucketTimer t(ctx_.sim, metrics_, Bucket::kCheckpoint);
-    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
+    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window);
     for (const PartitionId p : own_partitions_) {
       ChunkFetcher fetcher(&ctx_, &rng_, UpdatesSet(p, superstep_ + 1), CheckpointScanEpoch(),
-                           ctx_.config->fetch_window(), LocalMasterTarget(parts_->Master(p)),
+                           ctx_.config->fetch_window, LocalMasterTarget(parts_->Master(p)),
                            /*preserve_payload=*/true);
       fetcher.Start();
       while (true) {
@@ -175,7 +175,7 @@ Task<> EngineCore::ApplyMutationStage() {
   {
     BucketTimer t(ctx_.sim, metrics_, Bucket::kMutate);
     const auto& cost = ctx_.cost();
-    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
+    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window);
     RecordBinner binner(parts_, RecordBinner::Format::kEdgeSoA, meta_.edge_wire_bytes,
                         ctx_.config->chunk_bytes, ctx_.arena);
     for (const PartitionId p : own_partitions_) {
@@ -185,7 +185,7 @@ Task<> EngineCore::ApplyMutationStage() {
       // view of the planner's bins, valid until its next Plan), so the
       // output is deterministic regardless of chunk arrival order.
       ChunkFetcher fetcher(&ctx_, &rng_, SetId{p, old_kind}, MutateScanEpoch(),
-                           ctx_.config->fetch_window(), LocalMasterTarget(parts_->Master(p)),
+                           ctx_.config->fetch_window, LocalMasterTarget(parts_->Master(p)),
                            /*preserve_payload=*/true);
       fetcher.Start();
       while (true) {

@@ -110,7 +110,7 @@ Task<> ChunkFetcher::Worker() {
     // Backpressure: in-flight requests plus buffered-but-unconsumed chunks
     // never exceed the window. Without this the pipeline would drain whole
     // sets from storage far ahead of a slow consumer — an unbounded prefetch
-    // buffer the real engine does not have (§6.5 keeps floor(phi*k) chunk
+    // buffer the real engine does not have (§6.5 keeps phi*k chunk
     // *requests* outstanding) — and the master's storage-side D estimate
     // (§5.4) would undercount remaining work whenever a scan is CPU-bound,
     // e.g. on a degraded straggler machine.

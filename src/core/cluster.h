@@ -53,6 +53,7 @@ class Cluster {
   Cluster(ClusterConfig config, P prog)
       : config_(std::move(config)), prog_(std::move(prog)) {
     CHAOS_CHECK_GT(config_.machines, 0);
+    CHAOS_CHECK_GE(config_.fetch_window, 1);
     net_ = std::make_unique<Network>(&sim_, config_.machines, config_.net);
     bus_ = std::make_unique<MessageBus>(&sim_, net_.get());
     for (MachineId m = 0; m < config_.machines; ++m) {
@@ -101,19 +102,43 @@ class Cluster {
   using BatchSink = std::function<void(const std::vector<Edge>&)>;
   RunResult<P> RunStreaming(uint64_t num_vertices, bool weighted,
                             const std::function<void(const BatchSink&)>& feed) {
-    CHAOS_CHECK(!config_.resume);
     InputGraph shape;  // wire-format facts only; edges stay in the stream
     shape.num_vertices = num_vertices;
     shape.weighted = weighted;
     const GraphMeta meta = GraphMeta::Of(shape);
     IngestInput(num_vertices, meta.edge_wire_bytes, feed);
-    return Execute(meta, prog_.InitGlobal(num_vertices));
+    return Execute(meta, prog_.InitGlobal(num_vertices), std::nullopt);
   }
 
-  // Resumes from previously imported storage state (edges + vertex sets).
-  RunResult<P> Resume(const GraphMeta& meta, const G& global) {
-    CHAOS_CHECK(config_.resume);
-    return Execute(meta, global);
+  // Restarts a stopped run (a crash, or a preemption at a scripted barrier)
+  // on this fresh cluster from the checkpoint `stopped` committed on
+  // `donor`, the cluster that ran it; attach hooks run before this call.
+  // Imports the edge side live at the checkpoint as kEdges, the checkpoint
+  // side as the vertex sets, and the side's commit-time update snapshot
+  // (gather-phase emissions the resumed scatter cannot regenerate) under
+  // the update-set kind the first resumed gather scans. At the same machine
+  // count chunk homes are stable, so sets copy across position for
+  // position; otherwise they are re-partitioned. A crash mid-apply leaves
+  // partial chunks on an evolving run's in-flight edge side; they are never
+  // imported. The result's outputs begin with the ones the donor's chain
+  // committed before the checkpoint.
+  RunResult<P> Resume(Cluster<P>& donor, const RunResult<P>& stopped, const GraphMeta& meta) {
+    CHAOS_CHECK_MSG(stopped.has_checkpoint,
+                    "Resume needs a stopped run with a committed checkpoint");
+    const uint64_t superstep = stopped.checkpoint_superstep;
+    PreparePartitioning(meta.num_vertices);
+    const SetKind snapshot = UpdatesCkptFor(stopped.checkpoint_side);
+    const SetKind resume_updates = UpdatesFor(superstep);
+    if (config_.machines == donor.config().machines) {
+      ImportSets(donor, stopped.checkpoint_edges_kind, SetKind::kEdges);
+      ImportSets(donor, stopped.checkpoint_side, SetKind::kVertices);
+      ImportSets(donor, snapshot, resume_updates);
+    } else {
+      ImportRepartitioned(donor, stopped.checkpoint_side, meta, snapshot, resume_updates,
+                          stopped.checkpoint_edges_kind);
+    }
+    resumed_outputs_ = donor.OutputsBefore(superstep);
+    return Execute(meta, stopped.checkpoint_global, superstep);
   }
 
   // Evolving graphs: attaches the shared mutation feed the coordinator
@@ -130,7 +155,7 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
 
   // Computes the partitioning for `n` vertices under this configuration
-  // (needed to import sets before Resume).
+  // (needed before ImportRepartitioned; Resume calls it itself).
   const Partitioning& PreparePartitioning(uint64_t n) {
     parts_ = std::make_unique<Partitioning>(
         Partitioning::Compute(n, config_.machines, sizeof(VState) + sizeof(A),
@@ -138,44 +163,18 @@ class Cluster {
     return *parts_;
   }
 
-  // Outputs emitted during supersteps that completed before `superstep`,
-  // concatenated in machine order — the committed output stream a recovery
-  // restart must preserve from a crashed run (core/recovery.h).
+  // The committed output stream before absolute superstep `superstep`,
+  // which a restart must preserve: the outputs this cluster resumed with,
+  // then those its own supersteps that completed before `superstep`
+  // emitted, concatenated in machine order.
   std::vector<typename P::OutputRecord> OutputsBefore(uint64_t superstep) const {
-    std::vector<typename P::OutputRecord> out;
+    std::vector<typename P::OutputRecord> out = resumed_outputs_;
     for (size_t m = 0; m < cores_.size(); ++m) {
       const auto& all = kernels_[m]->outputs();
       const size_t n = cores_[m]->NumOutputsBefore(superstep);
       out.insert(out.end(), all.begin(), all.begin() + static_cast<ptrdiff_t>(n));
     }
     return out;
-  }
-
-  // Copies every chunk of `kind` sets (all partitions) from `from` into this
-  // cluster's engines at the same machine positions, relabeling to `as`.
-  // Machine counts must match. Used by crash-recovery flows.
-  template <GasProgram Q>
-  void ImportSets(Cluster<Q>& from, SetKind kind, SetKind as) {
-    CHAOS_CHECK_EQ(from.config().machines, config_.machines);
-    for (MachineId m = 0; m < config_.machines; ++m) {
-      StorageEngine* src = from.storage(m);
-      for (const SetId& id : src->HostListSets()) {
-        if (id.kind != kind) {
-          continue;
-        }
-        const SetId target{id.partition, as};
-        const auto* chunks = src->HostGetSet(id);
-        for (const Chunk& c : *chunks) {
-          // Sequential sets are located through the directory in
-          // kCentralDirectory mode: imported chunks must be registered or
-          // the recovered run's scans would see an empty set.
-          if (directory_ != nullptr && !IsIndexedKind(as)) {
-            directory_->HostRecord(target, c.index, m);
-          }
-          storage_[static_cast<size_t>(m)]->HostAddChunk(target, c);
-        }
-      }
-    }
   }
 
   // Host-side: reassembles the full per-vertex state array from an indexed
@@ -269,31 +268,33 @@ class Cluster {
     }
   }
 
-  // Imports the checkpoint `from` (a crashed or preempted run) committed,
-  // for a Resume at config().resume_superstep: the edge side live at the
-  // checkpoint (`edges_kind`) as kEdges, checkpoint side `side` as the
-  // vertex sets, and the side's commit-time update snapshot (gather-phase
-  // emissions the resumed scatter cannot regenerate) under the update-set
-  // kind the first resumed gather scans. At the same machine count chunk
-  // homes are stable, so sets copy across position for position; otherwise
-  // they are re-partitioned. A crash mid-apply leaves partial chunks on an
-  // evolving run's in-flight edge side; they are never imported.
-  void ImportCheckpoint(Cluster<P>& from, SetKind side, SetKind edges_kind,
-                        const GraphMeta& meta) {
-    CHAOS_CHECK(config_.resume);
-    PreparePartitioning(meta.num_vertices);
-    const SetKind snapshot = UpdatesCkptFor(side);
-    const SetKind resume_updates = UpdatesFor(config_.resume_superstep);
-    if (config_.machines == from.config().machines) {
-      ImportSets(from, edges_kind, SetKind::kEdges);
-      ImportSets(from, side, SetKind::kVertices);
-      ImportSets(from, snapshot, resume_updates);
-    } else {
-      ImportRepartitioned(from, side, meta, snapshot, resume_updates, edges_kind);
+ private:
+  // Copies every chunk of `kind` sets (all partitions) from `from` into this
+  // cluster's engines at the same machine positions, relabeling to `as`.
+  // Machine counts must match.
+  void ImportSets(Cluster<P>& from, SetKind kind, SetKind as) {
+    CHAOS_CHECK_EQ(from.config().machines, config_.machines);
+    for (MachineId m = 0; m < config_.machines; ++m) {
+      StorageEngine* src = from.storage(m);
+      for (const SetId& id : src->HostListSets()) {
+        if (id.kind != kind) {
+          continue;
+        }
+        const SetId target{id.partition, as};
+        const auto* chunks = src->HostGetSet(id);
+        for (const Chunk& c : *chunks) {
+          // Sequential sets are located through the directory in
+          // kCentralDirectory mode: imported chunks must be registered or
+          // the recovered run's scans would see an empty set.
+          if (directory_ != nullptr && !IsIndexedKind(as)) {
+            directory_->HostRecord(target, c.index, m);
+          }
+          storage_[static_cast<size_t>(m)]->HostAddChunk(target, c);
+        }
+      }
     }
   }
 
- private:
   // Drains every `source` set of `from` and re-bins each record by the new
   // partition of its key vertex: an edge's source (both endpoints are
   // validated), an update's destination (updates are gathered at their
@@ -430,7 +431,8 @@ class Cluster {
     }
   }
 
-  RunResult<P> Execute(const GraphMeta& meta, const G& initial_global) {
+  RunResult<P> Execute(const GraphMeta& meta, const G& initial_global,
+                       std::optional<uint64_t> resume_superstep) {
     CHAOS_CHECK(parts_ != nullptr);
     machine_metrics_.assign(static_cast<size_t>(config_.machines), MachineMetrics{});
     for (auto& engine : storage_) {
@@ -459,9 +461,9 @@ class Cluster {
       kernels_.push_back(std::make_unique<GasKernel<P>>(&prog_, parts_.get(),
                                                         meta.vertex_id_wire_bytes,
                                                         initial_global));
-      cores_.push_back(std::make_unique<EngineCore>(std::move(ctx), kernels_.back().get(), meta,
-                                                    parts_.get(),
-                                                    &machine_metrics_[static_cast<size_t>(m)]));
+      cores_.push_back(std::make_unique<EngineCore>(
+          std::move(ctx), kernels_.back().get(), meta, parts_.get(),
+          &machine_metrics_[static_cast<size_t>(m)], resume_superstep));
     }
     for (auto& core : cores_) {
       core->Start();
@@ -510,6 +512,7 @@ class Cluster {
     if (injector_ != nullptr) {
       result.metrics.faults = injector_->records();
     }
+    result.outputs = resumed_outputs_;
     for (size_t m = 0; m < cores_.size(); ++m) {
       const auto& out = kernels_[m]->outputs();
       result.outputs.insert(result.outputs.end(), out.begin(), out.end());
@@ -587,6 +590,8 @@ class Cluster {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Partitioning> parts_;
   MutationFeed* mutations_ = nullptr;
+  // Outputs a restart carried over from the run it replaces (Resume).
+  std::vector<typename P::OutputRecord> resumed_outputs_;
   // Per machine: the typed kernel (per-edge/per-update/per-vertex loops,
   // typed results) and the untemplated core that drives it. The core holds
   // a pointer to its kernel, so both live behind stable addresses.
@@ -597,7 +602,7 @@ class Cluster {
 };
 
 // Runs on a freshly built cluster before Run/Resume, with the number of
-// mutation epochs already baked into the state it holds: 0 for a fresh run,
+// mutation epochs baked into the state it starts from: 0 for a fresh run,
 // RunResult::checkpoint_epoch when resuming from a checkpoint. Evolving jobs
 // attach their MutationFeed through it (algorithms/evolving.h
 // EvolvingController::Attach); the recovery driver and sliced job execution

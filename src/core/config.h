@@ -41,6 +41,10 @@ enum class Placement {
   kCentralDirectory,  // Fig. 15 baseline: a directory server picks targets
 };
 
+// Safety bound on the supersteps of one run (Chaos and the X-Stream
+// baseline): a run that reaches it is not converging.
+inline constexpr uint64_t kMaxSupersteps = 100000;
+
 struct ClusterConfig {
   int machines = 4;
 
@@ -68,11 +72,10 @@ struct ClusterConfig {
   // paper's regime.
   uint64_t chunk_bytes = 256 << 10;
 
-  // Batching (§6.5): each engine keeps floor(phi * batch_k) chunk requests
-  // outstanding. phi = 1 + Rnetwork/Rstorage; the paper measures phi ~= 2 on
-  // its SSD/40GigE testbed and uses k = 5 (phi*k = 10, Fig. 16).
-  int batch_k = 5;
-  double phi = 2.0;
+  // Batching (§6.5): chunk requests each engine keeps outstanding, the
+  // paper's phi*k with phi = 1 + Rnetwork/Rstorage. The paper measures
+  // phi ~= 2 on its SSD/40GigE testbed and uses k = 5 (phi*k = 10, Fig. 16).
+  int fetch_window = 10;
 
   // Work-stealing bias alpha (§10.2): master accepts a steal proposal iff
   // V + D/(H+1) < alpha * D/H. 0 disables stealing; infinity always steals.
@@ -100,20 +103,6 @@ struct ClusterConfig {
   // failure mid-run use FaultSchedule::MachineCrash in `faults` instead.
   int64_t crash_after_superstep = -1;
 
-  // Resume a crashed run (default false): skip pre-processing; vertex and
-  // edge sets must already be present in storage, imported from the
-  // committed checkpoint via Cluster::ImportCheckpoint. Consumed by
-  // Cluster::Resume and EngineCore::Main; RunWithRecovery sets both fields
-  // up.
-  bool resume = false;
-  // First superstep of the resumed run (units: absolute superstep index;
-  // meaningful only with `resume`): RunResult::checkpoint_superstep of the
-  // crashed run, i.e. the superstep after the last committed checkpoint.
-  uint64_t resume_superstep = 0;
-
-  // Safety bound on supersteps.
-  uint64_t max_supersteps = 100000;
-
   NetworkConfig net = NetworkConfig::FortyGigE();
   StorageConfig storage = StorageConfig::Ssd();
   CostModel cost;
@@ -126,11 +115,6 @@ struct ClusterConfig {
 
   uint64_t seed = 1;
 
-  int fetch_window() const {
-    const int w = static_cast<int>(std::floor(phi * batch_k));
-    return w < 1 ? 1 : w;
-  }
-
   // The enforced per-machine buffer-pool budget; 0 = enforcement off.
   uint64_t EffectivePoolBudget() const {
     if (!memory_enforced) {
@@ -140,7 +124,7 @@ struct ClusterConfig {
       return pool_budget_bytes;
     }
     return 2 * memory_budget_bytes +
-           4ull * static_cast<uint64_t>(fetch_window()) * chunk_bytes;
+           4ull * static_cast<uint64_t>(fetch_window) * chunk_bytes;
   }
   bool stealing_enabled() const { return alpha > 0.0; }
 };

@@ -12,7 +12,8 @@
 namespace chaos {
 
 EngineCore::EngineCore(EngineContext ctx, ProgramKernel* kernel, GraphMeta meta,
-                       const Partitioning* parts, MachineMetrics* metrics)
+                       const Partitioning* parts, MachineMetrics* metrics,
+                       std::optional<uint64_t> resume_superstep)
     : ctx_(std::move(ctx)),
       kernel_(kernel),
       meta_(meta),
@@ -22,7 +23,8 @@ EngineCore::EngineCore(EngineContext ctx, ProgramKernel* kernel, GraphMeta meta,
       steal_rng_(DeriveSeed(HashCombine(ctx_.config->seed, static_cast<uint64_t>(ctx_.machine)),
                             0x57ea1)),
       stolen_ready_(ctx_.sim),
-      stolen_taken_(ctx_.sim) {
+      stolen_taken_(ctx_.sim),
+      resume_superstep_(resume_superstep) {
   for (PartitionId p = 0; p < parts_->num_partitions(); ++p) {
     if (parts_->Master(p) == ctx_.machine) {
       own_partitions_.push_back(p);
@@ -52,11 +54,11 @@ size_t EngineCore::NumOutputsBefore(uint64_t superstep) const {
 // ------------------------------------------------------------- main loop
 
 Task<> EngineCore::Main() {
-  if (!ctx_.config->resume) {
-    co_await Preprocess();
+  if (resume_superstep_.has_value()) {
+    superstep_ = *resume_superstep_;
+    start_superstep_ = *resume_superstep_;
   } else {
-    superstep_ = ctx_.config->resume_superstep;
-    start_superstep_ = ctx_.config->resume_superstep;
+    co_await Preprocess();
   }
   if (!aborted_) {
     co_await Barrier(/*advance=*/false);
@@ -67,7 +69,7 @@ Task<> EngineCore::Main() {
     preprocess_end_time_ = ctx_.sim->now();
   }
   while (!aborted_) {
-    CHAOS_CHECK_MSG(superstep_ - start_superstep_ < ctx_.config->max_supersteps,
+    CHAOS_CHECK_MSG(superstep_ - start_superstep_ < kMaxSupersteps,
                     "superstep limit exceeded; algorithm not converging?");
     if (kernel_->WantScatter()) {
       {
@@ -135,13 +137,13 @@ Task<> EngineCore::Preprocess() {
     // superstep runs the vectorized loop (core/edge_chunk_view.h).
     RecordBinner edge_binner(parts_, RecordBinner::Format::kEdgeSoA, meta_.edge_wire_bytes,
                              ctx_.config->chunk_bytes, ctx_.arena);
-    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
+    ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window);
     // Dense out-degree counts of the edges this machine ingests: 4 bytes
     // per vertex, for programs that need degrees only.
     const bool count_degrees = kernel_->needs_out_degrees();
     std::vector<uint32_t> degree_counts(count_degrees ? meta_.num_vertices : 0);
     ChunkFetcher fetcher(&ctx_, &rng_, SetId{0, SetKind::kInput}, kInputEpoch,
-                         ctx_.config->fetch_window(), LocalMasterTarget(ctx_.machine));
+                         ctx_.config->fetch_window, LocalMasterTarget(ctx_.machine));
     fetcher.Start();
     while (true) {
       if (Dead()) {
@@ -184,7 +186,7 @@ Task<> EngineCore::Preprocess() {
   }
 
   // Vertex-set initialization for owned partitions.
-  ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window());
+  ChunkWriter writer(&ctx_, &rng_, ctx_.config->fetch_window);
   for (const PartitionId p : own_partitions_) {
     const uint64_t count = parts_->Count(p);
     const VertexId base = parts_->Base(p);
@@ -192,7 +194,7 @@ Task<> EngineCore::Preprocess() {
     if (kernel_->needs_out_degrees()) {
       degrees.assign(count, 0);
       ChunkFetcher fetcher(&ctx_, &rng_, SetId{p, SetKind::kDegrees}, kDegreesEpoch,
-                           ctx_.config->fetch_window(), LocalMasterTarget(parts_->Master(p)));
+                           ctx_.config->fetch_window, LocalMasterTarget(parts_->Master(p)));
       fetcher.Start();
       while (true) {
         std::optional<Chunk> chunk = co_await fetcher.Next();
@@ -241,7 +243,7 @@ Task<PooledBatch> EngineCore::LoadVertexSet(PartitionId p) {
   PooledBatch out = co_await AllocBatch(kernel_->vertex_state_bytes(), count);
   const uint64_t per_chunk = VertsPerChunk();
   const uint64_t nchunks = (count + per_chunk - 1) / per_chunk;
-  Semaphore window(ctx_.sim, ctx_.config->fetch_window());
+  Semaphore window(ctx_.sim, ctx_.config->fetch_window);
   TaskGroup group(ctx_.sim);
   for (uint64_t idx = 0; idx < nchunks; ++idx) {
     co_await window.Acquire();

@@ -97,8 +97,12 @@ struct BarrierOutcome {
 
 class EngineCore {
  public:
+  // `resume_superstep` set: skip pre-processing and start at that absolute
+  // superstep over vertex and edge sets already imported into storage from
+  // a committed checkpoint (Cluster::Resume).
   EngineCore(EngineContext ctx, ProgramKernel* kernel, GraphMeta meta,
-             const Partitioning* parts, MachineMetrics* metrics);
+             const Partitioning* parts, MachineMetrics* metrics,
+             std::optional<uint64_t> resume_superstep);
 
   // Spawns the main loop, the control server, and (machine 0) the barrier
   // coordinator.
@@ -324,6 +328,7 @@ class EngineCore {
   bool finished_ = false;
   bool crashed_ = false;
   bool aborted_ = false;  // a barrier released with crash: unwind, no more arrivals
+  const std::optional<uint64_t> resume_superstep_;  // set: skip pre-processing
 };
 
 }  // namespace chaos

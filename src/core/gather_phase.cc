@@ -7,7 +7,7 @@ GatherPhase::GatherPhase(EngineCore* core)
       binner_(core->parts_, RecordBinner::Format::kUpdateSoA,
               core->kernel_->update_wire_bytes(), core->ctx_.config->chunk_bytes,
               core->ctx_.arena, core->kernel_->update_value_bytes()),
-      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {}
+      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window) {}
 
 Task<> GatherPhase::Run() {
   EngineCore& c = *core_;
@@ -45,7 +45,7 @@ Task<GatherPhase::Streamed> GatherPhase::Stream(PartitionId p, bool stolen) {
   const VertexId base = c.parts_->Base(p);
   const auto& cost = c.ctx_.cost();
   ChunkFetcher fetcher(&c.ctx_, &c.rng_, c.UpdatesSet(p, c.superstep_), c.GatherEpoch(),
-                       c.ctx_.config->fetch_window(),
+                       c.ctx_.config->fetch_window,
                        c.LocalMasterTarget(c.parts_->Master(p)));
   fetcher.Start();
   while (true) {

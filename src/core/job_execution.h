@@ -12,11 +12,10 @@
 //    completed: checkpointed_superstep == stop, so the resume loses zero
 //    finished supersteps. The honest preemption cost is the one aborted
 //    superstep's partial work plus the checkpoint write itself.
-//  * The next slice re-provisions a fresh Cluster and imports the durable
-//    sets exactly like the machine-failure recovery driver (core/recovery.h):
-//    edges, the committed checkpoint side as the live vertex set, and the
-//    commit-time update-set snapshot under the kind the resumed gather scans.
-//    Outputs emitted by completed supersteps are carried across slices.
+//  * The next slice re-provisions a fresh Cluster and restarts it with
+//    Cluster::Resume, the call the machine-failure recovery driver
+//    (core/recovery.h) makes. The resumed cluster carries the outputs its
+//    donor's chain committed, so they cross every slice.
 //
 // Because every slice is an ordinary deterministic cluster run and the resume
 // path is the recovery path, a preempted job's final values are bitwise equal
@@ -27,7 +26,6 @@
 #include <limits>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/cluster.h"
 #include "core/job_spec.h"
@@ -49,11 +47,10 @@ class TypedJobExecution final : public JobExecution {
   }
 
   // Evolving-graph support: the hook runs after each slice's cluster is
-  // built (and, on resume, after the durable sets are imported) but before
-  // Run/Resume (see ClusterAttachHook in core/cluster.h).
+  // built, before Run/Resume (see ClusterAttachHook in core/cluster.h).
   void set_attach_hook(ClusterAttachHook<P> hook) { attach_ = std::move(hook); }
 
-  uint64_t next_superstep() const override { return next_superstep_; }
+  uint64_t next_superstep() const override { return stopped_.checkpoint_superstep; }
 
   SliceResult RunSlice(int64_t stop_after_superstep) override {
     CHAOS_CHECK_MSG(!done_, "RunSlice on a completed job");
@@ -61,7 +58,8 @@ class TypedJobExecution final : public JobExecution {
     cfg.crash_after_superstep = stop_after_superstep;
     if (stop_after_superstep >= 0) {
       const auto stop = static_cast<uint64_t>(stop_after_superstep);
-      CHAOS_CHECK_MSG(stop > next_superstep_, "preemption point must be ahead of the resume point");
+      CHAOS_CHECK_MSG(stop > next_superstep(),
+                      "preemption point must be ahead of the resume point");
       CHAOS_CHECK(stop <= std::numeric_limits<uint32_t>::max());
       // Commit exactly once, at superstep stop-1: the engine checkpoints
       // after superstep s when (s+1) % interval == 0, so interval = stop
@@ -70,20 +68,23 @@ class TypedJobExecution final : public JobExecution {
     }
 
     SliceResult out;
-    out.start_superstep = next_superstep_;
-    RunResult<P> run = next_superstep_ == 0 ? RunFirst(cfg) : RunResumed(cfg);
+    out.start_superstep = next_superstep();
+    // The previous slice's cluster is this one's donor; it is freed once
+    // this slice has run.
+    auto cluster = std::make_unique<Cluster<P>>(cfg, prog_);
+    if (attach_) {
+      attach_(*cluster, stopped_.checkpoint_epoch);
+    }
+    RunResult<P> run = stopped_.has_checkpoint
+                           ? cluster->Resume(*cluster_, stopped_, GraphMeta::Of(*spec_.input))
+                           : cluster->Run(*spec_.input);
+    cluster_ = std::move(cluster);
     out.slice_time = run.metrics.total_time;
 
     if (!run.crashed) {
       done_ = true;
       out.completed = true;
       out.end_superstep = run.supersteps;
-      // Prepend outputs carried from earlier slices before finalizing: the
-      // per-algorithm finalizer may fold outputs into the result (MSF total
-      // weight sums them).
-      run.outputs.insert(run.outputs.begin(), std::make_move_iterator(carried_outputs_.begin()),
-                         std::make_move_iterator(carried_outputs_.end()));
-      carried_outputs_.clear();
       result_ = finalize_(std::move(run));
       cluster_.reset();
       return out;
@@ -94,18 +95,17 @@ class TypedJobExecution final : public JobExecution {
     CHAOS_CHECK_MSG(run.has_checkpoint, "preempted slice has no committed checkpoint");
     CHAOS_CHECK(stop_after_superstep >= 0 &&
                 run.checkpoint_superstep == static_cast<uint64_t>(stop_after_superstep));
-    auto committed = cluster_->OutputsBefore(run.checkpoint_superstep);
-    carried_outputs_.insert(carried_outputs_.end(), std::make_move_iterator(committed.begin()),
-                            std::make_move_iterator(committed.end()));
-    ckpt_global_ = run.checkpoint_global;
-    ckpt_side_ = run.checkpoint_side;
-    // A slice of an evolving job may have committed forced mutation
-    // checkpoints: the next slice must import the edge side that was live
-    // at the final commit and replay mutations from its epoch.
-    ckpt_edges_kind_ = run.checkpoint_edges_kind;
-    ckpt_epoch_ = run.checkpoint_epoch;
-    next_superstep_ = run.checkpoint_superstep;
-    out.end_superstep = next_superstep_;
+    // Keep only the committed checkpoint Resume reads. A slice of an
+    // evolving job may have committed forced mutation checkpoints, so the
+    // edge side and epoch come along with the vertex side.
+    stopped_ = RunResult<P>{};
+    stopped_.has_checkpoint = true;
+    stopped_.checkpoint_global = run.checkpoint_global;
+    stopped_.checkpoint_superstep = run.checkpoint_superstep;
+    stopped_.checkpoint_side = run.checkpoint_side;
+    stopped_.checkpoint_edges_kind = run.checkpoint_edges_kind;
+    stopped_.checkpoint_epoch = run.checkpoint_epoch;
+    out.end_superstep = next_superstep();
     return out;
   }
 
@@ -115,41 +115,12 @@ class TypedJobExecution final : public JobExecution {
   }
 
  private:
-  RunResult<P> RunFirst(const ClusterConfig& cfg) {
-    cluster_ = std::make_unique<Cluster<P>>(cfg, prog_);
-    if (attach_) {
-      attach_(*cluster_, 0);
-    }
-    return cluster_->Run(*spec_.input);
-  }
-
-  // The import/resume recipe of core/recovery.h, from the previous slice's
-  // (dead) cluster.
-  RunResult<P> RunResumed(ClusterConfig cfg) {
-    cfg.resume = true;
-    cfg.resume_superstep = next_superstep_;
-    auto replacement = std::make_unique<Cluster<P>>(cfg, prog_);
-    const GraphMeta meta = GraphMeta::Of(*spec_.input);
-    replacement->ImportCheckpoint(*cluster_, ckpt_side_, ckpt_edges_kind_, meta);
-    if (attach_) {
-      attach_(*replacement, ckpt_epoch_);
-    }
-    RunResult<P> run = replacement->Resume(meta, ckpt_global_);
-    cluster_ = std::move(replacement);  // the old donor dies here, post-import
-    return run;
-  }
-
   P prog_;
   Finalize finalize_;
   ClusterAttachHook<P> attach_;
 
   std::unique_ptr<Cluster<P>> cluster_;  // previous slice = next slice's donor
-  uint64_t next_superstep_ = 0;
-  typename P::GlobalState ckpt_global_{};
-  SetKind ckpt_side_ = SetKind::kCheckpointA;
-  SetKind ckpt_edges_kind_ = SetKind::kEdges;
-  uint64_t ckpt_epoch_ = 0;
-  std::vector<typename P::OutputRecord> carried_outputs_;
+  RunResult<P> stopped_;  // the previous slice's committed checkpoint, if any
   bool done_ = false;
   AlgoResult result_;
 };

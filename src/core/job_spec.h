@@ -30,7 +30,6 @@ struct AlgoParams {
   VertexId source = 0;      // bfs, sssp
   uint32_t iterations = 5;  // pagerank, bp
   float damping = 0.85f;    // pagerank
-  float bp_damping = 0.5f;  // bp
 };
 
 struct AlgoResult {
@@ -74,11 +73,6 @@ struct MutationSchedule {
   // (algorithms/incremental.h); false = full-recompute baseline (fresh
   // InitVertex seeds every epoch, identical mutation-apply cost).
   bool incremental = true;
-  // Arc budget for the per-deleted-edge WCC connectivity probe (planning is
-  // host-side, so the default probes exhaustively — one traversal per arc).
-  // A nonzero bound caps each probe; "don't know" then resets the whole
-  // component, trading recompute work for probe work.
-  uint64_t wcc_connectivity_budget = 0;
 
   bool active() const { return log.num_batches > 0; }
 };

@@ -70,39 +70,18 @@ RunResult<P> RunWithRecovery(const ClusterConfig& config, P prog, const InputGra
     rcfg.machines = opts.replacement_machines;
   }
   rep.machines_after = rcfg.machines;
-  const GraphMeta meta = GraphMeta::Of(input);
+  rep.recovered_from_checkpoint = first.has_checkpoint;
+  rep.resume_superstep = first.checkpoint_superstep;
 
-  RunResult<P> second;
-  if (first.has_checkpoint) {
-    rcfg.resume = true;
-    rcfg.resume_superstep = first.checkpoint_superstep;
-    rep.resume_superstep = first.checkpoint_superstep;
-    rep.recovered_from_checkpoint = true;
-    Cluster<P> replacement(rcfg, prog);
-    replacement.ImportCheckpoint(cluster, first.checkpoint_side, first.checkpoint_edges_kind,
-                                 meta);
-    if (attach) {
-      attach(replacement, first.checkpoint_epoch);
-    }
-    second = replacement.Resume(meta, first.checkpoint_global);
-    // The replacement re-executes supersteps >= resume_superstep and
-    // re-emits their sink outputs; outputs emitted by the crashed run's
-    // earlier, completed supersteps (e.g. MSF edges) are part of the final
-    // answer and must be carried across the restart.
-    auto committed = cluster.OutputsBefore(first.checkpoint_superstep);
-    second.outputs.insert(second.outputs.begin(),
-                          std::make_move_iterator(committed.begin()),
-                          std::make_move_iterator(committed.end()));
-  } else {
-    // The failure hit before any checkpoint committed (e.g. during
-    // pre-processing): nothing to resume from, restart the whole run.
-    rcfg.resume = false;
-    Cluster<P> replacement(rcfg, std::move(prog));
-    if (attach) {
-      attach(replacement, 0);
-    }
-    second = replacement.Run(input);
+  Cluster<P> replacement(rcfg, std::move(prog));
+  if (attach) {
+    attach(replacement, first.checkpoint_epoch);
   }
+  // Without a committed checkpoint (e.g. a failure during pre-processing)
+  // there is nothing to resume from: the whole run restarts from the input.
+  RunResult<P> second = first.has_checkpoint
+                            ? replacement.Resume(cluster, first, GraphMeta::Of(input))
+                            : replacement.Run(input);
 
   // A zero preprocess time marks a run that died before pre-processing
   // finished: no superstep was ever entered (the engine only records the

@@ -7,7 +7,7 @@ ScatterPhase::ScatterPhase(EngineCore* core)
       binner_(core->parts_, RecordBinner::Format::kUpdateSoA,
               core->kernel_->update_wire_bytes(), core->ctx_.config->chunk_bytes,
               core->ctx_.arena, core->kernel_->update_value_bytes()),
-      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window()) {}
+      writer_(&core->ctx_, &core->rng_, core->ctx_.config->fetch_window) {}
 
 Task<> ScatterPhase::Run() {
   EngineCore& c = *core_;
@@ -46,7 +46,7 @@ Task<> ScatterPhase::ProcessPartition(PartitionId p, bool stolen) {
   const auto& cost = c.ctx_.cost();
   const SetKind target_kind = UpdatesFor(c.superstep_);
   ChunkFetcher fetcher(&c.ctx_, &c.rng_, c.EdgesSet(p), c.ScatterEpoch(),
-                       c.ctx_.config->fetch_window(),
+                       c.ctx_.config->fetch_window,
                        c.LocalMasterTarget(c.parts_->Master(p)));
   fetcher.Start();
   while (true) {

@@ -1,5 +1,5 @@
 // Coroutine synchronization primitives for the simulator: condition events,
-// queues, semaphores, barriers, latches and task groups.
+// queues, semaphores and task groups.
 //
 // All wakeups are routed through the event queue (same timestamp), so
 // primitives are deterministic and safe against notify-before-wait races in
@@ -91,60 +91,6 @@ class Semaphore {
   void Release() {
     ++count_;
     cond_.NotifyAll();
-  }
-
-  int64_t count() const { return count_; }
-
- private:
-  CondEvent cond_;
-  int64_t count_;
-};
-
-// Reusable barrier for a fixed number of participants.
-class SimBarrier {
- public:
-  SimBarrier(Simulator* sim, int participants) : cond_(sim), participants_(participants) {
-    CHAOS_CHECK_GT(participants, 0);
-  }
-
-  Task<> Arrive() {
-    const uint64_t gen = generation_;
-    if (++arrived_ == participants_) {
-      arrived_ = 0;
-      ++generation_;
-      cond_.NotifyAll();
-      co_return;
-    }
-    while (generation_ == gen) {
-      co_await cond_.Wait();
-    }
-  }
-
-  uint64_t generation() const { return generation_; }
-
- private:
-  CondEvent cond_;
-  int participants_;
-  int arrived_ = 0;
-  uint64_t generation_ = 0;
-};
-
-// Count-down latch.
-class Latch {
- public:
-  Latch(Simulator* sim, int64_t count) : cond_(sim), count_(count) { CHAOS_CHECK_GE(count, 0); }
-
-  void CountDown() {
-    CHAOS_CHECK_GT(count_, 0);
-    if (--count_ == 0) {
-      cond_.NotifyAll();
-    }
-  }
-
-  Task<> Wait() {
-    while (count_ > 0) {
-      co_await cond_.Wait();
-    }
   }
 
   int64_t count() const { return count_; }

@@ -3,7 +3,8 @@
 // Tasks are single-owner: awaiting a Task transfers control to it via
 // symmetric transfer and resumes the awaiter on completion. Root tasks are
 // detached with Simulator::Spawn. Per the repository's no-exceptions policy,
-// an exception escaping a coroutine aborts the process.
+// an exception escaping a coroutine aborts the process, after CheckFailure
+// has reported it.
 //
 // TOOLCHAIN WARNING (g++ 12 wrong-code, observed on 12.2): a braced
 // aggregate temporary passed *directly* as an argument of a coroutine call
@@ -18,7 +19,7 @@
 #define CHAOS_SIM_TASK_H_
 
 #include <coroutine>
-#include <cstdlib>
+#include <exception>
 #include <optional>
 #include <utility>
 
@@ -31,6 +32,18 @@ template <typename T = void>
 class Task;
 
 namespace internal {
+
+// Called from unhandled_exception(): reports the exception in flight and
+// aborts.
+[[noreturn]] inline void AbortOnEscapedException() noexcept {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    CheckFailure(__FILE__, __LINE__, "exception escaped a coroutine:", e.what());
+  } catch (...) {
+    CheckFailure(__FILE__, __LINE__, "exception escaped a coroutine:", "not a std::exception");
+  }
+}
 
 struct FinalAwaiter {
   bool await_ready() noexcept { return false; }
@@ -47,7 +60,7 @@ struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() noexcept { std::abort(); }
+  void unhandled_exception() noexcept { AbortOnEscapedException(); }
 };
 
 }  // namespace internal
@@ -167,7 +180,7 @@ struct DetachedTask {
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
-    void unhandled_exception() noexcept { std::abort(); }
+    void unhandled_exception() noexcept { AbortOnEscapedException(); }
   };
 };
 

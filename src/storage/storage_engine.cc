@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/buffer_pool.h"
-#include "util/logging.h"
 
 namespace chaos {
 

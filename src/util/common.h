@@ -19,7 +19,6 @@ namespace chaos {
                                const std::string& msg);
 
 namespace internal {
-std::string CheckMessage();
 template <typename A, typename B>
 std::string CheckOpMessage(const char* a_str, const char* b_str, const A& a, const B& b) {
   return std::string(a_str) + " vs " + b_str + " (lhs=" + std::to_string(a) +

@@ -1,10 +1,10 @@
 // Deterministic parallel sweep execution.
 //
 // Every `Simulator` instance is fully self-contained (its own event queue,
-// its own seeded xoshiro streams, mutex-guarded logging), so independent
-// simulated runs — the points of a bench sweep or a test matrix — can
-// execute concurrently on host threads without sharing any simulation
-// state. The contract that keeps parallel sweeps trustworthy:
+// its own seeded xoshiro streams), so independent simulated runs — the
+// points of a bench sweep or a test matrix — can execute concurrently on
+// host threads without sharing any simulation state. The contract that
+// keeps parallel sweeps trustworthy:
 //
 //  * A sweep point must be a pure function of its inputs (graph, config,
 //    seed). Points never share Simulator, Cluster, Rng or accumulator
@@ -16,8 +16,8 @@
 //    every point's output is bitwise independent of the thread count and
 //    of the schedule, so `--jobs 1` and `--jobs 8` agree byte-for-byte.
 //  * A point runs start-to-finish on one executor thread (points never
-//    migrate), so thread-local facilities (e.g. the per-scope log counters
-//    in util/logging.h) observe exactly one point at a time.
+//    migrate), so thread-local facilities (e.g. the coroutine frame cache
+//    of sim/frame_pool.h) serve exactly one point at a time.
 #ifndef CHAOS_UTIL_PARALLEL_H_
 #define CHAOS_UTIL_PARALLEL_H_
 

@@ -83,12 +83,6 @@ class Rng {
     }
   }
 
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t Range(int64_t lo, int64_t hi) {
-    CHAOS_DCHECK(lo <= hi);
-    return lo + static_cast<int64_t>(Below(static_cast<uint64_t>(hi - lo) + 1));
-  }
-
   // Uniform integer in [0, 2^53): the draw behind NextDouble().
   uint64_t Next53() { return Next() >> 11; }
 

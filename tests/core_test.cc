@@ -172,9 +172,7 @@ TEST(BatchingTheoryTest, UtilizationFormula) {
 
 TEST(ConfigTest, FetchWindowAndStealing) {
   ClusterConfig cfg;
-  cfg.batch_k = 5;
-  cfg.phi = 2.0;
-  EXPECT_EQ(cfg.fetch_window(), 10);
+  EXPECT_EQ(cfg.fetch_window, 10);  // the paper's phi*k = 2*5 (§6.5)
   cfg.alpha = 0.0;
   EXPECT_FALSE(cfg.stealing_enabled());
   cfg.alpha = 1.0;

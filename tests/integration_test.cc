@@ -84,17 +84,10 @@ TEST(CheckpointTest, RecoveryMatchesUninterruptedRun) {
   ASSERT_TRUE(crashed.has_checkpoint);
   ASSERT_EQ(crashed.checkpoint_superstep, 3u);
 
-  // Recovery: new cluster (fresh memory), durable storage imported — edge
-  // sets as-is, the committed checkpoint side as the vertex sets.
-  ClusterConfig resume_cfg = BaseConfig(4);
-  resume_cfg.resume = true;
-  resume_cfg.resume_superstep = crashed.checkpoint_superstep;
-  Cluster<PageRankProgram> recovery(resume_cfg, PageRankProgram(kIters));
-  recovery.PreparePartitioning(g.num_vertices);
-  recovery.ImportSets(crashed_cluster, SetKind::kEdges, SetKind::kEdges);
-  recovery.ImportSets(crashed_cluster, crashed.checkpoint_side, SetKind::kVertices);
-  const GraphMeta meta = GraphMeta::Of(g);
-  auto resumed = recovery.Resume(meta, crashed.checkpoint_global);
+  // Recovery: new cluster (fresh memory) that imports the durable storage
+  // of the crashed one and resumes at the committed checkpoint.
+  Cluster<PageRankProgram> recovery(BaseConfig(4), PageRankProgram(kIters));
+  auto resumed = recovery.Resume(crashed_cluster, crashed, GraphMeta::Of(g));
 
   EXPECT_FALSE(resumed.crashed);
   ASSERT_EQ(resumed.values.size(), truth.values.size());
@@ -139,11 +132,9 @@ TEST(CheckpointTest, TwoPhaseCommittedSideIsComplete) {
 TEST(PerfShapeTest, SmallBatchWindowIsSlower) {
   InputGraph g = PrepareInput("pagerank", TestGraph(23));
   ClusterConfig small = BaseConfig(8);
-  small.phi = 1.0;
-  small.batch_k = 1;
+  small.fetch_window = 1;
   ClusterConfig sweet = BaseConfig(8);
-  sweet.phi = 2.0;
-  sweet.batch_k = 5;
+  sweet.fetch_window = 10;
   auto slow = RunJob(MakeJob("pagerank", g, small));
   auto fast = RunJob(MakeJob("pagerank", g, sweet));
   EXPECT_GT(slow.metrics.total_time, fast.metrics.total_time);

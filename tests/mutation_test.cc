@@ -523,8 +523,7 @@ TEST(SeederTest, WccSplitResetsWholeComponent) {
   new_raw.num_vertices = 5;
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{3, 4, 1.0f, kEdgeForward}};
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}, {3, 0}, {3, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{1, 2, 1.0f, kEdgeForward}}),
-                        kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{1, 2, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 3u);
   EXPECT_EQ(st[0].label, 0u);
   EXPECT_EQ(st[1].label, 1u);
@@ -541,8 +540,7 @@ TEST(SeederTest, WccCycleSurvivesDeleteWithoutResets) {
   new_raw.num_vertices = 3;
   new_raw.edges = {Edge{1, 2, 1.0f, kEdgeForward}, Edge{2, 0, 1.0f, kEdgeForward}};
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {0, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{0, 1, 1.0f, kEdgeForward}}),
-                        kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Deletes({Edge{0, 1, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(s.frontier, 0u);
   EXPECT_EQ(st[1].label, 0u);
@@ -554,8 +552,7 @@ TEST(SeederTest, WccInsertMarksBothEndpoints) {
   new_raw.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{2, 3, 1.0f, kEdgeForward},
                    Edge{1, 2, 1.0f, kEdgeForward}};
   std::vector<WccProgram::VertexState> st = {{0, 0}, {0, 0}, {2, 0}, {2, 0}};
-  SeedStats s = SeedWcc(HostAdjacency(new_raw), Inserts({Edge{1, 2, 1.0f, kEdgeForward}}),
-                        kWccConnectivityBudget, &st);
+  SeedStats s = SeedWcc(HostAdjacency(new_raw), Inserts({Edge{1, 2, 1.0f, kEdgeForward}}), &st);
   EXPECT_EQ(s.resets, 0u);
   EXPECT_EQ(st[1].changed, 1);
   EXPECT_EQ(st[2].changed, 1);
@@ -637,10 +634,7 @@ StatelessDelta StatelessPlan(const P& prog, const std::string& algo, const Mutat
       stats = SeedPathLengths<P>(adj, batch, prog.InitGlobal(0).source, &seeds, reindex);
     } else {
       reindex();
-      const uint64_t budget = sched.wcc_connectivity_budget != 0
-                                  ? sched.wcc_connectivity_budget
-                                  : std::numeric_limits<uint64_t>::max();
-      stats = SeedWcc(adj, batch, budget, &seeds);
+      stats = SeedWcc(adj, batch, &seeds);
     }
   } else {
     const auto global = prog.InitGlobal(new_p.num_vertices);
@@ -731,13 +725,11 @@ uint64_t ExpectPlannerMatchesStateless(const P& prog, const std::string& algo,
 // Four 5 % epochs over RMAT-7: past the adjacency's compaction point.
 template <typename P>
 void ExpectRmatPlannerMatchesStateless(const P& prog, const std::string& algo, bool weighted,
-                                       MutatePreset preset, bool incremental = true,
-                                       uint64_t wcc_budget = 0) {
+                                       MutatePreset preset, bool incremental = true) {
   const InputGraph raw = SmallRmat(71, weighted);
   MutationSchedule sched;
   sched.log = Schedule(4, 0.05, preset, 73);
   sched.incremental = incremental;
-  sched.wcc_connectivity_budget = wcc_budget;
   const uint64_t resets = ExpectPlannerMatchesStateless(prog, algo, MutationLog(raw, sched.log),
                                                         sched, MutatePresetName(preset));
   // The schedule reaches the seeders' reset paths, not only the frontier.
@@ -750,20 +742,6 @@ TEST(EpochPlannerTest, CarriedStateMatchesStatelessPlan) {
     ExpectRmatPlannerMatchesStateless(IncBfsProgram(0), "bfs", false, preset);
     ExpectRmatPlannerMatchesStateless(SsspProgram(0), "sssp", true, preset);
     ExpectRmatPlannerMatchesStateless(WccProgram{}, "wcc", false, preset);
-  }
-}
-
-// A capped probe makes WCC's verdicts depend on the order each vertex's
-// arcs are visited in, which the patched index must keep. On this graph
-// (about 2k arcs) 8 arcs mostly runs out, while 768 stops part-way through
-// a component, where visiting inserted arcs before base arcs changes
-// verdicts under the uniform preset.
-TEST(EpochPlannerTest, BudgetedWccMatchesStatelessPlan) {
-  for (const MutatePreset preset :
-       {MutatePreset::kUniform, MutatePreset::kHotspot, MutatePreset::kChurn}) {
-    for (const uint64_t budget : {8, 768}) {
-      ExpectRmatPlannerMatchesStateless(WccProgram{}, "wcc", false, preset, true, budget);
-    }
   }
 }
 
@@ -825,8 +803,6 @@ TEST(EpochPlannerTest, MultigraphPatchMatchesStatelessPlan) {
     ExpectPlannerMatchesStateless(IncBfsProgram(0), "bfs", log, sched, "multigraph");
     ExpectPlannerMatchesStateless(SsspProgram(0), "sssp", log, sched, "multigraph");
     ExpectPlannerMatchesStateless(WccProgram{}, "wcc", log, sched, "multigraph");
-    sched.wcc_connectivity_budget = 2;
-    ExpectPlannerMatchesStateless(WccProgram{}, "wcc", log, sched, "multigraph budget 2");
   }
 }
 

@@ -67,6 +67,22 @@ TEST(MachineCrashTest, KillAbortsRunAndLeavesCommittedCheckpoint) {
   EXPECT_GE(result.metrics.faults[0].applied_at, 0);
 }
 
+// Cluster::Resume restarts from a committed checkpoint only. A run stopped
+// before anything committed has nothing to resume from, and the call says
+// so instead of importing sets that do not exist.
+TEST(ResumeDeathTest, RefusesAStopWithoutCheckpoint) {
+  InputGraph g = TestGraph();
+  ClusterConfig cfg = BaseConfig(4);
+  cfg.crash_after_superstep = 1;  // checkpointing is off: nothing commits
+  Cluster<PageRankProgram> donor(cfg, PageRankProgram(6));
+  const auto stopped = donor.Run(g);
+  ASSERT_TRUE(stopped.crashed);
+  ASSERT_FALSE(stopped.has_checkpoint);
+  Cluster<PageRankProgram> replacement(BaseConfig(4), PageRankProgram(6));
+  EXPECT_DEATH(replacement.Resume(donor, stopped, GraphMeta::Of(g)),
+               "Resume needs a stopped run with a committed checkpoint");
+}
+
 TEST(MachineCrashTest, KillAfterCompletionIsNeverReached) {
   InputGraph g = TestGraph();
   ClusterConfig cfg = BaseConfig(4);

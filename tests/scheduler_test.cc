@@ -144,8 +144,13 @@ TEST(PreemptionTest, SliceChainCarriesEmittedOutputs) {
   ASSERT_GT(isolated.output_records, 0u);
 
   auto exec = MakeJobExecution(spec);
+  int slices = 1;
   while (!exec->RunSlice(static_cast<int64_t>(exec->next_superstep() + 2)).completed) {
+    ++slices;
   }
+  // From the third slice on, the donor is itself a resumed cluster, so the
+  // outputs it carried in must pass on through Cluster::Resume again.
+  EXPECT_GE(slices, 3);
   AlgoResult sliced = exec->TakeResult();
   EXPECT_EQ(sliced.output_records, isolated.output_records);
   EXPECT_EQ(sliced.scalar, isolated.scalar);

