@@ -156,20 +156,6 @@ inline std::vector<std::string> AllAlgorithmNames() {
   return names;
 }
 
-// Splits a comma list, dropping empty items: "bfs,,wcc," -> {bfs, wcc}.
-inline std::vector<std::string> SplitList(const std::string& list) {
-  std::vector<std::string> items;
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    const size_t end = std::min(list.find(',', pos), list.size());
-    if (end > pos) {
-      items.push_back(list.substr(pos, end - pos));
-    }
-    pos = end + 1;
-  }
-  return items;
-}
-
 // Resolves an --algos flag: its listed names, or all ten when it is empty.
 // Returns false after a one-line stderr message when the list names no
 // algorithm or an unknown one, so a bench can refuse before any point runs.

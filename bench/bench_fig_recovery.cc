@@ -1,7 +1,8 @@
 // Recovery (extension of Fig. 13, §6.6): a fault-injected machine failure
 // mid-run, recovered automatically from the last committed checkpoint by
-// the recovery driver (core/recovery.h), on a same-size replacement cluster
-// and on the N-1 survivors with repartitioned vertex ranges.
+// the job's next slice (RunJob with JobSpec::recover), on a same-size
+// replacement cluster and on the N-1 survivors with repartitioned vertex
+// ranges.
 //
 // Sweeps the checkpoint interval and reports time-to-recover (takeover
 // until the crashed superstep is re-executed), lost-work supersteps and

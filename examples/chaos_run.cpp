@@ -177,10 +177,17 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   // superstep runs per iteration, and more than the superstep bound would
   // abort the run.
   constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   if (!IntFlagIn(opt, "machines", 1, kIntMax) ||
       !IntFlagIn(opt, "partitions-per-machine", 1, kIntMax) ||
-      !IntFlagIn(opt, "chunk-kb", 1, std::numeric_limits<int64_t>::max() >> 10) ||
-      !IntFlagIn(opt, "iterations", 0, static_cast<int64_t>(kMaxSupersteps))) {
+      !IntFlagIn(opt, "chunk-kb", 1, kInt64Max >> 10) ||
+      !IntFlagIn(opt, "iterations", 0, static_cast<int64_t>(kMaxSupersteps)) ||
+      !IntFlagIn(opt, "straggler", -1, kIntMax) ||
+      !IntFlagIn(opt, "kill-machine", -1, kIntMax) ||
+      !IntFlagIn(opt, "cores", 0, kIntMax) ||
+      !IntFlagIn(opt, "mem-mb", 0, kInt64Max >> 20) ||
+      !IntFlagIn(opt, "checkpoint-interval", 0, std::numeric_limits<uint32_t>::max()) ||
+      !IntFlagIn(opt, "priority", std::numeric_limits<int>::min(), kIntMax)) {
     return std::nullopt;
   }
   if (!(opt.GetDouble("alpha") >= 0.0)) {
@@ -472,6 +479,16 @@ RunOutcome RunOnce(const Options& opt, bool quiet) {
   }
   outcome.vertices = spec->input->num_vertices;
   outcome.edges = spec->input->num_edges();
+  // Opened before the run, so an unwritable path wastes no simulation.
+  const std::string& out_path = opt.GetString("out");
+  std::ofstream out;
+  if (!quiet && !out_path.empty()) {
+    out.open(out_path, std::ios::trunc);
+    if (!out) {
+      std::fprintf(stderr, "cannot open --out file %s\n", out_path.c_str());
+      return outcome;
+    }
+  }
 
   JobResult result = RunJob(*spec);
   const RecoveryReport& recovery_report = result.recovery;
@@ -511,38 +528,23 @@ RunOutcome RunOnce(const Options& opt, bool quiet) {
     std::printf("spanning forest: %llu edges, total weight %.2f\n",
                 static_cast<unsigned long long>(result.output_records), result.scalar);
   }
-  if (!opt.GetString("out").empty()) {
-    std::ofstream out(opt.GetString("out"), std::ios::trunc);
+  if (out.is_open()) {
     for (VertexId v = 0; v < spec->input->num_vertices; ++v) {
       out << v << ' ' << result.values[v] << '\n';
     }
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write --out file %s\n", out_path.c_str());
+      outcome.rc = 1;
+      return outcome;
+    }
     std::printf("wrote %llu values to %s\n",
-                static_cast<unsigned long long>(spec->input->num_vertices),
-                opt.GetString("out").c_str());
+                static_cast<unsigned long long>(spec->input->num_vertices), out_path.c_str());
   }
   return outcome;
 }
 
 // ---- Serving mode (--trace / --trace-preset).
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) {
-      ++pos;
-    }
-    size_t end = pos;
-    while (end < line.size() && line[end] != ' ' && line[end] != '\t') {
-      ++end;
-    }
-    if (end > pos) {
-      tokens.push_back(line.substr(pos, end - pos));
-    }
-    pos = end;
-  }
-  return tokens;
-}
 
 // Re-parses `tokens` on top of a copy of the base flag set, so a trace line
 // inherits every flag it does not override — the exact mechanism --sweep
@@ -575,7 +577,7 @@ bool LoadTraceFile(const Options& base, const std::string& path,
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    std::vector<std::string> tokens = SplitTokens(line);
+    std::vector<std::string> tokens = SplitList(line, " \t");
     if (tokens.empty() || tokens[0][0] == '#') {
       continue;
     }
@@ -738,37 +740,18 @@ struct SweepKnob {
 
 // Parses "machines=1,2,4;chunk-kb=128,256" into knob lists.
 bool ParseSweepSpec(const std::string& spec, std::vector<SweepKnob>* knobs) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) {
-      semi = spec.size();
-    }
-    const std::string part = spec.substr(pos, semi - pos);
-    pos = semi + 1;
-    if (part.empty()) {
-      continue;
-    }
+  for (const std::string& part : SplitList(spec, ";")) {
     const size_t eq = part.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= part.size()) {
       std::fprintf(stderr, "bad --sweep entry '%s' (want knob=v1,v2,...)\n", part.c_str());
       return false;
     }
-    SweepKnob knob;
-    knob.name = part.substr(0, eq);
-    size_t vpos = eq + 1;
-    while (vpos <= part.size()) {
-      size_t comma = part.find(',', vpos);
-      if (comma == std::string::npos) {
-        comma = part.size();
-      }
-      const std::string value = part.substr(vpos, comma - vpos);
-      if (value.empty()) {
-        std::fprintf(stderr, "empty value in --sweep entry '%s'\n", part.c_str());
-        return false;
-      }
-      knob.values.push_back(value);
-      vpos = comma + 1;
+    const std::string values = part.substr(eq + 1);
+    SweepKnob knob{part.substr(0, eq), SplitList(values)};
+    const auto commas = static_cast<size_t>(std::count(values.begin(), values.end(), ','));
+    if (knob.values.size() != commas + 1) {  // SplitList dropped an empty value
+      std::fprintf(stderr, "empty value in --sweep entry '%s'\n", part.c_str());
+      return false;
     }
     knobs->push_back(std::move(knob));
   }

@@ -21,11 +21,11 @@
 // computes the frontier and WCC probes on the patched adjacency — or fresh
 // InitVertex seeds for the full-recompute baseline. The engines' re-bin
 // stage reads the bins through a view. The EvolvingController binds a
-// planner to a cluster through the MutationFeed. Recovery (core/recovery.h)
-// and preemption (core/job_execution.h) re-attach the controller through
-// their ClusterAttachHook at the checkpoint's epoch: the planner rebuilds
-// its carried state from MutationLog::GraphAfter at its next Plan, and the
-// feed replays every epoch that was not durably committed.
+// planner to a cluster through the MutationFeed. Every slice of a job's
+// chain (MakeJobExecution in runner.cc), after a recovery or a preemption
+// too, re-attaches the controller at the checkpoint's epoch: the planner
+// rebuilds its carried state from MutationLog::GraphAfter at its next Plan,
+// and the feed replays every epoch that was not durably committed.
 #ifndef CHAOS_ALGORITHMS_EVOLVING_H_
 #define CHAOS_ALGORITHMS_EVOLVING_H_
 

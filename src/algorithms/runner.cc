@@ -1,5 +1,8 @@
 #include "algorithms/runner.h"
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "algorithms/basic.h"
@@ -8,12 +11,11 @@
 #include "algorithms/mcst.h"
 #include "algorithms/mis.h"
 #include "algorithms/scc.h"
-#include "core/job_execution.h"
 
 namespace chaos {
 namespace {
 
-// Calls `fn(prog)` with the named algorithm's program instance. All three
+// Calls `fn(prog)` with the named algorithm's program instance. Both
 // type-erased entry points funnel through here.
 template <typename Fn>
 auto DispatchAlgorithm(const std::string& name, const AlgoParams& params, Fn&& fn) {
@@ -79,30 +81,160 @@ AlgoResult ToAlgoResult(RunResult<P>&& run) {
   return result;
 }
 
-// One job on its own cluster: a single run, or with spec.recover the
-// machine-failure recovery driver. `attach` binds an evolving job's
-// mutation feed to every cluster the job builds.
+// One job as a chain of cluster runs ("slices"), the one JobExecution behind
+// RunJob, machine-failure recovery and scheduler preemption. Each slice
+// builds a fresh Cluster<P>, attaches an evolving job's controller at the
+// epoch its starting state holds, and runs from the input or resumes from
+// the checkpoint the previous slice committed on its cluster (the donor,
+// freed once the next slice has run). A slice ends in one of three ways:
+//
+//  * Complete. Without spec.recover, a run a machine failure aborted is
+//    final too: the crashed run is the result.
+//  * Stopped by the scheduler (preemption): a scripted crash at the stop
+//    barrier, with the one checkpoint commit covering every superstep the
+//    slice completed, so the resume loses none and the values stay bitwise
+//    equal to an unpreempted run's (tests/scheduler_test.cc).
+//  * Aborted by a machine failure, for a spec.recover job (paper §6.6): the
+//    next slice runs on a healthy replacement cluster (same size, or
+//    spec.recovery.replacement_machines with repartitioned vertex ranges)
+//    from the last committed checkpoint, or from the input when none had
+//    committed. Storage is durable, so the donor's sets are re-imported
+//    host-side. One failure per run: the replacement cluster is healthy.
 template <GasProgram P>
-AlgoResult RunOneJob(const JobSpec& spec, P prog, const InputGraph& input,
-                     const ClusterAttachHook<P>& attach, RecoveryReport* report) {
-  if (spec.recover) {
-    return ToAlgoResult(
-        RunWithRecovery(spec.cluster, std::move(prog), input, spec.recovery, report, attach));
-  }
-  Cluster<P> cluster(spec.cluster, std::move(prog));
-  if (attach) {
-    attach(cluster, 0);
-  }
-  return ToAlgoResult(cluster.Run(input));
-}
+class SliceChain final : public JobExecution {
+ public:
+  SliceChain(JobSpec spec, P prog, std::shared_ptr<EvolvingController<P>> ctrl)
+      : JobExecution(std::move(spec)),
+        prog_(std::move(prog)),
+        ctrl_(std::move(ctrl)),
+        config_(spec_.cluster) {}
 
-// The RunResult<P> -> AlgoResult conversion, packaged for injection into
-// core's TypedJobExecution (which cannot name program types itself).
-struct FinalizeToAlgoResult {
-  template <GasProgram P>
-  AlgoResult operator()(RunResult<P>&& run) const {
-    return ToAlgoResult(std::move(run));
+  uint64_t next_superstep() const override { return stopped_.checkpoint_superstep; }
+
+  SliceResult RunSlice(int64_t stop_after_superstep) override {
+    CHAOS_CHECK_MSG(!done_, "RunSlice on a completed job");
+    const bool preempt = stop_after_superstep >= 0;
+    ClusterConfig cfg = config_;
+    if (preempt) {
+      const auto stop = static_cast<uint64_t>(stop_after_superstep);
+      CHAOS_CHECK_MSG(stop > next_superstep(),
+                      "preemption point must be ahead of the resume point");
+      CHAOS_CHECK(stop <= std::numeric_limits<uint32_t>::max());
+      // Commit exactly once, at superstep stop-1: the engine checkpoints
+      // after superstep s when (s+1) % interval == 0, so interval = stop
+      // yields checkpointed_superstep == stop whatever the resume point was.
+      cfg.crash_after_superstep = stop_after_superstep;
+      cfg.checkpoint_interval = static_cast<uint32_t>(stop);
+    }
+
+    SliceResult out;
+    out.start_superstep = next_superstep();
+    auto cluster = std::make_unique<Cluster<P>>(cfg, prog_);
+    if (ctrl_ != nullptr) {
+      ctrl_->Attach(cluster.get(), stopped_.checkpoint_epoch);
+    }
+    RunResult<P> run = stopped_.has_checkpoint
+                           ? cluster->Resume(*cluster_, stopped_, GraphMeta::Of(*spec_.input))
+                           : cluster->Run(*spec_.input);
+    cluster_ = std::move(cluster);
+    out.slice_time = run.metrics.total_time;
+
+    if (!run.crashed || (!preempt && !spec_.recover)) {
+      done_ = true;
+      out.completed = true;
+      out.end_superstep = run.supersteps;
+      if (spec_.recover) {
+        FinishRecoveryReport(run.metrics);
+      }
+      result_ = ToAlgoResult(std::move(run));
+      result_.recovery = recovery_;
+      cluster_.reset();
+      return out;
+    }
+    if (preempt) {
+      // The commit at stop-1 covers every completed superstep, so nothing
+      // but the aborted superstep re-runs.
+      CHAOS_CHECK_MSG(run.has_checkpoint, "preempted slice has no committed checkpoint");
+      CHAOS_CHECK(run.checkpoint_superstep == static_cast<uint64_t>(stop_after_superstep));
+    } else {
+      // A machine failure: the crashed run's half of the report, then a
+      // healthy replacement for the next slice.
+      RecoveryReport& rep = recovery_;
+      rep.crash_detected = true;
+      rep.crashed_run_time = run.metrics.total_time;
+      rep.crash_superstep = run.supersteps > 0 ? run.supersteps - 1 : 0;
+      rep.recovered_from_checkpoint = run.has_checkpoint;
+      rep.resume_superstep = run.checkpoint_superstep;
+      // A zero preprocess time marks a run that died before pre-processing
+      // finished: no superstep was ever entered (the engine only records the
+      // preprocess end on the healthy path).
+      died_in_preprocess_ = run.metrics.preprocess_time == 0;
+      rep.lost_work_supersteps =
+          !died_in_preprocess_ && rep.crash_superstep >= rep.resume_superstep
+              ? rep.crash_superstep - rep.resume_superstep + 1
+              : 0;
+      config_.faults = FaultSchedule{};
+      config_.crash_after_superstep = -1;
+      if (spec_.recovery.replacement_machines > 0) {
+        config_.machines = spec_.recovery.replacement_machines;
+      }
+    }
+    // Keep only what Resume reads: the committed checkpoint, if any. A slice
+    // of an evolving job may have committed forced mutation checkpoints, so
+    // the edge side and epoch come along with the vertex side.
+    stopped_ = RunResult<P>{};
+    stopped_.has_checkpoint = run.has_checkpoint;
+    stopped_.checkpoint_global = run.checkpoint_global;
+    stopped_.checkpoint_superstep = run.checkpoint_superstep;
+    stopped_.checkpoint_side = run.checkpoint_side;
+    stopped_.checkpoint_edges_kind = run.checkpoint_edges_kind;
+    stopped_.checkpoint_epoch = run.checkpoint_epoch;
+    out.end_superstep = next_superstep();
+    return out;
   }
+
+  AlgoResult TakeResult() override {
+    CHAOS_CHECK_MSG(done_, "TakeResult before the job completed");
+    return std::move(result_);
+  }
+
+ private:
+  // Completes a recover job's report from its last run's metrics: the
+  // replacement's after a failure, else the only run's.
+  void FinishRecoveryReport(const RunMetrics& metrics) {
+    RecoveryReport& rep = recovery_;
+    rep.machines_after = config_.machines;
+    rep.end_to_end_time = rep.crashed_run_time + metrics.total_time;
+    if (!rep.crash_detected) {
+      return;
+    }
+    // Time to recover: replacement-cluster time until the work the failure
+    // destroyed has been re-done — the aborted superstep's gather barrier,
+    // or the re-run pre-processing when the crash predated any superstep.
+    // A crash between a checkpoint's commit and its phase-2 barrier can leave
+    // resume_superstep past crash_superstep: nothing to re-execute.
+    const auto& times = metrics.superstep_end_times;
+    if (died_in_preprocess_) {
+      rep.time_to_recover = metrics.preprocess_time;
+    } else if (rep.crash_superstep < rep.resume_superstep) {
+      rep.time_to_recover = 0;
+    } else if (times.empty()) {
+      rep.time_to_recover = metrics.total_time;
+    } else {
+      const uint64_t idx = rep.crash_superstep - rep.resume_superstep;
+      rep.time_to_recover = times[std::min<uint64_t>(idx, times.size() - 1)];
+    }
+  }
+
+  P prog_;
+  std::shared_ptr<EvolvingController<P>> ctrl_;  // null for static jobs
+  ClusterConfig config_;  // the next slice's: the spec's, or the replacement's
+  std::unique_ptr<Cluster<P>> cluster_;  // previous slice = next slice's donor
+  RunResult<P> stopped_;  // the previous slice's committed checkpoint, if any
+  RecoveryReport recovery_;  // filled for spec.recover jobs only
+  bool died_in_preprocess_ = false;
+  bool done_ = false;
+  AlgoResult result_;
 };
 
 template <GasProgram P>
@@ -177,30 +309,12 @@ InputGraph PrepareInput(const std::string& name, const InputGraph& raw) {
 }
 
 JobResult RunJob(const JobSpec& spec) {
-  CHAOS_CHECK_MSG(spec.input != nullptr, "JobSpec without an input graph");
+  std::unique_ptr<JobExecution> exec = MakeJobExecution(spec);
+  while (!exec->RunSlice(-1).completed) {
+    // Only a recover job's machine failure stops a slice that has no stop.
+  }
   JobResult result;
-  AlgoResult algo =
-      spec.mutations.active()
-          ? DispatchEvolving(spec.algorithm, spec.params,
-                             [&](auto prog) {
-                               // spec.input is RAW here; the controller
-                               // prepares it per epoch and the cluster
-                               // ingests its epoch-0 prepared graph.
-                               using P = decltype(prog);
-                               EvolvingController<P> ctrl(prog, spec.algorithm, *spec.input,
-                                                          spec.mutations);
-                               return RunOneJob<P>(
-                                   spec, std::move(prog), ctrl.initial_prepared(),
-                                   [&ctrl](Cluster<P>& cluster, uint64_t applied_epochs) {
-                                     ctrl.Attach(&cluster, applied_epochs);
-                                   },
-                                   &result.recovery);
-                             })
-          : DispatchAlgorithm(spec.algorithm, spec.params, [&](auto prog) {
-              return RunOneJob<decltype(prog)>(spec, std::move(prog), *spec.input, {},
-                                               &result.recovery);
-            });
-  static_cast<AlgoResult&>(result) = std::move(algo);
+  static_cast<AlgoResult&>(result) = exec->TakeResult();
   // Synthesize the trivial schedule of an isolated run: dispatched on
   // arrival, one slice, no queueing.
   result.sched.admitted = true;
@@ -219,10 +333,9 @@ JobResult RunJob(const JobSpec& spec) {
 std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec) {
   CHAOS_CHECK_MSG(spec.input != nullptr, "JobSpec without an input graph");
   if (spec.mutations.active()) {
-    // Sliced evolving execution: the controller (and its MutationFeed)
-    // outlives every slice via the shared_ptr captured in the attach hook,
-    // and the spec handed to the execution swaps the RAW input for the
-    // controller's epoch-0 prepared graph (aliased to the same owner).
+    // The controller (and its MutationFeed) outlives every slice, and the
+    // chain's spec swaps the RAW input for the controller's epoch-0 prepared
+    // graph (aliased to the same owner).
     return DispatchEvolving(
         spec.algorithm, spec.params, [&](auto prog) -> std::unique_ptr<JobExecution> {
           using P = decltype(prog);
@@ -231,18 +344,14 @@ std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec) {
           JobSpec prepared_spec = spec;
           prepared_spec.input =
               std::shared_ptr<const InputGraph>(ctrl, &ctrl->initial_prepared());
-          auto exec = std::make_unique<TypedJobExecution<P, FinalizeToAlgoResult>>(
-              std::move(prepared_spec), std::move(prog), FinalizeToAlgoResult{});
-          exec->set_attach_hook([ctrl](Cluster<P>& cluster, uint64_t applied_epochs) {
-            ctrl->Attach(&cluster, applied_epochs);
-          });
-          return exec;
+          return std::make_unique<SliceChain<P>>(std::move(prepared_spec), std::move(prog),
+                                                 std::move(ctrl));
         });
   }
   return DispatchAlgorithm(spec.algorithm, spec.params,
                            [&](auto prog) -> std::unique_ptr<JobExecution> {
-                             return MakeTypedJobExecution(spec, std::move(prog),
-                                                          FinalizeToAlgoResult{});
+                             return std::make_unique<SliceChain<decltype(prog)>>(
+                                 spec, std::move(prog), nullptr);
                            });
 }
 

@@ -17,7 +17,6 @@
 #include "core/cluster.h"
 #include "core/job_scheduler.h"
 #include "core/job_spec.h"
-#include "core/recovery.h"
 #include "graph/types.h"
 
 namespace chaos {
@@ -37,20 +36,19 @@ const AlgorithmInfo& AlgorithmByName(const std::string& name);
 // the named algorithm. Weighted inputs keep their weights.
 InputGraph PrepareInput(const std::string& name, const InputGraph& raw);
 
-// Everything one job produced: the algorithm result, plus the recovery
-// timeline (when spec.recover) and the scheduling outcome (when the job ran
+// Everything one job produced: the algorithm result (with the recovery
+// timeline when spec.recover), plus the scheduling outcome (when the job ran
 // under RunJobTrace; synthesized trivially for single-job RunJob).
 struct JobResult : AlgoResult {
-  RecoveryReport recovery;
   JobSchedStats sched;
 };
 
 // Runs one job to completion on its own cluster. `spec.input` must already
-// have gone through PrepareInput for `spec.algorithm`. With spec.recover,
-// the run goes through the machine-failure recovery driver
-// (core/recovery.h) and the report lands in JobResult::recovery. Without
-// it, static and evolving jobs alike are one cluster run: an injected
-// machine crash returns a crashed result.
+// have gone through PrepareInput for `spec.algorithm`. Drives the job's
+// MakeJobExecution chain with RunSlice(-1) until it completes: with
+// spec.recover, a machine failure is followed by one restart on a healthy
+// replacement and the report lands in JobResult::recovery. Without it, an
+// injected machine crash returns a crashed result.
 JobResult RunJob(const JobSpec& spec);
 
 // Result of serving a multi-job trace through the job scheduler.
@@ -68,8 +66,10 @@ struct TraceRunResult {
 // values are bitwise equal to its isolated RunJob result.
 TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfig& serving);
 
-// Type-erases `spec` into the slice-wise execution handle the scheduler
-// drives (core/job_execution.h), binding the program type by name.
+// Type-erases `spec` into the chain of cluster runs (slices) that RunJob and
+// the scheduler drive, binding the program type by name. RunSlice(-1) of a
+// spec.recover job returns completed = false once, after a machine failure;
+// the next slice restarts on the replacement cluster and completes.
 std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec);
 
 struct XStreamRunResult {

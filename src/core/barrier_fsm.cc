@@ -52,7 +52,7 @@ Task<> EngineCore::BarrierService() {
     bool done = false;
     // Failure detection (§6.6): any flagged arrival — at any barrier —
     // aborts the run cluster-wide. Recovery is a fresh cluster resuming
-    // from the last committed checkpoint (core/recovery.h).
+    // from the last committed checkpoint (Cluster::Resume).
     bool crash = false;
     bool mutate = false;
     for (const Message& msg : arrivals) {

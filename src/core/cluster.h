@@ -112,7 +112,7 @@ class Cluster {
 
   // Restarts a stopped run (a crash, or a preemption at a scripted barrier)
   // on this fresh cluster from the checkpoint `stopped` committed on
-  // `donor`, the cluster that ran it; attach hooks run before this call.
+  // `donor`, the cluster that ran it (an evolving job attaches its feed first).
   // Imports the edge side live at the checkpoint as kEdges, the checkpoint
   // side as the vertex sets, and the side's commit-time update snapshot
   // (gather-phase emissions the resumed scatter cannot regenerate) under
@@ -600,15 +600,6 @@ class Cluster {
   std::vector<MachineMetrics> machine_metrics_;
   TimeNs finish_time_ = 0;
 };
-
-// Runs on a freshly built cluster before Run/Resume, with the number of
-// mutation epochs baked into the state it starts from: 0 for a fresh run,
-// RunResult::checkpoint_epoch when resuming from a checkpoint. Evolving jobs
-// attach their MutationFeed through it (algorithms/evolving.h
-// EvolvingController::Attach); the recovery driver and sliced job execution
-// both take one.
-template <GasProgram P>
-using ClusterAttachHook = std::function<void(Cluster<P>&, uint64_t applied_epochs)>;
 
 }  // namespace chaos
 

@@ -92,8 +92,8 @@ struct ClusterConfig {
   // Checkpoint every N supersteps (0 = off, the default), 2-phase protocol
   // (§6.6). Units: supersteps. The checkpoint copy is written during gather
   // (GatherPhase::ProcessMaster) and committed at the phase-1 barrier of
-  // EngineCore::CommitCheckpoint; the recovery driver (core/recovery.h)
-  // and bench fig13/fig_recovery consume the result.
+  // EngineCore::CommitCheckpoint; Cluster::Resume and bench
+  // fig13/fig_recovery consume the result.
   uint32_t checkpoint_interval = 0;
 
   // Scripted whole-cluster crash: stop all compute engines after the gather

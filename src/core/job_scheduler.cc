@@ -64,6 +64,9 @@ ScheduleResult RunJobSchedule(const ServingConfig& config,
     const JobSpec& spec = executions[static_cast<size_t>(j)]->spec();
     CHAOS_CHECK_MSG(spec.cluster.machines >= 1, "job needs at least one machine");
     CHAOS_CHECK_MSG(spec.arrival >= 0, "job arrival must be non-negative");
+    CHAOS_CHECK_MSG(spec.cluster.faults.empty() && spec.cluster.crash_after_superstep < 0,
+                    "the scheduler owns the crash script; a scheduled job must not inject faults");
+    CHAOS_CHECK_MSG(!spec.recover, "recovery mode is single-job only");
     JobSchedStats& stats = out.jobs[static_cast<size_t>(j)];
     stats.arrival = spec.arrival;
     stats.machines = spec.cluster.machines;

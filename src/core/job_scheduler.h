@@ -24,7 +24,7 @@
 // Preemption. Under kPriority, a preemptible job that does not hold the
 // trace's top priority runs in quantum-sized slices; each slice boundary is
 // a scripted stop at a superstep barrier that commits a checkpoint
-// (core/job_execution.h), so a waiting higher-priority job gets the machines
+// (JobExecution::RunSlice), so a waiting higher-priority job gets the machines
 // after at most one quantum. Under kFifo every job runs to completion.
 #ifndef CHAOS_CORE_JOB_SCHEDULER_H_
 #define CHAOS_CORE_JOB_SCHEDULER_H_

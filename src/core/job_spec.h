@@ -7,8 +7,7 @@
 // per-flag single-job mode and its --trace multi-job mode), and the
 // job scheduler's admission queue (core/job_scheduler.h). This header also
 // owns the algorithm-agnostic result/report vocabulary those layers share —
-// AlgoParams/AlgoResult (formerly algorithms/runner.h) and
-// RecoveryOptions/RecoveryReport (formerly core/recovery.h) — so core code
+// AlgoParams/AlgoResult and RecoveryOptions/RecoveryReport — so core code
 // can name them without depending on the algorithms layer.
 #ifndef CHAOS_CORE_JOB_SPEC_H_
 #define CHAOS_CORE_JOB_SPEC_H_
@@ -32,15 +31,6 @@ struct AlgoParams {
   float damping = 0.85f;    // pagerank
 };
 
-struct AlgoResult {
-  RunMetrics metrics;
-  std::vector<double> values;  // Extract() per vertex
-  double scalar = 0.0;         // conductance value / MSF total weight
-  uint64_t output_records = 0; // MSF edges emitted
-  uint64_t supersteps = 0;
-  bool crashed = false;
-};
-
 struct RecoveryOptions {
   // Replacement cluster size after a crash: 0 = same as the original
   // (the failed machine is swapped for a spare); otherwise the new machine
@@ -61,6 +51,16 @@ struct RecoveryReport {
   TimeNs time_to_recover = 0;    // takeover until the crash point re-reached
   TimeNs end_to_end_time = 0;    // aborted run + full replacement run
   int machines_after = 0;        // replacement cluster size
+};
+
+struct AlgoResult {
+  RunMetrics metrics;          // the last run's: the replacement's after a failure
+  std::vector<double> values;  // Extract() per vertex
+  double scalar = 0.0;         // conductance value / MSF total weight
+  uint64_t output_records = 0; // MSF edges emitted
+  uint64_t supersteps = 0;
+  bool crashed = false;
+  RecoveryReport recovery;     // filled for JobSpec::recover jobs only
 };
 
 // Evolving-graph schedule (graph/mutation_log.h): when active, the job runs
@@ -94,8 +94,8 @@ struct JobSpec {
   ClusterConfig cluster;
   AlgoParams params;
 
-  // Single-job mode only: run under the machine-failure recovery driver
-  // (core/recovery.h). Scheduled (trace) jobs must leave this false and
+  // Single-job mode only: restart once, on a healthy replacement cluster,
+  // after a machine failure. Scheduled (trace) jobs must leave this false and
   // `cluster.faults` empty — the scheduler owns the preemption machinery.
   bool recover = false;
   RecoveryOptions recovery;
@@ -133,7 +133,7 @@ inline JobSpec MakeJob(std::string algorithm, const InputGraph& prepared, Cluste
                  std::move(cluster), params);
 }
 
-// Accounting for one scheduler slice of a job (job_execution.h).
+// Accounting for one slice of a job (JobExecution::RunSlice).
 struct SliceResult {
   bool completed = false;       // the job finished inside this slice
   TimeNs slice_time = 0;        // sim time the slice occupied its machines
@@ -142,10 +142,9 @@ struct SliceResult {
                                 // final superstep count on completion
 };
 
-// Type-erased handle on one job's execution state across preemption slices.
-// Concrete instances are TypedJobExecution<P> (core/job_execution.h),
-// built by MakeJobExecution (algorithms/runner.h) which injects the
-// program type and the RunResult<P> -> AlgoResult finalizer.
+// Type-erased handle on one job's execution state across its slices: the
+// chain of cluster runs MakeJobExecution (algorithms/runner.h) builds for a
+// named program, driven by RunJob and by the scheduler.
 class JobExecution {
  public:
   virtual ~JobExecution() = default;
@@ -156,14 +155,15 @@ class JobExecution {
   const JobSpec& spec() const { return spec_; }
 
   // First superstep the next slice will execute (0 before the first slice;
-  // the committed checkpoint superstep after a preemption).
+  // the committed checkpoint superstep after a preemption or a failure).
   virtual uint64_t next_superstep() const = 0;
 
   // Runs the job from its current resume point until it completes or until
   // the scripted preemption point `stop_after_superstep` (an absolute
   // superstep index, > next_superstep(); < 0 = run to completion). A
   // preempted slice commits a checkpoint at stop_after_superstep so the next
-  // slice resumes with zero completed supersteps lost.
+  // slice resumes with zero completed supersteps lost. A machine failure
+  // stops a JobSpec::recover job's slice too, once (see MakeJobExecution).
   virtual SliceResult RunSlice(int64_t stop_after_superstep) = 0;
 
   // After a slice returned completed = true: the finished result.

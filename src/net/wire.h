@@ -231,8 +231,8 @@ struct BarrierArriveMsg {
 // barrier (an arrival carried `failed`) or the scripted whole-cluster
 // failure of the recovery experiments fired (§6.6). In both cases engines
 // stop without finishing and durable storage contents survive, so a
-// recovery driver can re-import the last committed checkpoint
-// (core/recovery.h).
+// replacement cluster can re-import the last committed checkpoint
+// (Cluster::Resume).
 struct BarrierReleaseMsg {
   std::vector<uint8_t> global;  // canonical global state for the next phase
   bool done = false;

@@ -1,5 +1,6 @@
 #include "util/options.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -174,6 +175,19 @@ void Options::PrintHelp(const char* program) const {
     std::fprintf(stderr, "  --%-24s %s (default: %s)\n", name.c_str(), f.help.c_str(),
                  def.c_str());
   }
+}
+
+std::vector<std::string> SplitList(const std::string& text, const std::string& separators) {
+  std::vector<std::string> items;
+  size_t pos = 0;
+  while (pos <= text.size()) {
+    const size_t end = std::min(text.find_first_of(separators, pos), text.size());
+    if (end > pos) {
+      items.push_back(text.substr(pos, end - pos));
+    }
+    pos = end + 1;
+  }
+  return items;
 }
 
 }  // namespace chaos

@@ -54,6 +54,10 @@ class Options {
   bool help_requested_ = false;
 };
 
+// Splits `text` at every character of `separators`, dropping empty items:
+// SplitList("bfs,,wcc,") == {"bfs", "wcc"}.
+std::vector<std::string> SplitList(const std::string& text, const std::string& separators = ",");
+
 }  // namespace chaos
 
 #endif  // CHAOS_UTIL_OPTIONS_H_

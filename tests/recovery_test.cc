@@ -1,6 +1,6 @@
 // Machine-failure recovery (paper §6.6): a fault-injected MachineCrash
 // kills one machine's engine mid-run, the failure is detected at the next
-// barrier and aborts the superstep cluster-wide, and the recovery driver
+// barrier and aborts the superstep cluster-wide, and the job's next slice
 // re-provisions a cluster (same size or the N-1 survivors) that resumes
 // from the last committed checkpoint. Recovered results must match the
 // fault-free run: bitwise for BFS (order-independent min-folds), and to
@@ -14,7 +14,6 @@
 #include "algorithms/mcst.h"
 #include "algorithms/runner.h"
 #include "core/cluster.h"
-#include "core/recovery.h"
 #include "graph/generators.h"
 
 namespace chaos {
@@ -43,6 +42,16 @@ TimeNs MidRunKillTime(const RunMetrics& fault_free) {
   return fault_free.preprocess_time +
          static_cast<TimeNs>(0.6 * static_cast<double>(fault_free.total_time -
                                                        fault_free.preprocess_time));
+}
+
+// Runs `algo` as a recover job: after a machine failure, one restart on a
+// healthy replacement of `replacement_machines` machines (0 = same size).
+JobResult RunRecovered(const std::string& algo, const InputGraph& g, const ClusterConfig& cfg,
+                       int replacement_machines = 0, AlgoParams params = {}) {
+  JobSpec spec = MakeJob(algo, g, cfg, params);
+  spec.recover = true;
+  spec.recovery.replacement_machines = replacement_machines;
+  return RunJob(spec);
 }
 
 TEST(MachineCrashTest, KillAbortsRunAndLeavesCommittedCheckpoint) {
@@ -105,8 +114,8 @@ TEST(RecoveryTest, SameSizeRecoveryMatchesFaultFreeBfsBitwise) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(3, MidRunKillTime(truth.metrics));
-  RecoveryReport report;
-  auto recovered = RunWithRecovery(cfg, BfsProgram(0), g, RecoveryOptions{}, &report);
+  const JobResult recovered = RunRecovered("bfs", g, cfg);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_TRUE(report.recovered_from_checkpoint);
@@ -126,9 +135,10 @@ TEST(RecoveryTest, SameSizeRecoveryMatchesFaultFreePagerank) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(1, MidRunKillTime(truth.metrics));
-  RecoveryReport report;
-  auto recovered =
-      RunWithRecovery(cfg, PageRankProgram(kIters), g, RecoveryOptions{}, &report);
+  AlgoParams params;
+  params.iterations = kIters;
+  const JobResult recovered = RunRecovered("pagerank", g, cfg, 0, params);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_TRUE(report.recovered_from_checkpoint);
@@ -149,10 +159,8 @@ TEST(RecoveryTest, RescaledRecoveryRunsOnSurvivorsAndMatches) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(2, MidRunKillTime(truth.metrics));
-  RecoveryOptions rescale;
-  rescale.replacement_machines = kMachines - 1;
-  RecoveryReport report;
-  auto recovered = RunWithRecovery(cfg, BfsProgram(0), g, rescale, &report);
+  const JobResult recovered = RunRecovered("bfs", g, cfg, kMachines - 1);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_TRUE(report.recovered_from_checkpoint);
@@ -172,9 +180,10 @@ TEST(RecoveryTest, ReportRecordsTimeToRecoverAndLostWork) {
 
   cfg.checkpoint_interval = 2;
   cfg.faults = FaultSchedule::MachineCrash(0, MidRunKillTime(truth.metrics));
-  RecoveryReport report;
-  auto recovered =
-      RunWithRecovery(cfg, PageRankProgram(6), g, RecoveryOptions{}, &report);
+  AlgoParams params;
+  params.iterations = 6;
+  const JobResult recovered = RunRecovered("pagerank", g, cfg, 0, params);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_GT(report.crashed_run_time, 0);
@@ -197,9 +206,8 @@ TEST(RecoveryTest, CrashBeforeFirstCheckpointRestartsFromScratch) {
 
   // No checkpointing at all: the only recovery is a full restart.
   cfg.faults = FaultSchedule::MachineCrash(1, MidRunKillTime(truth.metrics));
-  RecoveryReport report;
-  auto recovered =
-      RunWithRecovery(cfg, PageRankProgram(5), g, RecoveryOptions{}, &report);
+  const JobResult recovered = RunRecovered("pagerank", g, cfg);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_FALSE(report.recovered_from_checkpoint);
@@ -220,8 +228,8 @@ TEST(RecoveryTest, CrashDuringPreprocessingRestartsFromScratch) {
   auto truth = healthy.Run(g);
 
   cfg.faults = FaultSchedule::MachineCrash(2, truth.metrics.preprocess_time / 2);
-  RecoveryReport report;
-  auto recovered = RunWithRecovery(cfg, BfsProgram(0), g, RecoveryOptions{}, &report);
+  const JobResult recovered = RunRecovered("bfs", g, cfg);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_FALSE(report.recovered_from_checkpoint);  // nothing had committed
@@ -243,10 +251,10 @@ TEST(RecoveryTest, RecoveryIsDeterministic) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(1, MidRunKillTime(truth.metrics));
-  RecoveryReport a_report;
-  RecoveryReport b_report;
-  auto a = RunWithRecovery(cfg, BfsProgram(0), g, RecoveryOptions{}, &a_report);
-  auto b = RunWithRecovery(cfg, BfsProgram(0), g, RecoveryOptions{}, &b_report);
+  const JobResult a = RunRecovered("bfs", g, cfg);
+  const JobResult b = RunRecovered("bfs", g, cfg);
+  const RecoveryReport& a_report = a.recovery;
+  const RecoveryReport& b_report = b.recovery;
 
   EXPECT_EQ(a_report.end_to_end_time, b_report.end_to_end_time);
   EXPECT_EQ(a_report.time_to_recover, b_report.time_to_recover);
@@ -255,6 +263,33 @@ TEST(RecoveryTest, RecoveryIsDeterministic) {
   for (size_t v = 0; v < a.values.size(); ++v) {
     ASSERT_EQ(a.values[v], b.values[v]);
   }
+}
+
+// The chain behind RunJob stops once, after the failure: the next slice
+// starts at the committed checkpoint on the replacement cluster and
+// completes with the fault-free values.
+TEST(RecoveryTest, SliceChainRestartsOnceAfterAFailure) {
+  InputGraph g = PrepareInput("bfs", TestGraph(13));
+  ClusterConfig cfg = BaseConfig(4);
+  const JobResult truth = RunJob(MakeJob("bfs", g, cfg));
+
+  cfg.checkpoint_interval = 1;
+  cfg.faults = FaultSchedule::MachineCrash(3, MidRunKillTime(truth.metrics));
+  JobSpec spec = MakeJob("bfs", g, cfg);
+  spec.recover = true;
+  auto exec = MakeJobExecution(spec);
+  const SliceResult failed = exec->RunSlice(-1);
+  EXPECT_FALSE(failed.completed);
+  EXPECT_GT(failed.end_superstep, 0u);
+  EXPECT_EQ(failed.end_superstep, exec->next_superstep());
+  const SliceResult restarted = exec->RunSlice(-1);
+  EXPECT_EQ(restarted.start_superstep, failed.end_superstep);
+  ASSERT_TRUE(restarted.completed);
+  const AlgoResult result = exec->TakeResult();
+  EXPECT_TRUE(result.recovery.crash_detected);
+  EXPECT_EQ(result.recovery.resume_superstep, failed.end_superstep);
+  EXPECT_FALSE(result.crashed);
+  EXPECT_EQ(result.values, truth.values);
 }
 
 // Same-size recovery must also work under central-directory placement:
@@ -270,8 +305,8 @@ TEST(RecoveryTest, SameSizeRecoveryWorksUnderCentralDirectory) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(2, MidRunKillTime(truth.metrics));
-  RecoveryReport report;
-  auto recovered = RunWithRecovery(cfg, BfsProgram(0), g, RecoveryOptions{}, &report);
+  const JobResult recovered = RunRecovered("bfs", g, cfg);
+  const RecoveryReport& report = recovered.recovery;
 
   EXPECT_TRUE(report.crash_detected);
   EXPECT_TRUE(report.recovered_from_checkpoint);
@@ -289,9 +324,7 @@ TEST(RecoveryTest, TypeErasedRunnerRecovers) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(3, MidRunKillTime(truth.metrics));
-  JobSpec spec = MakeJob("sssp", g, cfg);
-  spec.recover = true;
-  auto recovered = RunJob(spec);
+  const JobResult recovered = RunRecovered("sssp", g, cfg);
 
   EXPECT_TRUE(recovered.recovery.crash_detected);
   EXPECT_FALSE(recovered.crashed);
@@ -319,9 +352,7 @@ TEST(MachineCrashTest, McstRecoveryPreservesEmittedForestAndInFlightUpdates) {
 
   cfg.checkpoint_interval = 1;
   cfg.faults = FaultSchedule::MachineCrash(1, MidRunKillTime(truth.metrics));
-  JobSpec spec = MakeJob("mcst", g, cfg);
-  spec.recover = true;
-  auto recovered = RunJob(spec);
+  const JobResult recovered = RunRecovered("mcst", g, cfg);
   ASSERT_TRUE(recovered.recovery.crash_detected);
   ASSERT_TRUE(recovered.recovery.recovered_from_checkpoint);
   EXPECT_EQ(recovered.output_records, truth.output_records);
@@ -378,10 +409,7 @@ TEST(MachineCrashTest, McstRescaledRecoveryRebinsInFlightUpdates) {
         snapshot_records += StoredRecords(crashed, UpdatesCkptFor(first.checkpoint_side));
       }
 
-      JobSpec spec = MakeJob("mcst", g, cfg);
-      spec.recover = true;
-      spec.recovery.replacement_machines = kMachines - 1;
-      auto recovered = RunJob(spec);
+      const JobResult recovered = RunRecovered("mcst", g, cfg, kMachines - 1);
       ASSERT_TRUE(recovered.recovery.crash_detected) << "seed " << seed << " frac " << frac;
       EXPECT_EQ(recovered.recovery.machines_after, kMachines - 1);
       EXPECT_EQ(recovered.output_records, truth.output_records)

@@ -1,4 +1,4 @@
-// Serving-layer tests (core/job_scheduler.h + core/job_execution.h):
+// Serving-layer tests (core/job_scheduler.h + MakeJobExecution's slices):
 // admission control against the enforced BufferPool budget, preempt-at-
 // barrier-then-resume bitwise equality with unpreempted runs, the
 // no-priority-inversion invariant, and byte-identical scheduler output
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "algorithms/runner.h"
-#include "core/job_execution.h"
 #include "core/job_queue.h"
 #include "core/job_scheduler.h"
 #include "core/job_trace.h"
@@ -104,6 +103,20 @@ TEST(AdmissionTest, RejectsJobsThatCanNeverFit) {
   EXPECT_FALSE(run.jobs[2].sched.admitted);
   EXPECT_EQ(run.metrics.rejected, 2);
   EXPECT_EQ(run.metrics.completed, 1);
+}
+
+// The scheduler owns the crash script it preempts with, so a scheduled job
+// may neither inject faults nor ask for recovery.
+TEST(SchedulerDeathTest, RefusesFaultsAndRecovery) {
+  auto g = SharedGraph("bfs", 8, 3);
+  JobSpec faulty = MakeJob("bfs", g, SmallConfig(2));
+  faulty.cluster.faults = FaultSchedule::MachineCrash(1, 1000);
+  EXPECT_DEATH(RunJobTrace({faulty}, Serving(SchedPolicy::kFifo)),
+               "must not inject faults");
+  JobSpec recover = MakeJob("bfs", g, SmallConfig(2));
+  recover.recover = true;
+  EXPECT_DEATH(RunJobTrace({recover}, Serving(SchedPolicy::kFifo)),
+               "recovery mode is single-job only");
 }
 
 // The heart of the preemption design: stopping a job at a superstep barrier

@@ -262,6 +262,13 @@ TEST(OptionsTest, MissingValueIsError) {
   EXPECT_TRUE(opt.Parse(1, argv).has_value());
 }
 
+TEST(SplitListTest, DropsEmptyItemsAtAnySeparator) {
+  using List = std::vector<std::string>;
+  EXPECT_EQ(SplitList("bfs,,wcc,"), (List{"bfs", "wcc"}));
+  EXPECT_EQ(SplitList(",,"), List{});
+  EXPECT_EQ(SplitList(" --algo\tbfs  --scale 8 ", " \t"), (List{"--algo", "bfs", "--scale", "8"}));
+}
+
 // ---------------------------------------------------------------- parallel
 
 TEST(SweepExecutorTest, RunsEveryIndexExactlyOnce) {
