@@ -8,6 +8,8 @@
 // fixed per-superstep costs relative to the paper's hundreds-of-GB scans,
 // so the default threshold is looser than the paper's 6%; it still fails
 // loudly if checkpointing ever becomes a first-order cost.
+#include <cmath>
+
 #include "bench/bench_common.h"
 
 using namespace chaos;
@@ -25,6 +27,12 @@ CHAOS_BENCH_MAIN(fig13, "Figure 13: checkpointing overhead") {
   const auto scale = static_cast<uint32_t>(opt.GetInt("scale"));
   const int machines = static_cast<int>(opt.GetInt("machines"));
   const double max_overhead = opt.GetDouble("max-overhead-pct");
+  // No overhead compares greater than NaN, so a non-finite bound would turn
+  // the gate off.
+  if (!std::isfinite(max_overhead)) {
+    std::fprintf(stderr, "--max-overhead-pct must be finite, got %g\n", max_overhead);
+    return 1;
+  }
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
   const std::vector<std::string> algos = {"pagerank", "bfs"};
 

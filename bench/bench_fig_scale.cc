@@ -82,11 +82,11 @@ CHAOS_BENCH_MAIN(fig_scale, "Paper-scale streamed-ingest BFS (>= 100M edges in C
   ClusterConfig cfg = BenchClusterConfigSized(
       num_vertices, num_edges * shape.edge_wire_bytes(), machines, seed);
 
-  Cluster<BfsProgram> cluster(cfg, BfsProgram(root));
+  Cluster cluster(cfg, BfsProgram(root));
   uint64_t streamed = 0;
-  RunResult<BfsProgram> result = cluster.RunStreaming(
+  RunResult result = cluster.RunStreaming(
       num_vertices, rmat.weighted,
-      [&](const Cluster<BfsProgram>::BatchSink& sink) {
+      [&](const Cluster::BatchSink& sink) {
         StreamRmat(rmat, batch_edges, [&](const std::vector<Edge>& edges) {
           streamed += edges.size();
           sink(edges);

@@ -829,6 +829,10 @@ int main(int argc, char** argv) {
   }
   const bool trace_mode =
       !opt.GetString("trace").empty() || !opt.GetString("trace-preset").empty();
+  if (!opt.GetString("out").empty() && (trace_mode || !opt.GetString("sweep").empty())) {
+    std::fprintf(stderr, "--out writes a single run's values: not with --sweep or --trace*\n");
+    return 1;
+  }
   if (trace_mode && !opt.GetString("sweep").empty()) {
     std::fprintf(stderr, "--sweep and --trace/--trace-preset are mutually exclusive\n");
     return 1;

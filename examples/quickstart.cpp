@@ -3,8 +3,8 @@
 //   build/examples/quickstart [--scale N] [--machines M]
 //
 // Demonstrates the core public API: generate (or load) an edge list, size a
-// cluster with ClusterConfig, run a GAS program through Cluster<Program>,
-// and read results + run metrics.
+// cluster with ClusterConfig, hand a GAS program to a Cluster (which runs it
+// through its GasKernel) and read results + run metrics.
 #include <cstdio>
 #include <numeric>
 
@@ -50,9 +50,8 @@ int main(int argc, char** argv) {
   config.net = NetworkConfig::FortyGigE();
 
   // 3. Run the GAS program.
-  Cluster<PageRankProgram> cluster(
-      config, PageRankProgram(static_cast<uint32_t>(opt.GetInt("iterations"))));
-  RunResult<PageRankProgram> result = cluster.Run(graph);
+  Cluster cluster(config, PageRankProgram(static_cast<uint32_t>(opt.GetInt("iterations"))));
+  RunResult result = cluster.Run(graph);
 
   // 4. Results: highest-ranked vertices.
   std::vector<VertexId> order(graph.num_vertices);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/gas.h"
 #include "graph/types.h"
@@ -21,7 +22,6 @@ namespace chaos {
 // iteration count (paper Fig. 2).
 class PageRankProgram {
  public:
-  static constexpr const char* kName = "pagerank";
   static constexpr bool kNeedsOutDegrees = true;
 
   struct VertexState {
@@ -85,7 +85,6 @@ class PageRankProgram {
 // Level-synchronous BFS producing depth and parent per vertex.
 class BfsProgram {
  public:
-  static constexpr const char* kName = "bfs";
   static constexpr bool kNeedsOutDegrees = false;
   static constexpr VertexId kNone = ~VertexId{0};
 
@@ -166,7 +165,6 @@ class BfsProgram {
 // only from vertices whose label changed in the previous iteration.
 class WccProgram {
  public:
-  static constexpr const char* kName = "wcc";
   static constexpr bool kNeedsOutDegrees = false;
 
   struct VertexState {
@@ -234,7 +232,6 @@ class WccProgram {
 // Bellman-Ford over weighted arcs.
 class SsspProgram {
  public:
-  static constexpr const char* kName = "sssp";
   static constexpr bool kNeedsOutDegrees = false;
 
   struct VertexState {
@@ -311,7 +308,6 @@ class SsspProgram {
 // One iteration of y = A^T x with x_v = 1 / (1 + (v mod 16)).
 class SpmvProgram {
  public:
-  static constexpr const char* kName = "spmv";
   static constexpr bool kNeedsOutDegrees = false;
 
   struct VertexState {
@@ -365,7 +361,6 @@ class SpmvProgram {
 // scatter/gather pass; counters fold through the global aggregator.
 class ConductanceProgram {
  public:
-  static constexpr const char* kName = "conductance";
   static constexpr bool kNeedsOutDegrees = false;
 
   struct VertexState {
@@ -388,6 +383,9 @@ class ConductanceProgram {
   using OutputRecord = NoOutput;
 
   static bool InSubset(VertexId v) { return (v & 1) != 0; }
+  static double Scalar(const GlobalState& g, std::span<const OutputRecord>) {
+    return g.conductance;
+  }
 
   GlobalState InitGlobal(uint64_t) const { return GlobalState{0, 0, 0, 0.0}; }
   GlobalState InitLocal() const { return GlobalState{0, 0, 0, 0.0}; }
@@ -451,7 +449,6 @@ class ConductanceProgram {
 // tanh(belief_u / 2) * weight.
 class BpProgram {
  public:
-  static constexpr const char* kName = "bp";
   static constexpr bool kNeedsOutDegrees = false;
 
   struct VertexState {

@@ -277,7 +277,7 @@ class EvolvingController {
   // run, RunResult::checkpoint_epoch when resuming from a checkpoint. Resets
   // the planner's carried state to that epoch. Must run before Run/Resume;
   // the controller must outlive the cluster's run.
-  void Attach(Cluster<P>* cluster, uint64_t start_epoch) {
+  void Attach(Cluster* cluster, uint64_t start_epoch) {
     planner_.Reset(start_epoch);
     feed_.Configure(planner_.log().num_batches(),
                     [this, cluster](uint64_t epoch) { return Plan(cluster, epoch); });
@@ -288,7 +288,7 @@ class EvolvingController {
  private:
   // Planned at the convergence barrier, host-side (zero simulated time; the
   // engines charge the data movement when they apply the delta).
-  MutationDelta Plan(Cluster<P>* cluster, uint64_t epoch) {
+  MutationDelta Plan(Cluster* cluster, uint64_t epoch) {
     std::vector<VState> states;
     if (planner_.incremental()) {
       // Warm-start from the engine's own converged states (read host-side

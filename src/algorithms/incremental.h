@@ -46,7 +46,6 @@ namespace chaos {
 // Extract maps the unreached sentinel to -1, bitwise matching BfsProgram.
 class IncBfsProgram {
  public:
-  static constexpr const char* kName = "incbfs";
   static constexpr bool kNeedsOutDegrees = false;
   static constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
 

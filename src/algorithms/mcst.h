@@ -21,6 +21,7 @@
 #define CHAOS_ALGORITHMS_MCST_H_
 
 #include <cstdint>
+#include <span>
 
 #include "core/gas.h"
 #include "graph/types.h"
@@ -29,7 +30,6 @@ namespace chaos {
 
 class McstProgram {
  public:
-  static constexpr const char* kName = "mcst";
   static constexpr bool kNeedsOutDegrees = false;
   static constexpr VertexId kNone = ~VertexId{0};
 
@@ -74,6 +74,14 @@ class McstProgram {
     VertexId u, v;
     float w;
   };
+
+  static double Scalar(const GlobalState&, std::span<const OutputRecord> forest) {
+    double total = 0.0;
+    for (const OutputRecord& edge : forest) {
+      total += static_cast<double>(edge.w);
+    }
+    return total;
+  }
 
   GlobalState InitGlobal(uint64_t) const { return GlobalState{kFindMin, 0, 0, 0}; }
   GlobalState InitLocal() const { return GlobalState{kFindMin, 0, 0, 0}; }

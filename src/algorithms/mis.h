@@ -17,7 +17,6 @@ namespace chaos {
 
 class MisProgram {
  public:
-  static constexpr const char* kName = "mis";
   static constexpr bool kNeedsOutDegrees = false;
 
   enum Status : uint8_t { kUndecided = 0, kIn = 1, kOut = 2 };

@@ -1,7 +1,5 @@
 #include "algorithms/runner.h"
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -52,190 +50,6 @@ auto DispatchAlgorithm(const std::string& name, const AlgoParams& params, Fn&& f
   CHAOS_CHECK_MSG(false, "unknown algorithm: " + name);
   return fn(BfsProgram(params.source));
 }
-
-// The program's scalar answer, from either engine's final global and
-// outputs: conductance's value, the MSF's total weight, else 0.
-template <GasProgram P>
-double ProgramScalar(const typename P::GlobalState& global,
-                     const std::vector<typename P::OutputRecord>& outputs) {
-  double total = 0.0;
-  if constexpr (std::is_same_v<P, ConductanceProgram>) {
-    total = global.conductance;
-  } else if constexpr (std::is_same_v<P, McstProgram>) {
-    for (const auto& edge : outputs) {
-      total += static_cast<double>(edge.w);
-    }
-  }
-  return total;
-}
-
-template <GasProgram P>
-AlgoResult ToAlgoResult(RunResult<P>&& run) {
-  AlgoResult result;
-  result.metrics = std::move(run.metrics);
-  result.values = std::move(run.values);
-  result.supersteps = run.supersteps;
-  result.crashed = run.crashed;
-  result.output_records = run.outputs.size();
-  result.scalar = ProgramScalar<P>(run.final_global, run.outputs);
-  return result;
-}
-
-// One job as a chain of cluster runs ("slices"), the one JobExecution behind
-// RunJob, machine-failure recovery and scheduler preemption. Each slice
-// builds a fresh Cluster<P>, attaches an evolving job's controller at the
-// epoch its starting state holds, and runs from the input or resumes from
-// the checkpoint the previous slice committed on its cluster (the donor,
-// freed once the next slice has run). A slice ends in one of three ways:
-//
-//  * Complete. Without spec.recover, a run a machine failure aborted is
-//    final too: the crashed run is the result.
-//  * Stopped by the scheduler (preemption): a scripted crash at the stop
-//    barrier, with the one checkpoint commit covering every superstep the
-//    slice completed, so the resume loses none and the values stay bitwise
-//    equal to an unpreempted run's (tests/scheduler_test.cc).
-//  * Aborted by a machine failure, for a spec.recover job (paper §6.6): the
-//    next slice runs on a healthy replacement cluster (same size, or
-//    spec.recovery.replacement_machines with repartitioned vertex ranges)
-//    from the last committed checkpoint, or from the input when none had
-//    committed. Storage is durable, so the donor's sets are re-imported
-//    host-side. One failure per run: the replacement cluster is healthy.
-template <GasProgram P>
-class SliceChain final : public JobExecution {
- public:
-  SliceChain(JobSpec spec, P prog, std::shared_ptr<EvolvingController<P>> ctrl)
-      : JobExecution(std::move(spec)),
-        prog_(std::move(prog)),
-        ctrl_(std::move(ctrl)),
-        config_(spec_.cluster) {}
-
-  uint64_t next_superstep() const override { return stopped_.checkpoint_superstep; }
-
-  SliceResult RunSlice(int64_t stop_after_superstep) override {
-    CHAOS_CHECK_MSG(!done_, "RunSlice on a completed job");
-    const bool preempt = stop_after_superstep >= 0;
-    ClusterConfig cfg = config_;
-    if (preempt) {
-      const auto stop = static_cast<uint64_t>(stop_after_superstep);
-      CHAOS_CHECK_MSG(stop > next_superstep(),
-                      "preemption point must be ahead of the resume point");
-      CHAOS_CHECK(stop <= std::numeric_limits<uint32_t>::max());
-      // Commit exactly once, at superstep stop-1: the engine checkpoints
-      // after superstep s when (s+1) % interval == 0, so interval = stop
-      // yields checkpointed_superstep == stop whatever the resume point was.
-      cfg.crash_after_superstep = stop_after_superstep;
-      cfg.checkpoint_interval = static_cast<uint32_t>(stop);
-    }
-
-    SliceResult out;
-    out.start_superstep = next_superstep();
-    auto cluster = std::make_unique<Cluster<P>>(cfg, prog_);
-    if (ctrl_ != nullptr) {
-      ctrl_->Attach(cluster.get(), stopped_.checkpoint_epoch);
-    }
-    RunResult<P> run = stopped_.has_checkpoint
-                           ? cluster->Resume(*cluster_, stopped_, GraphMeta::Of(*spec_.input))
-                           : cluster->Run(*spec_.input);
-    cluster_ = std::move(cluster);
-    out.slice_time = run.metrics.total_time;
-
-    if (!run.crashed || (!preempt && !spec_.recover)) {
-      done_ = true;
-      out.completed = true;
-      out.end_superstep = run.supersteps;
-      if (spec_.recover) {
-        FinishRecoveryReport(run.metrics);
-      }
-      result_ = ToAlgoResult(std::move(run));
-      result_.recovery = recovery_;
-      cluster_.reset();
-      return out;
-    }
-    if (preempt) {
-      // The commit at stop-1 covers every completed superstep, so nothing
-      // but the aborted superstep re-runs.
-      CHAOS_CHECK_MSG(run.has_checkpoint, "preempted slice has no committed checkpoint");
-      CHAOS_CHECK(run.checkpoint_superstep == static_cast<uint64_t>(stop_after_superstep));
-    } else {
-      // A machine failure: the crashed run's half of the report, then a
-      // healthy replacement for the next slice.
-      RecoveryReport& rep = recovery_;
-      rep.crash_detected = true;
-      rep.crashed_run_time = run.metrics.total_time;
-      rep.crash_superstep = run.supersteps > 0 ? run.supersteps - 1 : 0;
-      rep.recovered_from_checkpoint = run.has_checkpoint;
-      rep.resume_superstep = run.checkpoint_superstep;
-      // A zero preprocess time marks a run that died before pre-processing
-      // finished: no superstep was ever entered (the engine only records the
-      // preprocess end on the healthy path).
-      died_in_preprocess_ = run.metrics.preprocess_time == 0;
-      rep.lost_work_supersteps =
-          !died_in_preprocess_ && rep.crash_superstep >= rep.resume_superstep
-              ? rep.crash_superstep - rep.resume_superstep + 1
-              : 0;
-      config_.faults = FaultSchedule{};
-      config_.crash_after_superstep = -1;
-      if (spec_.recovery.replacement_machines > 0) {
-        config_.machines = spec_.recovery.replacement_machines;
-      }
-    }
-    // Keep only what Resume reads: the committed checkpoint, if any. A slice
-    // of an evolving job may have committed forced mutation checkpoints, so
-    // the edge side and epoch come along with the vertex side.
-    stopped_ = RunResult<P>{};
-    stopped_.has_checkpoint = run.has_checkpoint;
-    stopped_.checkpoint_global = run.checkpoint_global;
-    stopped_.checkpoint_superstep = run.checkpoint_superstep;
-    stopped_.checkpoint_side = run.checkpoint_side;
-    stopped_.checkpoint_edges_kind = run.checkpoint_edges_kind;
-    stopped_.checkpoint_epoch = run.checkpoint_epoch;
-    out.end_superstep = next_superstep();
-    return out;
-  }
-
-  AlgoResult TakeResult() override {
-    CHAOS_CHECK_MSG(done_, "TakeResult before the job completed");
-    return std::move(result_);
-  }
-
- private:
-  // Completes a recover job's report from its last run's metrics: the
-  // replacement's after a failure, else the only run's.
-  void FinishRecoveryReport(const RunMetrics& metrics) {
-    RecoveryReport& rep = recovery_;
-    rep.machines_after = config_.machines;
-    rep.end_to_end_time = rep.crashed_run_time + metrics.total_time;
-    if (!rep.crash_detected) {
-      return;
-    }
-    // Time to recover: replacement-cluster time until the work the failure
-    // destroyed has been re-done — the aborted superstep's gather barrier,
-    // or the re-run pre-processing when the crash predated any superstep.
-    // A crash between a checkpoint's commit and its phase-2 barrier can leave
-    // resume_superstep past crash_superstep: nothing to re-execute.
-    const auto& times = metrics.superstep_end_times;
-    if (died_in_preprocess_) {
-      rep.time_to_recover = metrics.preprocess_time;
-    } else if (rep.crash_superstep < rep.resume_superstep) {
-      rep.time_to_recover = 0;
-    } else if (times.empty()) {
-      rep.time_to_recover = metrics.total_time;
-    } else {
-      const uint64_t idx = rep.crash_superstep - rep.resume_superstep;
-      rep.time_to_recover = times[std::min<uint64_t>(idx, times.size() - 1)];
-    }
-  }
-
-  P prog_;
-  std::shared_ptr<EvolvingController<P>> ctrl_;  // null for static jobs
-  ClusterConfig config_;  // the next slice's: the spec's, or the replacement's
-  std::unique_ptr<Cluster<P>> cluster_;  // previous slice = next slice's donor
-  RunResult<P> stopped_;  // the previous slice's committed checkpoint, if any
-  RecoveryReport recovery_;  // filled for spec.recover jobs only
-  bool died_in_preprocess_ = false;
-  bool done_ = false;
-  AlgoResult result_;
-};
 
 template <GasProgram P>
 XStreamRunResult RunXStreamWith(P prog, const InputGraph& input, const XStreamConfig& config) {
@@ -344,15 +158,16 @@ std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec) {
           JobSpec prepared_spec = spec;
           prepared_spec.input =
               std::shared_ptr<const InputGraph>(ctrl, &ctrl->initial_prepared());
-          return std::make_unique<SliceChain<P>>(std::move(prepared_spec), std::move(prog),
-                                                 std::move(ctrl));
+          return std::make_unique<JobExecution>(
+              std::move(prepared_spec), std::make_shared<GasKernel<P>>(std::move(prog)),
+              [ctrl](Cluster* cluster, uint64_t epoch) { ctrl->Attach(cluster, epoch); });
         });
   }
-  return DispatchAlgorithm(spec.algorithm, spec.params,
-                           [&](auto prog) -> std::unique_ptr<JobExecution> {
-                             return std::make_unique<SliceChain<decltype(prog)>>(
-                                 spec, std::move(prog), nullptr);
-                           });
+  return std::make_unique<JobExecution>(
+      spec, DispatchAlgorithm(spec.algorithm, spec.params,
+                              [](auto prog) -> std::shared_ptr<const ProgramKernel> {
+                                return std::make_shared<GasKernel<decltype(prog)>>(std::move(prog));
+                              }));
 }
 
 TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfig& serving) {

@@ -66,10 +66,12 @@ struct TraceRunResult {
 // values are bitwise equal to its isolated RunJob result.
 TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfig& serving);
 
-// Type-erases `spec` into the chain of cluster runs (slices) that RunJob and
-// the scheduler drive, binding the program type by name. RunSlice(-1) of a
-// spec.recover job returns completed = false once, after a machine failure;
-// the next slice restarts on the replacement cluster and completes.
+// Builds `spec`'s chain of cluster runs (slices, JobExecution in
+// core/cluster.h) that RunJob and the scheduler drive, binding the program
+// by name: its GasKernel<P> and, for an evolving job, its
+// EvolvingController<P>. RunSlice(-1) of a spec.recover job returns
+// completed = false once, after a machine failure; the next slice restarts
+// on the replacement cluster and completes.
 std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec);
 
 struct XStreamRunResult {

@@ -25,7 +25,6 @@ namespace chaos {
 
 class SccProgram {
  public:
-  static constexpr const char* kName = "scc";
   static constexpr bool kNeedsOutDegrees = false;
   static constexpr VertexId kNone = ~VertexId{0};
 

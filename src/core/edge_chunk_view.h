@@ -16,20 +16,16 @@
 // (8n, 16n, 20n are multiples of 8/4), given a max_align_t-or-better base —
 // which arena payloads guarantee at 64 bytes (core/record_arena.h).
 //
-// kEdgeSoA is the only layout of a partitioned edge set. Producers either
-// write records into the regions as they bin (core/record_binner.h flushes
+// kEdgeSoA is the only layout of a partitioned edge set. Producers write
+// records into the regions as they bin (core/record_binner.h flushes
 // 16-record column quanta into kEdgeSoA blocks — no transpose pass) or
-// convert a host-side vector (MakeSoaEdgeChunk). Raw kInput chunks stay
-// AoS and are read through ChunkSpan<Edge>.
+// build host-side chunks from columns (MakeSoaChunk there). Raw kInput
+// chunks stay AoS and are read through ChunkSpan<Edge>.
 #ifndef CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 #define CHAOS_CORE_EDGE_CHUNK_VIEW_H_
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
 
-#include "core/record_arena.h"
 #include "graph/types.h"
 #include "storage/chunk.h"
 #include "util/common.h"
@@ -38,49 +34,6 @@ namespace chaos {
 
 static_assert(sizeof(Edge) == 24, "SoA layout assumes the 24-byte Edge");
 static_assert(sizeof(VertexId) == 8 && alignof(Edge) == 8);
-
-// Transposes `n` AoS edges into the SoA payload layout above. `out` must
-// hold 24 * n bytes and be at least 8-byte aligned.
-inline void TransposeEdgesToSoa(const Edge* aos, uint32_t n, uint8_t* out) {
-  CHAOS_DCHECK(reinterpret_cast<uintptr_t>(out) % alignof(VertexId) == 0);
-  auto* src = reinterpret_cast<VertexId*>(out);
-  auto* dst = reinterpret_cast<VertexId*>(out + 8ull * n);
-  auto* weight = reinterpret_cast<float*>(out + 16ull * n);
-  auto* flags = reinterpret_cast<uint32_t*>(out + 20ull * n);
-  for (uint32_t i = 0; i < n; ++i) {
-    src[i] = aos[i].src;
-    dst[i] = aos[i].dst;
-    weight[i] = aos[i].weight;
-    flags[i] = aos[i].flags;
-  }
-}
-
-// Builds a kEdgeSoA chunk from a host-side edge vector. `arena` may be null
-// (host-side callers without an engine); the payload is then a directly
-// allocated aligned block.
-inline Chunk MakeSoaEdgeChunk(uint64_t index, uint64_t model_bytes,
-                              const std::vector<Edge>& edges, RecordArena* arena) {
-  Chunk c;
-  c.index = index;
-  c.model_bytes = model_bytes;
-  c.count = static_cast<uint32_t>(edges.size());
-  c.payload_bytes = edges.size() * sizeof(Edge);
-  c.layout = ChunkLayout::kEdgeSoA;
-  if (!edges.empty()) {
-    std::shared_ptr<uint8_t> payload;
-    if (arena != nullptr) {
-      payload = arena->LeaseShared(c.payload_bytes);
-    } else {
-      payload = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(c.payload_bytes,
-                                               std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
-    TransposeEdgesToSoa(edges.data(), c.count, payload.get());
-    c.data = std::shared_ptr<const void>(payload, payload.get());
-  }
-  return c;
-}
 
 // Zero-copy reader over a kEdgeSoA chunk. A chunk of any other layout is a
 // producer bug and aborts here, once per chunk, rather than being misread.

@@ -40,7 +40,7 @@ void EngineCore::Start() {
   ctx_.sim->Spawn(Main());
 }
 
-size_t EngineCore::NumOutputsBefore(uint64_t superstep) const {
+size_t EngineCore::OutputBytesBefore(uint64_t superstep) const {
   if (superstep <= start_superstep_) {
     return 0;
   }
@@ -90,8 +90,8 @@ Task<> EngineCore::Main() {
       break;
     }
     // Superstep completed cluster-wide: everything the kernel has output so
-    // far is part of the committed output stream (see NumOutputsBefore).
-    output_marks_.push_back(kernel_->num_outputs());
+    // far is part of the committed output stream (see OutputBytesBefore).
+    output_marks_.push_back(kernel_->output_bytes().size());
     if (out.mutate) {
       // The program converged but the mutation feed has a pending batch:
       // apply it (re-bin edges, reseed states, commit — its own forced

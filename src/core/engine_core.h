@@ -13,7 +13,7 @@
 // checkpoint FSMs live in barrier_fsm.cc. The cluster driver (cluster.h)
 // builds one core per machine over that machine's GasKernel<P>, which keeps
 // the per-edge/per-update/per-vertex loops typed and inlined and holds the
-// typed results (global state, outputs).
+// program's results (global state, outputs).
 //
 // Per superstep:
 //   scatter phase:  own partitions, then steal (Fig. 4, lines 23-33)
@@ -111,12 +111,12 @@ class EngineCore {
   bool finished() const { return finished_; }
   bool crashed() const { return crashed_; }
   uint64_t supersteps_run() const { return superstep_; }
-  // Prefix of the kernel's outputs emitted by supersteps that completed
+  // Bytes of the kernel's outputs emitted by supersteps that completed
   // their gather barrier before absolute superstep `superstep`. Recovery
   // uses this to carry a crashed run's already-committed output stream
   // (e.g. MSF edges) across the restart: the aborted superstep's partial
   // emissions fall after the last mark and are excluded.
-  size_t NumOutputsBefore(uint64_t superstep) const;
+  size_t OutputBytesBefore(uint64_t superstep) const;
   TimeNs preprocess_end_time() const { return preprocess_end_time_; }
   // Coordinator-side (machine 0): sim time at the end of each completed
   // superstep, indexed from the first superstep this run executed. Recovery
@@ -312,7 +312,7 @@ class EngineCore {
   CondEvent stolen_ready_;
   CondEvent stolen_taken_;
 
-  std::vector<size_t> output_marks_;  // kernel output count per completed superstep
+  std::vector<size_t> output_marks_;  // kernel output bytes per completed superstep
   uint64_t checkpoint_counter_ = 0;
   uint64_t checkpointed_superstep_ = 0;
   bool has_checkpoint_ = false;

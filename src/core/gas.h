@@ -19,6 +19,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 
 #include "graph/types.h"
@@ -51,7 +52,6 @@ concept GasProgram = requires(const P p) {
   requires std::is_trivially_copyable_v<typename P::GlobalState>;
   requires std::is_trivially_copyable_v<typename P::OutputRecord>;
   { P::kNeedsOutDegrees } -> std::convertible_to<bool>;
-  { P::kName } -> std::convertible_to<const char*>;
   { p.InitGlobal(uint64_t{}) } -> std::same_as<typename P::GlobalState>;
   { p.InitLocal() } -> std::same_as<typename P::GlobalState>;
   { p.InitAccum() } -> std::same_as<typename P::Accumulator>;
@@ -60,6 +60,18 @@ concept GasProgram = requires(const P p) {
 // Convenience empty types for programs that do not use a feature.
 struct NoOutput {};
 struct NoGlobal {};
+
+// The program's scalar answer, which both engines report: its optional
+// static Scalar(global, outputs) (conductance's value, the MSF's total
+// weight), else 0.
+template <GasProgram P>
+double ProgramScalar(const typename P::GlobalState& global,
+                     std::span<const typename P::OutputRecord> outputs) {
+  if constexpr (requires { P::Scalar(global, outputs); }) {
+    return P::Scalar(global, outputs);
+  }
+  return 0.0;
+}
 
 // Modeled wire size of one update record: destination id at the input
 // graph's id width plus the program's value payload.

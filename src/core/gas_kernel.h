@@ -1,14 +1,18 @@
 // GasKernel<P>: the thin typed adapter between a GAS program (gas.h) and
-// the untemplated engine core. Everything per-edge / per-update / per-vertex
-// is a tight typed loop here — emitters are lambdas, records are real
-// structs, nothing virtual inside the loop — while the engine's control
-// flow (engine_core.h, scatter_phase.cc, gather_phase.cc) calls through the
-// chunk-granularity ProgramKernel interface and compiles once for all ten
-// algorithms.
+// the untemplated engine core and cluster driver (cluster.h), and the only
+// per-program code on the cluster path. Everything per-edge / per-update /
+// per-vertex is a tight typed loop here — emitters are lambdas, records are
+// real structs, nothing virtual inside the loop — while the control flow
+// (engine_core.h, scatter_phase.cc, gather_phase.cc, cluster.cc) calls
+// through the chunk-granularity ProgramKernel interface and compiles once
+// for all ten algorithms.
 #ifndef CHAOS_CORE_GAS_KERNEL_H_
 #define CHAOS_CORE_GAS_KERNEL_H_
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,29 +37,64 @@ class GasKernel final : public ProgramKernel {
   // region is aligned for at most 8 (core/update_chunk_view.h).
   static_assert(alignof(U) <= 8, "UpdateValue must have alignof <= 8 (kUpdateSoA)");
 
-  GasKernel(const P* prog, const Partitioning* parts, uint64_t vertex_id_wire_bytes,
-            const G& initial_global)
-      : prog_(prog),
+  // The program's kernel: owns `prog`, makes the machine kernels of each
+  // run and answers the driver's host-side calls.
+  explicit GasKernel(P prog) : GasKernel(std::make_shared<P>(std::move(prog)), nullptr, 0) {}
+
+  // One machine's kernel of a run over `parts`.
+  GasKernel(std::shared_ptr<const P> prog, const Partitioning* parts,
+            uint64_t vertex_id_wire_bytes)
+      : owned_(std::move(prog)),
+        prog_(owned_.get()),
         parts_(parts),
         update_wire_(UpdateWireBytes<U>(vertex_id_wire_bytes)),
-        global_(initial_global),
-        local_(prog->InitLocal()) {}
+        local_(prog_->InitLocal()) {}
+
+  // ---- Host-side driver.
+  std::unique_ptr<ProgramKernel> MakeMachineKernel(
+      const Partitioning* parts, uint64_t vertex_id_wire_bytes,
+      const std::vector<uint8_t>& global) const override {
+    auto kernel = std::make_unique<GasKernel>(owned_, parts, vertex_id_wire_bytes);
+    kernel->SetGlobal(global);
+    return kernel;
+  }
+
+  std::vector<uint8_t> InitialGlobal(uint64_t num_vertices) const override {
+    return Blob(prog_->InitGlobal(num_vertices));
+  }
+
+  std::vector<double> ExtractValues(const RecordBatch& states) const override {
+    auto in = states.template Span<const VState>();
+    std::vector<double> values(in.size());
+    std::transform(in.begin(), in.end(), values.begin(),
+                   [this](const VState& s) { return prog_->Extract(s); });
+    return values;
+  }
+
+  double Scalar(const std::vector<uint8_t>& global,
+                std::span<const uint8_t> outputs) const override {
+    CHAOS_CHECK_EQ(global.size(), sizeof(G));
+    G g{};
+    std::memcpy(&g, global.data(), sizeof(G));
+    std::vector<Out> records(outputs.size() / sizeof(Out));
+    std::copy(outputs.begin(), outputs.end(), reinterpret_cast<uint8_t*>(records.data()));
+    return ProgramScalar<P>(g, records);
+  }
 
   // ---- Static facts.
-  const char* name() const override { return P::kName; }
   bool needs_out_degrees() const override { return P::kNeedsOutDegrees; }
   uint64_t vertex_state_bytes() const override { return sizeof(VState); }
   uint64_t accum_bytes() const override { return sizeof(A); }
   uint64_t update_wire_bytes() const override { return update_wire_; }
   uint64_t update_value_bytes() const override { return sizeof(U); }
   uint64_t global_wire_bytes() const override { return sizeof(G); }
+  uint64_t output_record_bytes() const override { return sizeof(Out); }
 
   // ---- Aggregator state.
   bool WantScatter() const override { return prog_->WantScatter(global_); }
 
   std::vector<uint8_t> TakeLocalBlob() override {
-    std::vector<uint8_t> blob(sizeof(G));
-    std::memcpy(blob.data(), &local_, sizeof(G));
+    std::vector<uint8_t> blob = Blob(local_);
     local_ = prog_->InitLocal();
     return blob;
   }
@@ -65,13 +104,10 @@ class GasKernel final : public ProgramKernel {
     std::memcpy(&global_, blob.data(), sizeof(G));
   }
 
-  std::vector<uint8_t> GlobalBlob() const override {
-    std::vector<uint8_t> blob(sizeof(G));
-    std::memcpy(blob.data(), &global_, sizeof(G));
-    return blob;
-  }
+  std::vector<uint8_t> GlobalBlob() const override { return Blob(global_); }
 
   void CommitCheckpointGlobal() override { checkpointed_global_ = global_; }
+  std::vector<uint8_t> CheckpointGlobalBlob() const override { return Blob(checkpointed_global_); }
 
   // ---- Coordinator-side blob folds.
   void ReduceGlobal(void* folded, const void* local) const override {
@@ -175,18 +211,22 @@ class GasKernel final : public ProgramKernel {
     return changed;
   }
 
-  size_t num_outputs() const override { return outputs_.size(); }
-
-  // ---- Typed accessors for the cluster driver (cluster.h).
-  const G& global() const { return global_; }
-  const G& checkpointed_global() const { return checkpointed_global_; }
-  const std::vector<Out>& outputs() const { return outputs_; }
+  std::span<const uint8_t> output_bytes() const override {
+    return {reinterpret_cast<const uint8_t*>(outputs_.data()), outputs_.size() * sizeof(Out)};
+  }
 
  private:
+  static std::vector<uint8_t> Blob(const G& g) {
+    std::vector<uint8_t> blob(sizeof(G));
+    std::memcpy(blob.data(), &g, sizeof(G));
+    return blob;
+  }
+
+  std::shared_ptr<const P> owned_;  // shared by the program's kernel and its machine kernels
   const P* prog_;
   const Partitioning* parts_;
   uint64_t update_wire_;
-  G global_;
+  G global_{};
   G local_;
   G checkpointed_global_{};
   std::vector<Out> outputs_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "core/cluster.h"
 #include "util/parallel.h"
 
 namespace chaos {

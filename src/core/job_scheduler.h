@@ -38,6 +38,8 @@
 
 namespace chaos {
 
+class JobExecution;  // cluster.h
+
 // Serving-cluster shape and policy knobs.
 struct ServingConfig {
   int machines = 8;

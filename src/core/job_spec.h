@@ -133,46 +133,13 @@ inline JobSpec MakeJob(std::string algorithm, const InputGraph& prepared, Cluste
                  std::move(cluster), params);
 }
 
-// Accounting for one slice of a job (JobExecution::RunSlice).
+// Accounting for one slice of a job (JobExecution::RunSlice, cluster.h).
 struct SliceResult {
   bool completed = false;       // the job finished inside this slice
   TimeNs slice_time = 0;        // sim time the slice occupied its machines
   uint64_t start_superstep = 0; // absolute superstep the slice resumed at
   uint64_t end_superstep = 0;   // resume point after preemption, or the
                                 // final superstep count on completion
-};
-
-// Type-erased handle on one job's execution state across its slices: the
-// chain of cluster runs MakeJobExecution (algorithms/runner.h) builds for a
-// named program, driven by RunJob and by the scheduler.
-class JobExecution {
- public:
-  virtual ~JobExecution() = default;
-
-  JobExecution(const JobExecution&) = delete;
-  JobExecution& operator=(const JobExecution&) = delete;
-
-  const JobSpec& spec() const { return spec_; }
-
-  // First superstep the next slice will execute (0 before the first slice;
-  // the committed checkpoint superstep after a preemption or a failure).
-  virtual uint64_t next_superstep() const = 0;
-
-  // Runs the job from its current resume point until it completes or until
-  // the scripted preemption point `stop_after_superstep` (an absolute
-  // superstep index, > next_superstep(); < 0 = run to completion). A
-  // preempted slice commits a checkpoint at stop_after_superstep so the next
-  // slice resumes with zero completed supersteps lost. A machine failure
-  // stops a JobSpec::recover job's slice too, once (see MakeJobExecution).
-  virtual SliceResult RunSlice(int64_t stop_after_superstep) = 0;
-
-  // After a slice returned completed = true: the finished result.
-  virtual AlgoResult TakeResult() = 0;
-
- protected:
-  explicit JobExecution(JobSpec spec) : spec_(std::move(spec)) {}
-
-  JobSpec spec_;
 };
 
 }  // namespace chaos

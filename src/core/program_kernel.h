@@ -9,10 +9,16 @@
 // Aggregator (GlobalState) values cross the barrier protocol as opaque
 // byte blobs (net/wire.h BarrierArriveMsg/BarrierReleaseMsg); the kernel
 // owns serialization and the fold/advance operations on those blobs.
+//
+// The host-side cluster driver (cluster.h) sees a program only through this
+// interface too: a program's kernel makes each machine's kernel of a run,
+// and vertex states, globals and outputs reach the driver as bytes.
 #ifndef CHAOS_CORE_PROGRAM_KERNEL_H_
 #define CHAOS_CORE_PROGRAM_KERNEL_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/record_batch.h"
@@ -25,14 +31,29 @@ class ProgramKernel {
  public:
   virtual ~ProgramKernel() = default;
 
+  // ---- Host-side driver (cluster.h), on the program's kernel.
+  // One machine's kernel for a run over `parts`, starting from the global
+  // blob `global`.
+  virtual std::unique_ptr<ProgramKernel> MakeMachineKernel(
+      const Partitioning* parts, uint64_t vertex_id_wire_bytes,
+      const std::vector<uint8_t>& global) const = 0;
+  // InitGlobal(num_vertices), as a blob.
+  virtual std::vector<uint8_t> InitialGlobal(uint64_t num_vertices) const = 0;
+  // Extract() of every vertex state in `states`.
+  virtual std::vector<double> ExtractValues(const RecordBatch& states) const = 0;
+  // The program's scalar answer (ProgramScalar, gas.h) from a global blob
+  // and output records packed at output_record_bytes() each.
+  virtual double Scalar(const std::vector<uint8_t>& global,
+                        std::span<const uint8_t> outputs) const = 0;
+
   // ---- Static program facts.
-  virtual const char* name() const = 0;
   virtual bool needs_out_degrees() const = 0;
   virtual uint64_t vertex_state_bytes() const = 0;   // sizeof(VertexState)
   virtual uint64_t accum_bytes() const = 0;          // sizeof(Accumulator)
   virtual uint64_t update_wire_bytes() const = 0;   // modeled wire width
   virtual uint64_t update_value_bytes() const = 0;  // sizeof(UpdateValue)
   virtual uint64_t global_wire_bytes() const = 0;   // sizeof(GlobalState)
+  virtual uint64_t output_record_bytes() const = 0;  // sizeof(OutputRecord)
 
   // ---- Engine-side aggregator state (the machine's global_/local_ pair).
   virtual bool WantScatter() const = 0;
@@ -43,6 +64,7 @@ class ProgramKernel {
   virtual std::vector<uint8_t> GlobalBlob() const = 0;
   // Snapshots the current global as the committed-checkpoint global.
   virtual void CommitCheckpointGlobal() = 0;
+  virtual std::vector<uint8_t> CheckpointGlobalBlob() const = 0;
 
   // ---- Coordinator-side folds on opaque global blobs (machine 0).
   virtual void ReduceGlobal(void* folded, const void* local) const = 0;
@@ -67,7 +89,8 @@ class ProgramKernel {
   // Program outputs (sink records) accumulate inside the kernel.
   virtual uint64_t ApplyBatch(RecordBatch* vstate, const RecordBatch& accums, VertexId base,
                               RecordBinner* binner) = 0;
-  virtual size_t num_outputs() const = 0;
+  // Every output record so far, packed at output_record_bytes() each.
+  virtual std::span<const uint8_t> output_bytes() const = 0;
 };
 
 }  // namespace chaos

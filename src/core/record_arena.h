@@ -136,6 +136,10 @@ class RecordArena {
 
   // Lease + hand off as a shared payload in one step.
   std::shared_ptr<uint8_t> LeaseShared(uint64_t bytes) { return Lease(bytes).ToShared(); }
+  // A directly allocated aligned block, for host-side callers without an arena.
+  static std::shared_ptr<uint8_t> NewShared(uint64_t bytes) {
+    return {NewBlock(bytes), DeleteBlock};
+  }
 
   uint64_t blocks_allocated() const { return state_->allocated; }
   uint64_t blocks_recycled() const { return state_->recycled; }

@@ -20,9 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "core/record_arena.h"
@@ -42,23 +40,11 @@ class RecordBatch {
     if (bytes == 0) {
       return;
     }
-    if (arena != nullptr) {
-      data_ = arena->LeaseShared(bytes);
-    } else {
-      data_ = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(bytes, std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
+    data_ = arena != nullptr ? arena->LeaseShared(bytes) : RecordArena::NewShared(bytes);
     std::memset(data_.get(), 0, bytes);  // arena blocks are recycled dirty
   }
   RecordBatch(uint64_t record_bytes, uint64_t count)
       : RecordBatch(nullptr, record_bytes, count) {}
-
-  template <typename T>
-  static RecordBatch Of(uint64_t count) {
-    static_assert(std::is_trivially_copyable_v<T>, "batch records must be POD");
-    return RecordBatch(sizeof(T), count);
-  }
 
   uint64_t record_bytes() const { return record_bytes_; }
   uint64_t count() const { return count_; }

@@ -39,10 +39,13 @@
 #ifndef CHAOS_CORE_RECORD_BINNER_H_
 #define CHAOS_CORE_RECORD_BINNER_H_
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -338,6 +341,27 @@ class RecordBinner {
   uint64_t next_index_ = 0;
   uint64_t parked_records_ = 0;
 };
+
+// The host-side counterpart of a parked chunk: `count` records in `layout`
+// from their columns, stored back to back in a directly allocated block.
+inline Chunk MakeSoaChunk(uint64_t index, uint64_t model_bytes, ChunkLayout layout,
+                          uint32_t count, std::span<const std::vector<std::byte>> columns) {
+  Chunk c;
+  c.index = index;
+  c.model_bytes = model_bytes;
+  c.count = count;
+  c.layout = layout;
+  for (const std::vector<std::byte>& column : columns) {
+    c.payload_bytes += column.size();
+  }
+  std::shared_ptr<uint8_t> payload = RecordArena::NewShared(c.payload_bytes);
+  auto* at = reinterpret_cast<std::byte*>(payload.get());
+  for (const std::vector<std::byte>& column : columns) {
+    at = std::copy(column.begin(), column.end(), at);
+  }
+  c.data = std::shared_ptr<const void>(payload, payload.get());
+  return c;
+}
 
 }  // namespace chaos
 

@@ -23,67 +23,18 @@
 //
 // Unlike edges — whose record type the untyped engine core knows — update
 // values are program-defined, so the view is untemplated and parameterized
-// by the value width; typed readers (the kernels) reinterpret the packed
-// value region, cold paths materialize records via At<U>().
+// by the value width: typed readers (the kernels) reinterpret the packed
+// value region, and the host-side re-bin (cluster.cc) moves it as bytes.
 #ifndef CHAOS_CORE_UPDATE_CHUNK_VIEW_H_
 #define CHAOS_CORE_UPDATE_CHUNK_VIEW_H_
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
 
-#include "core/gas.h"
-#include "core/record_arena.h"
 #include "graph/types.h"
 #include "storage/chunk.h"
 #include "util/common.h"
 
 namespace chaos {
-
-// Transposes `n` AoS update records into the SoA payload layout above.
-// `out` must hold (8 + sizeof(U)) * n bytes and be at least 8-byte aligned.
-template <typename U>
-inline void TransposeUpdatesToSoa(const UpdateRecord<U>* aos, uint32_t n,
-                                  uint8_t* out) {
-  static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
-  CHAOS_DCHECK(reinterpret_cast<uintptr_t>(out) % alignof(VertexId) == 0);
-  auto* dst = reinterpret_cast<VertexId*>(out);
-  auto* value = reinterpret_cast<U*>(out + 8ull * n);
-  for (uint32_t i = 0; i < n; ++i) {
-    dst[i] = aos[i].dst;
-    value[i] = aos[i].value;
-  }
-}
-
-// Builds a kUpdateSoA chunk from a host-side record vector. `arena` may be
-// null (host-side callers without an engine); the payload is then a
-// directly allocated aligned block.
-template <typename U>
-inline Chunk MakeSoaUpdateChunk(uint64_t index, uint64_t model_bytes,
-                                const std::vector<UpdateRecord<U>>& records,
-                                RecordArena* arena) {
-  Chunk c;
-  c.index = index;
-  c.model_bytes = model_bytes;
-  c.count = static_cast<uint32_t>(records.size());
-  c.payload_bytes = records.size() * (8ull + sizeof(U));
-  c.layout = ChunkLayout::kUpdateSoA;
-  if (!records.empty()) {
-    std::shared_ptr<uint8_t> payload;
-    if (arena != nullptr) {
-      payload = arena->LeaseShared(c.payload_bytes);
-    } else {
-      payload = std::shared_ptr<uint8_t>(
-          static_cast<uint8_t*>(::operator new(c.payload_bytes,
-                                               std::align_val_t{RecordArena::kAlign})),
-          [](uint8_t* p) { ::operator delete(p, std::align_val_t{RecordArena::kAlign}); });
-    }
-    TransposeUpdatesToSoa(records.data(), c.count, payload.get());
-    c.data = std::shared_ptr<const void>(payload, payload.get());
-  }
-  return c;
-}
 
 // Zero-copy reader over a kUpdateSoA chunk. Hot loops read the raw dst()
 // and values_as<U>() arrays; untyped readers (wire packing) use dst() alone.
@@ -107,22 +58,13 @@ class UpdateChunkView {
 
   uint32_t size() const { return count_; }
   const VertexId* dst() const { return dst_; }
-  // The packed value region, typed.
+  // The packed value region, value_bytes per record: raw, then typed.
+  const uint8_t* values() const { return values_; }
   template <typename U>
   const U* values_as() const {
     static_assert(alignof(U) <= 8, "kUpdateSoA requires alignof(value) <= 8");
     CHAOS_DCHECK(sizeof(U) == value_bytes_);
     return reinterpret_cast<const U*>(values_);
-  }
-
-  // Materializes one record (cold paths / tests).
-  template <typename U>
-  UpdateRecord<U> At(uint32_t i) const {
-    CHAOS_DCHECK(i < count_);
-    UpdateRecord<U> r;
-    r.dst = dst_[i];
-    std::memcpy(&r.value, values_ + i * sizeof(U), sizeof(U));
-    return r;
   }
 
  private:

@@ -336,6 +336,14 @@ TEST(BenchDeterminismTest, FigEvolvingIdenticalAcrossJobCounts) {
   ExpectJobsInvariant("fig_evolving", "--scale=9");
 }
 
+// fig12 runs in no CI step, and fig13 and fig_memory run in CI only.
+// fig_memory records no sim_s.
+TEST(BenchDeterminismTest, Fig12Fig13FigMemoryIdenticalAcrossJobCounts) {
+  ExpectJobsInvariant("fig12", "--base-scale=5");
+  ExpectJobsInvariant("fig13", "");
+  ExpectJobsInvariant("fig_memory", "--scale=9", /*records_sim_s=*/false);
+}
+
 // Every bench that no gate runs, at tiny flags. fig5, fig14, fig17 and
 // fig20 record no sim_s; fig20's grid partitioner cost is pinned so its
 // table is simulated only. fig14's trailing comma checks that empty list
@@ -381,6 +389,21 @@ TEST(BenchSmokeTest, UnknownAlgorithmInListExitsOne) {
     ASSERT_TRUE(WIFEXITED(status)) << flags;
     EXPECT_EQ(WEXITSTATUS(status), 1) << flags;
     EXPECT_NE(ReadWholeFile(err_path).find("--algos"), std::string::npos) << flags;
+  }
+}
+
+// No overhead compares greater than NaN, so a non-finite fig13 gate bound
+// would switch the gate off: it is refused before any point runs.
+TEST(BenchSmokeTest, NonFiniteMaxOverheadExitsOne) {
+  ASSERT_FALSE(g_bench_path.empty());
+  for (const char* bound : {"nan", "inf"}) {
+    const std::string err_path = ::testing::TempDir() + "/chaos_bad_overhead.err";
+    const std::string cmd = ShellQuote(g_bench_path) + " --bench=fig13 --max-overhead-pct=" +
+                            bound + " --trials=1 > /dev/null 2> " + ShellQuote(err_path);
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << bound;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << bound;
+    EXPECT_NE(ReadWholeFile(err_path).find("--max-overhead-pct"), std::string::npos) << bound;
   }
 }
 

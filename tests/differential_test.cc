@@ -2,7 +2,7 @@
 // input x {1, 2, 4} machines x {fault-free, straggler, crash+recovery,
 // low-mem} checked against the sequential golden models in src/graph/ref/.
 //
-// The full 360-point matrix runs as ONE parallel sweep on the
+// The full matrix runs as ONE parallel sweep on the
 // SweepExecutor (util/parallel.h) the first time any test case asks for
 // its outcome; each gtest parameterized case then just asserts its own
 // point. Every point derives its seed as DeriveSeed(kBaseSeed, index) —
@@ -15,6 +15,9 @@
 //    patterns but must not change results (floats: within tolerance).
 //  * crash+recovery — a fail-stop machine crash mid-run, recovered from
 //    the last committed checkpoint, must still produce reference results.
+//  * crash_rescaled — the same crash, recovered on the machines - 1
+//    survivors: vertex states are re-chunked and edge and update sets
+//    re-binned under the new partitioning (Cluster::ImportRepartitioned).
 //  * low-mem — the enforced buffer-pool budget (core/buffer_pool.h)
 //    squeezed far below the working set: heavy spill/fault-in traffic and
 //    stalls change timing everywhere but must not change results.
@@ -40,7 +43,7 @@ namespace {
 
 constexpr uint64_t kBaseSeed = 20260729;
 
-enum class FaultMode { kNone, kStraggler, kCrashRecovery, kLowMemory };
+enum class FaultMode { kNone, kStraggler, kCrashRecovery, kLowMemory, kCrashRescaled };
 
 const char* FaultModeName(FaultMode mode) {
   switch (mode) {
@@ -52,6 +55,8 @@ const char* FaultModeName(FaultMode mode) {
       return "crash";
     case FaultMode::kLowMemory:
       return "lowmem";
+    case FaultMode::kCrashRescaled:
+      return "crash_rescaled";
   }
   return "?";
 }
@@ -153,6 +158,21 @@ std::vector<Point> BuildGrid() {
         p.graph = graph;
         p.machines = machines;
         p.mutation_point = true;
+        p.index = grid.size();
+        grid.push_back(p);
+      }
+    }
+  }
+  // The rescaled-recovery column (appended after the mutation column, same
+  // reason): the crash column's kill, recovered on machines - 1 survivors.
+  for (const auto& info : Algorithms()) {
+    for (const std::string graph : {"rmat", "grid", "web"}) {
+      for (const int machines : {2, 4}) {
+        Point p;
+        p.algo = info.name;
+        p.graph = graph;
+        p.machines = machines;
+        p.fault = FaultMode::kCrashRescaled;
         p.index = grid.size();
         grid.push_back(p);
       }
@@ -397,10 +417,12 @@ std::string RunPoint(const Point& p) {
       result = RunJob(MakeJob(p.algo, prepared, cfg, params));
       break;
     }
-    case FaultMode::kCrashRecovery: {
+    case FaultMode::kCrashRecovery:
+    case FaultMode::kCrashRescaled: {
       // Place the kill ~50% into the post-preprocessing computation of a
       // fault-free probe run, checkpoint every superstep, then demand the
-      // recovered run still matches the reference.
+      // recovered run (on the survivors, for the rescaled column) still
+      // matches the reference.
       auto probe = RunJob(MakeJob(p.algo, prepared, PointConfig(p.machines, seed), params));
       const TimeNs kill_at =
           probe.metrics.preprocess_time +
@@ -411,9 +433,17 @@ std::string RunPoint(const Point& p) {
       cfg.faults = FaultSchedule::MachineCrash(p.machines - 1, kill_at);
       JobSpec spec = MakeJob(p.algo, prepared, cfg, params);
       spec.recover = true;
+      const bool rescaled = p.fault == FaultMode::kCrashRescaled;
+      if (rescaled) {
+        spec.recovery.replacement_machines = p.machines - 1;
+      }
       result = RunJob(spec);
       if (result.crashed) {
         return "recovery left the run in a crashed state";
+      }
+      if (rescaled && (!result.recovery.crash_detected ||
+                       result.recovery.machines_after != p.machines - 1)) {
+        return "the run did not recover on machines - 1 survivors";
       }
       break;
     }
@@ -470,7 +500,8 @@ INSTANTIATE_TEST_SUITE_P(AllPoints, DifferentialTest, ::testing::ValuesIn(BuildG
 // silently re-seed every point and mask history-dependent regressions.
 TEST(DifferentialGridTest, GridShapeAndSeedsAreStable) {
   const auto grid = BuildGrid();
-  ASSERT_EQ(grid.size(), 10u * 3u * 3u * 4u + 10u * 3u * 3u + 3u * 3u * 3u);
+  ASSERT_EQ(grid.size(),
+            10u * 3u * 3u * 4u + 10u * 3u * 3u + 3u * 3u * 3u + 10u * 3u * 2u);
   EXPECT_EQ(grid[0].algo, "bfs");
   EXPECT_EQ(grid[0].graph, "rmat");
   EXPECT_EQ(grid[0].machines, 1);
@@ -502,6 +533,17 @@ TEST(DifferentialGridTest, GridShapeAndSeedsAreStable) {
   EXPECT_EQ(grid[476].algo, "sssp");
   EXPECT_EQ(grid[476].graph, "web");
   EXPECT_EQ(grid[476].machines, 4);
+  // The rescaled-recovery column is strictly appended after the mutation
+  // column.
+  EXPECT_EQ(grid[477].fault, FaultMode::kCrashRescaled);
+  EXPECT_FALSE(grid[477].mutation_point);
+  EXPECT_EQ(grid[477].algo, "bfs");
+  EXPECT_EQ(grid[477].graph, "rmat");
+  EXPECT_EQ(grid[477].machines, 2);
+  EXPECT_EQ(grid[536].fault, FaultMode::kCrashRescaled);
+  EXPECT_EQ(grid[536].algo, "bp");
+  EXPECT_EQ(grid[536].graph, "web");
+  EXPECT_EQ(grid[536].machines, 4);
   // DeriveSeed is pinned: splitmix64-based, platform-stable.
   EXPECT_EQ(DeriveSeed(1, 0), DeriveSeed(1, 0));
   EXPECT_NE(DeriveSeed(1, 0), DeriveSeed(1, 1));

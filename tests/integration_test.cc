@@ -35,10 +35,10 @@ InputGraph TestGraph(uint64_t seed = 7) {
 TEST(CheckpointTest, OverheadIsBounded) {
   InputGraph g = TestGraph();
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<PageRankProgram> off(cfg, PageRankProgram(5));
+  Cluster off(cfg, PageRankProgram(5));
   auto base = off.Run(g);
   cfg.checkpoint_interval = 1;
-  Cluster<PageRankProgram> on(cfg, PageRankProgram(5));
+  Cluster on(cfg, PageRankProgram(5));
   auto with = on.Run(g);
   EXPECT_TRUE(with.has_checkpoint);
   // Same answer.
@@ -57,7 +57,7 @@ TEST(CheckpointTest, CrashStopsEarlyAndLeavesCommittedCheckpoint) {
   ClusterConfig cfg = BaseConfig(4);
   cfg.checkpoint_interval = 1;
   cfg.crash_after_superstep = 2;
-  Cluster<PageRankProgram> cluster(cfg, PageRankProgram(6));
+  Cluster cluster(cfg, PageRankProgram(6));
   auto result = cluster.Run(g);
   EXPECT_TRUE(result.crashed);
   EXPECT_TRUE(result.metrics.crashed);
@@ -71,14 +71,14 @@ TEST(CheckpointTest, RecoveryMatchesUninterruptedRun) {
   const uint32_t kIters = 6;
 
   // Ground truth: uninterrupted run.
-  Cluster<PageRankProgram> truth_cluster(BaseConfig(4), PageRankProgram(kIters));
+  Cluster truth_cluster(BaseConfig(4), PageRankProgram(kIters));
   auto truth = truth_cluster.Run(g);
 
   // Run that checkpoints every superstep and crashes after superstep 3.
   ClusterConfig crash_cfg = BaseConfig(4);
   crash_cfg.checkpoint_interval = 1;
   crash_cfg.crash_after_superstep = 3;
-  Cluster<PageRankProgram> crashed_cluster(crash_cfg, PageRankProgram(kIters));
+  Cluster crashed_cluster(crash_cfg, PageRankProgram(kIters));
   auto crashed = crashed_cluster.Run(g);
   ASSERT_TRUE(crashed.crashed);
   ASSERT_TRUE(crashed.has_checkpoint);
@@ -86,7 +86,7 @@ TEST(CheckpointTest, RecoveryMatchesUninterruptedRun) {
 
   // Recovery: new cluster (fresh memory) that imports the durable storage
   // of the crashed one and resumes at the committed checkpoint.
-  Cluster<PageRankProgram> recovery(BaseConfig(4), PageRankProgram(kIters));
+  Cluster recovery(BaseConfig(4), PageRankProgram(kIters));
   auto resumed = recovery.Resume(crashed_cluster, crashed, GraphMeta::Of(g));
 
   EXPECT_FALSE(resumed.crashed);
@@ -101,7 +101,7 @@ TEST(CheckpointTest, TwoPhaseCommittedSideIsComplete) {
   InputGraph g = TestGraph(17);
   ClusterConfig cfg = BaseConfig(2);
   cfg.checkpoint_interval = 2;
-  Cluster<PageRankProgram> cluster(cfg, PageRankProgram(6));
+  Cluster cluster(cfg, PageRankProgram(6));
   auto result = cluster.Run(g);
   ASSERT_TRUE(result.has_checkpoint);
   // The committed side must hold a complete copy of every partition's

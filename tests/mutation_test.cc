@@ -384,7 +384,7 @@ TEST(EvolvingTest, MachineCountInvariant) {
 TEST(EvolvingTest, IncBfsMatchesStaticBfsOnStaticGraph) {
   InputGraph prepared = PrepareInput("bfs", SmallRmat(26));
   JobResult bfs = RunJob(MakeJob("bfs", prepared, SmallConfig(2)));
-  Cluster<IncBfsProgram> cluster(SmallConfig(2), IncBfsProgram(0));
+  Cluster cluster(SmallConfig(2), IncBfsProgram(0));
   auto inc = cluster.Run(prepared);
   EXPECT_EQ(inc.values, bfs.values);
 }
@@ -1020,13 +1020,13 @@ TEST(ImportValidationTest, RepartitionRejectsOutOfRangeEdges) {
   bad.edges = {Edge{0, 1, 1.0f, kEdgeForward}, Edge{1, 2, 1.0f, kEdgeForward},
                Edge{6, 12, 1.0f, kEdgeForward}};
   ClusterConfig cfg = SmallConfig(3);
-  Cluster<BfsProgram> donor(cfg, BfsProgram(0));
+  Cluster donor(cfg, BfsProgram(0));
   auto run = donor.Run(bad);
   ASSERT_FALSE(run.crashed);
 
   ClusterConfig rcfg = SmallConfig(2);
   const GraphMeta meta = GraphMeta::Of(bad);
-  Cluster<BfsProgram> replacement(rcfg, BfsProgram(0));
+  Cluster replacement(rcfg, BfsProgram(0));
   replacement.PreparePartitioning(bad.num_vertices);
   EXPECT_DEATH(replacement.ImportRepartitioned(donor, SetKind::kVertices, meta),
                "references a vertex beyond");

@@ -58,12 +58,12 @@ TEST(MachineCrashTest, KillAbortsRunAndLeavesCommittedCheckpoint) {
   InputGraph g = TestGraph();
   ClusterConfig cfg = BaseConfig(4);
   cfg.checkpoint_interval = 1;
-  Cluster<PageRankProgram> healthy(cfg, PageRankProgram(6));
+  Cluster healthy(cfg, PageRankProgram(6));
   auto fault_free = healthy.Run(g);
   ASSERT_FALSE(fault_free.crashed);
 
   cfg.faults = FaultSchedule::MachineCrash(2, MidRunKillTime(fault_free.metrics));
-  Cluster<PageRankProgram> cluster(cfg, PageRankProgram(6));
+  Cluster cluster(cfg, PageRankProgram(6));
   auto result = cluster.Run(g);
   EXPECT_TRUE(result.crashed);
   EXPECT_TRUE(result.metrics.crashed);
@@ -83,11 +83,11 @@ TEST(ResumeDeathTest, RefusesAStopWithoutCheckpoint) {
   InputGraph g = TestGraph();
   ClusterConfig cfg = BaseConfig(4);
   cfg.crash_after_superstep = 1;  // checkpointing is off: nothing commits
-  Cluster<PageRankProgram> donor(cfg, PageRankProgram(6));
+  Cluster donor(cfg, PageRankProgram(6));
   const auto stopped = donor.Run(g);
   ASSERT_TRUE(stopped.crashed);
   ASSERT_FALSE(stopped.has_checkpoint);
-  Cluster<PageRankProgram> replacement(BaseConfig(4), PageRankProgram(6));
+  Cluster replacement(BaseConfig(4), PageRankProgram(6));
   EXPECT_DEATH(replacement.Resume(donor, stopped, GraphMeta::Of(g)),
                "Resume needs a stopped run with a committed checkpoint");
 }
@@ -95,11 +95,11 @@ TEST(ResumeDeathTest, RefusesAStopWithoutCheckpoint) {
 TEST(MachineCrashTest, KillAfterCompletionIsNeverReached) {
   InputGraph g = TestGraph();
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<PageRankProgram> healthy(cfg, PageRankProgram(4));
+  Cluster healthy(cfg, PageRankProgram(4));
   auto fault_free = healthy.Run(g);
 
   cfg.faults = FaultSchedule::MachineCrash(1, fault_free.metrics.total_time * 2);
-  Cluster<PageRankProgram> cluster(cfg, PageRankProgram(4));
+  Cluster cluster(cfg, PageRankProgram(4));
   auto result = cluster.Run(g);
   EXPECT_FALSE(result.crashed);
   ASSERT_EQ(result.metrics.faults.size(), 1u);
@@ -109,7 +109,7 @@ TEST(MachineCrashTest, KillAfterCompletionIsNeverReached) {
 TEST(RecoveryTest, SameSizeRecoveryMatchesFaultFreeBfsBitwise) {
   InputGraph g = PrepareInput("bfs", TestGraph(13));
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<BfsProgram> healthy(cfg, BfsProgram(0));
+  Cluster healthy(cfg, BfsProgram(0));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 1;
@@ -130,7 +130,7 @@ TEST(RecoveryTest, SameSizeRecoveryMatchesFaultFreePagerank) {
   InputGraph g = TestGraph(13);
   const uint32_t kIters = 6;
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<PageRankProgram> healthy(cfg, PageRankProgram(kIters));
+  Cluster healthy(cfg, PageRankProgram(kIters));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 1;
@@ -154,7 +154,7 @@ TEST(RecoveryTest, RescaledRecoveryRunsOnSurvivorsAndMatches) {
   InputGraph g = PrepareInput("bfs", TestGraph(21));
   const int kMachines = 4;
   ClusterConfig cfg = BaseConfig(kMachines);
-  Cluster<BfsProgram> healthy(cfg, BfsProgram(0));
+  Cluster healthy(cfg, BfsProgram(0));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 1;
@@ -175,7 +175,7 @@ TEST(RecoveryTest, RescaledRecoveryRunsOnSurvivorsAndMatches) {
 TEST(RecoveryTest, ReportRecordsTimeToRecoverAndLostWork) {
   InputGraph g = TestGraph(29);
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<PageRankProgram> healthy(cfg, PageRankProgram(6));
+  Cluster healthy(cfg, PageRankProgram(6));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 2;
@@ -201,7 +201,7 @@ TEST(RecoveryTest, ReportRecordsTimeToRecoverAndLostWork) {
 TEST(RecoveryTest, CrashBeforeFirstCheckpointRestartsFromScratch) {
   InputGraph g = TestGraph(31);
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<PageRankProgram> healthy(cfg, PageRankProgram(5));
+  Cluster healthy(cfg, PageRankProgram(5));
   auto truth = healthy.Run(g);
 
   // No checkpointing at all: the only recovery is a full restart.
@@ -224,7 +224,7 @@ TEST(RecoveryTest, CrashDuringPreprocessingRestartsFromScratch) {
   InputGraph g = PrepareInput("bfs", TestGraph(37));
   ClusterConfig cfg = BaseConfig(4);
   cfg.checkpoint_interval = 1;
-  Cluster<BfsProgram> healthy(cfg, BfsProgram(0));
+  Cluster healthy(cfg, BfsProgram(0));
   auto truth = healthy.Run(g);
 
   cfg.faults = FaultSchedule::MachineCrash(2, truth.metrics.preprocess_time / 2);
@@ -246,7 +246,7 @@ TEST(RecoveryTest, CrashDuringPreprocessingRestartsFromScratch) {
 TEST(RecoveryTest, RecoveryIsDeterministic) {
   InputGraph g = PrepareInput("bfs", TestGraph(41));
   ClusterConfig cfg = BaseConfig(4);
-  Cluster<BfsProgram> healthy(cfg, BfsProgram(0));
+  Cluster healthy(cfg, BfsProgram(0));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 1;
@@ -300,7 +300,7 @@ TEST(RecoveryTest, SameSizeRecoveryWorksUnderCentralDirectory) {
   InputGraph g = PrepareInput("bfs", TestGraph(47));
   ClusterConfig cfg = BaseConfig(4);
   cfg.placement = Placement::kCentralDirectory;
-  Cluster<BfsProgram> healthy(cfg, BfsProgram(0));
+  Cluster healthy(cfg, BfsProgram(0));
   auto truth = healthy.Run(g);
 
   cfg.checkpoint_interval = 1;
@@ -360,8 +360,7 @@ TEST(MachineCrashTest, McstRecoveryPreservesEmittedForestAndInFlightUpdates) {
 }
 
 // Records held in `kind` sets across the cluster's storage.
-template <GasProgram P>
-uint64_t StoredRecords(Cluster<P>& cluster, SetKind kind) {
+uint64_t StoredRecords(Cluster& cluster, SetKind kind) {
   uint64_t records = 0;
   for (MachineId m = 0; m < cluster.config().machines; ++m) {
     StorageEngine* storage = cluster.storage(m);
@@ -402,7 +401,7 @@ TEST(MachineCrashTest, McstRescaledRecoveryRebinsInFlightUpdates) {
                  static_cast<TimeNs>(frac * static_cast<double>(compute)));
       // The crashed run is deterministic: replay it to measure the
       // snapshot that recovery below will re-bin.
-      Cluster<McstProgram> crashed(cfg, McstProgram{});
+      Cluster crashed(cfg, McstProgram{});
       const auto first = crashed.Run(g);
       ASSERT_TRUE(first.crashed);
       if (first.has_checkpoint) {
