@@ -14,8 +14,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(capacity, "Sec 9.3 capacity scaling toward the trillion-edge milestone") {
   Options opt;
-  opt.AddInt("scale", 15, "RMAT scale (paper: 36)");
-  opt.AddInt("machines", 32, "machines");
+  opt.AddInt("scale", 15, "RMAT scale (paper: 36)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 32, "machines", 1, kMaxBenchMachines);
   opt.AddInt("mem-mb", 0,
              "enforced per-machine memory budget in MiB (0 = derived: the partition "
              "working set plus streaming headroom; smaller budgets spill)");

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -133,12 +134,19 @@ inline std::string Fixed(double value, int digits = 2) {
   return buf;
 }
 
-// Standard flag set; returns false (after printing help) if --help given.
+// Declared flag ranges. RmatCore takes scales up to 31 with permuted ids
+// (BenchRmat's default), and a weak-scaling sweep adds one per doubling
+// of MachineSweep()'s machine counts, up to 32 machines.
+inline constexpr int64_t kMaxBenchScale = 31;
+inline constexpr int64_t kMaxBaseScale = kMaxBenchScale - 5;
+inline constexpr int64_t kMaxBenchMachines = INT32_MAX;
+
+// Standard flag set; returns false after one error line for a bad flag, or
+// after printing help if --help given.
 inline bool ParseFlags(Options& opt, int argc, char** argv) {
   auto err = opt.Parse(argc - 1, argv + 1);
   if (err.has_value()) {
-    std::fprintf(stderr, "error: %s\n", err->c_str());
-    opt.PrintHelp(argv[0]);
+    std::fprintf(stderr, "%s: %s (--help lists the flags)\n", argv[0], err->c_str());
     return false;
   }
   if (opt.help_requested()) {

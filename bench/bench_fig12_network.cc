@@ -10,7 +10,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig12, "Figure 12: 40 GigE vs 1 GigE weak scaling") {
   Options opt;
-  opt.AddInt("base-scale", 10, "RMAT scale at m=1");
+  opt.AddInt("base-scale", 10, "RMAT scale at m=1", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -17,8 +17,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig13, "Figure 13: checkpointing overhead") {
   Options opt;
-  opt.AddInt("scale", 13, "RMAT scale (paper: 35)");
-  opt.AddInt("machines", 8, "machines (paper: 32)");
+  opt.AddInt("scale", 13, "RMAT scale (paper: 35)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 8, "machines (paper: 32)", 1, kMaxBenchMachines);
   opt.AddDouble("max-overhead-pct", 15.0, "fail if overhead exceeds this at any point");
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {

@@ -9,7 +9,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig14, "Figure 14: aggregate storage bandwidth during weak scaling") {
   Options opt;
-  opt.AddInt("base-scale", 10, "RMAT scale at m=1");
+  opt.AddInt("base-scale", 10, "RMAT scale at m=1", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
   opt.AddString("algos", "bfs,pagerank,wcc,sssp,spmv", "comma list (all ten = paper)");
   std::vector<std::string> algos;

@@ -9,7 +9,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig15, "Figure 15: randomized chunk placement vs centralized directory") {
   Options opt;
-  opt.AddInt("base-scale", 10, "RMAT scale at m=1");
+  opt.AddInt("base-scale", 10, "RMAT scale at m=1", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

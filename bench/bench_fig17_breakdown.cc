@@ -9,8 +9,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig17, "Figure 17: runtime breakdown at the largest machine count") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (paper: 32)");
-  opt.AddInt("machines", 16, "machines (paper: 32)");
+  opt.AddInt("scale", 12, "RMAT scale (paper: 32)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 16, "machines (paper: 32)", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

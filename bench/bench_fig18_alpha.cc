@@ -15,8 +15,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig18, "Figure 18: work-stealing bias (alpha) sweep") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (paper: 32)");
-  opt.AddInt("machines", 16, "machines (paper: 32)");
+  opt.AddInt("scale", 12, "RMAT scale (paper: 32)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 16, "machines (paper: 32)", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

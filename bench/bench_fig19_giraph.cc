@@ -10,7 +10,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig19, "Figure 19: Chaos vs a Giraph-like static-placement system") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (paper: 27)");
+  opt.AddInt("scale", 12, "RMAT scale (paper: 27)", 0, kMaxBenchScale);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -12,8 +12,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig20, "Figure 20: dynamic load balancing vs upfront partitioning") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (paper: 27)");
-  opt.AddInt("machines", 16, "machines (paper: 32)");
+  opt.AddInt("scale", 12, "RMAT scale (paper: 27)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 16, "machines (paper: 32)", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   opt.AddDouble("grid-ns-per-edge", 0.0,
                 "grid partitioner cost override; 0 = calibrate from a measured "

@@ -92,8 +92,10 @@ std::vector<PolicyCell> PolicyRows(int machines) {
 CHAOS_BENCH_MAIN(fig21_stragglers,
                  "Figure 21: straggler severity x steal policy x cluster size") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale at 4 machines (weak scaling: +1 per doubling)");
-  opt.AddInt("machines", 4, "simulated machines (used when --machines-list is empty)");
+  opt.AddInt("scale", 12, "RMAT scale at 4 machines (weak scaling: +1 per doubling)", 0,
+             kMaxBenchScale);
+  opt.AddInt("machines", 4, "simulated machines (used when --machines-list is empty)", 1,
+             kMaxBenchMachines);
   // The default matrix carries both regimes the gates speak about: the
   // 4-machine cell where any stealing wins, and the 32-machine cell where
   // the steal amount and request-storm discipline decide the tail.
@@ -159,6 +161,13 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
     }
     return s;
   };
+  for (const int m : machine_counts) {
+    if (effective_scale(m) > kMaxBenchScale) {
+      std::fprintf(stderr, "--scale %u grows to RMAT-%u at %d machines, past RMAT-%lld\n", scale,
+                   effective_scale(m), m, static_cast<long long>(kMaxBenchScale));
+      return 1;
+    }
+  }
   std::map<int, std::shared_ptr<InputGraph>> graphs;
   for (const int m : machine_counts) {
     if (graphs.count(m) == 0) {

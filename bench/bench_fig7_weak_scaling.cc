@@ -9,7 +9,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig7, "Figure 7: weak scaling, RMAT scale grows with machine count") {
   Options opt;
-  opt.AddInt("base-scale", 10, "RMAT scale at m=1 (paper: 27)");
+  opt.AddInt("base-scale", 10, "RMAT scale at m=1 (paper: 27)", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
   opt.AddString("algos", "", "comma list (default: all ten)");
   std::vector<std::string> algos;

@@ -8,7 +8,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig8, "Figure 8: strong scaling on fixed RMAT graph") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (paper: 27)");
+  opt.AddInt("scale", 12, "RMAT scale (paper: 27)", 0, kMaxBenchScale);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -25,8 +25,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig_evolving, "Evolving graphs: incremental recompute vs full restart") {
   Options opt;
-  opt.AddInt("scale", 10, "RMAT scale (2^scale vertices)");
-  opt.AddInt("machines", 4, "machines");
+  opt.AddInt("scale", 10, "RMAT scale (2^scale vertices)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 4, "machines", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   opt.AddInt("batches", 3, "mutation epochs per run");
   if (!ParseFlags(opt, argc, argv)) {

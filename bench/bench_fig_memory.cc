@@ -31,8 +31,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig_memory, "Graceful degradation under an enforced memory budget") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (2^scale vertices)");
-  opt.AddInt("machines", 4, "machines");
+  opt.AddInt("scale", 12, "RMAT scale (2^scale vertices)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 4, "machines", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -48,8 +48,8 @@ bool ValuesMatch(const std::string& algo, const std::vector<double>& truth,
 
 CHAOS_BENCH_MAIN(fig_recovery, "Recovery: machine failure vs checkpoint interval") {
   Options opt;
-  opt.AddInt("scale", 12, "RMAT scale (2^scale vertices)");
-  opt.AddInt("machines", 4, "simulated machines");
+  opt.AddInt("scale", 12, "RMAT scale (2^scale vertices)", 0, kMaxBenchScale);
+  opt.AddInt("machines", 4, "simulated machines", 1, kMaxBenchMachines);
   opt.AddInt("victim", 1, "machine that fails mid-run");
   opt.AddInt("iterations", 8, "pagerank iterations");
   opt.AddInt("seed", 1, "seed");

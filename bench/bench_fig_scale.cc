@@ -53,8 +53,9 @@ VertexId PickRoot(const RmatOptions& opt, uint64_t sample_edges) {
 
 CHAOS_BENCH_MAIN(fig_scale, "Paper-scale streamed-ingest BFS (>= 100M edges in CI)") {
   Options opt;
-  opt.AddInt("scale", 23, "RMAT scale: 2^scale vertices, 16 edges/vertex (23 = 134M edges)");
-  opt.AddInt("machines", 4, "machines");
+  opt.AddInt("scale", 23, "RMAT scale: 2^scale vertices, 16 edges/vertex (23 = 134M edges)", 0,
+             kMaxBenchScale);
+  opt.AddInt("machines", 4, "machines", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
   opt.AddInt("batch-edges", 4 << 20, "generator batch size (edges) for streaming ingest");
   opt.AddInt("budget-s", 0, "host wall-clock budget in seconds (0 = unlimited)");

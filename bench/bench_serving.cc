@@ -56,7 +56,7 @@ const char* PickAlgorithm(uint64_t mix) {
 CHAOS_BENCH_MAIN(serving, "Serving layer: multi-job scheduling, latency under load") {
   Options opt;
   opt.AddInt("num-jobs", 16, "jobs in the trace");
-  opt.AddInt("machines", 8, "serving-cluster machines");
+  opt.AddInt("machines", 8, "serving-cluster machines", 1, kMaxBenchMachines);
   opt.AddInt("quantum", 2, "preemption quantum (supersteps per slice)");
   opt.AddString("preset", "bursty", "arrival shape: uniform | bursty | diurnal");
   opt.AddInt("seed", 1, "trace seed");

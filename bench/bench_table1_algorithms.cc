@@ -10,7 +10,7 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(table1, "Table 1: single-machine runtime, X-Stream vs Chaos") {
   Options opt;
-  opt.AddInt("scale", 13, "RMAT scale (paper: 27)");
+  opt.AddInt("scale", 13, "RMAT scale (paper: 27)", 0, kMaxBenchScale);
   opt.AddInt("seed", 1, "graph + placement seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -4,21 +4,32 @@
 
 namespace chaos {
 
-Task<BufferPool::Lease> BufferPool::Acquire(uint64_t bytes) {
-  const uint64_t id = next_id_++;
-  slots_.push_back(Slot{id, bytes, 0});
-  resident_ += bytes;
-  ++metrics_.acquires;
-  const uint64_t evicted = EvictToBudget();
+bool BufferPool::AcquireAwaiter::await_ready() {
+  id_ = pool_->next_id_++;
+  pool_->slots_.push_back(Slot{id_, bytes_, 0});
+  pool_->resident_ += bytes_;
+  ++pool_->metrics_.acquires;
+  evicted_ = pool_->EvictToBudget();
   // Peak is sampled after admission control: the high-water mark of bytes
   // RAM actually held, never above an enforced budget. Unenforced pools
   // never evict, so there it is the true peak working set (fig_memory's
   // B0 baseline).
-  metrics_.peak_bytes = std::max(metrics_.peak_bytes, resident_);
-  if (evicted > 0) {
-    co_await ChargeSpill(evicted);
+  pool_->metrics_.peak_bytes = std::max(pool_->metrics_.peak_bytes, pool_->resident_);
+  return evicted_ == 0;
+}
+
+bool BufferPool::AcquireAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  start_ = pool_->sim_->now();
+  done = [](FifoResource::Request* r) { static_cast<AcquireAwaiter*>(r)->caller_.resume(); };
+  return pool_->device_->Submit(this, pool_->SpillService(evicted_));
+}
+
+BufferPool::Lease BufferPool::AcquireAwaiter::await_resume() {
+  if (evicted_ > 0) {
+    pool_->metrics_.stall_time += pool_->sim_->now() - start_;
   }
-  co_return Lease(this, id);
+  return Lease(pool_, id_);
 }
 
 Task<> BufferPool::Touch(const Lease& lease) {
@@ -46,7 +57,9 @@ Task<> BufferPool::Touch(const Lease& lease) {
   metrics_.spill_in_bytes += fault;
   const uint64_t evicted = EvictToBudget();
   metrics_.peak_bytes = std::max(metrics_.peak_bytes, resident_);
-  co_await ChargeSpill(fault + evicted);
+  const TimeNs start = sim_->now();
+  co_await device_->Acquire(SpillService(fault + evicted));
+  metrics_.stall_time += sim_->now() - start;
 }
 
 uint64_t BufferPool::EvictToBudget() {
@@ -73,12 +86,6 @@ uint64_t BufferPool::EvictToBudget() {
     ++metrics_.spill_events;
   }
   return evicted;
-}
-
-Task<> BufferPool::ChargeSpill(uint64_t bytes) {
-  const TimeNs start = sim_->now();
-  co_await device_->Acquire(access_latency_ + TransferTimeNs(bytes, bandwidth_bps_));
-  metrics_.stall_time += sim_->now() - start;
 }
 
 void BufferPool::Release(uint64_t id) {

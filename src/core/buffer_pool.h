@@ -34,6 +34,7 @@
 #ifndef CHAOS_CORE_BUFFER_POOL_H_
 #define CHAOS_CORE_BUFFER_POOL_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -103,7 +104,25 @@ class BufferPool {
 
   // Admits `bytes` of buffer pages, evicting the coldest leases when over
   // budget. Completes after any spill write has been served by the device.
-  Task<Lease> Acquire(uint64_t bytes);
+  class [[nodiscard]] AcquireAwaiter : FifoResource::Request {
+   public:
+    AcquireAwaiter(BufferPool* pool, uint64_t bytes) : pool_(pool), bytes_(bytes) {}
+    // The device's sleeper slot holds the awaiter's address.
+    AcquireAwaiter(const AcquireAwaiter&) = delete;
+    AcquireAwaiter& operator=(const AcquireAwaiter&) = delete;
+    bool await_ready();
+    bool await_suspend(std::coroutine_handle<> caller);
+    Lease await_resume();
+
+   private:
+    BufferPool* pool_;
+    uint64_t bytes_;
+    uint64_t id_ = 0;
+    uint64_t evicted_ = 0;
+    TimeNs start_ = 0;
+    std::coroutine_handle<> caller_;
+  };
+  AcquireAwaiter Acquire(uint64_t bytes) { return AcquireAwaiter(this, bytes); }
 
   // Faults the lease's evicted pages back in (device read; may evict other
   // leases) and marks it most-recently-used. No-op while fully resident.
@@ -132,7 +151,10 @@ class BufferPool {
   // Evicts coldest-first (slots_ front) until resident_ <= budget_; the
   // caller charges the returned byte count as one spill write.
   uint64_t EvictToBudget();
-  Task<> ChargeSpill(uint64_t bytes);
+  // Nominal device time of one spill transfer of `bytes`.
+  TimeNs SpillService(uint64_t bytes) const {
+    return access_latency_ + TransferTimeNs(bytes, bandwidth_bps_);
+  }
 
   Simulator* sim_;
   FifoResource* device_;

@@ -379,6 +379,7 @@ RunResult Cluster::Execute(const GraphMeta& meta, const std::vector<uint8_t>& in
   sim_.Spawn(Supervise());
   sim_.Run();
   CHAOS_CHECK_MSG(sim_.live_tasks() == 0, "protocol deadlock: tasks still pending");
+  CHAOS_CHECK_MSG(bus_->in_flight() == 0, "protocol deadlock: messages still in flight");
 
   const EngineCore& coordinator = *cores_[0];
   RunResult result;

@@ -6,6 +6,8 @@
 #include <utility>
 #include <variant>
 
+#include "sim/frame_pool.h"
+
 namespace chaos {
 namespace {
 
@@ -116,76 +118,111 @@ SimQueue<Message>& MessageBus::Inbox(MachineId machine, int service) {
   return *inboxes_[static_cast<size_t>(machine) * kNumServices + static_cast<size_t>(service)];
 }
 
-void MessageBus::Deliver(Message m) {
-  ++delivered_;
-  if (m.is_response) {
-    const auto slot = static_cast<uint32_t>(m.rpc_id);
-    CHAOS_CHECK_MSG(slot < rpc_slots_.size() && rpc_slots_[slot].rpc_id == m.rpc_id,
-                    "response for unknown rpc_id " + std::to_string(m.rpc_id));
-    PendingCall* call = rpc_slots_[slot].call;
-    rpc_slots_[slot] = RpcSlot{};
-    free_rpc_slots_.push_back(slot);
-    call->response = std::move(m);
-    call->ready = true;
-    if (call->waiter) {
-      sim_->Resume(call->waiter);
-    }
+// A message between send and delivery. It waits on one NIC request at a
+// time, uplink then downlink, so one Request serves both.
+struct MessageBus::Transit : FifoResource::Request, internal::PooledFrame {
+  Transit(MessageBus* b, Message msg) : bus(b), m(std::move(msg)) {}
+  // Sleeper slots and posted events hold the record's address.
+  Transit(const Transit&) = delete;
+  Transit& operator=(const Transit&) = delete;
+  MessageBus* bus;
+  Message m;
+};
+
+void MessageBus::PostSend(Message m) { Launch(new Transit(this, std::move(m))); }
+
+void MessageBus::Launch(Transit* t) {
+  const Message& m = t->m;
+  CHAOS_CHECK(m.dst >= 0 && m.dst < net_->machines());
+  ++in_flight_;
+  if (m.src == m.dst) {
+    // Same machine: no NIC involvement, just IPC latency.
+    After(net_->config().local_latency, t, &MessageBus::Deliver);
     return;
   }
-  Inbox(m.dst, m.service).Push(std::move(m));
+  net_->NoteSent(m.src, m.wire_bytes);
+  // Off the sender's uplink, the message reaches the receiver's downlink
+  // one propagation latency later.
+  t->done = [](FifoResource::Request* r) {
+    auto* t = static_cast<Transit*>(r);
+    t->bus->After(t->bus->net_->config().one_way_latency, t, &MessageBus::Receive);
+  };
+  if (!net_->Uplink(m.src).Submit(t, net_->TxTime(m.wire_bytes))) {
+    t->done(t);
+  }
 }
 
-internal::DetachedTask MessageBus::FinishRemote(Message m, TimeNs extra_latency) {
-  co_await sim_->Delay(extra_latency);
-  FifoResource& down = net_->Downlink(m.dst);
-  TimeNs service = net_->TxTime(m.wire_bytes);
+// As a coroutine's co_await Simulator::Delay would: at once for a delay of
+// zero, else from an event posted `delay` ahead.
+void MessageBus::After(TimeNs delay, Transit* t, void (MessageBus::*step)(Transit*)) {
+  if (delay <= 0) {
+    (this->*step)(t);
+    return;
+  }
+  sim_->PostAt(sim_->now() + delay, [this, t, step] { (this->*step)(t); });
+}
+
+void MessageBus::Receive(Transit* t) {
+  FifoResource& down = net_->Downlink(t->m.dst);
+  TimeNs service = net_->TxTime(t->m.wire_bytes);
   const NetworkConfig& cfg = net_->config();
   if (down.Backlog(sim_->now()) > cfg.incast_backlog_threshold) {
     service += cfg.incast_penalty;
     net_->NoteIncast();
   }
-  co_await down.Acquire(service);
-  net_->NoteReceived(m.dst, m.wire_bytes);
-  Deliver(std::move(m));
-}
-
-Task<> MessageBus::Send(Message m) {
-  CHAOS_CHECK(m.dst >= 0 && m.dst < net_->machines());
-  if (m.src == m.dst) {
-    // Same machine: no NIC involvement, just IPC latency.
-    co_await sim_->Delay(net_->config().local_latency);
-    Deliver(std::move(m));
-    co_return;
-  }
-  net_->NoteSent(m.src, m.wire_bytes);
-  co_await net_->Uplink(m.src).Acquire(net_->TxTime(m.wire_bytes));
-  // Propagation and receiver-side work continue without blocking the sender.
-  FinishRemote(std::move(m), net_->config().one_way_latency);
-}
-
-Task<Message> MessageBus::Call(Message request) {
-  CHAOS_CHECK_EQ(request.rpc_id, 0u);
-  CHAOS_CHECK(!request.is_response);
-  auto slot = static_cast<uint32_t>(rpc_slots_.size());
-  if (free_rpc_slots_.empty()) {
-    rpc_slots_.emplace_back();
-  } else {
-    slot = free_rpc_slots_.back();
-    free_rpc_slots_.pop_back();
-  }
-  request.rpc_id = (next_rpc_serial_++ << 32) | slot;
-  PendingCall call;
-  rpc_slots_[slot] = RpcSlot{request.rpc_id, &call};
-  co_await Send(std::move(request));
-  struct ResponseAwaiter {
-    PendingCall* call;
-    bool await_ready() const noexcept { return call->ready; }
-    void await_suspend(std::coroutine_handle<> h) { call->waiter = h; }
-    void await_resume() const noexcept {}
+  t->done = [](FifoResource::Request* r) {
+    auto* t = static_cast<Transit*>(r);
+    t->bus->net_->NoteReceived(t->m.dst, t->m.wire_bytes);
+    t->bus->Deliver(t);
   };
-  co_await ResponseAwaiter{&call};
-  CHAOS_CHECK(call.ready);
-  co_return std::move(call.response);
+  if (!down.Submit(t, service)) {
+    t->done(t);
+  }
+}
+
+void MessageBus::Deliver(Transit* t) {
+  ++delivered_;
+  --in_flight_;
+  if (t->m.is_response) {
+    const auto slot = static_cast<uint32_t>(t->m.rpc_id);
+    CHAOS_CHECK_MSG(slot < rpc_slots_.size() && rpc_slots_[slot].rpc_id == t->m.rpc_id,
+                    "response for unknown rpc_id " + std::to_string(t->m.rpc_id));
+    CallAwaiter* call = rpc_slots_[slot].call;
+    rpc_slots_[slot] = RpcSlot{};
+    free_rpc_slots_.push_back(slot);
+    call->response_ = t;
+    sim_->Resume(call->caller_);
+    return;
+  }
+  Inbox(t->m.dst, t->m.service).Push(std::move(t->m));
+  delete t;
+}
+
+MessageBus::CallAwaiter MessageBus::Call(Message request) {
+  return CallAwaiter(this, std::move(request));
+}
+
+void MessageBus::CallAwaiter::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  CHAOS_CHECK_EQ(request_.rpc_id, 0u);
+  CHAOS_CHECK(!request_.is_response);
+  auto slot = static_cast<uint32_t>(bus_->rpc_slots_.size());
+  if (bus_->free_rpc_slots_.empty()) {
+    bus_->rpc_slots_.emplace_back();
+  } else {
+    slot = bus_->free_rpc_slots_.back();
+    bus_->free_rpc_slots_.pop_back();
+  }
+  request_.rpc_id = (bus_->next_rpc_serial_++ << 32) | slot;
+  bus_->rpc_slots_[slot] = RpcSlot{request_.rpc_id, this};
+  bus_->Launch(new Transit(bus_, std::move(request_)));
+}
+
+Message MessageBus::CallAwaiter::await_resume() {
+  CHAOS_CHECK(response_ != nullptr);
+  Message response = std::move(response_->m);
+  delete response_;
+  return response;
 }
 
 void MessageBus::PostReply(const Message& request, uint32_t type, uint64_t wire_bytes,

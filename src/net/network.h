@@ -19,7 +19,6 @@
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
-#include "sim/task.h"
 #include "sim/time.h"
 #include "util/common.h"
 
@@ -132,49 +131,51 @@ class Network {
 
 // Message delivery and RPC correlation on top of Network.
 //
-// Send() returns once the message has left the sender's uplink; propagation
-// and the receiver's downlink are charged in the background, after which the
-// message lands in the destination mailbox (or resolves a pending RPC).
+// A message in flight is a transit record from the thread's frame pool
+// (sim/frame_pool.h), not a coroutine. Callbacks move it along: a request
+// on the sender's uplink, the propagation delay, a request on the
+// receiver's downlink, then delivery to the destination mailbox (or to the
+// pending RPC it answers). Same-machine messages skip the NIC and pay the
+// local IPC latency only.
 class MessageBus {
  public:
   MessageBus(Simulator* sim, Network* network);
 
   SimQueue<Message>& Inbox(MachineId machine, int service);
 
-  // Fire-and-forget variant; the transfer proceeds in the background.
-  void PostSend(Message m) { sim_->Spawn(Send(std::move(m))); }
-
-  Task<> Send(Message m);
+  // Fire-and-forget send. The sender does not wait, not even for its uplink.
+  void PostSend(Message m);
 
   // Sends `request` and completes with the matched response.
-  Task<Message> Call(Message request);
+  class [[nodiscard]] CallAwaiter;
+  CallAwaiter Call(Message request);
 
   // Builds and sends the response for `request`. Fire-and-forget.
   void PostReply(const Message& request, uint32_t type, uint64_t wire_bytes,
                  MessageBody body = {});
 
   uint64_t messages_delivered() const { return delivered_; }
+  // Messages sent and not yet delivered; 0 once a simulation has drained.
+  uint64_t in_flight() const { return in_flight_; }
   // Allocation counter for the large-N regression tests: machines *
   // kNumServices mailboxes, O(machines) by construction.
   size_t inbox_count() const { return inboxes_.size(); }
 
  private:
-  struct PendingCall {
-    std::coroutine_handle<> waiter;
-    Message response;
-    bool ready = false;
-  };
+  struct Transit;
 
   // An in-flight RPC. Its rpc id is (serial << 32) | slot index, so a
   // response finds its call without a lookup, and a stale or duplicate id
   // cannot match a reused slot (its serial differs).
   struct RpcSlot {
     uint64_t rpc_id = 0;  // 0 while the slot is free
-    PendingCall* call = nullptr;
+    CallAwaiter* call = nullptr;
   };
 
-  void Deliver(Message m);
-  internal::DetachedTask FinishRemote(Message m, TimeNs extra_latency);
+  void Launch(Transit* t);
+  void After(TimeNs delay, Transit* t, void (MessageBus::*step)(Transit*));
+  void Receive(Transit* t);
+  void Deliver(Transit* t);
 
   Simulator* sim_;
   Network* net_;
@@ -183,6 +184,29 @@ class MessageBus {
   std::vector<uint32_t> free_rpc_slots_;
   uint64_t next_rpc_serial_ = 1;
   uint64_t delivered_ = 0;
+  uint64_t in_flight_ = 0;
+};
+
+// The pending-call record of one RPC, kept in the caller's frame: its
+// request until the call is sent, then the response's transit record once
+// it lands.
+class MessageBus::CallAwaiter {
+ public:
+  // The call's RPC slot holds the awaiter's address.
+  CallAwaiter(const CallAwaiter&) = delete;
+  CallAwaiter& operator=(const CallAwaiter&) = delete;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> caller);
+  Message await_resume();
+
+ private:
+  friend class MessageBus;
+  CallAwaiter(MessageBus* bus, Message request) : bus_(bus), request_(std::move(request)) {}
+
+  MessageBus* bus_;
+  Message request_;
+  Transit* response_ = nullptr;
+  std::coroutine_handle<> caller_;
 };
 
 }  // namespace chaos

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "sim/time.h"
 #include "util/common.h"
 #include "util/ring_buffer.h"
@@ -40,31 +39,60 @@ class FifoResource {
   FifoResource(const FifoResource&) = delete;
   FifoResource& operator=(const FifoResource&) = delete;
 
-  // Completes when the request has been fully serviced (FIFO behind all
-  // earlier requests). `service` is the nominal (rate-1.0) service time.
-  Task<> Acquire(TimeNs service) {
+  // The wait state of one request, kept by whoever waits on it (an awaiter
+  // in a coroutine frame, or a message's transit record) while a sleeper
+  // slot points at it. `done` runs once the request has been served.
+  struct Request {
+    uint64_t id = 0;
+    TimeNs target = 0;  // projected completion, as of rate epoch `epoch`
+    uint64_t epoch = 0;
+    void (*done)(Request*) = nullptr;
+  };
+
+  // Queues `req` FIFO behind all earlier requests; `service` is the nominal
+  // (rate-1.0) service time. Returns false when the request was served at
+  // once (zero service on an idle resource) and `done` will not run;
+  // otherwise `done` runs from the event that completes it.
+  bool Submit(Request* req, TimeNs service) {
     CHAOS_CHECK_GE(service, 0);
-    const uint64_t id = next_ticket_id_++;
-    const TimeNs start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
-    TimeNs target = start + Scaled(service, rate_);
-    busy_until_ = target;
-    total_busy_ += Scaled(service, rate_);
+    const TimeNs now = sim_->now();
+    const TimeNs scaled = Scaled(service, rate_);
+    req->id = next_ticket_id_++;
+    req->target = (busy_until_ > now ? busy_until_ : now) + scaled;
+    req->epoch = rate_epoch_;
+    busy_until_ = req->target;
+    total_busy_ += scaled;
     ++num_requests_;
-    queue_.push_back(Ticket{id, target, service});
-    // Sleep until the projected completion. The cached target only goes
-    // stale when SetRate re-projects the queue, so the O(queue) ticket scan
-    // is paid per rate change, not per wake — the hot no-fault path stays
-    // O(1) per request.
-    uint64_t seen_epoch = rate_epoch_;
-    while (target > sim_->now()) {
-      co_await SleepAwaiter{this, target};
-      if (rate_epoch_ != seen_epoch) {
-        seen_epoch = rate_epoch_;
-        target = DoneTimeOf(id);
-      }
+    queue_.push_back(Ticket{req->id, req->target, service});
+    if (req->target <= now) {
+      PopTicket(req->id);
+      return false;
     }
-    PopTicket(id);
+    Sleep(req);
+    return true;
   }
+
+  // Awaitable form of Submit: completes when the request has been served.
+  class [[nodiscard]] AcquireAwaiter : Request {
+   public:
+    AcquireAwaiter(FifoResource* res, TimeNs service) : res_(res), service_(service) {}
+    // A sleeper slot holds the awaiter's address.
+    AcquireAwaiter(const AcquireAwaiter&) = delete;
+    AcquireAwaiter& operator=(const AcquireAwaiter&) = delete;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> caller) {
+      caller_ = caller;
+      done = [](Request* r) { static_cast<AcquireAwaiter*>(r)->caller_.resume(); };
+      return res_->Submit(this, service_);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    FifoResource* res_;
+    TimeNs service_;
+    std::coroutine_handle<> caller_;
+  };
+  AcquireAwaiter Acquire(TimeNs service) { return AcquireAwaiter(this, service); }
 
   // Changes the service-rate multiplier (> 0; 1.0 = nominal). Remaining work
   // of every queued request — including the one in service — is re-projected
@@ -153,7 +181,7 @@ class FifoResource {
     CHAOS_CHECK_MSG(false, "FifoResource pop of unknown ticket: " + name_);
   }
 
-  // Wake state of one sleeping Acquire, a slot in sleepers_. While armed
+  // Wake state of one sleeping request, a slot in sleepers_. While armed
   // the slot sits in a list in registration order (prev/next); SetRate
   // detaches the whole list as one wake batch chained through `next`, and
   // a freed slot is chained on the free list. The timed wake carries the
@@ -161,30 +189,41 @@ class FifoResource {
   // slot disarmed or reused and does nothing.
   static constexpr uint32_t kNil = UINT32_MAX;
   struct Sleeper {
-    std::coroutine_handle<> h;
+    Request* req = nullptr;
     uint32_t gen = 0;
     uint32_t prev = kNil;
     uint32_t next = kNil;
     bool armed = false;
   };
 
-  // Suspends until absolute time `target`, or until the next SetRate if
-  // that comes first. Both wakes go through the event queue, so order is
-  // deterministic: one timed event per sleep, one event per SetRate.
-  struct SleepAwaiter {
-    FifoResource* res;
-    TimeNs target;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      const uint32_t slot = res->Arm(h);
-      res->sim_->PostAt(target, [res = res, slot, gen = res->sleepers_[slot].gen] {
-        res->WakeTimed(slot, gen);
-      });
-    }
-    void await_resume() const noexcept {}
-  };
+  // Sleeps `req` until its projected completion, or until the next SetRate
+  // if that comes first. Both wakes go through the event queue, so order
+  // is deterministic: one timed event per sleep, one event per SetRate.
+  void Sleep(Request* req) {
+    const uint32_t slot = Arm(req);
+    sim_->PostAt(req->target,
+                 [this, slot, gen = sleepers_[slot].gen] { WakeTimed(slot, gen); });
+  }
 
-  uint32_t Arm(std::coroutine_handle<> h) {
+  // A woken request re-reads its completion only when SetRate re-projected
+  // the queue since it last looked, so the O(queue) ticket scan is paid
+  // per rate change, not per wake: the no-fault path stays O(1) per
+  // request. It sleeps again until that completion, or leaves the queue
+  // and runs `done`.
+  void Wake(Request* req) {
+    if (req->epoch != rate_epoch_) {
+      req->epoch = rate_epoch_;
+      req->target = DoneTimeOf(req->id);
+    }
+    if (req->target > sim_->now()) {
+      Sleep(req);
+      return;
+    }
+    PopTicket(req->id);
+    req->done(req);
+  }
+
+  uint32_t Arm(Request* req) {
     uint32_t slot = free_sleeper_;
     if (slot == kNil) {
       slot = static_cast<uint32_t>(sleepers_.size());
@@ -194,7 +233,7 @@ class FifoResource {
     }
     Sleeper& s = sleepers_[slot];
     ++s.gen;
-    s.h = h;
+    s.req = req;
     s.armed = true;
     s.prev = armed_tail_;
     s.next = kNil;
@@ -228,14 +267,14 @@ class FifoResource {
     } else {
       sleepers_[s.next].prev = s.prev;
     }
-    const std::coroutine_handle<> h = s.h;
+    Request* const req = s.req;
     FreeSleeper(slot);
-    h.resume();
+    Wake(req);
   }
 
   // Wakes every sleeper so it re-projects under the new rate. All of them
-  // resume inside ONE posted event, in registration order, so a rate
-  // change costs a single event-queue push however many requests sleep.
+  // wake inside ONE posted event, in registration order, so a rate change
+  // costs a single event-queue push however many requests sleep.
   void WakeAllSleepers() {
     const uint32_t batch = armed_head_;
     if (batch == kNil) {
@@ -249,9 +288,9 @@ class FifoResource {
     sim_->Post(0, [this, batch] {
       for (uint32_t s = batch; s != kNil;) {
         const uint32_t next = sleepers_[s].next;
-        const std::coroutine_handle<> h = sleepers_[s].h;
-        FreeSleeper(s);  // a resumed sleeper may re-arm this slot, not the rest
-        h.resume();
+        Request* const req = sleepers_[s].req;
+        FreeSleeper(s);  // a woken request may re-arm this slot, not the rest
+        Wake(req);
         s = next;
       }
     });

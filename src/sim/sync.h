@@ -52,26 +52,53 @@ class CondEvent {
 template <typename T>
 class SimQueue {
  public:
-  explicit SimQueue(Simulator* sim) : cond_(sim) {}
+  explicit SimQueue(Simulator* sim) : sim_(sim) {}
 
+  // Wakes every waiting consumer through the event queue, as
+  // CondEvent::NotifyAll does. A woken consumer that finds the queue
+  // emptied by an earlier one waits again.
   void Push(T value) {
     items_.push_back(std::move(value));
-    cond_.NotifyAll();
+    for (PopAwaiter* w : waiters_) {
+      sim_->Post(0, [this, w] {
+        if (items_.empty()) {
+          waiters_.push_back(w);
+        } else {
+          w->caller_.resume();
+        }
+      });
+    }
+    waiters_.clear();
   }
 
-  Task<T> Pop() {
-    while (items_.empty()) {
-      co_await cond_.Wait();
+  // Completes with the front item once the queue holds one.
+  class [[nodiscard]] PopAwaiter {
+   public:
+    explicit PopAwaiter(SimQueue* queue) : queue_(queue) {}
+    // The queue's waiter list holds the awaiter's address.
+    PopAwaiter(const PopAwaiter&) = delete;
+    PopAwaiter& operator=(const PopAwaiter&) = delete;
+    bool await_ready() const noexcept { return !queue_->items_.empty(); }
+    void await_suspend(std::coroutine_handle<> caller) {
+      caller_ = caller;
+      queue_->waiters_.push_back(this);
     }
-    co_return items_.take_front();
-  }
+    T await_resume() { return queue_->items_.take_front(); }
+
+   private:
+    friend class SimQueue;
+    SimQueue* queue_;
+    std::coroutine_handle<> caller_;
+  };
+  PopAwaiter Pop() { return PopAwaiter(this); }
 
   bool empty() const { return items_.empty(); }
   size_t size() const { return items_.size(); }
 
  private:
-  CondEvent cond_;
+  Simulator* sim_;
   RingBuffer<T> items_;
+  std::vector<PopAwaiter*> waiters_;
 };
 
 // Counting semaphore.

@@ -1,6 +1,7 @@
 #include "util/options.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,11 +9,16 @@
 
 namespace chaos {
 
-void Options::AddInt(const std::string& name, int64_t default_value, const std::string& help) {
+void Options::AddInt(const std::string& name, int64_t default_value, const std::string& help,
+                     int64_t min, int64_t max) {
+  CHAOS_CHECK_MSG(min <= default_value && default_value <= max,
+                  "default of flag " + name + " outside its range");
   Flag f;
   f.type = Type::kInt;
   f.help = help;
   f.int_value = default_value;
+  f.int_min = min;
+  f.int_max = max;
   CHAOS_CHECK_MSG(flags_.emplace(name, std::move(f)).second, "duplicate flag " + name);
   order_.push_back(name);
 }
@@ -55,9 +61,14 @@ std::optional<std::string> Options::SetFromString(const std::string& name,
   char* end = nullptr;
   switch (f.type) {
     case Type::kInt: {
+      errno = 0;
       const long long v = std::strtoll(value.c_str(), &end, 0);
       if (end == nullptr || *end != '\0' || value.empty()) {
         return "flag --" + name + " expects an integer, got '" + value + "'";
+      }
+      if (errno == ERANGE || v < f.int_min || v > f.int_max) {
+        return "flag --" + name + " must be in [" + std::to_string(f.int_min) + ", " +
+               std::to_string(f.int_max) + "], got " + value;
       }
       f.int_value = v;
       break;

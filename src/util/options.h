@@ -17,7 +17,9 @@ namespace chaos {
 class Options {
  public:
   // Registration. `help` is shown by PrintHelp(). Registration order is kept.
-  void AddInt(const std::string& name, int64_t default_value, const std::string& help);
+  // Parse refuses an integer outside the inclusive range [min, max].
+  void AddInt(const std::string& name, int64_t default_value, const std::string& help,
+              int64_t min = INT64_MIN, int64_t max = INT64_MAX);
   void AddDouble(const std::string& name, double default_value, const std::string& help);
   void AddBool(const std::string& name, bool default_value, const std::string& help);
   void AddString(const std::string& name, const std::string& default_value,
@@ -41,6 +43,8 @@ class Options {
     Type type;
     std::string help;
     int64_t int_value = 0;
+    int64_t int_min = INT64_MIN;
+    int64_t int_max = INT64_MAX;
     double double_value = 0.0;
     bool bool_value = false;
     std::string string_value;

@@ -276,11 +276,15 @@ std::string StripVolatileLines(const std::string& text) {
   return out;
 }
 
+// Runs `bench` at --jobs=1 and --jobs=8 and expects identical output. Each
+// metric in `pinned` must also read exactly its literal in the JSON.
 void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flags,
-                         bool records_sim_s = true) {
+                         bool records_sim_s = true,
+                         const std::map<std::string, double>& pinned = {}) {
   ASSERT_FALSE(g_bench_path.empty()) << "pass the chaos_bench path as argv[1]";
   const std::string base = ::testing::TempDir() + "/chaos_det_" + bench;
   struct Run {
+    std::string raw_json;
     std::string json;
     std::string stdout_text;
   };
@@ -294,7 +298,8 @@ void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flag
                             extra_flags + " --out=" + ShellQuote(json_path) + " > " +
                             ShellQuote(out_path);
     ASSERT_EQ(std::system(cmd.c_str()), 0) << "bench driver failed: " << cmd;
-    runs[i].json = StripVolatileLines(ReadWholeFile(json_path));
+    runs[i].raw_json = ReadWholeFile(json_path);
+    runs[i].json = StripVolatileLines(runs[i].raw_json);
     runs[i].stdout_text = StripVolatileLines(ReadWholeFile(out_path));
     ASSERT_FALSE(runs[i].json.empty());
     ASSERT_FALSE(runs[i].stdout_text.empty());
@@ -310,6 +315,13 @@ void ExpectJobsInvariant(const std::string& bench, const std::string& extra_flag
   if (records_sim_s) {
     EXPECT_NE(runs[0].json.find("sim_s"), std::string::npos) << bench << ": no sim_s metric";
   }
+  JsonChecker json(runs[0].raw_json);
+  ASSERT_TRUE(json.Parse()) << bench << ": metric JSON does not parse";
+  for (const auto& [key, value] : pinned) {
+    const std::vector<double>& got = json.values_for(key);
+    ASSERT_EQ(got.size(), 1u) << bench << ": metric " << key;
+    EXPECT_EQ(got[0], value) << bench << ": metric " << key;
+  }
 }
 
 TEST(BenchDeterminismTest, Fig8IdenticalAcrossJobCounts) {
@@ -324,9 +336,28 @@ TEST(BenchDeterminismTest, FigRecoveryIdenticalAcrossJobCounts) {
 // with seeded victim sweeps, backoff and domain routing) must stay byte-
 // identical across --jobs, at a machine count past the paper's testbed.
 // severities=1 keeps the healthy column only — the straggler gates
-// (severity >= 4) are exercised by the CI bench job, not this smoke.
+// (severity >= 4) are exercised by the CI bench job, not this smoke. The
+// cell's 14 metrics are pinned, so every build type (RelWithDebInfo, Debug,
+// the sanitizer build) checks the same simulated numbers.
 TEST(BenchDeterminismTest, Fig21At64MachinesIdenticalAcrossJobCounts) {
-  ExpectJobsInvariant("fig21_stragglers", "--machines-list=64 --severities=1 --scale=8");
+  ExpectJobsInvariant("fig21_stragglers", "--machines-list=64 --severities=1 --scale=8",
+                      /*records_sim_s=*/true,
+                      {
+                          {"fig21.m64.sev1.adaptive.p99_superstep_s", 0.00155},
+                          {"fig21.m64.sev1.adaptive.sim_s", 0.00806},
+                          {"fig21.m64.sev1.adaptive.victim_miss_rate", 0.979449},
+                          {"fig21.m64.sev1.adaptive.victim_steals", 0.0},
+                          {"fig21.m64.sev1.off.p99_superstep_s", 0.000707},
+                          {"fig21.m64.sev1.off.sim_s", 0.0039},
+                          {"fig21.m64.sev1.steal_half.p99_superstep_s", 0.001532},
+                          {"fig21.m64.sev1.steal_half.sim_s", 0.00794},
+                          {"fig21.m64.sev1.steal_half.victim_miss_rate", 0.979985},
+                          {"fig21.m64.sev1.steal_half.victim_steals", 0.0},
+                          {"fig21.m64.sev1.steal_one.p99_superstep_s", 0.001532},
+                          {"fig21.m64.sev1.steal_one.sim_s", 0.00794},
+                          {"fig21.m64.sev1.steal_one.victim_miss_rate", 0.979985},
+                          {"fig21.m64.sev1.steal_one.victim_steals", 0.0},
+                      });
 }
 
 // The evolving sweep runs two cluster runs plus a golden per point; every

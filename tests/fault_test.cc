@@ -282,6 +282,65 @@ TEST(FaultClusterTest, FaultScheduleReplayIsDeterministic) {
   }
 }
 
+// A pin of the rate-change path under load. NIC and storage slowdowns
+// begin while transfers queue on the slowed links and device (the NIC
+// onset finds five requests on machine 3's uplink, the storage onset seven
+// on machine 0's device), on an 8-machine stealing cluster whose pool
+// budget spills, and both recoveries re-project queued work again. No
+// pinned bench slows a NIC or a device under load, so a change to how
+// sleeping requests wake on a rate change shows up here first.
+TEST(FaultClusterTest, NicAndStorageSlowdownsOverQueuedTransfersArePinned) {
+  RmatOptions opt;
+  opt.scale = 12;
+  opt.seed = 17;
+  const InputGraph g = PrepareInput("pagerank", GenerateRmat(opt));
+  ClusterConfig cfg = StragglerConfig(8, 1.0, 1.0);
+  cfg.pool_budget_bytes = 12 << 10;
+  cfg.net.nic_bandwidth_bps = 1e9;
+  cfg.faults.Add(FaultEvent{946 * kNsPerUs, kNsPerMs, /*machine=*/3, FaultTarget::kNic, 1.0 / 6});
+  cfg.faults.Add(
+      FaultEvent{1776 * kNsPerUs, kNsPerMs, /*machine=*/0, FaultTarget::kStorage, 1.0 / 6});
+  const RunMetrics m = RunJob(MakeJob("pagerank", g, cfg)).metrics;
+
+  // The scenario was reached: both faults applied, the pool spilled and
+  // helpers stole work.
+  ASSERT_EQ(m.faults.size(), 2u);
+  ASSERT_GE(m.faults[0].applied_at, 0);
+  ASSERT_GE(m.faults[1].applied_at, 0);
+  PoolMetrics pools;
+  for (const PoolMetrics& p : m.pools) {
+    pools.spill_out_bytes += p.spill_out_bytes;
+    pools.spill_in_bytes += p.spill_in_bytes;
+    pools.spill_events += p.spill_events;
+    pools.acquires += p.acquires;
+    pools.stall_time += p.stall_time;
+    pools.peak_bytes = std::max(pools.peak_bytes, p.peak_bytes);
+  }
+  ASSERT_GT(pools.spill_out_bytes, 0u);
+  ASSERT_GT(m.PartitionsGranted(), 0u);
+
+  EXPECT_EQ(m.total_time, 6220000);
+  EXPECT_EQ(m.superstep_end_times,
+            (std::vector<TimeNs>{1688968, 3426354, 4350204, 5249188, 6202062}));
+  EXPECT_EQ(m.messages, 16980u);
+  EXPECT_EQ(m.network_bytes, 9344288u);
+  EXPECT_EQ(m.StealProposalsSent(), 602u);
+  EXPECT_EQ(m.PartitionsGranted(), 6u);
+  EXPECT_EQ(m.StealRequestsDeclined(), 596u);
+  EXPECT_EQ(m.StealBackoffs(), 0u);
+  EXPECT_EQ(m.StolenChunks(), 0u);
+  EXPECT_EQ(pools.spill_out_bytes, 6706416u);
+  EXPECT_EQ(pools.spill_in_bytes, 579432u);
+  EXPECT_EQ(pools.spill_events, 3799u);
+  EXPECT_EQ(pools.acquires, 10499u);
+  EXPECT_EQ(pools.stall_time, 41576441);
+  EXPECT_EQ(pools.peak_bytes, 12288u);
+  EXPECT_EQ(m.faults[0].applied_at, 946000);
+  EXPECT_EQ(m.faults[0].cleared_at, 1946000);
+  EXPECT_EQ(m.faults[1].applied_at, 1776000);
+  EXPECT_EQ(m.faults[1].cleared_at, 2776000);
+}
+
 // ---------------------------------------------------------- heterogeneity
 
 // A machine that is slower throughout is a permanent fault from t=0, on

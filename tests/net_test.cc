@@ -35,6 +35,17 @@ TEST(NetworkTest, TxTimeMatchesBandwidth) {
   EXPECT_EQ(net.TxTime(0), 0);
 }
 
+Message TestMessage(MachineId src, MachineId dst, uint64_t wire_bytes) {
+  Message m;
+  m.src = src;
+  m.dst = dst;
+  m.service = kComputeService;
+  m.wire_bytes = wire_bytes;
+  return m;
+}
+
+// A sent message is a transit record, not a task: PostSend spawns nothing,
+// and nothing is left in flight once the simulation drains.
 TEST(MessageBusTest, RemoteDeliveryTiming) {
   Simulator sim;
   Network net(&sim, 2, TestConfig());
@@ -45,20 +56,18 @@ TEST(MessageBusTest, RemoteDeliveryTiming) {
     CHAOS_CHECK_EQ(m.type, 7u);
     *out = s->now();
   }(&bus, &sim, &delivered_at));
-  sim.Spawn([](MessageBus* bus) -> Task<> {
-    Message m;
-    m.src = 0;
-    m.dst = 1;
-    m.service = kComputeService;
-    m.type = 7;
-    m.wire_bytes = 500;
-    co_await bus->Send(std::move(m));
-  }(&bus));
+  const uint64_t spawned = sim.spawned_tasks();
+  Message m = TestMessage(0, 1, 500);
+  m.type = 7;
+  bus.PostSend(std::move(m));
+  EXPECT_EQ(sim.spawned_tasks(), spawned);
+  EXPECT_EQ(bus.in_flight(), 1u);
   sim.Run();
   // uplink 500ns + latency 1000ns + downlink 500ns = 2000ns.
   EXPECT_EQ(delivered_at, 2000);
   EXPECT_EQ(net.bytes_sent(0), 500u);
   EXPECT_EQ(net.bytes_received(1), 500u);
+  EXPECT_EQ(bus.in_flight(), 0u);
 }
 
 TEST(MessageBusTest, LocalDeliverySkipsNic) {
@@ -70,34 +79,27 @@ TEST(MessageBusTest, LocalDeliverySkipsNic) {
     (void)co_await bus->Inbox(0, kComputeService).Pop();
     *out = s->now();
   }(&bus, &sim, &delivered_at));
-  sim.Spawn([](MessageBus* bus) -> Task<> {
-    Message m;
-    m.src = 0;
-    m.dst = 0;
-    m.service = kComputeService;
-    m.wire_bytes = 1 << 20;  // size is irrelevant locally
-    co_await bus->Send(std::move(m));
-  }(&bus));
+  bus.PostSend(TestMessage(0, 0, 1 << 20));  // size is irrelevant locally
   sim.Run();
   EXPECT_EQ(delivered_at, 10);  // local latency only
   EXPECT_EQ(net.bytes_sent(0), 0u);
   EXPECT_EQ(net.total_bytes(), 0u);
+  EXPECT_EQ(bus.in_flight(), 0u);
 }
 
+// A message holds the sender's uplink for its transmission only: a
+// zero-length uplink request queued behind it completes at 500, not after
+// the propagation latency and the receiver's downlink.
 TEST(MessageBusTest, SenderBlocksOnlyForUplink) {
   Simulator sim;
   Network net(&sim, 2, TestConfig());
   MessageBus bus(&sim, &net);
   TimeNs sender_resumed = -1;
-  sim.Spawn([](MessageBus* bus, Simulator* s, TimeNs* out) -> Task<> {
-    Message m;
-    m.src = 0;
-    m.dst = 1;
-    m.service = kComputeService;
-    m.wire_bytes = 500;
-    co_await bus->Send(std::move(m));
+  sim.Spawn([](MessageBus* bus, Network* net, Simulator* s, TimeNs* out) -> Task<> {
+    bus->PostSend(TestMessage(0, 1, 500));
+    co_await net->Uplink(0).Acquire(0);
     *out = s->now();
-  }(&bus, &sim, &sender_resumed));
+  }(&bus, &net, &sim, &sender_resumed));
   sim.Spawn([](MessageBus* bus) -> Task<> {
     (void)co_await bus->Inbox(1, kComputeService).Pop();
   }(&bus));
@@ -134,6 +136,7 @@ TEST(MessageBusTest, RpcRoundTrip) {
   }(&bus));
   int got = 0;
   TimeNs finished = -1;
+  const uint64_t spawned = sim.spawned_tasks() + 1;  // the caller below
   sim.Spawn([](MessageBus* bus, Simulator* s, int* got, TimeNs* finished) -> Task<> {
     Message req;
     req.src = 0;
@@ -150,10 +153,14 @@ TEST(MessageBusTest, RpcRoundTrip) {
     *got = static_cast<int>(resp.As<AccumPullReq>().partition);
     *finished = s->now();
   }(&bus, &sim, &got, &finished));
+  EXPECT_EQ(bus.in_flight(), 1u);
   sim.Run();
   EXPECT_EQ(got, 42);
   // Request: 100 up + 1000 + 100 down = 1200. Reply likewise: 2400 total.
   EXPECT_EQ(finished, 2400);
+  // Neither the call, its request nor the reply spawned a task.
+  EXPECT_EQ(sim.spawned_tasks(), spawned);
+  EXPECT_EQ(bus.in_flight(), 0u);
 }
 
 TEST(MessageBusTest, ManyConcurrentRpcsAllResolve) {
@@ -191,6 +198,7 @@ TEST(MessageBusTest, ManyConcurrentRpcsAllResolve) {
   sim.Run();
   EXPECT_EQ(completed, 150);
   EXPECT_EQ(sim.live_tasks(), 0u);
+  EXPECT_EQ(bus.in_flight(), 0u);
 }
 
 TEST(MessageBusTest, UplinkSerializesConcurrentSends) {

@@ -540,11 +540,13 @@ TEST(ResourceTest, IdleGapsDoNotCount) {
   EXPECT_EQ(dev.busy_until(), 200);
 }
 
+Task<> AcquireOnce(FifoResource* dev, TimeNs service) { co_await dev->Acquire(service); }
+
 TEST(ResourceTest, BacklogReflectsQueue) {
   Simulator sim;
   FifoResource dev(&sim, "dev");
-  sim.Spawn(dev.Acquire(100));
-  sim.Spawn(dev.Acquire(100));
+  sim.Spawn(AcquireOnce(&dev, 100));
+  sim.Spawn(AcquireOnce(&dev, 100));
   EXPECT_EQ(dev.Backlog(0), 200);
   EXPECT_EQ(dev.Backlog(150), 50);
   EXPECT_EQ(dev.Backlog(500), 0);
@@ -554,9 +556,9 @@ TEST(ResourceTest, BacklogReflectsQueue) {
 TEST(ResourceTest, AcquireProjectsCompletionTime) {
   Simulator sim;
   FifoResource dev(&sim, "dev");
-  sim.Spawn(dev.Acquire(10));
+  sim.Spawn(AcquireOnce(&dev, 10));
   EXPECT_EQ(dev.busy_until(), 10);
-  sim.Spawn(dev.Acquire(10));
+  sim.Spawn(AcquireOnce(&dev, 10));
   EXPECT_EQ(dev.busy_until(), 20);
   sim.Run();
 }

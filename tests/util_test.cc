@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -244,6 +245,31 @@ TEST(OptionsTest, BadIntIsError) {
   char arg0[] = "--n=abc";
   char* argv[] = {arg0};
   EXPECT_TRUE(opt.Parse(1, argv).has_value());
+}
+
+// A declared range is inclusive at both ends, and a value past it (or past
+// int64) is refused with the range in the message.
+TEST(OptionsTest, IntRangeIsEnforced) {
+  const auto parse = [](const char* text) {
+    Options opt;
+    opt.AddInt("machines", 4, "", 1, 64);
+    std::string arg = text;
+    char* argv[] = {arg.data()};
+    const auto err = opt.Parse(1, argv);
+    return err.has_value() ? *err : "ok " + std::to_string(opt.GetInt("machines"));
+  };
+  EXPECT_EQ(parse("--machines=1"), "ok 1");
+  EXPECT_EQ(parse("--machines=64"), "ok 64");
+  EXPECT_EQ(parse("--machines=0"), "flag --machines must be in [1, 64], got 0");
+  EXPECT_EQ(parse("--machines=-3"), "flag --machines must be in [1, 64], got -3");
+  EXPECT_EQ(parse("--machines=65"), "flag --machines must be in [1, 64], got 65");
+  EXPECT_EQ(parse("--machines=99999999999999999999"),
+            "flag --machines must be in [1, 64], got 99999999999999999999");
+  Options unbounded;
+  unbounded.AddInt("n", 0, "");
+  char arg0[] = "--n=-99999999999999999999";
+  char* argv[] = {arg0};
+  EXPECT_TRUE(unbounded.Parse(1, argv).has_value());
 }
 
 TEST(OptionsTest, HelpRequested) {
