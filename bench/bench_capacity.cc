@@ -18,7 +18,8 @@ CHAOS_BENCH_MAIN(capacity, "Sec 9.3 capacity scaling toward the trillion-edge mi
   opt.AddInt("machines", 32, "machines", 1, kMaxBenchMachines);
   opt.AddInt("mem-mb", 0,
              "enforced per-machine memory budget in MiB (0 = derived: the partition "
-             "working set plus streaming headroom; smaller budgets spill)");
+             "working set plus streaming headroom; smaller budgets spill)",
+             0, INT64_MAX >> 20);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

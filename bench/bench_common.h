@@ -140,6 +140,8 @@ inline std::string Fixed(double value, int digits = 2) {
 inline constexpr int64_t kMaxBenchScale = 31;
 inline constexpr int64_t kMaxBaseScale = kMaxBenchScale - 5;
 inline constexpr int64_t kMaxBenchMachines = INT32_MAX;
+// --seed flags keep the full int64 range: each value is a distinct uint64
+// seed.
 
 // Standard flag set; returns false after one error line for a bad flag, or
 // after printing help if --help given.
@@ -151,33 +153,6 @@ inline bool ParseFlags(Options& opt, int argc, char** argv) {
   }
   if (opt.help_requested()) {
     opt.PrintHelp(argv[0]);
-    return false;
-  }
-  return true;
-}
-
-inline std::vector<std::string> AllAlgorithmNames() {
-  std::vector<std::string> names;
-  for (const auto& info : Algorithms()) {
-    names.push_back(info.name);
-  }
-  return names;
-}
-
-// Resolves an --algos flag: its listed names, or all ten when it is empty.
-// Returns false after a one-line stderr message when the list names no
-// algorithm or an unknown one, so a bench can refuse before any point runs.
-inline bool AlgoListFlag(const std::string& flag, std::vector<std::string>* algos) {
-  const std::vector<std::string> known = AllAlgorithmNames();
-  *algos = flag.empty() ? known : SplitList(flag);
-  for (const std::string& name : *algos) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      std::fprintf(stderr, "error: unknown algorithm '%s' in --algos\n", name.c_str());
-      return false;
-    }
-  }
-  if (algos->empty()) {
-    std::fprintf(stderr, "error: --algos lists no algorithms\n");
     return false;
   }
   return true;

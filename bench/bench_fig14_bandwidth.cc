@@ -11,11 +11,13 @@ CHAOS_BENCH_MAIN(fig14, "Figure 14: aggregate storage bandwidth during weak scal
   Options opt;
   opt.AddInt("base-scale", 10, "RMAT scale at m=1", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
-  opt.AddString("algos", "bfs,pagerank,wcc,sssp,spmv", "comma list (all ten = paper)");
-  std::vector<std::string> algos;
-  if (!ParseFlags(opt, argc, argv) || !AlgoListFlag(opt.GetString("algos"), &algos)) {
+  opt.AddStringList("algos", "bfs,pagerank,wcc,sssp,spmv",
+                    "comma list (empty: all ten = paper)", AlgorithmNames());
+  if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }
+  const std::vector<std::string> algos =
+      opt.GetStringList("algos").empty() ? AlgorithmNames() : opt.GetStringList("algos");
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   ScalingSetup setup;
   setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));

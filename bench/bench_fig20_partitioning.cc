@@ -15,9 +15,11 @@ CHAOS_BENCH_MAIN(fig20, "Figure 20: dynamic load balancing vs upfront partitioni
   opt.AddInt("scale", 12, "RMAT scale (paper: 27)", 0, kMaxBenchScale);
   opt.AddInt("machines", 16, "machines (paper: 32)", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
+  // Up to a second per edge, which keeps an RMAT-31 grid time inside TimeNs.
   opt.AddDouble("grid-ns-per-edge", 0.0,
                 "grid partitioner cost override; 0 = calibrate from a measured "
-                "GridPartition run on this host");
+                "GridPartition run on this host",
+                0.0, 1e9);
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }

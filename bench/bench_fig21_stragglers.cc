@@ -34,7 +34,6 @@
 //    escalated by the victims' more-work hints, claims open partitions in
 //    batches and streams them concurrently through one captivity period.
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "bench/bench_common.h"
@@ -43,14 +42,6 @@ using namespace chaos;
 using namespace chaos::bench;
 
 namespace {
-
-std::vector<double> ParseDoubleList(const std::string& text) {
-  std::vector<double> out;
-  for (const std::string& item : SplitList(text)) {
-    out.push_back(std::atof(item.c_str()));
-  }
-  return out;
-}
 
 struct PolicyCell {
   std::string name;
@@ -80,8 +71,7 @@ std::vector<PolicyCell> PolicyRows(int machines) {
   rows.push_back(half);
   PolicyCell adaptive{"adaptive", 1.0, StealPolicy{}};
   adaptive.steal.mode = StealMode::kAdaptive;
-  adaptive.steal.backoff = true;
-  adaptive.steal.victim_check = true;
+  adaptive.steal.backoff_hints = true;
   adaptive.steal.steal_domain = machines >= 32 ? 8 : 0;
   rows.push_back(adaptive);
   return rows;
@@ -99,40 +89,40 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
   // The default matrix carries both regimes the gates speak about: the
   // 4-machine cell where any stealing wins, and the 32-machine cell where
   // the steal amount and request-storm discipline decide the tail.
-  opt.AddString("machines-list", "4,32", "comma list of cluster sizes (overrides --machines)");
-  opt.AddString("severities", "1,2,4,8", "comma list of straggler severities");
-  opt.AddInt("victim", 0, "first machine of the straggler cluster");
+  opt.AddIntList("machines-list", "4,32", "comma list of cluster sizes (overrides --machines)",
+                 1, kMaxBenchMachines);
+  // Whole factors: a cell's label and metric keys print the severity as one.
+  opt.AddIntList("severities", "1,2,4,8", "comma list of straggler slowdown factors", 1,
+                 static_cast<int64_t>(kMaxSlowdown));
+  opt.AddInt("victim", 0, "first machine of the straggler cluster", 0, kMaxBenchMachines - 1);
   opt.AddInt("stragglers", 0,
-             "straggler cluster size, machines victim..victim+n-1 (0 = machines/8, min 1)");
-  opt.AddInt("parts", 4, "target streaming partitions per machine");
-  opt.AddString("algo", "pagerank", "algorithm to run");
-  opt.AddString("target", "cpu", "degraded resource: cpu|storage|nic|machine");
+             "straggler cluster size, machines victim..victim+n-1 (0 = machines/8, min 1)", 0,
+             kMaxBenchMachines);
+  // An int, as chaos_run's --partitions-per-machine: parts x machines fits 64 bits.
+  opt.AddInt("parts", 4, "target streaming partitions per machine", 1, INT32_MAX);
+  opt.AddString("algo", "pagerank", "algorithm to run", AlgorithmNames());
+  opt.AddString("target", "cpu", "degraded resource", {"cpu", "storage", "nic", "machine"});
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }
   const auto scale = static_cast<uint32_t>(opt.GetInt("scale"));
   const auto victim = static_cast<MachineId>(opt.GetInt("victim"));
-  const int stragglers = opt.GetInt("stragglers");
+  const auto stragglers = static_cast<int>(opt.GetInt("stragglers"));
   const auto parts = static_cast<uint64_t>(opt.GetInt("parts"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
   const std::string algo = opt.GetString("algo");
   FaultTarget target = FaultTarget::kCpu;
-  if (!ParseFaultTarget(opt.GetString("target"), &target)) {
-    std::fprintf(stderr, "unknown --target '%s'\n", opt.GetString("target").c_str());
-    return 1;
-  }
-  std::vector<int> machine_counts;
-  if (!opt.GetString("machines-list").empty()) {
-    for (const double m : ParseDoubleList(opt.GetString("machines-list"))) {
-      machine_counts.push_back(static_cast<int>(m));
-    }
-  } else {
+  ParseFaultTarget(opt.GetString("target"), &target);  // a declared choice
+  const std::vector<int64_t>& listed = opt.GetIntList("machines-list");
+  std::vector<int> machine_counts(listed.begin(), listed.end());
+  if (machine_counts.empty()) {
     machine_counts.push_back(static_cast<int>(opt.GetInt("machines")));
   }
-  const std::vector<double> severities = ParseDoubleList(opt.GetString("severities"));
-  if (machine_counts.empty() || severities.empty()) {
-    std::fprintf(stderr, "--machines-list/--severities must be non-empty\n");
+  const std::vector<int64_t>& listed_severities = opt.GetIntList("severities");
+  const std::vector<double> severities(listed_severities.begin(), listed_severities.end());
+  if (severities.empty()) {
+    std::fprintf(stderr, "--severities must be non-empty\n");
     return 1;
   }
   // The straggler cluster grows with the machine count by default: one bad
@@ -144,9 +134,10 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
   };
   for (const int m : machine_counts) {
     const int n = cluster_stragglers(m);
-    if (victim < 0 || victim + n > m || n >= m) {
-      std::fprintf(stderr, "straggler cluster [%d, %d) must leave a healthy machine in [0, %d)\n",
-                   victim, victim + n, m);
+    if (n >= m || victim > m - n) {
+      std::fprintf(stderr,
+                   "straggler cluster [%d, %lld) must leave a healthy machine in [0, %d)\n",
+                   victim, static_cast<long long>(victim) + n, m);
       return 1;
     }
   }
@@ -156,7 +147,7 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
   // of the 4-machine cell and every doubling of machines adds one.
   auto effective_scale = [&](int machines) {
     uint32_t s = scale;
-    for (int m = 4; m < machines; m *= 2) {
+    for (int64_t m = 4; m < machines; m *= 2) {
       ++s;
     }
     return s;
@@ -263,22 +254,6 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
                                    Fixed(severity, 0) + "." + policy.name;
         RecordMetric(prefix + ".sim_s", r.metrics.total_seconds());
         RecordMetric(prefix + ".p99_superstep_s", ToSeconds(r.metrics.SuperstepTail(0.99)));
-        if (std::getenv("CHAOS_FIG21_DUMP") != nullptr) {
-          const auto durs = r.metrics.SuperstepDurations();
-          for (size_t i = 0; i < durs.size(); ++i) {
-            RecordMetric(prefix + ".ss" + std::to_string(i) + "_s", ToSeconds(durs[i]));
-          }
-          std::printf("---- %s ----\n%s", prefix.c_str(), r.metrics.Summary().c_str());
-          for (const int mm : {static_cast<int>(victim), machines - 1}) {
-            const auto& mach = r.metrics.machines[static_cast<size_t>(mm)];
-            std::printf("  m%d:", mm);
-            for (int b = 0; b < static_cast<int>(Bucket::kNumBuckets); ++b) {
-              std::printf(" %s=%.2fms", BucketName(static_cast<Bucket>(b)),
-                          1e3 * ToSeconds(mach.bucket(static_cast<Bucket>(b))));
-            }
-            std::printf("\n");
-          }
-        }
         if (policy.alpha > 0.0) {
           uint64_t victim_steals = 0;
           for (const auto& f : r.metrics.faults) {

@@ -9,7 +9,9 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig5, "Figure 5: theoretical storage-engine utilization rho(m, k)") {
   Options opt;
-  opt.AddInt("max-machines", 32, "largest machine count to tabulate");
+  // The row loop steps by 2 past the last row, so that step must fit int.
+  opt.AddInt("max-machines", 32, "largest machine count to tabulate", 1,
+             kMaxBenchMachines - 2);
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }

@@ -11,11 +11,12 @@ CHAOS_BENCH_MAIN(fig7, "Figure 7: weak scaling, RMAT scale grows with machine co
   Options opt;
   opt.AddInt("base-scale", 10, "RMAT scale at m=1 (paper: 27)", 0, kMaxBaseScale);
   opt.AddInt("seed", 1, "seed");
-  opt.AddString("algos", "", "comma list (default: all ten)");
-  std::vector<std::string> algos;
-  if (!ParseFlags(opt, argc, argv) || !AlgoListFlag(opt.GetString("algos"), &algos)) {
+  opt.AddStringList("algos", "", "comma list (default: all ten)", AlgorithmNames());
+  if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }
+  const std::vector<std::string> algos =
+      opt.GetStringList("algos").empty() ? AlgorithmNames() : opt.GetStringList("algos");
   const auto base = static_cast<uint32_t>(opt.GetInt("base-scale"));
   ScalingSetup setup;
   setup.seed = static_cast<uint64_t>(opt.GetInt("seed"));

@@ -9,8 +9,9 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(fig9, "Figure 9: strong scaling on the web graph from HDDs") {
   Options opt;
-  opt.AddInt("pages-log2", 15, "log2 of page count (paper: 1.7B pages)");
-  opt.AddInt("mean-degree", 20, "mean out-degree (Data Commons 2014: ~38)");
+  // At least the 16-host floor below, one page per host; a uint64 count.
+  opt.AddInt("pages-log2", 15, "log2 of page count (paper: 1.7B pages)", 4, 63);
+  opt.AddInt("mean-degree", 20, "mean out-degree (Data Commons 2014: ~38)", 0, INT32_MAX);
   opt.AddInt("seed", 1, "seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -28,7 +28,10 @@ CHAOS_BENCH_MAIN(fig_evolving, "Evolving graphs: incremental recompute vs full r
   opt.AddInt("scale", 10, "RMAT scale (2^scale vertices)", 0, kMaxBenchScale);
   opt.AddInt("machines", 4, "machines", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
-  opt.AddInt("batches", 3, "mutation epochs per run");
+  // At least one epoch to re-converge after, and every epoch spends at
+  // least one superstep of the run's limit.
+  opt.AddInt("batches", 3, "mutation epochs per run", 1,
+             static_cast<int64_t>(kMaxSupersteps) - 1);
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }

@@ -57,8 +57,10 @@ CHAOS_BENCH_MAIN(fig_scale, "Paper-scale streamed-ingest BFS (>= 100M edges in C
              kMaxBenchScale);
   opt.AddInt("machines", 4, "machines", 1, kMaxBenchMachines);
   opt.AddInt("seed", 1, "seed");
-  opt.AddInt("batch-edges", 4 << 20, "generator batch size (edges) for streaming ingest");
-  opt.AddInt("budget-s", 0, "host wall-clock budget in seconds (0 = unlimited)");
+  opt.AddInt("batch-edges", 4 << 20, "generator batch size (edges) for streaming ingest", 1,
+             INT64_MAX);
+  opt.AddInt("budget-s", 0, "host wall-clock budget in seconds (0 = unlimited)", 0,
+             INT64_MAX);
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
   }

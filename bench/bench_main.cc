@@ -22,8 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -200,113 +198,82 @@ void PrintUsage(std::FILE* stream, const char* prog) {
 }
 
 int DriverMain(int argc, char** argv) {
-  std::string bench;
-  std::string trials_text = "1";
-  std::string jobs_text = "0";  // 0 = hardware concurrency
-  std::string out_path;
-  bool list = false;
-  std::vector<std::string> forwarded;
-
-  // Accepts both `--name=value` and `--name value`, mirroring the benches'
-  // own Options parser.
-  auto value_of = [&](int* i, const char* name) -> const char* {
-    const char* arg = argv[*i];
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0) {
-      return nullptr;
-    }
-    if (arg[len] == '=') {
-      return arg + len + 1;
-    }
-    if (arg[len] == '\0' && *i + 1 < argc) {
-      return argv[++*i];
-    }
-    return nullptr;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (const char* v = value_of(&i, "--bench")) {
-      bench = v;
-    } else if (const char* v2 = value_of(&i, "--trials")) {
-      trials_text = v2;
-    } else if (const char* v3 = value_of(&i, "--out")) {
-      out_path = v3;
-    } else if (const char* v4 = value_of(&i, "--jobs")) {
-      jobs_text = v4;
-    } else if (std::strcmp(arg, "--list") == 0) {
-      list = true;
-    } else if (std::strcmp(arg, "--help") == 0 && bench.empty()) {
-      PrintUsage(stdout, argv[0]);
-      return 0;
-    } else {
-      forwarded.push_back(arg);
-    }
+  // Driver-level flags; every other argument is forwarded to the benches.
+  std::vector<std::string> names = {"all"};
+  for (const BenchEntry* entry : SortedRegistry()) {
+    names.push_back(entry->name);
   }
-
-  if (list) {
+  Options driver;
+  driver.AddStringList("bench", "", "comma list of benches, or all", names);
+  driver.AddInt("trials", 1, "trials per bench", 1, INT32_MAX);
+  driver.AddInt("jobs", 0, "sweep threads (0 = all cores)", 0, INT32_MAX);
+  driver.AddString("out", "", "JSON results file");
+  driver.AddBool("list", false, "list the registered benches");
+  std::vector<std::string> forwarded;
+  if (auto err = driver.Parse(argc - 1, argv + 1, &forwarded)) {
+    std::fprintf(stderr, "error: %s\n", err->c_str());
+    return 2;
+  }
+  const std::vector<std::string>& bench = driver.GetStringList("bench");
+  if (driver.GetBool("list")) {
     for (const BenchEntry* entry : SortedRegistry()) {
       std::printf("%-10s %s\n", entry->name.c_str(), entry->description.c_str());
     }
     return 0;
   }
+  if (driver.help_requested()) {
+    if (bench.empty()) {
+      PrintUsage(stdout, argv[0]);
+      return 0;
+    }
+    forwarded.push_back("--help");
+  }
   if (bench.empty()) {
     PrintUsage(stderr, argv[0]);
     return 2;
   }
-  char* trials_end = nullptr;
-  const long trials = std::strtol(trials_text.c_str(), &trials_end, 10);
-  if (trials_end == trials_text.c_str() || *trials_end != '\0' || trials < 1) {
-    std::fprintf(stderr, "error: --trials must be a positive integer, got '%s'\n",
-                 trials_text.c_str());
-    return 2;
-  }
-  char* jobs_end = nullptr;
-  const long jobs_flag = std::strtol(jobs_text.c_str(), &jobs_end, 10);
-  if (jobs_end == jobs_text.c_str() || *jobs_end != '\0' || jobs_flag < 0) {
-    std::fprintf(stderr, "error: --jobs must be a non-negative integer, got '%s'\n",
-                 jobs_text.c_str());
-    return 2;
-  }
+  const auto trials = static_cast<int>(driver.GetInt("trials"));
   // 0 = all cores; the executor owns the normalization rule — read the
   // resolved count back for the JSON record.
-  SetSweepJobs(static_cast<int>(jobs_flag));
+  SetSweepJobs(static_cast<int>(driver.GetInt("jobs")));
   const int jobs = SharedSweepExecutor().jobs();
 
-  // --bench accepts a single name, a comma-separated list run in the given
-  // order, or "all" (the sorted registry).
+  // --bench runs its benches in the given order; "all" is the sorted
+  // registry.
   std::vector<const BenchEntry*> to_run;
-  if (bench == "all") {
-    to_run = SortedRegistry();
-  } else {
-    for (const std::string& name : SplitList(bench)) {
-      const BenchEntry* entry = FindBench(name);
-      if (entry == nullptr) {
-        std::fprintf(stderr, "error: unknown bench '%s'; try --list\n", name.c_str());
-        return 2;
-      }
-      to_run.push_back(entry);
-    }
-    if (to_run.empty()) {
-      std::fprintf(stderr, "error: --bench lists no benches\n");
-      return 2;
+  for (const std::string& name : bench) {
+    if (name == "all") {
+      const std::vector<const BenchEntry*> all = SortedRegistry();
+      to_run.insert(to_run.end(), all.begin(), all.end());
+    } else {
+      to_run.push_back(FindBench(name));
     }
   }
 
-  std::vector<BenchResult> results;
-  int worst = 0;
-  for (const BenchEntry* entry : to_run) {
-    std::printf("=== bench: %s ===\n", entry->name.c_str());
-    worst = std::max(worst, RunOne(*entry, static_cast<int>(trials), forwarded, &results));
-  }
-
+  // Opened before the first bench, so an unwritable path wastes no run.
+  const std::string& out_path = driver.GetString("out");
+  std::ofstream out;
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
+    out.open(out_path);
     if (!out) {
       std::fprintf(stderr, "error: cannot open %s for writing\n", out_path.c_str());
       return 1;
     }
-    out << ToJson(results, static_cast<int>(trials), jobs, forwarded);
+  }
+  std::vector<BenchResult> results;
+  int worst = 0;
+  for (const BenchEntry* entry : to_run) {
+    std::printf("=== bench: %s ===\n", entry->name.c_str());
+    worst = std::max(worst, RunOne(*entry, trials, forwarded, &results));
+  }
+
+  if (out.is_open()) {
+    out << ToJson(results, trials, jobs, forwarded);
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+      return 1;
+    }
     std::printf("wrote %s\n", out_path.c_str());
   }
   return worst;

@@ -507,7 +507,8 @@ using namespace chaos::bench;
 
 CHAOS_BENCH_MAIN(micro, "Host-time microbenchmarks and hot-path A/B pairs") {
   Options opt;
-  opt.AddDouble("min-ms", 100.0, "minimum measured window per benchmark, in ms");
+  // Up to an hour: iteration caps end longer windows early anyway.
+  opt.AddDouble("min-ms", 100.0, "minimum measured window per benchmark, in ms", 0.0, 3.6e6);
   opt.AddString("filter", "", "only run benchmarks whose name contains this substring");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;

@@ -55,10 +55,12 @@ const char* PickAlgorithm(uint64_t mix) {
 
 CHAOS_BENCH_MAIN(serving, "Serving layer: multi-job scheduling, latency under load") {
   Options opt;
-  opt.AddInt("num-jobs", 16, "jobs in the trace");
+  opt.AddInt("num-jobs", 16, "jobs in the trace", 1, INT32_MAX);
   opt.AddInt("machines", 8, "serving-cluster machines", 1, kMaxBenchMachines);
-  opt.AddInt("quantum", 2, "preemption quantum (supersteps per slice)");
-  opt.AddString("preset", "bursty", "arrival shape: uniform | bursty | diurnal");
+  // A quantum of kMaxSupersteps already never preempts: no run gets further.
+  opt.AddInt("quantum", 2, "preemption quantum (supersteps per slice)", 1,
+             static_cast<int64_t>(kMaxSupersteps));
+  opt.AddString("preset", "bursty", "arrival shape", {"uniform", "bursty", "diurnal"});
   opt.AddInt("seed", 1, "trace seed");
   if (!ParseFlags(opt, argc, argv)) {
     return 1;
@@ -68,10 +70,6 @@ CHAOS_BENCH_MAIN(serving, "Serving layer: multi-job scheduling, latency under lo
   const auto quantum = static_cast<uint64_t>(opt.GetInt("quantum"));
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
   const auto preset = TracePresetByName(opt.GetString("preset"));
-  if (!preset.has_value()) {
-    std::fprintf(stderr, "error: unknown preset '%s'\n", opt.GetString("preset").c_str());
-    return 1;
-  }
 
   // ---- Trace synthesis: arrivals over a normalized 1 s horizon (rescaled
   // per offered load below), job shapes drawn from each entry's seed.
@@ -82,6 +80,13 @@ CHAOS_BENCH_MAIN(serving, "Serving layer: multi-job scheduling, latency under lo
   topt.horizon = kNormalizedHorizon;
   topt.seed = seed;
   const std::vector<TraceEntry> entries = GenerateTrace(topt);
+  // Each priority class's latency quantiles need a job of that class.
+  const auto high_jobs = std::count_if(entries.begin(), entries.end(),
+                                       [](const TraceEntry& e) { return e.priority > 0; });
+  if (high_jobs == 0 || high_jobs == std::ssize(entries)) {
+    std::fprintf(stderr, "error: the trace holds jobs of one priority only; raise --num-jobs\n");
+    return 1;
+  }
 
   // Prepared graphs shared across jobs: all three algorithms take
   // undirected inputs, so one cache entry per (weighted, scale, graph seed).

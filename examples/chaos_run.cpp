@@ -40,7 +40,6 @@
 //   chaos_run --trace-preset bursty --trace-jobs 12 --algo wcc --scale 12
 //             --machines 2 --policy priority --quantum 4
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -62,56 +61,88 @@ using namespace chaos;
 
 namespace {
 
+// Declared flag ranges: each integer stays inside the type it converts to,
+// and each time flag's nanosecond count inside TimeNs.
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+// The largest whole number of `unit`s whose nanoseconds fit in TimeNs.
+constexpr double MaxTime(TimeNs unit) {
+  return static_cast<double>(std::numeric_limits<TimeNs>::max() / unit);
+}
+
 void RegisterFlags(Options& opt) {
-  opt.AddString("algo", "pagerank",
-                "bfs|wcc|mcst|mis|sssp|pagerank|scc|conductance|spmv|bp");
+  opt.AddString("algo", "pagerank", "algorithm", AlgorithmNames());
   opt.AddString("input", "", "edge-list file (binary or text; empty = --generate)");
-  opt.AddString("generate", "rmat", "rmat|web|grid|uniform (when no --input)");
-  opt.AddInt("scale", 14, "generator scale (2^scale vertices)");
-  opt.AddInt("machines", 8, "simulated machines");
-  opt.AddInt("partitions-per-machine", 4, "streaming partitions per machine");
+  opt.AddString("generate", "rmat", "graph generator (when no --input)",
+                {"rmat", "web", "grid", "uniform"});
+  // 63 is web's limit; each generator's own range is checked with the graph.
+  opt.AddInt("scale", 14, "generator scale (2^scale vertices)", 0, 63);
+  opt.AddInt("machines", 8, "simulated machines", 1, kIntMax);
+  opt.AddInt("partitions-per-machine", 4, "streaming partitions per machine", 1, kIntMax);
   opt.AddInt("mem-mb", 0,
              "enforced per-machine memory budget in MiB (buffer-pool cap; over-budget "
-             "buffers spill to the machine's storage device; 0 = auto headroom)");
-  opt.AddInt("chunk-kb", 256, "storage chunk size in KiB (the steal granularity)");
+             "buffers spill to the machine's storage device; 0 = auto headroom)",
+             0, kInt64Max >> 20);
+  opt.AddInt("chunk-kb", 256, "storage chunk size in KiB (the steal granularity)", 1,
+             kInt64Max >> 10);
   opt.AddBool("hdd", false, "use the HDD profile instead of SSD");
   opt.AddBool("slow-net", false, "use 1GigE instead of 40GigE");
-  opt.AddInt("cores", 0, "CPU cores per machine (0 = cost-model default)");
-  opt.AddDouble("storage-bw-mbps", 0.0, "storage bandwidth MB/s (0 = profile default)");
-  opt.AddDouble("alpha", 1.0, "work-stealing bias (0 disables stealing)");
+  opt.AddInt("cores", 0, "CPU cores per machine (0 = cost-model default)", 0, kIntMax);
+  // Below 1 MB/s a scan of the largest generated graph leaves TimeNs.
+  opt.AddDouble("storage-bw-mbps", 0.0, "storage bandwidth MB/s (0 = profile default)", 1.0,
+                std::numeric_limits<double>::max() / 1e6);
+  opt.AddDouble("alpha", 1.0, "work-stealing bias (0 disables stealing, inf always steals)",
+                0.0, Options::kInf);
   opt.AddString("steal-mode", "steal_one",
-                "steal policy: steal_one|steal_half|adaptive (adaptive also "
-                "turns on backoff + victim-check hints)");
-  opt.AddInt("straggler", -1, "machine to degrade (-1 = healthy cluster)");
-  opt.AddDouble("straggler-severity", 4.0, "slowdown factor of the straggler");
-  opt.AddString("straggler-target", "cpu", "degraded resource: cpu|storage|nic|machine");
-  opt.AddDouble("fault-at-ms", 0.0, "simulated time the degradation begins");
-  opt.AddDouble("fault-duration-ms", 0.0, "degradation length (0 = permanent)");
-  opt.AddInt("checkpoint-interval", 0, "checkpoint every N supersteps (0 = off)");
-  opt.AddInt("kill-machine", -1, "fail-stop this machine mid-run (-1 = none)");
+                "steal policy (adaptive also turns on backoff + victim-check hints)",
+                {"steal_one", "steal_half", "adaptive"});
+  opt.AddInt("straggler", -1, "machine to degrade (-1 = healthy cluster)", -1, kIntMax);
+  opt.AddDouble("straggler-severity", 4.0, "slowdown factor of the straggler", 1.0,
+                kMaxSlowdown);
+  opt.AddString("straggler-target", "cpu", "degraded resource",
+                {"cpu", "storage", "nic", "machine"});
+  // Halves of TimeNs, since the degradation ends at their sum.
+  opt.AddDouble("fault-at-ms", 0.0, "simulated time the degradation begins", 0.0,
+                MaxTime(kNsPerMs) / 2);
+  opt.AddDouble("fault-duration-ms", 0.0, "degradation length (0 = permanent)", 0.0,
+                MaxTime(kNsPerMs) / 2);
+  opt.AddInt("checkpoint-interval", 0, "checkpoint every N supersteps (0 = off)", 0,
+             std::numeric_limits<uint32_t>::max());
+  opt.AddInt("kill-machine", -1, "fail-stop this machine mid-run (-1 = none)", -1, kIntMax);
   opt.AddDouble("kill-at", 0.5,
-                "simulated failure time in SECONDS (note: --fault-at-ms is in ms)");
+                "simulated failure time in SECONDS (note: --fault-at-ms is in ms)", 0.0,
+                MaxTime(kNsPerSec));
   opt.AddBool("rescale", false, "recover on N-1 machines instead of a same-size cluster");
+  // Every epoch spends at least one superstep of the run's limit.
   opt.AddInt("mutate-batches", 0,
              "evolving mode: apply N seeded mutation batches between convergences and "
-             "re-converge after each (bfs/sssp/wcc only; 0 = static graph)");
-  opt.AddDouble("mutate-rate", 0.03, "edges mutated per batch as a fraction of the graph");
-  opt.AddString("mutate-preset", "uniform", "mutation shape: uniform|hotspot|churn");
+             "re-converge after each (bfs/sssp/wcc only; 0 = static graph)",
+             0, static_cast<int64_t>(kMaxSupersteps) - 1);
+  // (0, 1]: the smallest positive double up to the whole graph.
+  opt.AddDouble("mutate-rate", 0.03, "edges mutated per batch as a fraction of the graph",
+                std::numeric_limits<double>::denorm_min(), 1.0);
+  opt.AddString("mutate-preset", "uniform", "mutation shape", {"uniform", "hotspot", "churn"});
   opt.AddBool("mutate-full", false,
               "full-recompute baseline: reseed every vertex instead of warm-starting "
               "from the affected frontier");
-  opt.AddInt("source", 0, "source vertex (bfs/sssp)");
-  opt.AddInt("iterations", 5, "iterations (pagerank/bp)");
+  opt.AddInt("source", 0, "source vertex (bfs/sssp)", 0, kInt64Max);
+  // One superstep runs per iteration.
+  opt.AddInt("iterations", 5, "iterations (pagerank/bp)", 0,
+             static_cast<int64_t>(kMaxSupersteps));
   opt.AddInt("seed", 1, "seed");
   opt.AddString("out", "", "write per-vertex results to this file (single run only)");
   opt.AddString("sweep", "",
                 "semicolon-separated knob lists, e.g. \"machines=1,2,4;chunk-kb=128,256\":"
                 " run the cross product as parallel points");
-  opt.AddInt("jobs", 0, "host threads for --sweep / --trace points (0 = all cores)");
+  opt.AddInt("jobs", 0, "host threads for --sweep / --trace points (0 = all cores)", 0,
+             kIntMax);
   // Per-job scheduling metadata — meaningful under --trace / --trace-preset,
   // inert in a one-shot run.
-  opt.AddDouble("arrival-ms", 0.0, "job arrival time in simulated ms (serving mode)");
-  opt.AddInt("priority", 0, "job priority (higher runs first under --policy priority)");
+  opt.AddDouble("arrival-ms", 0.0, "job arrival time in simulated ms (serving mode)", 0.0,
+                MaxTime(kNsPerMs));
+  opt.AddInt("priority", 0, "job priority (higher runs first under --policy priority)",
+             std::numeric_limits<int>::min(), kIntMax);
   opt.AddBool("no-preempt", false, "mark this job non-preemptible");
   opt.AddString("name", "", "job name in the serving report (default: <algo>-<index>)");
   // Serving mode: many jobs on one scheduled cluster.
@@ -119,99 +150,55 @@ void RegisterFlags(Options& opt) {
                 "file with one chaos_run flag line per job; serves them through the"
                 " job scheduler");
   opt.AddString("trace-preset", "",
-                "synthetic arrival trace: uniform|bursty|diurnal (jobs shaped by the"
-                " remaining flags, seeds varied per job)");
-  opt.AddInt("trace-jobs", 12, "jobs generated by --trace-preset");
-  opt.AddDouble("trace-horizon-ms", 1000.0, "arrival horizon for --trace-preset");
+                "synthetic arrival trace (jobs shaped by the remaining flags, seeds varied"
+                " per job)",
+                {"uniform", "bursty", "diurnal"});
+  opt.AddInt("trace-jobs", 12, "jobs generated by --trace-preset", 1, kIntMax);
+  // At least 1 ns.
+  opt.AddDouble("trace-horizon-ms", 1000.0, "arrival horizon for --trace-preset", 1e-6,
+                MaxTime(kNsPerMs));
   opt.AddDouble("high-fraction", 0.25,
-                "--trace-preset probability a job arrives high-priority");
-  opt.AddString("policy", "priority", "serving scheduler: fifo|priority");
-  opt.AddInt("serve-machines", 8, "machines in the serving cluster");
+                "--trace-preset probability a job arrives high-priority", 0.0, 1.0);
+  opt.AddString("policy", "priority", "serving scheduler", {"fifo", "priority"});
+  opt.AddInt("serve-machines", 8, "machines in the serving cluster", 1, kIntMax);
   opt.AddInt("serve-mem-mb", 0,
-             "per-machine memory for admission control in MiB (0 = unlimited)");
-  opt.AddInt("quantum", 4, "preemption quantum in supersteps (--policy priority)");
+             "per-machine memory for admission control in MiB (0 = unlimited)", 0,
+             kInt64Max >> 20);
+  // A quantum of kMaxSupersteps already never preempts: no run gets further.
+  opt.AddInt("quantum", 4, "preemption quantum in supersteps (--policy priority)", 1,
+             static_cast<int64_t>(kMaxSupersteps));
   opt.AddBool("verbose", false, "print the scheduler's event log (serving mode)");
 }
 
-// A time flag given in units of `unit_ns` nanoseconds, as TimeNs; nullopt,
-// after one line on stderr, unless it is finite, >= 0 and its nanosecond
-// count fits in TimeNs.
-std::optional<TimeNs> TimeFlag(const Options& opt, const std::string& name, TimeNs unit_ns) {
-  const double value = opt.GetDouble(name);
-  const double ns = value * static_cast<double>(unit_ns);
-  if (!(value >= 0.0 && ns < 0x1p63)) {  // NaN fails both; 2^63 is past TimeNs
-    std::fprintf(stderr, "--%s must be in [0, %g) (got %g)\n", name.c_str(),
-                 0x1p63 / static_cast<double>(unit_ns), value);
-    return std::nullopt;
-  }
-  return static_cast<TimeNs>(ns);
-}
-
-// False, after one line on stderr, unless the integer flag `name` is in
-// [lo, hi].
-bool IntFlagIn(const Options& opt, const std::string& name, int64_t lo, int64_t hi) {
-  const int64_t value = opt.GetInt(name);
-  if (value >= lo && value <= hi) {
-    return true;
-  }
-  std::fprintf(stderr, "--%s must be in [%lld, %lld] (got %lld)\n", name.c_str(),
-               static_cast<long long>(lo), static_cast<long long>(hi),
-               static_cast<long long>(value));
-  return false;
+// A time flag given in units of `unit_ns` nanoseconds, as TimeNs (its
+// declared range keeps the product inside TimeNs).
+TimeNs TimeFlag(const Options& opt, const std::string& name, TimeNs unit_ns) {
+  return static_cast<TimeNs>(opt.GetDouble(name) * static_cast<double>(unit_ns));
 }
 
 // Builds the JobSpec a parsed flag set describes: load or generate the
 // input, size the cluster, attach fault injection and recovery. This is the
 // single flag -> JobSpec path: the one-shot CLI, every --sweep point and
-// every --trace line all land here. `serving` rejects per-cluster fault
-// flags — a scheduled job cannot carry its own fault schedule.
-std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
+// every --trace line all land here. Parse has checked each flag on its own;
+// what is left are the checks against another flag or the graph, which set
+// `error` to one line. `serving` rejects per-cluster fault flags — a
+// scheduled job cannot carry its own fault schedule.
+std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving,
+                                std::string* error) {
   const std::string algo = opt.GetString("algo");
-  const auto& known = Algorithms();
-  if (std::none_of(known.begin(), known.end(),
-                   [&algo](const AlgorithmInfo& a) { return a.name == algo; })) {
-    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
-    return std::nullopt;
-  }
-  // Upper bounds keep each value inside the type it is converted to. One
-  // superstep runs per iteration, and more than the superstep bound would
-  // abort the run.
-  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
-  if (!IntFlagIn(opt, "machines", 1, kIntMax) ||
-      !IntFlagIn(opt, "partitions-per-machine", 1, kIntMax) ||
-      !IntFlagIn(opt, "chunk-kb", 1, kInt64Max >> 10) ||
-      !IntFlagIn(opt, "iterations", 0, static_cast<int64_t>(kMaxSupersteps)) ||
-      !IntFlagIn(opt, "straggler", -1, kIntMax) ||
-      !IntFlagIn(opt, "kill-machine", -1, kIntMax) ||
-      !IntFlagIn(opt, "cores", 0, kIntMax) ||
-      !IntFlagIn(opt, "mem-mb", 0, kInt64Max >> 20) ||
-      !IntFlagIn(opt, "checkpoint-interval", 0, std::numeric_limits<uint32_t>::max()) ||
-      !IntFlagIn(opt, "priority", std::numeric_limits<int>::min(), kIntMax)) {
-    return std::nullopt;
-  }
-  if (!(opt.GetDouble("alpha") >= 0.0)) {
-    std::fprintf(stderr, "--alpha must be >= 0 (got %g)\n", opt.GetDouble("alpha"));
-    return std::nullopt;
-  }
-  const std::optional<TimeNs> arrival = TimeFlag(opt, "arrival-ms", kNsPerMs);
-  if (!arrival.has_value()) {
-    return std::nullopt;
-  }
   const AlgorithmInfo& info = AlgorithmByName(algo);
   const auto seed = static_cast<uint64_t>(opt.GetInt("seed"));
 
   // ---- Input.
   InputGraph raw;
   if (!opt.GetString("input").empty()) {
-    std::string error;
-    auto loaded = LoadEdgeListBinary(opt.GetString("input"), &error);
+    std::string load_error;
+    auto loaded = LoadEdgeListBinary(opt.GetString("input"), &load_error);
     if (!loaded.has_value()) {
-      loaded = LoadEdgeListText(opt.GetString("input"), &error);
+      loaded = LoadEdgeListText(opt.GetString("input"), &load_error);
     }
     if (!loaded.has_value()) {
-      std::fprintf(stderr, "cannot load %s: %s\n", opt.GetString("input").c_str(),
-                   error.c_str());
+      *error = "cannot load " + opt.GetString("input") + ": " + load_error;
       return std::nullopt;
     }
     raw = std::move(*loaded);
@@ -231,18 +218,14 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     static constexpr ScaleRange kScaleRanges[] = {
         {"rmat", 0, 31}, {"web", 2, 63}, {"grid", 0, 62}, {"uniform", 0, 59}};
     const std::string kind = opt.GetString("generate");
-    const ScaleRange* range =
-        std::find_if(std::begin(kScaleRanges), std::end(kScaleRanges),
-                     [&kind](const ScaleRange& r) { return kind == r.kind; });
-    if (range == std::end(kScaleRanges)) {
-      std::fprintf(stderr, "unknown generator '%s'\n", kind.c_str());
-      return std::nullopt;
-    }
+    const ScaleRange& range =
+        *std::find_if(std::begin(kScaleRanges), std::end(kScaleRanges),
+                      [&kind](const ScaleRange& r) { return kind == r.kind; });
     const int64_t requested = opt.GetInt("scale");
-    if (requested < range->min || requested > range->max) {
-      std::fprintf(stderr, "--scale must be in [%lld, %lld] for --generate %s (got %lld)\n",
-                   static_cast<long long>(range->min), static_cast<long long>(range->max),
-                   kind.c_str(), static_cast<long long>(requested));
+    if (requested < range.min || requested > range.max) {
+      *error = "--scale must be in [" + std::to_string(range.min) + ", " +
+               std::to_string(range.max) + "] for --generate " + kind + " (got " +
+               std::to_string(requested) + ")";
       return std::nullopt;
     }
     const auto scale = static_cast<uint32_t>(requested);
@@ -269,12 +252,10 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     }
   }
   auto prepared = std::make_shared<const InputGraph>(PrepareInput(algo, raw));
-  const int64_t source = opt.GetInt("source");
-  if ((algo == "bfs" || algo == "sssp") &&
-      (source < 0 || static_cast<uint64_t>(source) >= prepared->num_vertices)) {
-    std::fprintf(stderr, "--source must be below the vertex count %llu (got %lld)\n",
-                 static_cast<unsigned long long>(prepared->num_vertices),
-                 static_cast<long long>(source));
+  const auto source = static_cast<uint64_t>(opt.GetInt("source"));
+  if ((algo == "bfs" || algo == "sssp") && source >= prepared->num_vertices) {
+    *error = "--source must be below the vertex count " +
+             std::to_string(prepared->num_vertices) + " (got " + std::to_string(source) + ")";
     return std::nullopt;
   }
   if (!quiet) {
@@ -300,17 +281,10 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   cfg.storage = opt.GetBool("hdd") ? StorageConfig::Hdd() : StorageConfig::Ssd();
   cfg.net = opt.GetBool("slow-net") ? NetworkConfig::OneGigE() : NetworkConfig::FortyGigE();
   cfg.alpha = opt.GetDouble("alpha");
-  if (!ParseStealMode(opt.GetString("steal-mode"), &cfg.steal.mode)) {
-    std::fprintf(stderr, "unknown --steal-mode '%s' (steal_one|steal_half|adaptive)\n",
-                 opt.GetString("steal-mode").c_str());
-    return std::nullopt;
-  }
-  if (cfg.steal.mode == StealMode::kAdaptive) {
-    // The full adaptive runtime: hint-driven escalation plus backoff and
-    // per-phase victim-check hints (see src/core/steal_policy.h).
-    cfg.steal.backoff = true;
-    cfg.steal.victim_check = true;
-  }
+  ParseStealMode(opt.GetString("steal-mode"), &cfg.steal.mode);  // a declared choice
+  // The full adaptive runtime: hint-driven escalation plus backoff and
+  // per-phase victim-check hints (see src/core/steal_policy.h).
+  cfg.steal.backoff_hints = cfg.steal.mode == StealMode::kAdaptive;
   cfg.checkpoint_interval = static_cast<uint32_t>(opt.GetInt("checkpoint-interval"));
   cfg.seed = seed;
   if (opt.GetInt("cores") > 0) {
@@ -324,45 +298,27 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   const auto victim = static_cast<MachineId>(opt.GetInt("straggler"));
   const auto kill_machine = static_cast<MachineId>(opt.GetInt("kill-machine"));
   if (serving && (victim >= 0 || kill_machine >= 0)) {
-    std::fprintf(stderr,
-                 "--straggler/--kill-machine cannot be set on a scheduled job "
-                 "(fault injection is per-cluster; run those one-shot)\n");
+    *error =
+        "--straggler/--kill-machine cannot be set on a scheduled job "
+        "(fault injection is per-cluster; run those one-shot)";
     return std::nullopt;
   }
   if (victim >= 0) {
     if (victim >= cfg.machines) {
-      std::fprintf(stderr, "--straggler must be in [0, %d)\n", cfg.machines);
-      return std::nullopt;
-    }
-    FaultTarget target = FaultTarget::kCpu;
-    if (!ParseFaultTarget(opt.GetString("straggler-target"), &target)) {
-      std::fprintf(stderr, "unknown --straggler-target '%s'\n",
-                   opt.GetString("straggler-target").c_str());
+      *error = "--straggler must be in [0, " + std::to_string(cfg.machines) + ")";
       return std::nullopt;
     }
     const double severity = opt.GetDouble("straggler-severity");
-    if (!(std::isfinite(severity) && severity >= 1.0)) {
-      std::fprintf(stderr, "--straggler-severity must be finite and >= 1 (got %g)\n", severity);
-      return std::nullopt;
-    }
-    const std::optional<TimeNs> at = TimeFlag(opt, "fault-at-ms", kNsPerMs);
-    if (!at.has_value()) {
-      return std::nullopt;
-    }
-    const std::optional<TimeNs> duration = TimeFlag(opt, "fault-duration-ms", kNsPerMs);
-    if (!duration.has_value()) {
-      return std::nullopt;
-    }
     FaultEvent fault;
     fault.machine = victim;
-    fault.target = target;
+    ParseFaultTarget(opt.GetString("straggler-target"), &fault.target);  // a declared choice
     fault.factor = 1.0 / severity;
-    fault.at = *at;
-    fault.duration = *duration;
+    fault.at = TimeFlag(opt, "fault-at-ms", kNsPerMs);
+    fault.duration = TimeFlag(opt, "fault-duration-ms", kNsPerMs);
     cfg.faults.Add(fault);
     if (!quiet) {
       std::printf("injecting: machine %d %s at %.1fx speed (%s)\n", victim,
-                  FaultTargetName(target), 1.0 / severity,
+                  FaultTargetName(fault.target), 1.0 / severity,
                   fault.permanent() ? "permanent" : "transient");
     }
   }
@@ -371,19 +327,15 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   RecoveryOptions recovery;
   if (kill_machine >= 0) {
     if (kill_machine >= cfg.machines) {
-      std::fprintf(stderr, "--kill-machine must be in [0, %d)\n", cfg.machines);
+      *error = "--kill-machine must be in [0, " + std::to_string(cfg.machines) + ")";
       return std::nullopt;
     }
     if (opt.GetBool("rescale") && cfg.machines < 2) {
-      std::fprintf(stderr, "--rescale needs at least 2 machines (cannot shrink below 1)\n");
-      return std::nullopt;
-    }
-    const std::optional<TimeNs> kill_at = TimeFlag(opt, "kill-at", kNsPerSec);
-    if (!kill_at.has_value()) {
+      *error = "--rescale needs at least 2 machines (cannot shrink below 1)";
       return std::nullopt;
     }
     FaultEvent kill;
-    kill.at = *kill_at;
+    kill.at = TimeFlag(opt, "kill-at", kNsPerSec);
     kill.machine = kill_machine;
     kill.target = FaultTarget::kMachine;
     kill.kind = FaultKind::kMachineCrash;
@@ -400,29 +352,10 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
 
   // ---- Evolving mode.
-  if (opt.GetInt("mutate-batches") < 0 ||
-      opt.GetInt("mutate-batches") > std::numeric_limits<uint32_t>::max()) {
-    std::fprintf(stderr, "--mutate-batches must be in [0, %u] (got %lld)\n",
-                 std::numeric_limits<uint32_t>::max(),
-                 static_cast<long long>(opt.GetInt("mutate-batches")));
-    return std::nullopt;
-  }
   const auto mutate_batches = static_cast<uint32_t>(opt.GetInt("mutate-batches"));
-  std::optional<MutatePreset> mutate_preset;
   if (mutate_batches > 0) {
-    const double rate = opt.GetDouble("mutate-rate");
-    if (!(rate > 0.0 && rate <= 1.0)) {  // NaN and inf fail too
-      std::fprintf(stderr, "--mutate-rate must be in (0, 1] (got %g)\n", rate);
-      return std::nullopt;
-    }
     if (algo != "bfs" && algo != "sssp" && algo != "wcc") {
-      std::fprintf(stderr, "--mutate-batches supports bfs/sssp/wcc, not %s\n", algo.c_str());
-      return std::nullopt;
-    }
-    mutate_preset = MutatePresetByName(opt.GetString("mutate-preset"));
-    if (!mutate_preset.has_value()) {
-      std::fprintf(stderr, "unknown --mutate-preset '%s' (uniform|hotspot|churn)\n",
-                   opt.GetString("mutate-preset").c_str());
+      *error = "--mutate-batches supports bfs/sssp/wcc, not " + algo;
       return std::nullopt;
     }
     if (!quiet) {
@@ -434,7 +367,7 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
 
   AlgoParams params;
-  params.source = static_cast<VertexId>(source);
+  params.source = source;
   params.iterations = static_cast<uint32_t>(opt.GetInt("iterations"));
   JobSpec spec = MakeJob(algo, std::move(prepared), cfg, params);
   if (mutate_batches > 0) {
@@ -443,7 +376,7 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
     spec.input = std::make_shared<const InputGraph>(std::move(raw));
     spec.mutations.log.num_batches = mutate_batches;
     spec.mutations.log.rate = opt.GetDouble("mutate-rate");
-    spec.mutations.log.preset = *mutate_preset;
+    spec.mutations.log.preset = MutatePresetByName(opt.GetString("mutate-preset")).value();
     spec.mutations.log.seed = seed;
     spec.mutations.incremental = !opt.GetBool("mutate-full");
   }
@@ -453,7 +386,7 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving) {
   }
   spec.name = opt.GetString("name");
   spec.priority = static_cast<int>(opt.GetInt("priority"));
-  spec.arrival = *arrival;
+  spec.arrival = TimeFlag(opt, "arrival-ms", kNsPerMs);
   spec.preemptible = !opt.GetBool("no-preempt");
   return spec;
 }
@@ -473,8 +406,10 @@ struct RunOutcome {
 // table is produced by the caller after the sweep joins).
 RunOutcome RunOnce(const Options& opt, bool quiet) {
   RunOutcome outcome;
-  std::optional<JobSpec> spec = BuildJob(opt, quiet, /*serving=*/false);
+  std::string error;
+  std::optional<JobSpec> spec = BuildJob(opt, quiet, /*serving=*/false, &error);
   if (!spec.has_value()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return outcome;
   }
   outcome.vertices = spec->input->num_vertices;
@@ -583,13 +518,12 @@ bool LoadTraceFile(const Options& base, const std::string& path,
     }
     std::string error;
     std::optional<Options> job_opt = ParseOverrides(base, std::move(tokens), &error);
-    if (!job_opt.has_value()) {
-      std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), lineno, error.c_str());
-      return false;
+    std::optional<JobSpec> spec;
+    if (job_opt.has_value()) {
+      spec = BuildJob(*job_opt, /*quiet=*/true, /*serving=*/true, &error);
     }
-    std::optional<JobSpec> spec = BuildJob(*job_opt, /*quiet=*/true, /*serving=*/true);
     if (!spec.has_value()) {
-      std::fprintf(stderr, "%s:%d: bad job spec\n", path.c_str(), lineno);
+      std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), lineno, error.c_str());
       return false;
     }
     specs->push_back(std::move(*spec));
@@ -602,41 +536,24 @@ bool LoadTraceFile(const Options& base, const std::string& path,
 // derived seed layered on top (still the one flag -> JobSpec path).
 bool GeneratePresetTrace(const Options& base, TracePreset preset,
                          std::vector<JobSpec>* specs) {
-  if (!IntFlagIn(base, "trace-jobs", 1, std::numeric_limits<int>::max())) {
-    return false;
-  }
-  const std::optional<TimeNs> horizon = TimeFlag(base, "trace-horizon-ms", kNsPerMs);
-  if (!horizon.has_value()) {
-    return false;
-  }
-  if (*horizon < 1) {
-    std::fprintf(stderr, "--trace-horizon-ms must be at least 1 ns (got %g)\n",
-                 base.GetDouble("trace-horizon-ms"));
-    return false;
-  }
-  const double high_fraction = base.GetDouble("high-fraction");
-  if (!(high_fraction >= 0.0 && high_fraction <= 1.0)) {
-    std::fprintf(stderr, "--high-fraction must be in [0, 1] (got %g)\n", high_fraction);
-    return false;
-  }
   TraceOptions topt;
   topt.preset = preset;
   topt.num_jobs = static_cast<int>(base.GetInt("trace-jobs"));
-  topt.horizon = *horizon;
+  topt.horizon = TimeFlag(base, "trace-horizon-ms", kNsPerMs);
   topt.seed = static_cast<uint64_t>(base.GetInt("seed"));
-  topt.high_fraction = high_fraction;
+  topt.high_fraction = base.GetDouble("high-fraction");
   for (const TraceEntry& entry : GenerateTrace(topt)) {
     // The derived seed is folded to 31 bits so it round-trips through the
     // int flag; per-job variety is all it needs to provide.
     std::string error;
     std::optional<Options> job_opt = ParseOverrides(
         base, {"--seed=" + std::to_string(entry.seed & 0x7fffffff)}, &error);
-    if (!job_opt.has_value()) {
-      std::fprintf(stderr, "--trace-preset: %s\n", error.c_str());
-      return false;
+    std::optional<JobSpec> spec;
+    if (job_opt.has_value()) {
+      spec = BuildJob(*job_opt, /*quiet=*/true, /*serving=*/true, &error);
     }
-    std::optional<JobSpec> spec = BuildJob(*job_opt, /*quiet=*/true, /*serving=*/true);
     if (!spec.has_value()) {
+      std::fprintf(stderr, "--trace-preset: %s\n", error.c_str());
       return false;
     }
     spec->arrival = entry.arrival;
@@ -647,34 +564,14 @@ bool GeneratePresetTrace(const Options& base, TracePreset preset,
 }
 
 int RunTrace(const Options& opt) {
-  const std::optional<SchedPolicy> policy = SchedPolicyByName(opt.GetString("policy"));
-  if (!policy.has_value()) {
-    std::fprintf(stderr, "unknown --policy '%s' (want fifo|priority)\n",
-                 opt.GetString("policy").c_str());
-    return 1;
-  }
-  // A quantum of kMaxSupersteps already never preempts: no run gets further.
-  if (!IntFlagIn(opt, "serve-machines", 1, std::numeric_limits<int>::max()) ||
-      !IntFlagIn(opt, "quantum", 1, static_cast<int64_t>(kMaxSupersteps)) ||
-      !IntFlagIn(opt, "serve-mem-mb", 0, std::numeric_limits<int64_t>::max() >> 20)) {
-    return 1;
-  }
-
   std::vector<JobSpec> specs;
   if (!opt.GetString("trace").empty()) {
     if (!LoadTraceFile(opt, opt.GetString("trace"), &specs)) {
       return 1;
     }
-  } else {
-    const auto preset = TracePresetByName(opt.GetString("trace-preset"));
-    if (!preset.has_value()) {
-      std::fprintf(stderr, "unknown --trace-preset '%s' (want uniform|bursty|diurnal)\n",
-                   opt.GetString("trace-preset").c_str());
-      return 1;
-    }
-    if (!GeneratePresetTrace(opt, *preset, &specs)) {
-      return 1;
-    }
+  } else if (!GeneratePresetTrace(opt, TracePresetByName(opt.GetString("trace-preset")).value(),
+                                  &specs)) {
+    return 1;
   }
   if (specs.empty()) {
     std::fprintf(stderr, "trace holds no jobs\n");
@@ -689,7 +586,7 @@ int RunTrace(const Options& opt) {
   ServingConfig serving;
   serving.machines = static_cast<int>(opt.GetInt("serve-machines"));
   serving.machine_memory_bytes = static_cast<uint64_t>(opt.GetInt("serve-mem-mb")) << 20;
-  serving.policy = *policy;
+  serving.policy = SchedPolicyByName(opt.GetString("policy")).value();
   serving.preempt_quantum = static_cast<uint64_t>(opt.GetInt("quantum"));
   serving.jobs = static_cast<int>(opt.GetInt("jobs"));
 
@@ -820,12 +717,13 @@ int RunSweep(const Options& base, const std::vector<SweepKnob>& knobs, int jobs)
 int main(int argc, char** argv) {
   Options opt;
   RegisterFlags(opt);
-  if (auto err = opt.Parse(argc - 1, argv + 1); err || opt.help_requested()) {
-    if (err) {
-      std::fprintf(stderr, "error: %s\n", err->c_str());
-    }
+  if (auto err = opt.Parse(argc - 1, argv + 1)) {
+    std::fprintf(stderr, "error: %s (--help lists the flags)\n", err->c_str());
+    return 1;
+  }
+  if (opt.help_requested()) {
     opt.PrintHelp(argv[0]);
-    return err ? 1 : 0;
+    return 0;
   }
   const bool trace_mode =
       !opt.GetString("trace").empty() || !opt.GetString("trace-preset").empty();

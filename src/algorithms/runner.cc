@@ -111,6 +111,14 @@ const AlgorithmInfo& AlgorithmByName(const std::string& name) {
   return Algorithms().front();
 }
 
+std::vector<std::string> AlgorithmNames() {
+  std::vector<std::string> names;
+  for (const AlgorithmInfo& info : Algorithms()) {
+    names.push_back(info.name);
+  }
+  return names;
+}
+
 InputGraph PrepareInput(const std::string& name, const InputGraph& raw) {
   const AlgorithmInfo& info = AlgorithmByName(name);
   if (info.needs_undirected) {

@@ -31,6 +31,8 @@ struct AlgorithmInfo {
 // The paper's Table 1 set, in its order.
 const std::vector<AlgorithmInfo>& Algorithms();
 const AlgorithmInfo& AlgorithmByName(const std::string& name);
+// The names of Algorithms(), in its order: the choices of an --algo flag.
+std::vector<std::string> AlgorithmNames();
 
 // Applies the required input transformation (undirected / bidirected) for
 // the named algorithm. Weighted inputs keep their weights.

@@ -39,7 +39,6 @@ struct GraphMeta {
 // §5.4) — all data moves through the message bus.
 struct EngineContext {
   Simulator* sim = nullptr;
-  Network* net = nullptr;
   MessageBus* bus = nullptr;
   std::vector<StorageEngine*> storage;
   DirectoryServer* directory = nullptr;  // non-null in kCentralDirectory mode

@@ -344,7 +344,6 @@ RunResult Cluster::Execute(const GraphMeta& meta, const std::vector<uint8_t>& in
   for (MachineId m = 0; m < config_.machines; ++m) {
     EngineContext ctx;
     ctx.sim = &sim_;
-    ctx.net = net_.get();
     ctx.bus = bus_.get();
     for (auto& s : storage_) {
       ctx.storage.push_back(s.get());

@@ -375,7 +375,7 @@ Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId
       if (Dead()) {
         break;
       }
-      if (policy.victim_check && drained[static_cast<size_t>(victim)] != 0) {
+      if (policy.backoff_hints && drained[static_cast<size_t>(victim)] != 0) {
         continue;
       }
       ++metrics_->steal_proposals_sent;
@@ -411,7 +411,7 @@ Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId
       dry_rounds = 0;
       continue;
     }
-    if (!policy.backoff || dry_rounds >= kMaxBackoffRounds) {
+    if (!policy.backoff_hints || dry_rounds >= kMaxBackoffRounds) {
       break;
     }
     // Dry sweep with backoff on: park and retry — work that opens late

@@ -11,14 +11,14 @@
 //               task-indicator hint), escalate subsequent proposals to
 //               steal-half, and de-escalate once a grant exhausts its
 //               victim.
-//   * backoff   a helper whose whole sweep found nothing parks for an
+//   * backoff_hints  STEAL_BACKOFF and VICTIM_CHECK, on together: a
+//               helper whose whole sweep found nothing parks for an
 //               exponentially growing window and retries instead of giving
-//               up immediately (STEAL_BACKOFF) — work that opens late
-//               (e.g. behind a straggler's slow stream) still finds takers.
-//   * victim_check  per-phase task-indicator hints (VICTIM_CHECK): every
-//               proposal response carries "I still have open work"; victims
-//               that said no are skipped for the rest of the phase, cutting
-//               the request storm at large N.
+//               up immediately — work that opens late (e.g. behind a
+//               straggler's slow stream) still finds takers — and, since
+//               every proposal response carries "I still have open work",
+//               skips victims that said no for the rest of the phase,
+//               cutting the request storm at large N.
 //   * steal_domain  2-level steal routing for big clusters: machines are
 //               grouped into domains of `steal_domain` machines and a
 //               helper sweeps in-domain victims before crossing domains
@@ -77,16 +77,14 @@ inline constexpr int kMaxBackoffRounds = 3;
 struct StealPolicy {
   StealMode mode = StealMode::kStealOne;
 
-  // Retry after a grant-free sweep, parking exponentially longer between
+  // Skip victims that already reported "no open work" this phase, and
+  // retry after a grant-free sweep, parking exponentially longer between
   // attempts (initial, doubled per round, capped at max), up to
   // kMaxBackoffRounds rounds; off = give up after the first dry sweep
   // (the pre-policy baseline behavior).
-  bool backoff = false;
+  bool backoff_hints = false;
   TimeNs backoff_initial = 20 * kNsPerUs;
   TimeNs backoff_max = 160 * kNsPerUs;
-
-  // Skip victims that already reported "no open work" this phase.
-  bool victim_check = false;
 
   // >0: sweep victims of my own domain (machine / steal_domain) first.
   int steal_domain = 0;

@@ -181,7 +181,7 @@ struct HelpProposalReq {
 // helper, V + D/(H+1) < alpha * D/H. alpha is the stealing bias of
 // ClusterConfig (Fig. 18 sweeps it; 0 disables stealing). `more_work` is
 // the task-indicator hint (victim still has open partitions); with
-// victim_check on, a helper skips victims that said false for the rest of
+// backoff_hints on, a helper skips victims that said false for the rest of
 // the phase.
 struct HelpProposalResp {
   std::vector<PartitionId> granted;

@@ -118,12 +118,6 @@ EventQueue::Event EventQueue::Pop() {
   return Event{key.time, key.seq, std::move(slab_[key.slot])};
 }
 
-TimeNs EventQueue::PeekTime() {
-  CHAOS_CHECK(size_ > 0);
-  LocateMin();
-  return buckets_[cursor_].back().time;
-}
-
 void EventQueue::Rebuild(size_t new_bucket_count) {
   scratch_.clear();
   scratch_.reserve(size_);

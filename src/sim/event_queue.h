@@ -139,10 +139,6 @@ class EventQueue {
   void Push(TimeNs time, EventFn&& fn);
   // Removes and returns the earliest event. Queue must be non-empty.
   Event Pop();
-  // Time of the earliest event. Non-const because locating the minimum
-  // advances the cursor and sorts its bucket (the logical contents are
-  // unchanged).
-  TimeNs PeekTime();
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }

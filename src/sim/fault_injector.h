@@ -52,6 +52,11 @@ const char* FaultTargetName(FaultTarget target);
 // false on unknown text.
 bool ParseFaultTarget(const std::string& text, FaultTarget* out);
 
+// The largest slowdown (1 / factor) the drivers' severity flags accept: a
+// machine a million times slower is as good as dead (kMachineCrash models
+// that), and far slower ones scale service times past TimeNs.
+inline constexpr double kMaxSlowdown = 1e6;
+
 struct FaultEvent {
   TimeNs at = 0;        // simulated time the degradation begins
   TimeNs duration = 0;  // 0 = permanent for the rest of the run

@@ -29,18 +29,4 @@ uint64_t Simulator::Run() {
   return ran;
 }
 
-bool Simulator::RunUntil(TimeNs deadline) {
-  while (!queue_.empty()) {
-    if (queue_.PeekTime() > deadline) {
-      return false;
-    }
-    EventQueue::Event ev = queue_.Pop();
-    CHAOS_CHECK_GE(ev.time, now_);
-    now_ = ev.time;
-    ev.fn();
-    ++processed_;
-  }
-  return true;
-}
-
 }  // namespace chaos

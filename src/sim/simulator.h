@@ -66,16 +66,11 @@ class Simulator {
   // Runs until the event queue drains. Returns the number of events run.
   uint64_t Run();
 
-  // Runs until the queue drains or simulated time would exceed `deadline`.
-  // Returns true if the queue drained.
-  bool RunUntil(TimeNs deadline);
-
   // Number of spawned root tasks that have not completed. A nonzero value
   // after Run() indicates a protocol deadlock (tests assert on this).
   size_t live_tasks() const { return live_tasks_; }
   uint64_t spawned_tasks() const { return spawned_; }
   uint64_t events_processed() const { return processed_; }
-  size_t pending_events() const { return queue_.size(); }
 
  private:
   static internal::DetachedTask RunDetached(Simulator* sim, Task<> task);

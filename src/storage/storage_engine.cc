@@ -131,10 +131,8 @@ Task<> StorageEngine::Serve() {
     Message m = co_await inbox.Pop();
     switch (m.type) {
       case kReadChunkReq:
-        co_await HandleRead(std::move(m));
-        break;
       case kReadIndexedReq:
-        co_await HandleReadIndexed(std::move(m));
+        co_await HandleRead(std::move(m));
         break;
       case kWriteChunkReq:
         co_await HandleWrite(std::move(m));
@@ -150,25 +148,55 @@ Task<> StorageEngine::Serve() {
   }
 }
 
+// One handler for both read kinds; they differ in how they find the chunk
+// and in when a read consumes it. A sequential read (kReadChunkReq) takes
+// the set's next chunk of the epoch and always consumes it; an indexed read
+// (kReadIndexedReq) takes the chunk with the requested index and consumes
+// it only when asked. Consuming counts the chunk against the epoch's served
+// bytes before the request waits on the pool or the device, since the D
+// estimate (RemainingBytes) reads the store meanwhile.
 Task<> StorageEngine::HandleRead(Message m) {
-  const auto& req = m.As<ReadChunkReq>();
-  auto it = sets_.find(req.set);
+  const bool sequential = m.type == kReadChunkReq;
+  const SetId& set = sequential ? m.As<ReadChunkReq>().set : m.As<ReadIndexedReq>().set;
   ReadChunkResp resp;
+  auto it = sets_.find(set);
   if (it != sets_.end()) {
     SetStore& store = it->second;
-    RollEpoch(store, req.epoch);
-    if (store.cursor < store.chunks.size()) {
-      Chunk& stored = store.chunks[store.cursor++];
+    Chunk* stored = nullptr;
+    bool consume = true;
+    bool preserve_payload = false;
+    if (sequential) {
+      const auto& req = m.As<ReadChunkReq>();
+      RollEpoch(store, req.epoch);
+      if (store.cursor < store.chunks.size()) {
+        stored = &store.chunks[store.cursor++];
+      }
+      // Checkpoint snapshot scans preserve consume-once payloads — the
+      // superstep's real gather still has to drain this set.
+      preserve_payload = req.preserve_payload;
+    } else {
+      const auto& req = m.As<ReadIndexedReq>();
+      auto pos = store.by_index.find(req.index);
+      if (pos != store.by_index.end()) {
+        stored = &store.chunks[pos->second];
+        consume = req.consume;
+        if (consume) {
+          RollEpoch(store, req.epoch);
+        }
+      }
+    }
+    if (stored != nullptr) {
       resp.ok = true;
-      resp.chunk = stored;
-      store.bytes_served_epoch += stored.model_bytes;
-      // Input chunks are consumed exactly once; free the payload early.
-      // Checkpoint snapshot scans preserve it — the superstep's real gather
-      // still has to drain this set.
-      if (!req.preserve_payload &&
-          (req.set.kind == SetKind::kInput || req.set.kind == SetKind::kUpdatesEven ||
-           req.set.kind == SetKind::kUpdatesOdd)) {
-        stored.data.reset();
+      resp.chunk = *stored;
+      if (consume) {
+        store.bytes_served_epoch += stored->model_bytes;
+        // Input and update chunks are consumed exactly once; free the
+        // payload early.
+        if (!preserve_payload &&
+            (set.kind == SetKind::kInput || set.kind == SetKind::kUpdatesEven ||
+             set.kind == SetKind::kUpdatesOdd)) {
+          stored->data.reset();
+        }
       }
     }
   }
@@ -187,44 +215,9 @@ Task<> StorageEngine::HandleRead(Message m) {
     const uint64_t wire = resp.chunk.model_bytes + kControlMsgBytes;
     bus_->PostReply(m, kReadChunkResp, wire, std::move(resp));
   } else {
-    ++empty_responses_;
-    bus_->PostReply(m, kReadChunkResp, kControlMsgBytes, std::move(resp));
-  }
-}
-
-Task<> StorageEngine::HandleReadIndexed(Message m) {
-  const auto& req = m.As<ReadIndexedReq>();
-  auto it = sets_.find(req.set);
-  ReadChunkResp resp;
-  if (it != sets_.end()) {
-    SetStore& store = it->second;
-    auto pos = store.by_index.find(req.index);
-    if (pos != store.by_index.end()) {
-      Chunk& stored = store.chunks[pos->second];
-      resp.ok = true;
-      resp.chunk = stored;
-      if (req.consume) {
-        RollEpoch(store, req.epoch);
-        store.bytes_served_epoch += stored.model_bytes;
-        if (req.set.kind == SetKind::kInput || req.set.kind == SetKind::kUpdatesEven ||
-            req.set.kind == SetKind::kUpdatesOdd) {
-          stored.data.reset();
-        }
-      }
+    if (sequential) {
+      ++empty_responses_;
     }
-  }
-  if (resp.ok) {
-    BufferPool::Lease lease;
-    if (pool_ != nullptr) {
-      lease = co_await pool_->Acquire(resp.chunk.model_bytes);
-    }
-    co_await device_.Acquire(config_.access_latency +
-                             TransferTimeNs(resp.chunk.model_bytes, config_.bandwidth_bps));
-    bytes_read_ += resp.chunk.model_bytes;
-    ++chunks_served_;
-    bus_->PostReply(m, kReadChunkResp, resp.chunk.model_bytes + kControlMsgBytes,
-                    std::move(resp));
-  } else {
     bus_->PostReply(m, kReadChunkResp, kControlMsgBytes, std::move(resp));
   }
 }

@@ -89,8 +89,7 @@ class StorageEngine {
   };
 
   Task<> Serve();
-  Task<> HandleRead(Message m);
-  Task<> HandleReadIndexed(Message m);
+  Task<> HandleRead(Message m);  // kReadChunkReq and kReadIndexedReq
   Task<> HandleWrite(Message m);
   Task<> HandleDelete(Message m);
 

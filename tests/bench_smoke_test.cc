@@ -438,6 +438,21 @@ TEST(BenchSmokeTest, NonFiniteMaxOverheadExitsOne) {
   }
 }
 
+// An --out the driver cannot open is refused before any bench runs.
+TEST(BenchSmokeTest, UnopenableOutFailsBeforeAnyBench) {
+  ASSERT_FALSE(g_bench_path.empty());
+  const std::string log_path = ::testing::TempDir() + "/chaos_bad_out.log";
+  const std::string cmd = ShellQuote(g_bench_path) +
+                          " --bench=fig8 --scale=8 --out=/nonexistent/d/x.json > " +
+                          ShellQuote(log_path) + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string log = ReadWholeFile(log_path);
+  EXPECT_EQ(log.find("=== bench:"), std::string::npos) << log;
+  EXPECT_NE(log.find("/nonexistent/d/x.json"), std::string::npos) << log;
+}
+
 TEST(BenchSmokeTest, ListIncludesAllRegisteredBenches) {
   ASSERT_FALSE(g_bench_path.empty());
   FILE* pipe = popen((ShellQuote(g_bench_path) + " --list").c_str(), "r");

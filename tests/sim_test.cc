@@ -307,17 +307,6 @@ TEST(SimulatorTest, RunReturnsEventCount) {
   EXPECT_EQ(sim.Run(), 10u);
 }
 
-TEST(SimulatorTest, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  int ran = 0;
-  sim.Post(10, [&] { ++ran; });
-  sim.Post(20, [&] { ++ran; });
-  sim.Post(30, [&] { ++ran; });
-  EXPECT_FALSE(sim.RunUntil(25));
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(sim.pending_events(), 1u);
-}
-
 Task<> DelayTwice(Simulator* sim, std::vector<TimeNs>* log) {
   co_await sim->Delay(100);
   log->push_back(sim->now());

@@ -175,8 +175,7 @@ TEST(StealPolicyClusterTest, EveryModeBeatsNoStealingUnderStraggler) {
        {StealMode::kStealOne, StealMode::kStealHalf, StealMode::kAdaptive}) {
     ClusterConfig cfg = PolicyRunConfig(2, 1.0, 4.0);
     cfg.steal.mode = mode;
-    cfg.steal.backoff = true;
-    cfg.steal.victim_check = true;
+    cfg.steal.backoff_hints = true;
     const auto with = RunJob(MakeJob("pagerank", g, cfg));
     EXPECT_LT(with.metrics.total_time, without.metrics.total_time)
         << StealModeName(mode) << " failed to absorb the straggler";
@@ -186,7 +185,7 @@ TEST(StealPolicyClusterTest, EveryModeBeatsNoStealingUnderStraggler) {
 }
 
 // Same seed + same policy => identical simulated trace, for every mode and
-// with the full policy runtime (backoff + victim_check + domains) on.
+// with the full policy runtime (backoff_hints + domains) on.
 TEST(StealPolicyClusterTest, PolicyRunsAreDeterministic) {
   InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
   for (const StealMode mode :
@@ -194,8 +193,7 @@ TEST(StealPolicyClusterTest, PolicyRunsAreDeterministic) {
     auto run = [&] {
       ClusterConfig cfg = PolicyRunConfig(4, 1.0, 4.0);
       cfg.steal.mode = mode;
-      cfg.steal.backoff = true;
-      cfg.steal.victim_check = true;
+      cfg.steal.backoff_hints = true;
       cfg.steal.steal_domain = 2;
       return RunJob(MakeJob("pagerank", g, cfg));
     };
@@ -248,8 +246,7 @@ TEST(LargeClusterTest, AdaptiveRuntimeCompletesAt128Machines) {
                               FaultTarget::kCpu, /*factor=*/0.25});
   }
   cfg.steal.mode = StealMode::kAdaptive;
-  cfg.steal.backoff = true;
-  cfg.steal.victim_check = true;
+  cfg.steal.backoff_hints = true;
   cfg.steal.steal_domain = 8;
   const auto big = RunJob(MakeJob("pagerank", g, cfg));
 

@@ -260,6 +260,8 @@ TEST(OptionsTest, IntRangeIsEnforced) {
   };
   EXPECT_EQ(parse("--machines=1"), "ok 1");
   EXPECT_EQ(parse("--machines=64"), "ok 64");
+  EXPECT_EQ(parse("--machines=010"), "ok 10");
+  EXPECT_EQ(parse("--machines=08"), "ok 8");
   EXPECT_EQ(parse("--machines=0"), "flag --machines must be in [1, 64], got 0");
   EXPECT_EQ(parse("--machines=-3"), "flag --machines must be in [1, 64], got -3");
   EXPECT_EQ(parse("--machines=65"), "flag --machines must be in [1, 64], got 65");
@@ -270,6 +272,101 @@ TEST(OptionsTest, IntRangeIsEnforced) {
   char arg0[] = "--n=-99999999999999999999";
   char* argv[] = {arg0};
   EXPECT_TRUE(unbounded.Parse(1, argv).has_value());
+}
+
+// Parses one `--name=value` argument; returns the error text, or "ok".
+std::string ParseOne(Options& opt, const std::string& arg) {
+  std::string text = arg;
+  char* argv[] = {text.data()};
+  return opt.Parse(1, argv).value_or("ok");
+}
+
+// Both bounds are inclusive; NaN is always refused, and infinity past a
+// finite bound.
+TEST(OptionsTest, DoubleRangeIsEnforced) {
+  Options opt;
+  opt.AddDouble("rate", 0.5, "", 0.0, 1.0);
+  opt.AddDouble("alpha", 1.0, "", 0.0, Options::kInf);
+  EXPECT_EQ(ParseOne(opt, "--rate=0"), "ok");
+  EXPECT_EQ(ParseOne(opt, "--rate=1"), "ok");
+  EXPECT_DOUBLE_EQ(opt.GetDouble("rate"), 1.0);
+  EXPECT_EQ(ParseOne(opt, "--rate=1.0001"), "flag --rate must be in [0, 1], got 1.0001");
+  EXPECT_EQ(ParseOne(opt, "--rate=-0.1"), "flag --rate must be in [0, 1], got -0.1");
+  EXPECT_EQ(ParseOne(opt, "--rate=nan"), "flag --rate must be in [0, 1], got nan");
+  EXPECT_EQ(ParseOne(opt, "--rate=inf"), "flag --rate must be in [0, 1], got inf");
+  EXPECT_EQ(ParseOne(opt, "--alpha=inf"), "ok");
+  EXPECT_EQ(opt.GetDouble("alpha"), Options::kInf);
+  EXPECT_EQ(ParseOne(opt, "--alpha=nan"), "flag --alpha must be in [0, inf], got nan");
+  EXPECT_EQ(ParseOne(opt, "--alpha=-inf"), "flag --alpha must be in [0, inf], got -inf");
+  Options unbounded;
+  unbounded.AddDouble("x", 0.0, "");
+  EXPECT_EQ(ParseOne(unbounded, "--x=-inf"), "ok");
+  EXPECT_EQ(ParseOne(unbounded, "--x=nan"), "flag --x must be in [-inf, inf], got nan");
+}
+
+// A default outside the declared values is a sentinel that stays valid.
+TEST(OptionsTest, DefaultOutsideTheRangeIsASentinel) {
+  Options opt;
+  opt.AddDouble("bw", 0.0, "0 = profile default", 1.0, 100.0);
+  opt.AddInt("victim", -1, "-1 = none", 0, 7);
+  opt.AddString("preset", "", "empty = off", {"uniform", "bursty"});
+  EXPECT_EQ(ParseOne(opt, "--bw=0"), "ok");
+  EXPECT_EQ(ParseOne(opt, "--bw=0.5"), "flag --bw must be in [1, 100], got 0.5");
+  EXPECT_EQ(ParseOne(opt, "--victim=-1"), "ok");
+  EXPECT_EQ(ParseOne(opt, "--victim=-2"), "flag --victim must be in [0, 7], got -2");
+  EXPECT_EQ(ParseOne(opt, "--preset="), "ok");
+}
+
+TEST(OptionsTest, ChoicesAreEnforced) {
+  Options opt;
+  opt.AddString("mode", "steal_one", "", {"steal_one", "steal_half"});
+  EXPECT_EQ(ParseOne(opt, "--mode=steal_half"), "ok");
+  EXPECT_EQ(opt.GetString("mode"), "steal_half");
+  EXPECT_EQ(ParseOne(opt, "--mode=steal_two"),
+            "flag --mode must be one of steal_one|steal_half, got 'steal_two'");
+}
+
+// A list flag checks every item like its scalar flag; empty items drop,
+// but a non-empty value must list one.
+TEST(OptionsTest, ListItemsAreChecked) {
+  Options opt;
+  opt.AddIntList("machines", "4,32", "", 1, 64);
+  opt.AddStringList("algos", "", "", {"bfs", "wcc"});
+  EXPECT_EQ(opt.GetIntList("machines"), (std::vector<int64_t>{4, 32}));
+  EXPECT_TRUE(opt.GetStringList("algos").empty());
+  EXPECT_EQ(ParseOne(opt, "--machines=2,,8,"), "ok");
+  EXPECT_EQ(opt.GetIntList("machines"), (std::vector<int64_t>{2, 8}));
+  EXPECT_EQ(ParseOne(opt, "--machines=4.7"), "flag --machines expects an integer, got '4.7'");
+  EXPECT_EQ(ParseOne(opt, "--machines=8,0"), "flag --machines must be in [1, 64], got 0");
+  EXPECT_EQ(opt.GetIntList("machines"), (std::vector<int64_t>{2, 8}));  // refused: unchanged
+  EXPECT_EQ(ParseOne(opt, "--machines=abc"), "flag --machines expects an integer, got 'abc'");
+  EXPECT_EQ(ParseOne(opt, "--algos=wcc,bfs"), "ok");
+  EXPECT_EQ(opt.GetStringList("algos"), (std::vector<std::string>{"wcc", "bfs"}));
+  EXPECT_EQ(ParseOne(opt, "--algos=bfs,nosuch"),
+            "flag --algos must be one of bfs|wcc, got 'nosuch'");
+  EXPECT_EQ(ParseOne(opt, "--algos=,"), "flag --algos lists no items, got ','");
+  EXPECT_EQ(ParseOne(opt, "--algos="), "ok");
+  EXPECT_TRUE(opt.GetStringList("algos").empty());
+}
+
+// With an `unknown` list, unregistered flags and positional arguments are
+// collected in order instead of refused; registered ones still parse.
+TEST(OptionsTest, UnknownArgumentsCanBeCollected) {
+  Options opt;
+  opt.AddInt("trials", 1, "", 1, 10);
+  opt.AddBool("list", false, "");
+  std::string args[] = {"--scale", "10", "--trials=3", "--min-ms=5", "--list"};
+  char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data(),
+                  args[4].data()};
+  std::vector<std::string> unknown;
+  EXPECT_FALSE(opt.Parse(5, argv, &unknown).has_value());
+  EXPECT_EQ(unknown, (std::vector<std::string>{"--scale", "10", "--min-ms=5"}));
+  EXPECT_EQ(opt.GetInt("trials"), 3);
+  EXPECT_TRUE(opt.GetBool("list"));
+  char bad[] = "--trials=0";
+  char* bad_argv[] = {bad};
+  EXPECT_EQ(opt.Parse(1, bad_argv, &unknown).value_or("ok"),
+            "flag --trials must be in [1, 10], got 0");
 }
 
 TEST(OptionsTest, HelpRequested) {
