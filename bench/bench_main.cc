@@ -6,6 +6,7 @@
 //   chaos_bench --bench=micro,fig8,fig_memory --out=baseline.json
 //   chaos_bench --bench=all --out=results.json --jobs=8
 //   chaos_bench --bench=fig8 --scale=14          (extra flags forwarded)
+//   chaos_bench --bench=fig8,table1 --help       (each bench's flags, no run)
 //
 // Driver-level flags (--bench, --trials, --out, --jobs, --list, --help) are
 // consumed here; everything else is forwarded verbatim to the selected
@@ -97,27 +98,31 @@ std::vector<const BenchEntry*> SortedRegistry() {
   return entries;
 }
 
+// Calls the bench with a rebuilt argv: argv[0] is the bench name, the rest
+// are `flags`. Each call gets a fresh copy because benches may permute argv
+// while parsing.
+int CallBench(const BenchEntry& entry, const std::vector<std::string>& flags) {
+  std::vector<std::string> args;
+  args.push_back(entry.name);
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (auto& a : args) {
+    argv.push_back(a.data());
+  }
+  return entry.fn(static_cast<int>(argv.size()), argv.data());
+}
+
 int RunOne(const BenchEntry& entry, int trials, const std::vector<std::string>& forwarded,
            std::vector<BenchResult>* results) {
-  // Rebuild an argv for the bench: argv[0] is the bench name, the rest are
-  // the forwarded flags. Each trial gets a fresh copy because benches may
-  // permute argv while parsing.
   int worst = 0;
   BenchResult result;
   result.name = entry.name;
   result.description = entry.description;
   for (int trial = 0; trial < trials; ++trial) {
-    std::vector<std::string> args;
-    args.push_back(entry.name);
-    args.insert(args.end(), forwarded.begin(), forwarded.end());
-    std::vector<char*> argv;
-    argv.reserve(args.size());
-    for (auto& a : args) {
-      argv.push_back(a.data());
-    }
     TakeRecordedMetrics();  // drop leftovers from a failed earlier trial
     const auto start = std::chrono::steady_clock::now();
-    const int rc = entry.fn(static_cast<int>(argv.size()), argv.data());
+    const int rc = CallBench(entry, forwarded);
     const auto end = std::chrono::steady_clock::now();
     TrialResult t;
     t.trial = trial;
@@ -214,21 +219,36 @@ int DriverMain(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", err->c_str());
     return 2;
   }
-  const std::vector<std::string>& bench = driver.GetStringList("bench");
   if (driver.GetBool("list")) {
     for (const BenchEntry* entry : SortedRegistry()) {
       std::printf("%-10s %s\n", entry->name.c_str(), entry->description.c_str());
     }
     return 0;
   }
-  if (driver.help_requested()) {
-    if (bench.empty()) {
-      PrintUsage(stdout, argv[0]);
-      return 0;
+  // --bench runs its benches in the given order; "all" is the sorted
+  // registry.
+  std::vector<const BenchEntry*> to_run;
+  for (const std::string& name : driver.GetStringList("bench")) {
+    if (name == "all") {
+      const std::vector<const BenchEntry*> all = SortedRegistry();
+      to_run.insert(to_run.end(), all.begin(), all.end());
+    } else {
+      to_run.push_back(FindBench(name));
     }
-    forwarded.push_back("--help");
   }
-  if (bench.empty()) {
+  if (driver.help_requested()) {
+    if (to_run.empty()) {
+      PrintUsage(stdout, argv[0]);
+    }
+    // Each named bench prints its flags; the other flags are not parsed.
+    // Help is not a trial: no JSON, and the benches' "not run" status is
+    // not the driver's.
+    for (const BenchEntry* entry : to_run) {
+      CallBench(*entry, {"--help"});
+    }
+    return 0;
+  }
+  if (to_run.empty()) {
     PrintUsage(stderr, argv[0]);
     return 2;
   }
@@ -237,18 +257,6 @@ int DriverMain(int argc, char** argv) {
   // resolved count back for the JSON record.
   SetSweepJobs(static_cast<int>(driver.GetInt("jobs")));
   const int jobs = SharedSweepExecutor().jobs();
-
-  // --bench runs its benches in the given order; "all" is the sorted
-  // registry.
-  std::vector<const BenchEntry*> to_run;
-  for (const std::string& name : bench) {
-    if (name == "all") {
-      const std::vector<const BenchEntry*> all = SortedRegistry();
-      to_run.insert(to_run.end(), all.begin(), all.end());
-    } else {
-      to_run.push_back(FindBench(name));
-    }
-  }
 
   // Opened before the first bench, so an unwritable path wastes no run.
   const std::string& out_path = driver.GetString("out");

@@ -356,7 +356,7 @@ uint64_t RunArenaBinnerBatch(RecordBinner* binner) {
   // Drain parked chunks after the bin loop, like the engine's between-chunk
   // FlushPending (the per-record path never polls the pending queue).
   while (binner->HasPending()) {
-    parked.push_back(binner->PopPendingForTest().second);
+    parked.push_back(binner->PopPending().second);
   }
   uint64_t acc = 0;
   for (int s = 0; s < kScanPasses; ++s) {
@@ -466,7 +466,7 @@ uint64_t RunSoaUpdateBatch(RecordBinner* binner) {
                       i ^ 0x9e3779b9u, static_cast<float>(i & 0xff) + 1.0f);
   }
   while (binner->HasPending()) {
-    parked.push_back(binner->PopPendingForTest().second);
+    parked.push_back(binner->PopPending().second);
   }
   uint64_t acc = 0;
   for (int s = 0; s < kUpdateScanPasses; ++s) {

@@ -42,15 +42,9 @@ CHAOS_BENCH_MAIN(table1, "Table 1: single-machine runtime, X-Stream vs Chaos") {
           std::max<uint64_t>(prepared.num_vertices * 48 / 4 + 1, 4 << 10);
       ccfg.chunk_bytes = std::min<uint64_t>(
           std::max<uint64_t>(prepared.input_wire_bytes() / 128 + 1, 2 << 10), 4ull << 20);
-      XStreamConfig xcfg;
-      xcfg.memory_budget_bytes = ccfg.memory_budget_bytes;
-      xcfg.chunk_bytes = ccfg.chunk_bytes;
-      xcfg.prefetch_window = ccfg.fetch_window;
-      xcfg.storage = ccfg.storage;
-      xcfg.cost = ccfg.cost;
 
       Row row;
-      row.xstream_s = ToSeconds(RunXStreamAlgorithm(name, prepared, xcfg).total_time);
+      row.xstream_s = ToSeconds(RunXStreamAlgorithm(name, prepared, ccfg).total_time);
       row.chaos_s = RunJob(MakeJob(name, prepared, ccfg)).metrics.total_seconds();
       return row;
     });

@@ -13,57 +13,47 @@
 namespace chaos {
 namespace {
 
-// Calls `fn(prog)` with the named algorithm's program instance. Both
-// type-erased entry points funnel through here.
-template <typename Fn>
-auto DispatchAlgorithm(const std::string& name, const AlgoParams& params, Fn&& fn) {
-  if (name == "bfs") {
-    return fn(BfsProgram(params.source));
-  }
-  if (name == "wcc") {
-    return fn(WccProgram{});
-  }
-  if (name == "mcst") {
-    return fn(McstProgram{});
-  }
-  if (name == "mis") {
-    return fn(MisProgram{});
-  }
-  if (name == "sssp") {
-    return fn(SsspProgram(params.source));
-  }
-  if (name == "pagerank") {
-    return fn(PageRankProgram(params.iterations, params.damping));
-  }
-  if (name == "scc") {
-    return fn(SccProgram{});
-  }
-  if (name == "conductance") {
-    return fn(ConductanceProgram{});
-  }
-  if (name == "spmv") {
-    return fn(SpmvProgram{});
-  }
-  if (name == "bp") {
-    return fn(BpProgram(params.iterations));
-  }
-  CHAOS_CHECK_MSG(false, "unknown algorithm: " + name);
-  return fn(BfsProgram(params.source));
+template <GasProgram P>
+std::shared_ptr<const ProgramKernel> Kernel(P prog) {
+  return std::make_shared<GasKernel<P>>(std::move(prog));
 }
 
-template <GasProgram P>
-XStreamRunResult RunXStreamWith(P prog, const InputGraph& input, const XStreamConfig& config) {
-  XStreamEngine<P> engine(config, std::move(prog));
-  XStreamResult<P> run = engine.Run(input);
-  XStreamRunResult result;
-  result.values = std::move(run.values);
-  result.supersteps = run.supersteps;
-  result.total_time = run.total_time;
-  result.preprocess_time = run.preprocess_time;
-  result.bytes_moved = run.bytes_read + run.bytes_written;
-  result.output_records = run.outputs.size();
-  result.scalar = ProgramScalar<P>(run.final_global, run.outputs);
-  return result;
+// The named algorithm's program kernel: the one place a static program
+// binds its GasKernel<P>, for the cluster and the X-Stream baseline alike.
+std::shared_ptr<const ProgramKernel> MakeKernel(const std::string& name,
+                                                const AlgoParams& params) {
+  if (name == "bfs") {
+    return Kernel(BfsProgram(params.source));
+  }
+  if (name == "wcc") {
+    return Kernel(WccProgram{});
+  }
+  if (name == "mcst") {
+    return Kernel(McstProgram{});
+  }
+  if (name == "mis") {
+    return Kernel(MisProgram{});
+  }
+  if (name == "sssp") {
+    return Kernel(SsspProgram(params.source));
+  }
+  if (name == "pagerank") {
+    return Kernel(PageRankProgram(params.iterations, params.damping));
+  }
+  if (name == "scc") {
+    return Kernel(SccProgram{});
+  }
+  if (name == "conductance") {
+    return Kernel(ConductanceProgram{});
+  }
+  if (name == "spmv") {
+    return Kernel(SpmvProgram{});
+  }
+  if (name == "bp") {
+    return Kernel(BpProgram(params.iterations));
+  }
+  CHAOS_CHECK_MSG(false, "unknown algorithm: " + name);
+  return nullptr;
 }
 
 // Evolving runs bind their own program set: BFS swaps to the warm-startable
@@ -167,15 +157,11 @@ std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec) {
           prepared_spec.input =
               std::shared_ptr<const InputGraph>(ctrl, &ctrl->initial_prepared());
           return std::make_unique<JobExecution>(
-              std::move(prepared_spec), std::make_shared<GasKernel<P>>(std::move(prog)),
+              std::move(prepared_spec), Kernel(std::move(prog)),
               [ctrl](Cluster* cluster, uint64_t epoch) { ctrl->Attach(cluster, epoch); });
         });
   }
-  return std::make_unique<JobExecution>(
-      spec, DispatchAlgorithm(spec.algorithm, spec.params,
-                              [](auto prog) -> std::shared_ptr<const ProgramKernel> {
-                                return std::make_shared<GasKernel<decltype(prog)>>(std::move(prog));
-                              }));
+  return std::make_unique<JobExecution>(spec, MakeKernel(spec.algorithm, spec.params));
 }
 
 TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfig& serving) {
@@ -201,11 +187,9 @@ TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfi
   return out;
 }
 
-XStreamRunResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,
-                                     const XStreamConfig& config, const AlgoParams& params) {
-  return DispatchAlgorithm(name, params, [&](auto prog) {
-    return RunXStreamWith(std::move(prog), prepared, config);
-  });
+XStreamResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,
+                                  const ClusterConfig& config, const AlgoParams& params) {
+  return XStreamEngine(config, MakeKernel(name, params)).Run(prepared);
 }
 
 }  // namespace chaos

@@ -76,19 +76,11 @@ TraceRunResult RunJobTrace(const std::vector<JobSpec>& specs, const ServingConfi
 // on the replacement cluster and completes.
 std::unique_ptr<JobExecution> MakeJobExecution(const JobSpec& spec);
 
-struct XStreamRunResult {
-  std::vector<double> values;
-  double scalar = 0.0;
-  uint64_t output_records = 0;
-  uint64_t supersteps = 0;
-  TimeNs total_time = 0;
-  TimeNs preprocess_time = 0;
-  uint64_t bytes_moved = 0;
-};
-
-// Runs the named algorithm on the single-machine X-Stream baseline.
-XStreamRunResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,
-                                     const XStreamConfig& config, const AlgoParams& params = {});
+// Runs the named algorithm on the single-machine X-Stream baseline
+// (baselines/xstream.h), which reads its device, chunking and memory budget
+// from `config`.
+XStreamResult RunXStreamAlgorithm(const std::string& name, const InputGraph& prepared,
+                                  const ClusterConfig& config, const AlgoParams& params = {});
 
 }  // namespace chaos
 

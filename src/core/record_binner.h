@@ -28,14 +28,14 @@
 // quantum boundaries, every flush destination is 16-byte aligned (the
 // block base is 64-byte aligned, each column region starts at a multiple of
 // 64 and a quantum of any column is a multiple of 16 bytes), and a block at
-// a quantum boundary always has a quantum of room. FlushAll() sends a
+// a quantum boundary always has a quantum of room. ParkAll() sends a
 // part-filled stage through the same Flush(): the stale slots past its
 // count land past the fill, and the tail chunk is compacted by count into
 // an exact-size payload, so they never reach a chunk.
 //
 // The per-record path allocates nothing (tests/hotpath_alloc_test.cc).
 // Add() is synchronous; parked chunks are written by the owning coroutine
-// between chunks (FlushPending / FlushAll).
+// between chunks (FlushPending / FlushAll), or drained by PopPending.
 #ifndef CHAOS_CORE_RECORD_BINNER_H_
 #define CHAOS_CORE_RECORD_BINNER_H_
 
@@ -176,43 +176,47 @@ class RecordBinner {
   // 32-bit index wraparound without binning 2^32 chunks).
   void set_next_index_for_test(uint64_t index) { next_index_ = index; }
 
-  // Test hook: drains the oldest parked chunk without a ChunkWriter.
-  std::pair<PartitionId, Chunk> PopPendingForTest() {
+  // Drains the oldest parked chunk, for callers that store chunks without a
+  // ChunkWriter (the X-Stream baseline, tests).
+  std::pair<PartitionId, Chunk> PopPending() {
     CHAOS_CHECK(HasPending());
     std::pair<PartitionId, Chunk> out = std::move(pending_[pending_head_]);
     ++pending_head_;
     if (pending_head_ == pending_.size()) {
-      pending_.clear();
+      pending_.clear();  // keeps capacity; the park path stays alloc-free
       pending_head_ = 0;
     }
     return out;
   }
 
   Task<> FlushPending(ChunkWriter* writer, SetKind kind) {
-    while (pending_head_ < pending_.size()) {
+    while (HasPending()) {
       // NOTE: named locals (not braced temporaries) around coroutine calls;
       // g++ 12 miscompiles braced aggregate temporaries passed directly as
       // coroutine arguments (see docs in sim/task.h).
-      const PartitionId p = pending_[pending_head_].first;
-      Chunk chunk = std::move(pending_[pending_head_].second);
-      ++pending_head_;
-      if (pending_head_ == pending_.size()) {
-        pending_.clear();  // keeps capacity; the park path stays alloc-free
-        pending_head_ = 0;
-      }
-      const SetId target{p, kind};
-      co_await writer->Write(target, std::move(chunk), parts_->Master(p));
+      std::pair<PartitionId, Chunk> parked = PopPending();
+      const SetId target{parked.first, kind};
+      co_await writer->Write(target, std::move(parked.second), parts_->Master(parked.first));
     }
   }
 
   Task<> FlushAll(ChunkWriter* writer, SetKind kind) {
-    ParkPartialFills();
+    ParkAll();
     co_await FlushPending(writer, kind);
   }
 
-  // Test hook: parks every partial fill, staged records included, without
-  // needing a ChunkWriter.
-  void ParkAllForTest() { ParkPartialFills(); }
+  // Parks every partial fill, staged records included: the tail chunk of
+  // each partition with records left.
+  void ParkAll() {
+    for (PartitionId p = 0; p < bins_.size(); ++p) {
+      if (stage_count_[p] != 0) {
+        Flush(p);  // a part-filled stage leaves the block short of full
+      }
+      if (bins_[p].filled != 0) {
+        Park(p);
+      }
+    }
+  }
 
  private:
   struct Bin {
@@ -269,17 +273,6 @@ class RecordBinner {
 #endif
   }
 
-  void ParkPartialFills() {
-    for (PartitionId p = 0; p < bins_.size(); ++p) {
-      if (stage_count_[p] != 0) {
-        Flush(p);  // a part-filled stage leaves the block short of full
-      }
-      if (bins_[p].filled != 0) {
-        Park(p);
-      }
-    }
-  }
-
   // Finishes the partition's fill block as a pending chunk.
   void Park(PartitionId p) {
 #if CHAOS_BINNER_HAS_NT_STORES
@@ -305,7 +298,7 @@ class RecordBinner {
     } else {
       // Tail chunk: column offsets depend on the count, so copy `count`
       // records of each capacity-offset column into an exact-size payload.
-      // Only FlushAll parks part-filled blocks.
+      // Only ParkAll parks part-filled blocks.
       std::shared_ptr<uint8_t> payload = arena_->LeaseShared(chunk.payload_bytes);
       uint64_t before = 0;
       for (uint32_t c = 0; c < num_columns_; ++c) {

@@ -375,10 +375,17 @@ TEST(BenchDeterminismTest, Fig12Fig13FigMemoryIdenticalAcrossJobCounts) {
   ExpectJobsInvariant("fig_memory", "--scale=9", /*records_sim_s=*/false);
 }
 
+// serving's own gate (bitwise job results, priority beating FIFO) fails
+// the run; it records no sim_s.
+TEST(BenchDeterminismTest, ServingIdenticalAcrossJobCounts) {
+  ExpectJobsInvariant("serving", "", /*records_sim_s=*/false);
+}
+
 // Every bench that no gate runs, at tiny flags. fig5, fig14, fig17 and
 // fig20 record no sim_s; fig20's grid partitioner cost is pinned so its
 // table is simulated only. fig14's trailing comma checks that empty list
-// items drop.
+// items drop. table1's Chaos column is pinned: its X-Stream baseline shares
+// Chaos's kernels and chunking, and nothing on X-Stream's side may move it.
 TEST(BenchDeterminismTest, UngatedBenchesIdenticalAcrossJobCounts) {
   struct Case {
     const char* bench;
@@ -399,12 +406,25 @@ TEST(BenchDeterminismTest, UngatedBenchesIdenticalAcrossJobCounts) {
       {"fig18", "--scale=8 --machines=4", true},
       {"fig19", "--scale=8", true},
       {"fig20", "--scale=8 --machines=4 --grid-ns-per-edge=5", false},
-      {"table1", "--scale=8", true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.bench);
     ExpectJobsInvariant(c.bench, c.flags, c.records_sim_s);
   }
+  SCOPED_TRACE("table1");
+  ExpectJobsInvariant("table1", "--scale=8", /*records_sim_s=*/true,
+                      {
+                          {"table1.bfs.chaos_sim_s", 0.03584},
+                          {"table1.wcc.chaos_sim_s", 0.0524},
+                          {"table1.mcst.chaos_sim_s", 0.28596},
+                          {"table1.mis.chaos_sim_s", 0.10402},
+                          {"table1.sssp.chaos_sim_s", 0.07966},
+                          {"table1.pagerank.chaos_sim_s", 0.0309},
+                          {"table1.scc.chaos_sim_s", 0.12782},
+                          {"table1.conductance.chaos_sim_s", 0.00852},
+                          {"table1.spmv.chaos_sim_s", 0.00896},
+                          {"table1.bp.chaos_sim_s", 0.03068},
+                      });
 }
 
 // A bad --algos list is refused up front with exit 1 and a message, not a
@@ -451,6 +471,29 @@ TEST(BenchSmokeTest, UnopenableOutFailsBeforeAnyBench) {
   const std::string log = ReadWholeFile(log_path);
   EXPECT_EQ(log.find("=== bench:"), std::string::npos) << log;
   EXPECT_NE(log.find("/nonexistent/d/x.json"), std::string::npos) << log;
+}
+
+// --help with a bench list prints each bench's flags once and exits 0.
+// Help is not a trial: nothing runs and no JSON is written.
+TEST(BenchSmokeTest, HelpWithBenchListExitsZero) {
+  ASSERT_FALSE(g_bench_path.empty());
+  const std::string log_path = ::testing::TempDir() + "/chaos_help.log";
+  const std::string out_path = ::testing::TempDir() + "/chaos_help.json";
+  std::remove(out_path.c_str());
+  const std::string cmd = ShellQuote(g_bench_path) + " --bench=fig5,table1 --help --out=" +
+                          ShellQuote(out_path) + " > " + ShellQuote(log_path) + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const std::string log = ReadWholeFile(log_path);
+  for (const char* line : {"usage: fig5 [flags]", "--max-machines", "usage: table1 [flags]",
+                           "--scale"}) {
+    const size_t at = log.find(line);
+    EXPECT_NE(at, std::string::npos) << line << " missing:\n" << log;
+    EXPECT_EQ(log.find(line, at + 1), std::string::npos) << line << " repeated:\n" << log;
+  }
+  EXPECT_EQ(log.find("=== bench:"), std::string::npos) << log;
+  EXPECT_FALSE(std::ifstream(out_path).good()) << "--help wrote " << out_path;
 }
 
 TEST(BenchSmokeTest, ListIncludesAllRegisteredBenches) {

@@ -240,7 +240,7 @@ TEST(RecordBinnerTest, OversizedRecordsParkEveryQuantum) {
   }
   for (uint32_t k = 0; k < 2; ++k) {
     ASSERT_TRUE(binner.HasPending());
-    const auto parked = binner.PopPendingForTest();
+    const auto parked = binner.PopPending();
     EXPECT_EQ(parked.first, p);
     EXPECT_EQ(parked.second.count, kQ);
     EXPECT_EQ(parked.second.model_bytes, kQ * 64u);
@@ -264,8 +264,8 @@ TEST(RecordBinnerTest, IndexCrossesThirtyTwoBitsWithoutWrapping) {
   for (uint32_t i = 0; i < 2 * RecordBinner::kQuantum; ++i) {
     binner.AddUpdate(parts.PartitionOf(0), VertexId{0}, static_cast<float>(i));
   }
-  auto first = binner.PopPendingForTest();
-  auto second = binner.PopPendingForTest();
+  auto first = binner.PopPending();
+  auto second = binner.PopPending();
   EXPECT_EQ(first.second.index, (1ull << 32) - 1);
   EXPECT_EQ(second.second.index, 1ull << 32);  // not 0
   static_assert(std::is_same_v<decltype(Chunk::index), uint64_t>);
@@ -337,14 +337,14 @@ uint64_t ExpectBinnerMatchesReference(uint64_t seed) {
     }
     if (rng.Below(64) == 0) {  // drain between adds, like FlushPending
       while (binner.HasPending()) {
-        got.push_back(binner.PopPendingForTest());
+        got.push_back(binner.PopPending());
       }
     }
   }
   EXPECT_EQ(binner.emitted(), total) << what;
-  binner.ParkAllForTest();
+  binner.ParkAll();
   while (binner.HasPending()) {
-    got.push_back(binner.PopPendingForTest());
+    got.push_back(binner.PopPending());
   }
   for (PartitionId p = 0; p < partitions; ++p) {
     if (!bins[p].empty()) {
@@ -502,7 +502,7 @@ TEST(EdgeChunkViewTest, BinnerParksSoaChunksThatRoundTrip) {
     binner.Add(/*p=*/0, e);
   }
   ASSERT_TRUE(binner.HasPending());
-  auto parked = binner.PopPendingForTest();
+  auto parked = binner.PopPending();
   const Chunk& c = parked.second;
   EXPECT_EQ(c.layout, ChunkLayout::kEdgeSoA);
   EXPECT_EQ(c.count, 64u);
@@ -535,11 +535,11 @@ TEST(EdgeChunkViewTest, BinnerParksStagedSoaTailsThatRoundTrip) {
   }
   EXPECT_EQ(binner.emitted(), 40u);
   EXPECT_FALSE(binner.HasPending());  // nothing filled a chunk
-  binner.ParkAllForTest();
+  binner.ParkAll();
   ASSERT_TRUE(binner.HasPending());
-  auto first = binner.PopPendingForTest();
+  auto first = binner.PopPending();
   ASSERT_TRUE(binner.HasPending());
-  auto second = binner.PopPendingForTest();
+  auto second = binner.PopPending();
   EXPECT_FALSE(binner.HasPending());
   const Chunk& c0 = first.first == 0 ? first.second : second.second;
   const Chunk& c1 = first.first == 0 ? second.second : first.second;
@@ -612,7 +612,7 @@ TEST(UpdateChunkViewTest, BinnerParksSoaUpdateChunksThatRoundTrip) {
     binner.AddUpdate(/*p=*/0, u.dst, u.value);
   }
   ASSERT_TRUE(binner.HasPending());
-  auto parked = binner.PopPendingForTest();
+  auto parked = binner.PopPending();
   const Chunk& c = parked.second;
   EXPECT_EQ(c.layout, ChunkLayout::kUpdateSoA);
   EXPECT_EQ(c.count, 64u);
@@ -641,11 +641,11 @@ TEST(UpdateChunkViewTest, BinnerParksStagedUpdateTailsThatRoundTrip) {
   }
   EXPECT_EQ(binner.emitted(), 40u);
   EXPECT_FALSE(binner.HasPending());  // nothing filled a chunk
-  binner.ParkAllForTest();
+  binner.ParkAll();
   ASSERT_TRUE(binner.HasPending());
-  auto first = binner.PopPendingForTest();
+  auto first = binner.PopPending();
   ASSERT_TRUE(binner.HasPending());
-  auto second = binner.PopPendingForTest();
+  auto second = binner.PopPending();
   EXPECT_FALSE(binner.HasPending());
   const Chunk& c0 = first.first == 0 ? first.second : second.second;
   const Chunk& c1 = first.first == 0 ? second.second : first.second;

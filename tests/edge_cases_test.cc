@@ -140,10 +140,10 @@ TEST(ParamsTest, SsspFindsWeightedShortestPaths) {
 
 TEST(XStreamEngineTest, PreprocessTimeIsAccounted) {
   InputGraph g = GenerateUniformRandom(256, 2048, false, 19);
-  XStreamConfig cfg;
+  ClusterConfig cfg;
   cfg.memory_budget_bytes = 4 << 10;
   cfg.chunk_bytes = 1 << 10;
-  XStreamEngine<PageRankProgram> engine(cfg, PageRankProgram(3));
+  XStreamEngine engine(cfg, PageRankProgram(3));
   auto result = engine.Run(g);
   EXPECT_GT(result.preprocess_time, 0);
   EXPECT_LT(result.preprocess_time, result.total_time);
@@ -155,17 +155,17 @@ TEST(XStreamEngineTest, PreprocessTimeIsAccounted) {
 
 TEST(XStreamEngineTest, PrefetchWindowImprovesRuntime) {
   InputGraph g = GenerateUniformRandom(512, 8192, false, 21);
-  XStreamConfig narrow;
+  ClusterConfig narrow;
   narrow.memory_budget_bytes = 8 << 10;
   narrow.chunk_bytes = 1 << 10;
-  narrow.prefetch_window = 1;
+  narrow.fetch_window = 1;
   // Make compute commensurate with I/O so overlap matters.
   narrow.cost.ns_per_edge_scatter = 1500.0;
   narrow.cost.ns_per_update_gather = 1500.0;
-  XStreamConfig wide = narrow;
-  wide.prefetch_window = 8;
-  XStreamEngine<PageRankProgram> slow(narrow, PageRankProgram(2));
-  XStreamEngine<PageRankProgram> fast(wide, PageRankProgram(2));
+  ClusterConfig wide = narrow;
+  wide.fetch_window = 8;
+  XStreamEngine slow(narrow, PageRankProgram(2));
+  XStreamEngine fast(wide, PageRankProgram(2));
   const TimeNs t_narrow = slow.Run(g).total_time;
   const TimeNs t_wide = fast.Run(g).total_time;
   EXPECT_LT(t_wide, t_narrow);
@@ -173,13 +173,13 @@ TEST(XStreamEngineTest, PrefetchWindowImprovesRuntime) {
 
 TEST(XStreamEngineTest, HddSlowerThanSsdProportionally) {
   InputGraph g = GenerateUniformRandom(256, 4096, false, 23);
-  XStreamConfig ssd;
+  ClusterConfig ssd;
   ssd.memory_budget_bytes = 8 << 10;
   ssd.chunk_bytes = 2 << 10;
-  XStreamConfig hdd = ssd;
+  ClusterConfig hdd = ssd;
   hdd.storage = StorageConfig::Hdd();
-  XStreamEngine<BfsProgram> a(ssd, BfsProgram(0));
-  XStreamEngine<BfsProgram> b(hdd, BfsProgram(0));
+  XStreamEngine a(ssd, BfsProgram(0));
+  XStreamEngine b(hdd, BfsProgram(0));
   const double ratio = static_cast<double>(b.Run(g).total_time) /
                        static_cast<double>(a.Run(g).total_time);
   EXPECT_GT(ratio, 1.3);  // HDD has half the bandwidth plus higher latency

@@ -305,7 +305,7 @@ TEST(HotPathAllocTest, SoaBinnerAddWithinBlockAllocFree) {
     }
   }
   while (binner.HasPending()) {
-    binner.PopPendingForTest();
+    binner.PopPending();
   }
   const uint64_t allocs = CountAllocs([&] {
     for (PartitionId p = 0; p < parts.num_partitions(); ++p) {
@@ -336,7 +336,7 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
   }
   Chunk scanned;
   while (binner.HasPending()) {
-    scanned = binner.PopPendingForTest().second;
+    scanned = binner.PopPending().second;
   }
   // `scanned` pins one block, so warm a second round to put a full set of
   // fill blocks back on the freelist before measuring.
@@ -346,7 +346,7 @@ TEST(HotPathAllocTest, UpdateSoaBinAndScanCycleAllocFree) {
     }
   }
   while (binner.HasPending()) {
-    binner.PopPendingForTest();
+    binner.PopPending();
   }
   float sink = 0.0f;
   const uint64_t allocs = CountAllocs([&] {
