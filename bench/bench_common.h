@@ -39,10 +39,11 @@ inline const std::vector<int>& MachineSweep() {
 //
 // Miniaturization: when the chunk shrinks below the paper's 4 MB, every
 // fixed per-request latency (device access, network propagation, IPC,
-// per-message CPU) is scaled by the same factor, so the system stays in the
-// paper's bandwidth-bound regime (latency/transfer ratios preserved) and
-// runtime ratios remain meaningful. Without this, kilobyte chunks would be
-// latency-dominated — a regime the real system never operates in.
+// per-message CPU, the adaptive steal policy's backoff windows) is scaled by
+// the same factor, so the system stays in the paper's bandwidth-bound regime
+// (latency/transfer ratios preserved) and runtime ratios remain meaningful.
+// Without this, kilobyte chunks would be latency-dominated — a regime the
+// real system never operates in.
 // Sized variant for streamed inputs (bench_fig_scale): the graph never
 // materializes, so the caller passes the two facts the formula needs.
 inline ClusterConfig BenchClusterConfigSized(uint64_t num_vertices, uint64_t input_wire_bytes,
@@ -75,6 +76,8 @@ inline ClusterConfig BenchClusterConfigSized(uint64_t num_vertices, uint64_t inp
   cfg.net.incast_backlog_threshold = shrink(cfg.net.incast_backlog_threshold);
   cfg.net.incast_penalty = shrink(cfg.net.incast_penalty);
   cfg.cost.ns_per_message = std::max(1.0, cfg.cost.ns_per_message * miniature);
+  cfg.steal.backoff_initial = shrink(cfg.steal.backoff_initial);
+  cfg.steal.backoff_max = shrink(cfg.steal.backoff_max);
   return cfg;
 }
 
@@ -87,9 +90,10 @@ inline ClusterConfig BenchClusterConfig(const InputGraph& graph, int machines,
 }
 
 // The latency-miniaturization ratio BenchClusterConfig applied (configured
-// chunk size vs the paper's 4 MB). Benches that set policy time knobs after
-// building the config (e.g. steal backoff windows) scale them with this so
-// they stay proportionate to the shrunken per-request latencies.
+// chunk size vs the paper's 4 MB). Only bench/e2e's steal_storm32 still
+// calls these, on backoff windows BenchClusterConfig has already scaled;
+// bench/e2e's next change drops those calls, then these two helpers
+// (ROADMAP item 4).
 inline double BenchMiniature(const ClusterConfig& cfg) {
   return std::min(1.0,
                   static_cast<double>(cfg.chunk_bytes) / static_cast<double>(4ull << 20));

@@ -4,11 +4,12 @@
 // victim+n) degraded to 1/severity of nominal speed from t=0 (n defaults
 // to machines/8: one bad machine at small N, a bad rack-slice at 32+).
 // Sweeps severity x {stealing off, steal_one, steal_half, adaptive}
-// (core/steal_policy.h) x cluster size (--machines or --machines-list) and
-// reports each cell's simulated runtime, p99 superstep duration, and how
-// often the stragglers' partitions were actually stolen. Weak scaling: the
-// graph grows with the cluster (--scale names the 4-machine cell) so
-// per-machine work stays comparable across N.
+// (core/steal_policy.h; a row sets the StealMode only) x cluster size
+// (--machines or --machines-list) and reports each cell's simulated
+// runtime, p99 superstep duration, and how often the stragglers'
+// partitions were actually stolen. Weak scaling: the graph grows with the
+// cluster (--scale names the 4-machine cell) so per-machine work stays
+// comparable across N.
 //
 // The paper's thesis (§5): uniform-random chunk placement plus randomized
 // stealing tolerates imbalance without partitioning smarts — a claim the
@@ -46,7 +47,7 @@ namespace {
 struct PolicyCell {
   std::string name;
   double alpha = 1.0;
-  StealPolicy steal;
+  StealMode mode = StealMode::kStealOne;
 };
 
 // The policy rows:
@@ -57,25 +58,16 @@ struct PolicyCell {
 //   steal_half — the baseline with only the amount changed, isolating what
 //                batch grants alone buy.
 //   adaptive   — the full adaptive runtime this subsystem adds: hint-driven
-//                amount escalation plus backoff, victim check, and 2-level
-//                routing at >= 32 machines. The gated large-N claim
-//                compares this runtime against the baseline protocol.
-std::vector<PolicyCell> PolicyRows(int machines) {
-  std::vector<PolicyCell> rows;
-  rows.push_back({"off", 0.0, StealPolicy{}});
-  PolicyCell one{"steal_one", 1.0, StealPolicy{}};
-  one.steal.mode = StealMode::kStealOne;
-  rows.push_back(one);
-  PolicyCell half{"steal_half", 1.0, StealPolicy{}};
-  half.steal.mode = StealMode::kStealHalf;
-  rows.push_back(half);
-  PolicyCell adaptive{"adaptive", 1.0, StealPolicy{}};
-  adaptive.steal.mode = StealMode::kAdaptive;
-  adaptive.steal.backoff_hints = true;
-  adaptive.steal.steal_domain = machines >= 32 ? 8 : 0;
-  rows.push_back(adaptive);
-  return rows;
-}
+//                amount escalation plus backoff, victim check, the
+//                quiescence exit and 2-level routing at >= 32 machines. The
+//                gated large-N claim compares this runtime against the
+//                baseline protocol.
+const PolicyCell kPolicyRows[] = {
+    {"off", 0.0, StealMode::kStealOne},
+    {"steal_one", 1.0, StealMode::kStealOne},
+    {"steal_half", 1.0, StealMode::kStealHalf},
+    {"adaptive", 1.0, StealMode::kAdaptive},
+};
 
 }  // namespace
 
@@ -191,11 +183,7 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
     cfg.memory_budget_bytes = std::max<uint64_t>(
         g->num_vertices * 8 / (parts * static_cast<uint64_t>(machines)), 1024);
     cfg.alpha = policy.alpha;
-    cfg.steal = policy.steal;
-    // Backoff windows live in the same miniaturized time frame as the
-    // other fixed latencies (see BenchClusterConfig).
-    cfg.steal.backoff_initial = BenchShrinkTime(cfg, cfg.steal.backoff_initial);
-    cfg.steal.backoff_max = BenchShrinkTime(cfg, cfg.steal.backoff_max);
+    cfg.steal.mode = policy.mode;
     if (severity > 1.0) {
       // A straggler *cluster*: machines victim..victim+n-1 all run
       // `severity` times slower from t=0.
@@ -214,7 +202,7 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
   Sweep<AlgoResult> sweep;
   for (const int machines : machine_counts) {
     for (const double severity : severities) {
-      for (const PolicyCell& policy : PolicyRows(machines)) {
+      for (const PolicyCell& policy : kPolicyRows) {
         sweep.Add([=] {
           return RunJob(MakeJob(algo, *graphs.at(machines), configure(machines, severity, policy)));
         });
@@ -228,7 +216,6 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
   const double max_severity = *std::max_element(severities.begin(), severities.end());
   size_t idx = 0;
   for (const int machines : machine_counts) {
-    const std::vector<PolicyCell> policies = PolicyRows(machines);
     std::printf("== Figure 21: %s, %d machines, machines [%d, %d) straggling (%s), RMAT-%u ==\n",
                 algo.c_str(), machines, victim, victim + cluster_stragglers(machines),
                 FaultTargetName(target), effective_scale(machines));
@@ -241,13 +228,13 @@ CHAOS_BENCH_MAIN(fig21_stragglers,
     double off_sev1 = -1.0;
     for (size_t si = 0; si < severities.size(); ++si) {
       if (severities[si] == 1.0) {
-        off_sev1 = results[idx + si * policies.size()].metrics.total_seconds();
+        off_sev1 = results[idx + si * std::size(kPolicyRows)].metrics.total_seconds();
       }
     }
     for (const double severity : severities) {
       double off_s = 0.0;
       std::map<std::string, const AlgoResult*> row;
-      for (const PolicyCell& policy : policies) {
+      for (const PolicyCell& policy : kPolicyRows) {
         const AlgoResult& r = results[idx++];
         row[policy.name] = &r;
         const std::string prefix = "fig21.m" + std::to_string(machines) + ".sev" +

@@ -95,7 +95,7 @@ void RegisterFlags(Options& opt) {
   opt.AddDouble("alpha", 1.0, "work-stealing bias (0 disables stealing, inf always steals)",
                 0.0, Options::kInf);
   opt.AddString("steal-mode", "steal_one",
-                "steal policy (adaptive also turns on backoff + victim-check hints)",
+                "steal policy (adaptive: escalation, victim check, backoff, domains at 32+)",
                 {"steal_one", "steal_half", "adaptive"});
   opt.AddInt("straggler", -1, "machine to degrade (-1 = healthy cluster)", -1, kIntMax);
   opt.AddDouble("straggler-severity", 4.0, "slowdown factor of the straggler", 1.0,
@@ -282,9 +282,6 @@ std::optional<JobSpec> BuildJob(const Options& opt, bool quiet, bool serving,
   cfg.net = opt.GetBool("slow-net") ? NetworkConfig::OneGigE() : NetworkConfig::FortyGigE();
   cfg.alpha = opt.GetDouble("alpha");
   ParseStealMode(opt.GetString("steal-mode"), &cfg.steal.mode);  // a declared choice
-  // The full adaptive runtime: hint-driven escalation plus backoff and
-  // per-phase victim-check hints (see src/core/steal_policy.h).
-  cfg.steal.backoff_hints = cfg.steal.mode == StealMode::kAdaptive;
   cfg.checkpoint_interval = static_cast<uint32_t>(opt.GetInt("checkpoint-interval"));
   cfg.seed = seed;
   if (opt.GetInt("cores") > 0) {

@@ -328,54 +328,26 @@ bool EngineCore::StealDecision(PartitionId p, EnginePhase phase) {
   return StealAccept(v, d, st.workers, ctx_.config->alpha);
 }
 
-std::vector<MachineId> EngineCore::StealVictimOrder() {
-  const int m = ctx_.machines();
-  const std::vector<uint32_t> perm = steal_rng_.Permutation(static_cast<uint32_t>(m));
-  std::vector<MachineId> order;
-  order.reserve(static_cast<size_t>(m) - 1);
-  const int domain = ctx_.config->steal.steal_domain;
-  if (domain <= 1 || domain >= m) {
-    for (const uint32_t v : perm) {
-      if (static_cast<MachineId>(v) != ctx_.machine) {
-        order.push_back(static_cast<MachineId>(v));
-      }
-    }
-    return order;
-  }
-  // 2-level routing: in-domain victims first (both halves keep the
-  // permutation's relative order, so the whole order stays seeded).
-  const int mine = ctx_.machine / domain;
-  for (const uint32_t v : perm) {
-    if (static_cast<MachineId>(v) != ctx_.machine && static_cast<int>(v) / domain == mine) {
-      order.push_back(static_cast<MachineId>(v));
-    }
-  }
-  for (const uint32_t v : perm) {
-    if (static_cast<MachineId>(v) != ctx_.machine && static_cast<int>(v) / domain != mine) {
-      order.push_back(static_cast<MachineId>(v));
-    }
-  }
-  return order;
-}
-
 Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId)> work) {
   const StealPolicy& policy = ctx_.config->steal;
-  if (ctx_.machines() <= 1) {
+  const int machines = ctx_.machines();
+  if (machines <= 1) {
     co_return;
   }
   StealSweepState state(policy.mode);
   // Task-indicator hints: victims that reported no open work this phase.
   // O(machines) per engine and local to the loop — no per-pair state.
-  std::vector<uint8_t> drained(static_cast<size_t>(ctx_.machines()), 0);
+  std::vector<uint8_t> drained(static_cast<size_t>(machines), 0);
   BackoffWindow backoff(policy.backoff_initial, policy.backoff_max);
   int dry_rounds = 0;
   while (!Dead()) {
     bool any_grant = false;
-    for (const MachineId victim : StealVictimOrder()) {
+    const std::vector<uint32_t> perm = steal_rng_.Permutation(static_cast<uint32_t>(machines));
+    for (const MachineId victim : StealVictimOrder(policy.mode, ctx_.machine, perm)) {
       if (Dead()) {
         break;
       }
-      if (policy.backoff_hints && drained[static_cast<size_t>(victim)] != 0) {
+      if (state.uses_hints() && drained[static_cast<size_t>(victim)] != 0) {
         continue;
       }
       ++metrics_->steal_proposals_sent;
@@ -411,16 +383,19 @@ Task<> EngineCore::StealLoop(EnginePhase phase, std::function<Task<>(PartitionId
       dry_rounds = 0;
       continue;
     }
-    if (!policy.backoff_hints || dry_rounds >= kMaxBackoffRounds) {
+    // Go to the barrier after a dry sweep: always for steal_one and
+    // steal_half; for adaptive after kMaxBackoffRounds retries, or at once
+    // when every victim has said it has no open work left this phase
+    // (quiescence: no retry can find any).
+    if (!state.uses_hints() || dry_rounds >= kMaxBackoffRounds ||
+        std::count(drained.begin(), drained.end(), 1) == machines - 1) {
       break;
     }
-    // Dry sweep with backoff on: park and retry — work that opens late
-    // (behind a slow victim stream) still finds this helper.
+    // Dry sweep: park and retry — work that opens late (behind a slow
+    // victim stream) still finds this helper.
     ++dry_rounds;
     ++metrics_->steal_backoffs;
-    const TimeNs wait = backoff.Next();
-    metrics_->steal_backoff_time += wait;
-    co_await ctx_.sim->Delay(wait);
+    co_await ctx_.sim->Delay(backoff.Next());
   }
 }
 

@@ -227,14 +227,12 @@ class EngineCore {
   // (StealAccept in steal_policy.h), with D estimated as (local remaining
   // bytes) * machines.
   bool StealDecision(PartitionId p, EnginePhase phase);
-  // Victim sweep order for one steal round: a seeded random permutation of
-  // the other machines (from the dedicated steal RNG, so steal traffic
-  // never perturbs placement draws), with in-domain victims first when
-  // 2-level routing (StealPolicy::steal_domain) is configured.
-  std::vector<MachineId> StealVictimOrder();
-  // Randomized proposal sweep (§5.3) under the configured StealPolicy:
-  // per-victim-machine proposals, optional task-indicator skips, optional
-  // exponential backoff after dry sweeps, adaptive steal-half escalation.
+  // Randomized proposal sweep (§5.3) under the configured StealMode:
+  // per-victim-machine proposals in StealVictimOrder over a permutation
+  // drawn from the dedicated steal RNG (so steal traffic never perturbs
+  // placement draws); adaptive adds task-indicator skips, exponential
+  // backoff after dry sweeps with a quiescence exit, and steal-half
+  // escalation.
   // `work` streams one stolen partition in the current phase (supplied by
   // the phase driver). Taken by value: coroutine parameters are copied into
   // the frame, so the callable safely outlives every suspension.

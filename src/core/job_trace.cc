@@ -48,7 +48,9 @@ TimeNs UniformArrival(Rng& rng, TimeNs horizon) {
 // retrained-pipeline kicks), each with a small jitter.
 TimeNs BurstyArrival(Rng& rng, TimeNs horizon, const std::vector<TimeNs>& centers) {
   const TimeNs center = centers[rng.Below(centers.size())];
-  const TimeNs jitter_span = horizon / 32;
+  // Floored at 1 ns: under a 32 ns horizon the span would be 0, and
+  // Below(0) divides by zero.
+  const TimeNs jitter_span = std::max<TimeNs>(horizon / 32, 1);
   const TimeNs jitter = static_cast<TimeNs>(rng.Below(static_cast<uint64_t>(jitter_span))) -
                         jitter_span / 2;
   return std::clamp<TimeNs>(center + jitter, 0, horizon - 1);

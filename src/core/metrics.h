@@ -48,7 +48,6 @@ struct MachineMetrics {
   uint64_t steal_requests_declined = 0;  // as helper: responses granting nothing
   uint64_t victim_misses = 0;       // as helper: victim reported no open work
   uint64_t steal_backoffs = 0;      // as helper: dry-sweep backoff waits taken
-  TimeNs steal_backoff_time = 0;    // as helper: sim time parked in backoff
   uint64_t partitions_granted = 0;  // as master: partitions handed to helpers
   uint64_t stolen_chunks = 0;       // as helper: chunks streamed on stolen partitions
 

@@ -1,29 +1,31 @@
 // Steal-policy subsystem: the paper's randomized steal-one baseline
 // (§5.3-§5.4) generalized into a configurable policy, after the adaptive
-// work-stealing runtime of aprell/tasking-2.0 (runtime.c):
+// work-stealing runtime of aprell/tasking-2.0 (runtime.c). One field picks
+// the mode:
 //
-//   * mode      steal_one — the paper: one partition per granted proposal.
-//               steal_half — a granted proposal takes up to half of the
-//               victim's still-open partitions in one exchange
+//   * steal_one  — the paper: one partition per granted proposal, one flat
+//               sweep over a seeded victim permutation, give up after the
+//               first dry sweep.
+//   * steal_half — the same sweep, but a granted proposal takes up to half
+//               of the victim's still-open partitions in one exchange
 //               (STEAL_ADAPTIVE's stealhalf requests).
-//               adaptive — start polite (steal-one); when a granted
-//               response reports the victim STILL has open work (the
-//               task-indicator hint), escalate subsequent proposals to
-//               steal-half, and de-escalate once a grant exhausts its
-//               victim.
-//   * backoff_hints  STEAL_BACKOFF and VICTIM_CHECK, on together: a
-//               helper whose whole sweep found nothing parks for an
-//               exponentially growing window and retries instead of giving
-//               up immediately — work that opens late (e.g. behind a
-//               straggler's slow stream) still finds takers — and, since
-//               every proposal response carries "I still have open work",
-//               skips victims that said no for the rest of the phase,
-//               cutting the request storm at large N.
-//   * steal_domain  2-level steal routing for big clusters: machines are
-//               grouped into domains of `steal_domain` machines and a
-//               helper sweeps in-domain victims before crossing domains
-//               (the manager/worker channel hierarchy of tasking-2.0,
-//               flattened into a sweep order).
+//   * adaptive — the full runtime:
+//       - escalation: start polite (steal-one); when a granted response
+//         reports the victim STILL has open work (the task-indicator
+//         hint), escalate subsequent proposals to steal-half, and
+//         de-escalate once a grant exhausts its victim;
+//       - STEAL_BACKOFF and VICTIM_CHECK: victims that said "no open work"
+//         are skipped for the rest of the phase, cutting the request storm
+//         at large N, and a helper whose whole sweep found nothing parks
+//         for an exponentially growing window and retries, so work that
+//         opens late (behind a straggler's slow stream) still finds takers;
+//       - quiescence exit: once every victim has said "no open work" this
+//         phase, a dry sweep goes to the barrier instead of backing off
+//         (tasking-2.0's idle/quiescent flags);
+//       - 2-level routing from kStealDomainMinMachines machines up: a
+//         helper sweeps the victims of its own domain of kStealDomain
+//         machines before crossing domains (the manager/worker channel
+//         hierarchy of tasking-2.0, flattened into a sweep order).
 //
 // Everything here is pure decision math — no simulator, no cluster — so
 // tests/steal_policy_test.cc can pin the per-mode behavior in isolation.
@@ -35,8 +37,10 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/time.h"
+#include "util/common.h"
 
 namespace chaos {
 
@@ -71,23 +75,20 @@ inline bool ParseStealMode(const std::string& s, StealMode* out) {
   return true;
 }
 
-// Grant-free sweeps a backing-off helper retries before it gives up.
+// Grant-free sweeps a backing-off adaptive helper retries before it gives up.
 inline constexpr int kMaxBackoffRounds = 3;
+// Adaptive's 2-level routing: domains of kStealDomain machines, in clusters
+// of kStealDomainMinMachines or more. fig21's 32-machine tail gate needs the
+// routing; at fig18's 16 machines it costs more than a flat sweep.
+inline constexpr int kStealDomain = 8;
+inline constexpr int kStealDomainMinMachines = 32;
 
 struct StealPolicy {
   StealMode mode = StealMode::kStealOne;
-
-  // Skip victims that already reported "no open work" this phase, and
-  // retry after a grant-free sweep, parking exponentially longer between
-  // attempts (initial, doubled per round, capped at max), up to
-  // kMaxBackoffRounds rounds; off = give up after the first dry sweep
-  // (the pre-policy baseline behavior).
-  bool backoff_hints = false;
+  // Adaptive's park after a grant-free sweep: initial, doubled per round,
+  // capped at max, up to kMaxBackoffRounds rounds.
   TimeNs backoff_initial = 20 * kNsPerUs;
   TimeNs backoff_max = 160 * kNsPerUs;
-
-  // >0: sweep victims of my own domain (machine / steal_domain) first.
-  int steal_domain = 0;
 };
 
 // The steal decision (§5.4): admit one more helper to a partition iff
@@ -132,7 +133,6 @@ class BackoffWindow {
     return w;
   }
   void Reset() { window_ = initial_; }
-  TimeNs current() const { return window_; }
 
  private:
   TimeNs initial_;
@@ -156,6 +156,8 @@ class StealSweepState {
     return mode_ == StealMode::kStealHalf ||
            (mode_ == StealMode::kAdaptive && escalated_);
   }
+  // Victim check and backoff: adaptive only.
+  bool uses_hints() const { return mode_ == StealMode::kAdaptive; }
   // Call on every granted proposal; more_work is the victim's hint that
   // open partitions remained even after this grant.
   void OnGrant(bool more_work) {
@@ -163,12 +165,36 @@ class StealSweepState {
       escalated_ = more_work;
     }
   }
-  bool escalated() const { return escalated_; }
 
  private:
   StealMode mode_;
   bool escalated_ = false;
 };
+
+// Victim order of one sweep by machine `self`, from `perm`, a seeded
+// permutation of all machine ids: every other machine once, in permutation
+// order — except that adaptive, in a cluster of kStealDomainMinMachines or
+// more, sweeps its own domain of kStealDomain machines first. Both halves
+// keep the permutation's relative order, so the whole order stays seeded.
+inline std::vector<MachineId> StealVictimOrder(StealMode mode, MachineId self,
+                                               const std::vector<uint32_t>& perm) {
+  const bool by_domain =
+      mode == StealMode::kAdaptive && perm.size() >= static_cast<size_t>(kStealDomainMinMachines);
+  std::vector<MachineId> order;
+  order.reserve(perm.size() - 1);
+  for (const bool own_domain : {true, false}) {
+    for (const uint32_t v : perm) {
+      const auto m = static_cast<MachineId>(v);
+      if (m != self && (!by_domain || (m / kStealDomain == self / kStealDomain) == own_domain)) {
+        order.push_back(m);
+      }
+    }
+    if (!by_domain) {
+      break;  // the flat sweep is one pass
+    }
+  }
+  return order;
+}
 
 }  // namespace chaos
 

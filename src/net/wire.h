@@ -163,7 +163,7 @@ enum class EnginePhase : uint8_t {
 // "May I help you?" (Fig. 4 lines 24-26), sent by an engine that has
 // finished its own partitions to a victim machine chosen in a seeded random
 // sweep order (§5.3: randomized stealing needs no load information;
-// EngineCore::StealVictimOrder adds the optional 2-level domain routing).
+// StealVictimOrder, core/steal_policy.h, routes adaptive by domain).
 // `steal_half` is the amount hint of the configured StealMode: ask for up
 // to half of the victim's open partitions instead of one. The superstep
 // guards against stale proposals crossing a barrier.
@@ -180,9 +180,9 @@ struct HelpProposalReq {
 // count) must justify copying the partition's vertex set V to one more
 // helper, V + D/(H+1) < alpha * D/H. alpha is the stealing bias of
 // ClusterConfig (Fig. 18 sweeps it; 0 disables stealing). `more_work` is
-// the task-indicator hint (victim still has open partitions); with
-// backoff_hints on, a helper skips victims that said false for the rest of
-// the phase.
+// the task-indicator hint (victim still has open partitions); an adaptive
+// helper skips victims that said false for the rest of the phase, and goes
+// to the barrier once every victim has.
 struct HelpProposalResp {
   std::vector<PartitionId> granted;
   bool more_work = false;

@@ -343,9 +343,9 @@ TEST(BenchDeterminismTest, Fig21At64MachinesIdenticalAcrossJobCounts) {
   ExpectJobsInvariant("fig21_stragglers", "--machines-list=64 --severities=1 --scale=8",
                       /*records_sim_s=*/true,
                       {
-                          {"fig21.m64.sev1.adaptive.p99_superstep_s", 0.00155},
-                          {"fig21.m64.sev1.adaptive.sim_s", 0.00806},
-                          {"fig21.m64.sev1.adaptive.victim_miss_rate", 0.979449},
+                          {"fig21.m64.sev1.adaptive.p99_superstep_s", 0.001549},
+                          {"fig21.m64.sev1.adaptive.sim_s", 0.00802},
+                          {"fig21.m64.sev1.adaptive.victim_miss_rate", 0.979592},
                           {"fig21.m64.sev1.adaptive.victim_steals", 0.0},
                           {"fig21.m64.sev1.off.p99_superstep_s", 0.000707},
                           {"fig21.m64.sev1.off.sim_s", 0.0039},

@@ -67,7 +67,7 @@ struct Point {
   int machines = 1;
   FaultMode fault = FaultMode::kNone;
   // Steal-policy column: run the straggler fault under an explicit steal
-  // policy (mode + backoff_hints) instead of the config default.
+  // mode instead of the config default.
   bool policy_point = false;
   StealMode steal = StealMode::kStealOne;
   // Mutation column: run an evolving-graph schedule (3 batches, preset by
@@ -411,7 +411,6 @@ std::string RunPoint(const Point& p) {
       cfg.faults = FaultSchedule::Straggler(p.machines - 1, 4.0, FaultTarget::kCpu);
       if (p.policy_point) {
         cfg.steal.mode = p.steal;
-        cfg.steal.backoff_hints = true;
       }
       result = RunJob(MakeJob(p.algo, prepared, cfg, params));
       break;

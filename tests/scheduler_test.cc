@@ -290,25 +290,29 @@ TEST(SchedulerTest, FifoRunsInArrivalOrderWithoutPreemption) {
   }
 }
 
+// Horizons of 1 and 31 ns leave bursty's jitter span (horizon / 32) at
+// zero before its 1 ns floor; 32 ns is the first without the floor.
 TEST(TraceTest, PresetsAreDeterministicAndInRange) {
   for (const TracePreset preset :
        {TracePreset::kUniform, TracePreset::kBursty, TracePreset::kDiurnal}) {
-    TraceOptions opt;
-    opt.preset = preset;
-    opt.num_jobs = 32;
-    opt.horizon = 10'000'000'000;
-    opt.seed = 77;
-    std::vector<TraceEntry> a = GenerateTrace(opt);
-    std::vector<TraceEntry> b = GenerateTrace(opt);
-    ASSERT_EQ(a.size(), 32u);
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].arrival, b[i].arrival);
-      EXPECT_EQ(a[i].priority, b[i].priority);
-      EXPECT_EQ(a[i].seed, b[i].seed);
-      EXPECT_GE(a[i].arrival, 0);
-      EXPECT_LT(a[i].arrival, opt.horizon);
-      if (i > 0) {
-        EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    for (const TimeNs horizon : {TimeNs{10'000'000'000}, TimeNs{1}, TimeNs{31}, TimeNs{32}}) {
+      TraceOptions opt;
+      opt.preset = preset;
+      opt.num_jobs = 32;
+      opt.horizon = horizon;
+      opt.seed = 77;
+      std::vector<TraceEntry> a = GenerateTrace(opt);
+      std::vector<TraceEntry> b = GenerateTrace(opt);
+      ASSERT_EQ(a.size(), 32u);
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].arrival, b[i].arrival);
+        EXPECT_EQ(a[i].priority, b[i].priority);
+        EXPECT_EQ(a[i].seed, b[i].seed);
+        EXPECT_GE(a[i].arrival, 0);
+        EXPECT_LT(a[i].arrival, opt.horizon);
+        if (i > 0) {
+          EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+        }
       }
     }
   }

@@ -2,7 +2,8 @@
 // controller). Three layers:
 //
 //  1. pure policy math in isolation — the accept rule, grant amounts,
-//     backoff windows, the adaptive escalation bit, mode parsing;
+//     backoff windows, the adaptive escalation bit, victim order, mode
+//     parsing;
 //  2. small cluster runs — every mode must still absorb a straggler on the
 //     acceptance-criteria 2-machine run, and runs must be deterministic;
 //  3. large-N regressions — per-machine state is O(machines) by
@@ -20,6 +21,7 @@
 #include "net/network.h"
 #include "sim/fault_injector.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace chaos {
 namespace {
@@ -110,10 +112,63 @@ TEST(StealSweepStateTest, AdaptiveFollowsTheVictimHint) {
   // A grant whose victim still reports open work escalates to steal-half...
   s.OnGrant(/*more_work=*/true);
   EXPECT_TRUE(s.steal_half());
-  EXPECT_TRUE(s.escalated());
   // ...and a grant that exhausted its victim de-escalates.
   s.OnGrant(/*more_work=*/false);
   EXPECT_FALSE(s.steal_half());
+}
+
+// ------------------------------------------------------------ victim order
+
+// The permutation with `self` dropped: the flat sweep.
+std::vector<MachineId> FlatOrder(const std::vector<uint32_t>& perm, MachineId self) {
+  std::vector<MachineId> order;
+  for (const uint32_t v : perm) {
+    if (static_cast<MachineId>(v) != self) {
+      order.push_back(static_cast<MachineId>(v));
+    }
+  }
+  return order;
+}
+
+// steal_one and steal_half sweep flat at any size, adaptive below 32
+// machines.
+TEST(StealVictimOrderTest, FlatSweepIsThePermutationWithoutSelf) {
+  Rng rng(11);
+  for (const int m : {2, 16, kStealDomainMinMachines - 1, kStealDomainMinMachines, 128}) {
+    const std::vector<uint32_t> perm = rng.Permutation(static_cast<uint32_t>(m));
+    for (const MachineId self : {0, 13 % m, m - 1}) {
+      for (const StealMode mode :
+           {StealMode::kStealOne, StealMode::kStealHalf, StealMode::kAdaptive}) {
+        if (mode == StealMode::kAdaptive && m >= kStealDomainMinMachines) {
+          continue;
+        }
+        EXPECT_EQ(StealVictimOrder(mode, self, perm), FlatOrder(perm, self))
+            << StealModeName(mode) << " m=" << m << " self=" << self;
+      }
+    }
+  }
+}
+
+// From 32 machines adaptive sweeps the other 7 machines of its own domain of
+// 8 first, then the rest; both halves keep the permutation's order.
+TEST(StealVictimOrderTest, AdaptiveSweepsItsOwnDomainFirstFrom32Machines) {
+  EXPECT_EQ(kStealDomain, 8);
+  EXPECT_EQ(kStealDomainMinMachines, 32);
+  Rng rng(13);
+  for (const int m : {kStealDomainMinMachines, 128}) {
+    const std::vector<uint32_t> perm = rng.Permutation(static_cast<uint32_t>(m));
+    for (const MachineId self : {0, 13, m - 1}) {
+      std::vector<MachineId> expected;
+      std::vector<MachineId> other_domains;
+      for (const MachineId v : FlatOrder(perm, self)) {
+        (v / kStealDomain == self / kStealDomain ? expected : other_domains).push_back(v);
+      }
+      ASSERT_EQ(expected.size(), static_cast<size_t>(kStealDomain - 1));
+      expected.insert(expected.end(), other_domains.begin(), other_domains.end());
+      EXPECT_EQ(StealVictimOrder(StealMode::kAdaptive, self, perm), expected)
+          << "m=" << m << " self=" << self;
+    }
+  }
 }
 
 // ----------------------------------------------------------- mode parsing
@@ -175,7 +230,6 @@ TEST(StealPolicyClusterTest, EveryModeBeatsNoStealingUnderStraggler) {
        {StealMode::kStealOne, StealMode::kStealHalf, StealMode::kAdaptive}) {
     ClusterConfig cfg = PolicyRunConfig(2, 1.0, 4.0);
     cfg.steal.mode = mode;
-    cfg.steal.backoff_hints = true;
     const auto with = RunJob(MakeJob("pagerank", g, cfg));
     EXPECT_LT(with.metrics.total_time, without.metrics.total_time)
         << StealModeName(mode) << " failed to absorb the straggler";
@@ -184,8 +238,47 @@ TEST(StealPolicyClusterTest, EveryModeBeatsNoStealingUnderStraggler) {
   }
 }
 
-// Same seed + same policy => identical simulated trace, for every mode and
-// with the full policy runtime (backoff_hints + domains) on.
+// Only adaptive backs off. On the 2-machine run with an 8x straggler,
+// adaptive parks after dry sweeps whose victim still reported open work;
+// steal_one and steal_half go to the barrier after their first dry sweep.
+TEST(StealPolicyClusterTest, OnlyAdaptiveBacksOff) {
+  InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
+  for (const StealMode mode :
+       {StealMode::kStealOne, StealMode::kStealHalf, StealMode::kAdaptive}) {
+    ClusterConfig cfg = PolicyRunConfig(2, 1.0, 8.0);
+    cfg.steal.mode = mode;
+    const uint64_t backoffs = RunJob(MakeJob("pagerank", g, cfg)).metrics.StealBackoffs();
+    if (mode == StealMode::kAdaptive) {
+      EXPECT_GT(backoffs, 0u);
+    } else {
+      EXPECT_EQ(backoffs, 0u) << StealModeName(mode);
+    }
+  }
+}
+
+// The quiescence exit: an adaptive helper whose victims have all said "no
+// open work" this phase goes to the barrier instead of backing off. At 2
+// machines a sweep makes at most one proposal, so each backoff follows a
+// response that still reported open work: backoffs <= proposals - misses.
+// Without the exit, a phase that drains the victim adds backoffs with no
+// proposal behind them.
+TEST(StealPolicyClusterTest, AdaptiveGoesToTheBarrierOnceEveryVictimIsDrained) {
+  InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
+  ClusterConfig cfg = PolicyRunConfig(2, 1.0, 8.0);
+  cfg.steal.mode = StealMode::kAdaptive;
+  const RunMetrics m = RunJob(MakeJob("pagerank", g, cfg)).metrics;
+  uint64_t misses = 0;
+  for (const auto& mm : m.machines) {
+    misses += mm.victim_misses;
+  }
+  // The run reaches both sides of the rule: it drains its victim and it
+  // backs off.
+  ASSERT_GT(misses, 0u);
+  ASSERT_GT(m.StealBackoffs(), 0u);
+  EXPECT_LE(m.StealBackoffs(), m.StealProposalsSent() - misses);
+}
+
+// Same seed + same policy => identical simulated trace, for every mode.
 TEST(StealPolicyClusterTest, PolicyRunsAreDeterministic) {
   InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
   for (const StealMode mode :
@@ -193,8 +286,6 @@ TEST(StealPolicyClusterTest, PolicyRunsAreDeterministic) {
     auto run = [&] {
       ClusterConfig cfg = PolicyRunConfig(4, 1.0, 4.0);
       cfg.steal.mode = mode;
-      cfg.steal.backoff_hints = true;
-      cfg.steal.steal_domain = 2;
       return RunJob(MakeJob("pagerank", g, cfg));
     };
     const auto a = run();
@@ -233,8 +324,9 @@ TEST(LargeClusterTest, NetworkAndBusAllocationsScaleLinearly) {
   EXPECT_EQ(inboxes128, 4u * inboxes32);
 }
 
-// A 128-machine job under the full adaptive runtime completes, steals, and
-// still computes the right answer (checked against the 1-machine run).
+// A 128-machine job under the full adaptive runtime (domains of 8 included)
+// completes, steals, and still computes the right answer (checked against
+// the 1-machine run).
 TEST(LargeClusterTest, AdaptiveRuntimeCompletesAt128Machines) {
   InputGraph g = PrepareInput("pagerank", PolicyRunGraph());
   const auto reference = RunJob(MakeJob("pagerank", g, PolicyRunConfig(1, 0.0, 1.0)));
@@ -246,8 +338,6 @@ TEST(LargeClusterTest, AdaptiveRuntimeCompletesAt128Machines) {
                               FaultTarget::kCpu, /*factor=*/0.25});
   }
   cfg.steal.mode = StealMode::kAdaptive;
-  cfg.steal.backoff_hints = true;
-  cfg.steal.steal_domain = 8;
   const auto big = RunJob(MakeJob("pagerank", g, cfg));
 
   EXPECT_FALSE(big.metrics.crashed);
